@@ -7,7 +7,8 @@
 //! sharded clone bumps shard pointers and the following insert deep-copies
 //! only the one shard still shared with the published generation —
 //! O(n/shards) amortized. `spatial_publish/*` lines are the numbers quoted
-//! in `results/spatial_shard.md` and gated by `scripts/bench_gate.sh`.
+//! in `results/spatial_shard.md`; the boxed-index reference has no
+//! counterpart in `bench/`, whose `core.publish_ns` times the sharded path.
 //!
 //! Also measured here: the bounded-nearest push delta (real max-heap vs the
 //! old sort-the-whole-`Vec`-per-push emulation) and read-path parity

@@ -62,6 +62,18 @@ impl Args {
     pub fn opt(&self, key: &str) -> Option<String> {
         self.values.get(key).cloned()
     }
+
+    /// Optional argument parsed as `T`, `default` when absent; a value that
+    /// does not parse is an error naming the flag.
+    pub fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        match self.values.get(key) {
+            Some(v) => v.parse().map_err(|e| format!("--{key}: {e}")),
+            None => Ok(default),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -79,6 +91,10 @@ mod tests {
         assert_eq!(a.opt("m"), Some("100".into()));
         assert_eq!(a.opt("missing"), None);
         assert!(a.get("missing").is_err());
+        assert_eq!(a.parse_or("m", 7usize), Ok(100));
+        assert_eq!(a.parse_or("missing", 7usize), Ok(7));
+        let err = a.parse_or("template", 7usize).unwrap_err();
+        assert!(err.starts_with("--template: "), "{err}");
     }
 
     #[test]

@@ -32,7 +32,7 @@ use pqo_core::engine::QueryEngine;
 use pqo_core::runner::{run_sequence, GroundTruth};
 use pqo_core::scr::Scr;
 use pqo_core::OnlinePqo;
-use pqo_optimizer::svector::{compute_svector, instance_for_target, SVector};
+use pqo_optimizer::svector::{compute_svector, instance_for_target};
 use pqo_workload::corpus::{corpus, TemplateSpec};
 
 mod args;
@@ -133,18 +133,9 @@ pub(crate) fn scr_config(args: &Args, lambda: f64) -> Result<pqo_core::scr::ScrC
             .ok_or_else(|| format!("--policy: unknown policy `{raw}` (scr|lec|penalty)"))?;
         cfg = cfg.with_policy(policy);
     }
-    if let Some(raw) = args.opt("spatial-threshold") {
-        let threshold: usize = raw
-            .parse()
-            .map_err(|e| format!("--spatial-threshold: {e}"))?;
-        cfg = cfg.with_spatial_index_threshold(threshold);
-    }
-    if let Some(raw) = args.opt("recost-fetch-factor") {
-        let factor: usize = raw
-            .parse()
-            .map_err(|e| format!("--recost-fetch-factor: {e}"))?;
-        cfg = cfg.with_recost_fetch_factor(factor);
-    }
+    cfg.spatial_index_threshold =
+        args.parse_or("spatial-threshold", cfg.spatial_index_threshold)?;
+    cfg.recost_fetch_factor = args.parse_or("recost-fetch-factor", cfg.recost_fetch_factor)?;
     Ok(cfg)
 }
 
@@ -228,24 +219,9 @@ fn recost_cmd(args: &Args) -> Result<(), String> {
 
 fn run_cmd(args: &Args) -> Result<(), String> {
     let spec = spec(args)?;
-    let lambda: f64 = args
-        .opt("lambda")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e| format!("--lambda: {e}"))?
-        .unwrap_or(2.0);
-    let m: usize = args
-        .opt("m")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e| format!("--m: {e}"))?
-        .unwrap_or(1000);
-    let seed: u64 = args
-        .opt("seed")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e| format!("--seed: {e}"))?
-        .unwrap_or(42);
+    let lambda: f64 = args.parse_or("lambda", 2.0)?;
+    let m: usize = args.parse_or("m", 1000)?;
+    let seed: u64 = args.parse_or("seed", 42)?;
     let tech_name = args.opt("tech").unwrap_or_else(|| "scr".into());
     let load_cache = args.opt("load-cache");
     let save_cache = args.opt("save-cache");
@@ -297,7 +273,7 @@ fn run_cmd(args: &Args) -> Result<(), String> {
         print_result(&r);
         if let Some(path) = save_cache {
             let mut f = std::fs::File::create(&path).map_err(|e| format!("{path}: {e}"))?;
-            pqo_core::persist::save(&scr, &mut f).map_err(|e| format!("{path}: {e}"))?;
+            pqo_core::persist::save(&scr, 0, &mut f).map_err(|e| format!("{path}: {e}"))?;
             println!(
                 "saved cache to {path}: {} plans, {} instance entries",
                 scr.cache().num_plans(),
@@ -322,18 +298,8 @@ fn run_cmd(args: &Args) -> Result<(), String> {
 
 fn cache_cmd(args: &Args) -> Result<(), String> {
     let spec = spec(args)?;
-    let lambda: f64 = args
-        .opt("lambda")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e| format!("--lambda: {e}"))?
-        .unwrap_or(2.0);
-    let m: usize = args
-        .opt("m")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e| format!("--m: {e}"))?
-        .unwrap_or(500);
+    let lambda: f64 = args.parse_or("lambda", 2.0)?;
+    let m: usize = args.parse_or("m", 500)?;
     let instances = spec.generate(m, 42);
     let engine = QueryEngine::new(Arc::clone(&spec.template));
     let mut scr = Scr::with_config(scr_config(args, lambda)?).map_err(|e| e.to_string())?;
@@ -390,30 +356,10 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
         return net::serve_listen(args, &listen);
     }
     let spec = spec(args)?;
-    let lambda: f64 = args
-        .opt("lambda")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e| format!("--lambda: {e}"))?
-        .unwrap_or(2.0);
-    let m: usize = args
-        .opt("m")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e| format!("--m: {e}"))?
-        .unwrap_or(1000);
-    let seed: u64 = args
-        .opt("seed")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e| format!("--seed: {e}"))?
-        .unwrap_or(42);
-    let batch: usize = args
-        .opt("batch")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e| format!("--batch: {e}"))?
-        .unwrap_or(1);
+    let lambda: f64 = args.parse_or("lambda", 2.0)?;
+    let m: usize = args.parse_or("m", 1000)?;
+    let seed: u64 = args.parse_or("seed", 42)?;
+    let batch: usize = args.parse_or("batch", 1)?;
     if batch == 0 {
         return Err("--batch must be >= 1".into());
     }
@@ -473,13 +419,4 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
         elapsed.checked_div(m.max(1) as u32).unwrap_or_default()
     );
     Ok(())
-}
-
-/// Example selectivity vector formatting used in help/debug output.
-#[allow(dead_code)]
-fn fmt_sv(sv: &SVector) -> String {
-    sv.0.iter()
-        .map(|s| format!("{s:.4}"))
-        .collect::<Vec<_>>()
-        .join(",")
 }

@@ -38,17 +38,6 @@ use pqo_workload::regions;
 use crate::args::Args;
 use crate::{scr_config, sels, spec};
 
-fn parse_opt<T: std::str::FromStr>(args: &Args, key: &str, default: T) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    args.opt(key)
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e| format!("--{key}: {e}"))
-        .map(|v| v.unwrap_or(default))
-}
-
 fn spec_by_id(id: &str) -> Result<&'static TemplateSpec, String> {
     corpus()
         .iter()
@@ -125,19 +114,19 @@ pub fn serve_listen(args: &Args, listen: &str) -> Result<(), String> {
     if ids.is_none() && templates_dir.is_none() {
         return Err("pass --template ID[,ID...] and/or --templates-dir DIR".into());
     }
-    let lambda: f64 = parse_opt(args, "lambda", 2.0)?;
+    let lambda: f64 = args.parse_or("lambda", 2.0)?;
     let snapshot_dir = args.opt("snapshot-dir").map(PathBuf::from);
 
     let mut config = ServerConfig {
         snapshot_dir: snapshot_dir.clone(),
         ..ServerConfig::default()
     };
-    config.max_connections = parse_opt(args, "max-conns", config.max_connections)?;
-    config.workers = parse_opt(args, "workers", config.workers)?;
+    config.max_connections = args.parse_or("max-conns", config.max_connections)?;
+    config.workers = args.parse_or("workers", config.workers)?;
     if config.workers == 0 {
         return Err("--workers must be >= 1".into());
     }
-    let primary_flag: bool = parse_opt(args, "primary", false)?;
+    let primary_flag: bool = args.parse_or("primary", false)?;
     config.replica_of = args.opt("replica-of");
     if primary_flag && config.replica_of.is_some() {
         return Err("--primary and --replica-of are mutually exclusive".into());
@@ -428,8 +417,8 @@ fn client_explain(args: &Args, client: &mut PqoClient) -> Result<(), String> {
 /// scripts grep for.
 fn client_follow_lag(args: &Args, client: &mut PqoClient) -> Result<(), String> {
     let id = args.get("template")?;
-    let count: usize = parse_opt(args, "count", 10)?;
-    let interval_ms: u64 = parse_opt(args, "interval-ms", 200)?;
+    let count: usize = args.parse_or("count", 10)?;
+    let interval_ms: u64 = args.parse_or("interval-ms", 200)?;
     if count == 0 {
         return Err("--count must be >= 1".into());
     }
@@ -458,8 +447,8 @@ fn client_follow_lag(args: &Args, client: &mut PqoClient) -> Result<(), String> 
 /// release. Exercises the server's idle-connection capacity (each held
 /// socket costs the event loop one poll-set slot).
 fn client_idle(args: &Args, addr: &str) -> Result<(), String> {
-    let conns: usize = parse_opt(args, "conns", 256)?;
-    let hold_ms: u64 = parse_opt(args, "hold-ms", 5_000)?;
+    let conns: usize = args.parse_or("conns", 256)?;
+    let hold_ms: u64 = args.parse_or("hold-ms", 5_000)?;
     let mut held = Vec::with_capacity(conns);
     for i in 0..conns {
         match std::net::TcpStream::connect(addr) {
@@ -485,10 +474,10 @@ fn client_idle(args: &Args, addr: &str) -> Result<(), String> {
 /// configuration (λ, thresholds) this invocation was given.
 fn client_run(args: &Args, client: &mut PqoClient) -> Result<(), String> {
     let t = target(args)?;
-    let m: usize = parse_opt(args, "m", 1000)?;
-    let seed: u64 = parse_opt(args, "seed", 42)?;
-    let batch: usize = parse_opt(args, "batch", 1)?;
-    let check: bool = parse_opt(args, "check", false)?;
+    let m: usize = args.parse_or("m", 1000)?;
+    let seed: u64 = args.parse_or("seed", 42)?;
+    let batch: usize = args.parse_or("batch", 1)?;
+    let check: bool = args.parse_or("check", false)?;
     if batch == 0 {
         return Err("--batch must be >= 1".into());
     }
@@ -528,7 +517,7 @@ fn client_run(args: &Args, client: &mut PqoClient) -> Result<(), String> {
     );
 
     if check {
-        let lambda: f64 = parse_opt(args, "lambda", 2.0)?;
+        let lambda: f64 = args.parse_or("lambda", 2.0)?;
         let oracle = PqoService::new();
         oracle
             .register(Arc::clone(t.template()), scr_config(args, lambda)?)

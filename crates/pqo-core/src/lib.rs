@@ -13,7 +13,10 @@
 //!
 //! [`scr::Scr`] implements the paper's SCR technique (Selectivity check,
 //! Cost check, Redundancy check) with the λ-optimality guarantee under the
-//! Bounded Cost Growth assumption. [`baselines`] implements every technique
+//! Bounded Cost Growth assumption; it is the sequential oracle.
+//! [`service::PqoService`] is the concurrent, multi-template serving layer
+//! over the same [`scr::CacheState`]. These two are the crate's only
+//! `getPlan` implementations for SCR. [`baselines`] implements every technique
 //! the paper compares against (Table 2): Optimize-Always, Optimize-Once,
 //! PCM, Ellipse, Density and Ranges. [`runner`] executes a technique over a
 //! workload sequence against a ground-truth oracle and produces
@@ -21,8 +24,6 @@
 
 pub mod baselines;
 pub mod cache;
-pub mod concurrent;
-pub mod manager;
 pub mod metrics;
 pub mod persist;
 pub mod policy;
@@ -36,7 +37,7 @@ pub mod spatial;
 pub use policy::PolicyId;
 pub use pqo_optimizer::engine;
 pub use pqo_optimizer::error::PqoError;
-pub use scr::Scr;
+pub use scr::{CacheState, Scr};
 pub use service::PqoService;
 pub use snapshot::{CacheSnapshot, CacheWriter, SnapshotCell};
 
@@ -84,8 +85,8 @@ pub trait OnlinePqo {
     fn max_plans_cached(&self) -> usize;
 }
 
-/// Shared test fixtures: the template shapes that the scr / manager /
-/// concurrent / persist / service tests all exercise, built once here
+/// Shared test fixtures: the template shapes that the scr / persist /
+/// service tests all exercise, built once here
 /// instead of per-module copies.
 #[cfg(test)]
 pub(crate) mod testutil {

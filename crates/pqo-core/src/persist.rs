@@ -17,13 +17,12 @@ use std::sync::Arc;
 
 use pqo_optimizer::compact::CompactPlan;
 use pqo_optimizer::error::PqoError;
-use pqo_optimizer::plan::PlanFingerprint;
+use pqo_optimizer::plan::{Plan, PlanFingerprint};
 use pqo_optimizer::svector::SVector;
 
-use crate::cache::{InstanceEntry, PlanCache};
+use crate::cache::InstanceEntry;
 use crate::policy::PolicyId;
-use crate::scr::{Scr, ScrConfig};
-use crate::snapshot::CacheSnapshot;
+use crate::scr::{CacheState, Scr, ScrConfig};
 
 /// Version 1 header: no generation stamp (read-compatible, written by
 /// releases that predate the replication generation log).
@@ -128,72 +127,44 @@ fn w_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
 fn w_f64(w: &mut impl Write, v: f64) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
-fn r_u32(r: &mut impl Read) -> io::Result<u32> {
+pub(crate) fn r_u8(r: &mut impl Read) -> io::Result<u8> {
+    let mut b = [0u8; 1];
+    r.read_exact(&mut b)?;
+    Ok(b[0])
+}
+pub(crate) fn r_u32(r: &mut impl Read) -> io::Result<u32> {
     let mut b = [0u8; 4];
     r.read_exact(&mut b)?;
     Ok(u32::from_le_bytes(b))
 }
-fn r_u64(r: &mut impl Read) -> io::Result<u64> {
+pub(crate) fn r_u64(r: &mut impl Read) -> io::Result<u64> {
     let mut b = [0u8; 8];
     r.read_exact(&mut b)?;
     Ok(u64::from_le_bytes(b))
 }
-fn r_f64(r: &mut impl Read) -> io::Result<f64> {
+pub(crate) fn r_f64(r: &mut impl Read) -> io::Result<f64> {
     let mut b = [0u8; 8];
     r.read_exact(&mut b)?;
     Ok(f64::from_le_bytes(b))
 }
 
-/// Snapshot `scr`'s cache state into `w`.
+/// Write `state` into `w` as a v3 blob stamped with `generation` — the one
+/// writer behind `pqo run --save-cache` (generation 0), the serving layer's
+/// [`crate::service::PqoService::save`] (the published generation, so a
+/// warm restart resumes the publication lineage) and the replication full
+/// record. A published snapshot is immutable, so the blob is internally
+/// consistent without any lock even while writers keep publishing.
 ///
 /// The configuration itself is *not* persisted — the caller restores with
 /// an explicit [`ScrConfig`], since λ policy is an operator decision, not
 /// cache state. The plan-selection [`PolicyId`] *is* stamped into the
 /// header, because cache contents are policy-shaped: restore refuses a
 /// blob written under a different policy.
-pub fn save(scr: &Scr, w: &mut impl Write) -> io::Result<()> {
-    let (log_cost_sum, opt_count) = scr.lambda_accumulators();
-    save_parts(
-        scr.cache(),
-        log_cost_sum,
-        opt_count,
-        0,
-        scr.config().policy,
-        w,
-    )
-}
-
-/// Snapshot a published [`CacheSnapshot`] generation into `w`, carrying its
-/// generation stamp (v2 header) so a warm restart resumes the publication
-/// lineage.
-///
-/// Byte-identical to [`save`] on the same cache state at generation 0: a
-/// serving layer can persist straight from its current published generation
-/// without taking the writer lock (the snapshot is immutable, so the blob
-/// is internally consistent even while writers keep publishing).
-pub fn save_snapshot(snapshot: &CacheSnapshot, w: &mut impl Write) -> io::Result<()> {
-    let (log_cost_sum, opt_count) = snapshot.lambda_accumulators();
-    save_parts(
-        snapshot.cache(),
-        log_cost_sum,
-        opt_count,
-        snapshot.generation(),
-        snapshot.config().policy,
-        w,
-    )
-}
-
-pub(crate) fn save_parts(
-    cache: &PlanCache,
-    log_cost_sum: f64,
-    opt_count: u64,
-    generation: u64,
-    policy: PolicyId,
-    w: &mut impl Write,
-) -> io::Result<()> {
+pub fn save(state: &CacheState, generation: u64, w: &mut impl Write) -> io::Result<()> {
+    let cache = &state.cache;
     w.write_all(MAGIC_V3)?;
     w_u64(w, generation)?;
-    w.write_all(&[policy.as_tag()])?;
+    w.write_all(&[state.config.policy.as_tag()])?;
 
     // Plan list, ordered by fingerprint for determinism.
     let mut plans: Vec<_> = cache.plans().collect();
@@ -227,8 +198,8 @@ pub(crate) fn save_parts(
     }
 
     // Dynamic-λ accumulators.
-    w_f64(w, log_cost_sum)?;
-    w_u64(w, opt_count)?;
+    w_f64(w, state.log_cost_sum)?;
+    w_u64(w, state.opt_count)?;
     Ok(())
 }
 
@@ -250,10 +221,9 @@ pub fn restore_with_generation(
     r.read_exact(&mut magic)?;
     let (generation, policy) = if &magic == MAGIC_V3 {
         let generation = r_u64(r)?;
-        let mut tag = [0u8; 1];
-        r.read_exact(&mut tag)?;
-        let policy = PolicyId::from_tag(tag[0])
-            .ok_or_else(|| RestoreError::Corrupt(format!("unknown policy tag {}", tag[0])))?;
+        let tag = r_u8(r)?;
+        let policy = PolicyId::from_tag(tag)
+            .ok_or_else(|| RestoreError::Corrupt(format!("unknown policy tag {tag}")))?;
         (generation, policy)
     } else if &magic == MAGIC_V2 {
         // v1/v2 blobs predate the policy layer; every cache back then was
@@ -281,16 +251,7 @@ pub fn restore_with_generation(
     }
     let mut plans = Vec::with_capacity(plan_count);
     for i in 0..plan_count {
-        let len = r_u32(r)? as usize;
-        if len == 0 || len > 1 << 20 {
-            return Err(RestoreError::Corrupt(format!("plan {i} has length {len}")));
-        }
-        let mut bytes = vec![0u8; len];
-        r.read_exact(&mut bytes)?;
-        let plan = CompactPlan::from_bytes(bytes.into_boxed_slice())
-            .checked_decode()
-            .map_err(|e| RestoreError::Corrupt(format!("plan {i}: {e}")))?;
-        plans.push(Arc::new(plan));
+        plans.push(Arc::new(read_plan(r, i)?));
     }
 
     let entry_count = r_u32(r)? as usize;
@@ -307,56 +268,88 @@ pub fn restore_with_generation(
                 "entry {i} references plan {plan_idx}"
             )));
         }
-        let d = r_u32(r)? as usize;
-        if d == 0 || d > 64 {
-            return Err(RestoreError::Corrupt(format!(
-                "entry {i} has dimensionality {d}"
-            )));
-        }
-        let mut sels = Vec::with_capacity(d);
-        for _ in 0..d {
-            let s = r_f64(r)?;
-            if !(s > 0.0 && s <= 1.0) {
-                return Err(RestoreError::Corrupt(format!(
-                    "entry {i} has selectivity {s}"
-                )));
-            }
-            sels.push(s);
-        }
-        let opt_cost = r_f64(r)?;
-        let sub_opt = r_f64(r)?;
-        let usage = r_u64(r)?;
-        let mut flag = [0u8; 1];
-        r.read_exact(&mut flag)?;
-        if !opt_cost.is_finite() || opt_cost <= 0.0 || !sub_opt.is_finite() || sub_opt < 1.0 {
-            return Err(RestoreError::Corrupt(format!(
-                "entry {i} has C={opt_cost}, S={sub_opt}"
-            )));
-        }
-        entries.push(InstanceEntry::restored(
-            SVector(sels),
-            plans[plan_idx].fingerprint(),
-            opt_cost,
-            sub_opt,
-            usage,
-            flag[0] != 0,
-        ));
+        entries.push(read_entry(r, i, plans[plan_idx].fingerprint())?);
     }
-
-    let log_cost_sum = r_f64(r)?;
-    let opt_count = r_u64(r)?;
-    if !log_cost_sum.is_finite() {
-        return Err(RestoreError::Corrupt("non-finite λ accumulator".into()));
-    }
+    let (log_cost_sum, opt_count) = read_accumulators(r)?;
 
     let scr = Scr::from_parts(config, plans, entries, log_cost_sum, opt_count)
         .map_err(RestoreError::Config)?;
     Ok((scr, generation))
 }
 
+/// Read plan `i`: a length-prefixed Appendix B compact encoding, decoded
+/// with every read bounds- and arity-checked. Shared with the inline plans
+/// of a replication delta record, which use the same layout.
+pub(crate) fn read_plan(r: &mut impl Read, i: usize) -> Result<Plan, RestoreError> {
+    let len = r_u32(r)? as usize;
+    if len == 0 || len > 1 << 20 {
+        return Err(RestoreError::Corrupt(format!("plan {i} has length {len}")));
+    }
+    let mut bytes = vec![0u8; len];
+    r.read_exact(&mut bytes)?;
+    CompactPlan::from_bytes(bytes.into_boxed_slice())
+        .checked_decode()
+        .map_err(|e| RestoreError::Corrupt(format!("plan {i}: {e}")))
+}
+
+/// Read the fields of instance entry `i` that follow its plan reference —
+/// arity, selectivities, `C`, `S`, `U` and the violation flag — rejecting
+/// out-of-range values. Shared with the inline entries of a replication
+/// delta record, which use the same layout.
+pub(crate) fn read_entry(
+    r: &mut impl Read,
+    i: usize,
+    plan: PlanFingerprint,
+) -> Result<InstanceEntry, RestoreError> {
+    let d = r_u32(r)? as usize;
+    if d == 0 || d > 64 {
+        return Err(RestoreError::Corrupt(format!(
+            "entry {i} has dimensionality {d}"
+        )));
+    }
+    let mut sels = Vec::with_capacity(d);
+    for _ in 0..d {
+        let s = r_f64(r)?;
+        if !(s > 0.0 && s <= 1.0) {
+            return Err(RestoreError::Corrupt(format!(
+                "entry {i} has selectivity {s}"
+            )));
+        }
+        sels.push(s);
+    }
+    let opt_cost = r_f64(r)?;
+    let sub_opt = r_f64(r)?;
+    let usage = r_u64(r)?;
+    let violation = r_u8(r)? != 0;
+    if !opt_cost.is_finite() || opt_cost <= 0.0 || !sub_opt.is_finite() || sub_opt < 1.0 {
+        return Err(RestoreError::Corrupt(format!(
+            "entry {i} has C={opt_cost}, S={sub_opt}"
+        )));
+    }
+    Ok(InstanceEntry::restored(
+        SVector(sels),
+        plan,
+        opt_cost,
+        sub_opt,
+        usage,
+        violation,
+    ))
+}
+
+/// Read the trailing dynamic-λ accumulators `(Σ log C, optimized count)`.
+pub(crate) fn read_accumulators(r: &mut impl Read) -> Result<(f64, u64), RestoreError> {
+    let log_cost_sum = r_f64(r)?;
+    let opt_count = r_u64(r)?;
+    if !log_cost_sum.is_finite() {
+        return Err(RestoreError::Corrupt("non-finite λ accumulator".into()));
+    }
+    Ok((log_cost_sum, opt_count))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::CacheSnapshot;
     use crate::testutil::fixture_template;
     use crate::OnlinePqo;
     use pqo_optimizer::engine::QueryEngine;
@@ -384,7 +377,11 @@ mod tests {
         let t = fixture();
         let (scr, _) = warmed(&t, 40);
         let mut buf = Vec::new();
-        save(&scr, &mut buf).unwrap();
+        save(&scr, 0, &mut buf).unwrap();
+        // A published snapshot of the same state writes the same bytes.
+        let mut from_snapshot = Vec::new();
+        save(&CacheSnapshot::capture_at(&scr, 0), 0, &mut from_snapshot).unwrap();
+        assert_eq!(buf, from_snapshot);
         let restored = restore(ScrConfig::new(1.5).unwrap(), &mut buf.as_slice()).unwrap();
         assert_eq!(restored.cache().num_plans(), scr.cache().num_plans());
         assert_eq!(
@@ -414,7 +411,7 @@ mod tests {
         let t = fixture();
         let (scr, _) = warmed(&t, 60);
         let mut buf = Vec::new();
-        save(&scr, &mut buf).unwrap();
+        save(&scr, 0, &mut buf).unwrap();
         let restored = restore(ScrConfig::new(1.5).unwrap(), &mut buf.as_slice()).unwrap();
         let a = scr.cache().spatial_index().expect("warmed index");
         let b = restored.cache().spatial_index().expect("restored index");
@@ -434,7 +431,7 @@ mod tests {
         let t = fixture();
         let (scr, _) = warmed(&t, 40);
         let mut buf = Vec::new();
-        save(&scr, &mut buf).unwrap();
+        save(&scr, 0, &mut buf).unwrap();
         let mut restored = restore(ScrConfig::new(1.5).unwrap(), &mut buf.as_slice()).unwrap();
         // A warm-region instance must be served from the restored cache.
         let engine = QueryEngine::new(Arc::clone(&t));
@@ -449,21 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_save_matches_scr_save() {
-        let t = fixture();
-        let (scr, _) = warmed(&t, 25);
-        let mut from_scr = Vec::new();
-        save(&scr, &mut from_scr).unwrap();
-        let snap = CacheSnapshot::capture(&scr);
-        let mut from_snap = Vec::new();
-        save_snapshot(&snap, &mut from_snap).unwrap();
-        assert_eq!(
-            from_scr, from_snap,
-            "snapshot blob must be byte-identical to the Scr blob"
-        );
-    }
-
-    #[test]
     fn bad_magic_is_rejected() {
         let err = restore(ScrConfig::new(1.5).unwrap(), &mut &b"NOTACACHE"[..]).unwrap_err();
         assert!(matches!(err, RestoreError::BadHeader), "{err}");
@@ -474,7 +456,7 @@ mod tests {
         let t = fixture();
         let (scr, _) = warmed(&t, 5);
         let mut buf = Vec::new();
-        save(&scr, &mut buf).unwrap();
+        save(&scr, 0, &mut buf).unwrap();
         for version in [b'4', b'7', b'9', b'0'] {
             let mut evil = buf.clone();
             evil[7] = version;
@@ -496,9 +478,8 @@ mod tests {
     fn generation_stamp_roundtrips_and_v1_reads_as_zero() {
         let t = fixture();
         let (scr, _) = warmed(&t, 10);
-        let snap = CacheSnapshot::capture_at(&scr, 42);
         let mut buf = Vec::new();
-        save_snapshot(&snap, &mut buf).unwrap();
+        save(&scr, 42, &mut buf).unwrap();
         let (restored, generation) =
             restore_with_generation(ScrConfig::new(1.5).unwrap(), &mut buf.as_slice()).unwrap();
         assert_eq!(generation, 42);
@@ -521,7 +502,7 @@ mod tests {
         let t = fixture();
         let (scr, _) = warmed(&t, 10);
         let mut buf = Vec::new();
-        save(&scr, &mut buf).unwrap();
+        save(&scr, 0, &mut buf).unwrap();
         // An SCR-built blob must not restore into an LEC-configured cache.
         let lec = ScrConfig::new(1.5).unwrap().with_policy(PolicyId::Lec);
         let err = restore(lec, &mut buf.as_slice()).unwrap_err();
@@ -571,7 +552,7 @@ mod tests {
                 let _ = scr.get_plan(&inst, &sv, &engine);
             }
             let mut buf = Vec::new();
-            save(&scr, &mut buf).unwrap();
+            save(&scr, 0, &mut buf).unwrap();
             assert_eq!(buf[16], policy.as_tag(), "header policy tag");
             let restored = restore(
                 ScrConfig::new(2.0).unwrap().with_policy(policy),
@@ -588,7 +569,7 @@ mod tests {
         let t = fixture();
         let (scr, _) = warmed(&t, 5);
         let mut buf = Vec::new();
-        save(&scr, &mut buf).unwrap();
+        save(&scr, 0, &mut buf).unwrap();
         let mut evil = buf.clone();
         evil[16] = 0xEE;
         let err = restore(ScrConfig::new(1.5).unwrap(), &mut evil.as_slice()).unwrap_err();
@@ -601,7 +582,7 @@ mod tests {
         let t = fixture();
         let (scr, _) = warmed(&t, 10);
         let mut buf = Vec::new();
-        save(&scr, &mut buf).unwrap();
+        save(&scr, 0, &mut buf).unwrap();
         for cut in [9, buf.len() / 2, buf.len() - 1] {
             let err = restore(ScrConfig::new(1.5).unwrap(), &mut &buf[..cut]).unwrap_err();
             assert!(
@@ -616,7 +597,7 @@ mod tests {
         let t = fixture();
         let (scr, _) = warmed(&t, 5);
         let mut buf = Vec::new();
-        save(&scr, &mut buf).unwrap();
+        save(&scr, 0, &mut buf).unwrap();
         // Flip an instance selectivity to an invalid value: locate the
         // first entry's first selectivity. Layout: 8 magic + 4 count +
         // plans... easier: just corrupt every f64-aligned slot and assert
@@ -638,7 +619,7 @@ mod tests {
         let t = fixture();
         let (scr, engine) = warmed(&t, 40);
         let mut buf = Vec::new();
-        save(&scr, &mut buf).unwrap();
+        save(&scr, 0, &mut buf).unwrap();
         let restored = restore(ScrConfig::new(1.5).unwrap(), &mut buf.as_slice()).unwrap();
 
         let mut originals: Vec<_> = scr.cache().plans().collect();
@@ -674,7 +655,7 @@ mod tests {
     fn empty_cache_roundtrips() {
         let scr = Scr::new(2.0).unwrap();
         let mut buf = Vec::new();
-        save(&scr, &mut buf).unwrap();
+        save(&scr, 0, &mut buf).unwrap();
         let restored = restore(ScrConfig::new(2.0).unwrap(), &mut buf.as_slice()).unwrap();
         assert_eq!(restored.cache().num_plans(), 0);
         assert_eq!(restored.cache().num_instances(), 0);

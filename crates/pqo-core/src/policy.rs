@@ -7,10 +7,10 @@
 //! * **decide-on-hit** ([`PlanPolicy::decide`]): given the published cache
 //!   view and an incoming instance, serve a cached plan or return `None`
 //!   to route the instance to the optimizer. Runs on the lock-free read
-//!   path (`&ReadView`), so it may only touch atomics.
+//!   path (`&CacheState`), so it may only touch atomics.
 //! * **admit-on-miss** ([`PlanPolicy::admit`]): after an optimizer call,
 //!   mutate the cache (store/discard the new plan, evict for budget).
-//!   Runs under the writer lock (`&mut Scr`).
+//!   Runs under the writer lock (`&mut CacheState`).
 //!
 //! Every policy shares the substrate built for SCR: the prepared/delta
 //! Recost machinery ([`GetPlanScratch`]), the published
@@ -47,7 +47,7 @@ use pqo_optimizer::plan::PlanFingerprint;
 use pqo_optimizer::svector::SVector;
 
 use crate::cache::InstanceEntry;
-use crate::scr::{GetPlanScratch, ReadView, Scr};
+use crate::scr::{CacheState, GetPlanScratch};
 use crate::PlanChoice;
 
 /// Identity of a serving policy — threaded through [`ScrConfig`], the
@@ -117,9 +117,9 @@ impl std::fmt::Display for PolicyId {
 /// functions, so the hot path never goes through a vtable.
 pub(crate) trait PlanPolicy {
     /// Decide-on-hit: serve from the published cache view, or `None` to
-    /// optimize. Read path — `&self` view, atomics only.
+    /// optimize. Read path — shared view, atomics only.
     fn decide(
-        view: &ReadView<'_>,
+        view: &CacheState,
         sv: &SVector,
         engine: &QueryEngine,
         scratch: &mut GetPlanScratch,
@@ -129,7 +129,7 @@ pub(crate) trait PlanPolicy {
     /// — runs under the writer lock. The caller (`Scr::manage_cache_entry`)
     /// has already bumped `optimizer_calls` and the dynamic-λ accumulators.
     fn admit(
-        scr: &mut Scr,
+        state: &mut CacheState,
         sv: &SVector,
         opt: OptimizedPlan,
         engine: &QueryEngine,
@@ -144,7 +144,7 @@ pub(crate) struct ScrPolicy;
 
 impl PlanPolicy for ScrPolicy {
     fn decide(
-        view: &ReadView<'_>,
+        view: &CacheState,
         sv: &SVector,
         engine: &QueryEngine,
         scratch: &mut GetPlanScratch,
@@ -153,13 +153,13 @@ impl PlanPolicy for ScrPolicy {
     }
 
     fn admit(
-        scr: &mut Scr,
+        state: &mut CacheState,
         sv: &SVector,
         opt: OptimizedPlan,
         engine: &QueryEngine,
         scratch: &mut GetPlanScratch,
     ) {
-        scr.scr_admit(sv, opt, engine, scratch);
+        state.scr_admit(sv, opt, engine, scratch);
     }
 }
 
@@ -167,7 +167,7 @@ impl PlanPolicy for ScrPolicy {
 /// nearest (smallest G·L) non-violation-disabled entries, at most
 /// `max_recost_candidates`, gathered through the same linear/indexed
 /// crossover SCR uses. Returned as `(G·L, entry index)` ascending.
-fn candidate_entries(view: &ReadView<'_>, sv: &SVector) -> Vec<(f64, usize)> {
+fn candidate_entries(view: &CacheState, sv: &SVector) -> Vec<(f64, usize)> {
     let k = view.config.max_recost_candidates.max(1);
     let use_index = view.config.spatial_index_threshold != usize::MAX
         && view.cache.num_instances() >= view.config.spatial_index_threshold;
@@ -200,7 +200,7 @@ fn candidate_entries(view: &ReadView<'_>, sv: &SVector) -> Vec<(f64, usize)> {
 
 /// Distinct plans referenced by the candidate entries, in fingerprint
 /// order (deterministic regardless of entry order).
-fn candidate_plans(view: &ReadView<'_>, cands: &[(f64, usize)]) -> Vec<PlanFingerprint> {
+fn candidate_plans(view: &CacheState, cands: &[(f64, usize)]) -> Vec<PlanFingerprint> {
     let mut plans: Vec<PlanFingerprint> = cands
         .iter()
         .map(|&(_, idx)| view.cache.instances()[idx].plan)
@@ -213,7 +213,7 @@ fn candidate_plans(view: &ReadView<'_>, cands: &[(f64, usize)]) -> Vec<PlanFinge
 /// Serve through the nearest candidate entry holding `fp` (bumps that
 /// entry's usage, exactly like SCR's serve path).
 fn serve_entry_with_plan(
-    view: &ReadView<'_>,
+    view: &CacheState,
     cands: &[(f64, usize)],
     fp: PlanFingerprint,
 ) -> Option<PlanChoice> {
@@ -228,7 +228,7 @@ fn serve_entry_with_plan(
 /// with λ taken per-entry so dynamic λ composes). Beyond that, both
 /// policies route to the optimizer — a distant neighbourhood carries no
 /// evidence about the query point.
-fn within_decision_radius(view: &ReadView<'_>, cands: &[(f64, usize)]) -> bool {
+fn within_decision_radius(view: &CacheState, cands: &[(f64, usize)]) -> bool {
     cands.first().is_some_and(|&(gl, idx)| {
         let e = &view.cache.instances()[idx];
         gl <= view.effective_lambda(e.opt_cost)
@@ -246,7 +246,7 @@ pub(crate) struct LecPolicy;
 
 impl PlanPolicy for LecPolicy {
     fn decide(
-        view: &ReadView<'_>,
+        view: &CacheState,
         sv: &SVector,
         engine: &QueryEngine,
         scratch: &mut GetPlanScratch,
@@ -292,26 +292,28 @@ impl PlanPolicy for LecPolicy {
     /// selection wants the full frontier to choose from), enforcing only
     /// the plan budget.
     fn admit(
-        scr: &mut Scr,
+        state: &mut CacheState,
         sv: &SVector,
         opt: OptimizedPlan,
         engine: &QueryEngine,
         _scratch: &mut GetPlanScratch,
     ) {
         let fp = opt.plan.fingerprint();
-        if scr.cache.contains_plan(fp) {
-            scr.cache
+        if state.cache.contains_plan(fp) {
+            state
+                .cache
                 .push_instance(InstanceEntry::new(sv.clone(), fp, opt.cost, 1.0, 1));
             return;
         }
-        scr.enforce_plan_budget();
-        scr.cache.insert_plan(opt.plan);
-        if let Some(c) = scr.cache.cached(fp) {
+        state.enforce_plan_budget();
+        state.cache.insert_plan(opt.plan);
+        if let Some(c) = state.cache.cached(fp) {
             let _ = c.prepared(engine);
         }
-        scr.cache
+        state
+            .cache
             .push_instance(InstanceEntry::new(sv.clone(), fp, opt.cost, 1.0, 1));
-        debug_assert!(scr.cache.check_invariants().is_ok());
+        debug_assert!(state.cache.check_invariants().is_ok());
     }
 }
 
@@ -327,7 +329,7 @@ pub(crate) struct PenaltyPolicy;
 
 impl PlanPolicy for PenaltyPolicy {
     fn decide(
-        view: &ReadView<'_>,
+        view: &CacheState,
         sv: &SVector,
         engine: &QueryEngine,
         scratch: &mut GetPlanScratch,
@@ -401,19 +403,20 @@ impl PlanPolicy for PenaltyPolicy {
     }
 
     fn admit(
-        scr: &mut Scr,
+        state: &mut CacheState,
         sv: &SVector,
         opt: OptimizedPlan,
         engine: &QueryEngine,
         scratch: &mut GetPlanScratch,
     ) {
-        scr.scr_admit(sv, opt, engine, scratch);
+        state.scr_admit(sv, opt, engine, scratch);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scr::Scr;
     use crate::scr::ScrConfig;
     use crate::testutil::{fixture_template, run_point};
     use crate::OnlinePqo;
@@ -511,7 +514,7 @@ mod tests {
             for i in 1..=12 {
                 let _ = run_point(&mut scr, &engine, &[0.08 * i as f64, 0.08 * i as f64]);
                 assert!(scr.plans_cached() <= 2, "{policy}: budget violated");
-                assert!(scr.cache.check_invariants().is_ok());
+                assert!(scr.cache().check_invariants().is_ok());
             }
         }
     }

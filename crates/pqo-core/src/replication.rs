@@ -42,15 +42,15 @@
 //! wrong state.
 
 use std::collections::{HashMap, HashSet};
+use std::io::Read;
 use std::sync::Arc;
 
 use pqo_optimizer::compact::CompactPlan;
 use pqo_optimizer::error::PqoError;
 use pqo_optimizer::plan::{Plan, PlanFingerprint};
-use pqo_optimizer::svector::SVector;
 
 use crate::cache::InstanceEntry;
-use crate::persist::{self, RestoreError};
+use crate::persist::{self, r_u32, r_u64, r_u8, RestoreError};
 use crate::policy::PolicyId;
 use crate::scr::{Scr, ScrConfig};
 use crate::snapshot::CacheSnapshot;
@@ -120,8 +120,18 @@ impl From<RestoreError> for ReplicationError {
             RestoreError::PolicyMismatch { expected, found } => {
                 ReplicationError::PolicyMismatch { expected, found }
             }
+            RestoreError::Io(e) => e.into(),
+            RestoreError::Corrupt(m) => ReplicationError::Corrupt(m),
             other => ReplicationError::Restore(other),
         }
+    }
+}
+
+/// Records are decoded from a byte slice, so the only read failure is
+/// running off its end.
+impl From<std::io::Error> for ReplicationError {
+    fn from(_: std::io::Error) -> Self {
+        ReplicationError::Corrupt("truncated record".into())
     }
 }
 
@@ -172,7 +182,8 @@ pub fn encode_generation(snapshot: &CacheSnapshot, base: Option<&CacheSnapshot>)
             out.push(KIND_FULL);
             out.push(snapshot.config().policy.as_tag());
             out.extend_from_slice(&snapshot.generation().to_le_bytes());
-            persist::save_snapshot(snapshot, &mut out).expect("Vec writes are infallible");
+            persist::save(snapshot, snapshot.generation(), &mut out)
+                .expect("Vec writes are infallible");
         }
     }
     out
@@ -233,84 +244,42 @@ fn encode_delta_body(snapshot: &CacheSnapshot, base: &CacheSnapshot, out: &mut V
     }
 
     // Dynamic-λ accumulators.
-    let (log_cost_sum, opt_count) = snapshot.lambda_accumulators();
-    out.extend_from_slice(&log_cost_sum.to_le_bytes());
-    out.extend_from_slice(&opt_count.to_le_bytes());
-}
-
-/// Bounds-checked little-endian reader over a record body.
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ReplicationError> {
-        if self.buf.len() - self.pos < n {
-            return Err(ReplicationError::Corrupt("truncated record".into()));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ReplicationError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ReplicationError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, ReplicationError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, ReplicationError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn finish(&self) -> Result<(), ReplicationError> {
-        if self.pos != self.buf.len() {
-            return Err(ReplicationError::Corrupt(format!(
-                "{} trailing bytes",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
+    out.extend_from_slice(&snapshot.log_cost_sum.to_le_bytes());
+    out.extend_from_slice(&snapshot.opt_count.to_le_bytes());
 }
 
 /// Parse a record's header without applying it.
 pub fn record_info(bytes: &[u8]) -> Result<RecordInfo, ReplicationError> {
-    let mut c = Cur { buf: bytes, pos: 0 };
-    if c.take(4)? != RECORD_MAGIC {
-        return Err(ReplicationError::Corrupt("bad record magic".into()));
-    }
-    let kind = c.u8()?;
-    let policy = read_policy(&mut c)?;
-    let generation = c.u64()?;
-    match kind {
-        KIND_FULL => Ok(RecordInfo {
-            generation,
-            base: None,
-            policy,
-        }),
-        KIND_DELTA => Ok(RecordInfo {
-            generation,
-            base: Some(c.u64()?),
-            policy,
-        }),
-        k => Err(ReplicationError::Corrupt(format!(
-            "unknown record kind {k}"
-        ))),
-    }
+    read_header(&mut &bytes[..])
 }
 
-fn read_policy(c: &mut Cur<'_>) -> Result<PolicyId, ReplicationError> {
-    let tag = c.u8()?;
-    PolicyId::from_tag(tag)
-        .ok_or_else(|| ReplicationError::Corrupt(format!("unknown policy tag {tag}")))
+/// Read the record header — magic, kind, policy tag, generation and, for a
+/// delta, its base generation — leaving `r` at the body.
+fn read_header(r: &mut &[u8]) -> Result<RecordInfo, ReplicationError> {
+    let mut magic = [0u8; 4];
+    r.read_exact(&mut magic)?;
+    if &magic != RECORD_MAGIC {
+        return Err(ReplicationError::Corrupt("bad record magic".into()));
+    }
+    let kind = r_u8(r)?;
+    let tag = r_u8(r)?;
+    let policy = PolicyId::from_tag(tag)
+        .ok_or_else(|| ReplicationError::Corrupt(format!("unknown policy tag {tag}")))?;
+    let generation = r_u64(r)?;
+    let base = match kind {
+        KIND_FULL => None,
+        KIND_DELTA => Some(r_u64(r)?),
+        k => {
+            return Err(ReplicationError::Corrupt(format!(
+                "unknown record kind {k}"
+            )))
+        }
+    };
+    Ok(RecordInfo {
+        generation,
+        base,
+        policy,
+    })
 }
 
 /// Decode a generation record into a fresh [`Scr`], resolving delta
@@ -329,64 +298,52 @@ pub fn apply_generation(
     base: Option<&CacheSnapshot>,
     bytes: &[u8],
 ) -> Result<(Scr, u64), ReplicationError> {
-    let mut c = Cur { buf: bytes, pos: 0 };
-    if c.take(4)? != RECORD_MAGIC {
-        return Err(ReplicationError::Corrupt("bad record magic".into()));
-    }
-    let kind = c.u8()?;
-    let policy = read_policy(&mut c)?;
-    if policy != config.policy {
+    let mut body = bytes;
+    let info = read_header(&mut body)?;
+    if info.policy != config.policy {
         return Err(ReplicationError::PolicyMismatch {
             expected: config.policy,
-            found: policy,
+            found: info.policy,
         });
     }
-    let generation = c.u64()?;
-    match kind {
-        KIND_FULL => {
-            let mut body = &bytes[c.pos..];
+    let generation = info.generation;
+    let scr = match info.base {
+        None => {
             let (scr, embedded_gen) = persist::restore_with_generation(config, &mut body)?;
-            if !body.is_empty() {
-                return Err(ReplicationError::Corrupt(format!(
-                    "{} trailing bytes after full snapshot",
-                    body.len()
-                )));
-            }
             if embedded_gen != generation {
                 return Err(ReplicationError::Corrupt(format!(
                     "header generation {generation} != embedded generation {embedded_gen}"
                 )));
             }
-            Ok((scr, generation))
+            scr
         }
-        KIND_DELTA => {
-            let record_base = c.u64()?;
-            let base = match base {
-                Some(b) if b.generation() == record_base => b,
-                other => {
-                    return Err(ReplicationError::BaseMismatch {
-                        record_base,
-                        have: other.map(CacheSnapshot::generation),
-                    })
-                }
-            };
-            let (scr, _) = apply_delta_body(config, base, &mut c, generation)?;
-            c.finish()?;
-            Ok((scr, generation))
-        }
-        k => Err(ReplicationError::Corrupt(format!(
-            "unknown record kind {k}"
-        ))),
+        Some(record_base) => match base {
+            Some(b) if b.generation() == record_base => apply_delta_body(config, b, &mut body)?,
+            other => {
+                return Err(ReplicationError::BaseMismatch {
+                    record_base,
+                    have: other.map(CacheSnapshot::generation),
+                })
+            }
+        },
+    };
+    if !body.is_empty() {
+        return Err(ReplicationError::Corrupt(format!(
+            "{} trailing bytes",
+            body.len()
+        )));
     }
+    Ok((scr, generation))
 }
 
+/// Decode a delta body. Inline plans and entries use the persist layout, so
+/// [`persist::read_plan`] / [`persist::read_entry`] read and validate them.
 fn apply_delta_body(
     config: ScrConfig,
     base: &CacheSnapshot,
-    c: &mut Cur<'_>,
-    generation: u64,
-) -> Result<(Scr, u64), ReplicationError> {
-    let plan_count = c.u32()? as usize;
+    r: &mut &[u8],
+) -> Result<Scr, ReplicationError> {
+    let plan_count = r_u32(r)? as usize;
     if plan_count > 1_000_000 {
         return Err(ReplicationError::Corrupt(format!(
             "implausible plan count {plan_count}"
@@ -395,22 +352,13 @@ fn apply_delta_body(
     let mut plans: Vec<Arc<Plan>> = Vec::with_capacity(plan_count);
     let mut fps: HashSet<PlanFingerprint> = HashSet::with_capacity(plan_count);
     for i in 0..plan_count {
-        let fp = PlanFingerprint(c.u64()?);
-        let plan = match c.u8()? {
+        let fp = PlanFingerprint(r_u64(r)?);
+        let plan = match r_u8(r)? {
             PLAN_BASE_REF => Arc::clone(base.cache().plan(fp).ok_or_else(|| {
                 ReplicationError::Corrupt(format!("plan {i} references {fp} missing from base"))
             })?),
             PLAN_INLINE => {
-                let len = c.u32()? as usize;
-                if len == 0 || len > 1 << 20 {
-                    return Err(ReplicationError::Corrupt(format!(
-                        "plan {i} has length {len}"
-                    )));
-                }
-                let bytes = c.take(len)?.to_vec();
-                let plan = CompactPlan::from_bytes(bytes.into_boxed_slice())
-                    .checked_decode()
-                    .map_err(|e| ReplicationError::Corrupt(format!("plan {i}: {e}")))?;
+                let plan = persist::read_plan(r, i)?;
                 if plan.fingerprint() != fp {
                     return Err(ReplicationError::Corrupt(format!(
                         "plan {i} fingerprint mismatch"
@@ -428,7 +376,7 @@ fn apply_delta_body(
         plans.push(plan);
     }
 
-    let entry_count = c.u32()? as usize;
+    let entry_count = r_u32(r)? as usize;
     if entry_count > 100_000_000 {
         return Err(ReplicationError::Corrupt(format!(
             "implausible entry count {entry_count}"
@@ -437,9 +385,14 @@ fn apply_delta_body(
     let base_entries = base.cache().instances();
     let mut entries: Vec<InstanceEntry> = Vec::with_capacity(entry_count);
     for i in 0..entry_count {
-        match c.u8()? {
+        let absent = |fp: PlanFingerprint| {
+            ReplicationError::Corrupt(format!(
+                "entry {i} references plan {fp} absent from this generation"
+            ))
+        };
+        match r_u8(r)? {
             ENTRY_BASE_REF => {
-                let idx = c.u32()? as usize;
+                let idx = r_u32(r)? as usize;
                 let e = base_entries.get(idx).ok_or_else(|| {
                     ReplicationError::Corrupt(format!(
                         "entry {i} references base index {idx} of {}",
@@ -447,10 +400,7 @@ fn apply_delta_body(
                     ))
                 })?;
                 if !fps.contains(&e.plan) {
-                    return Err(ReplicationError::Corrupt(format!(
-                        "entry {i} references plan {} absent from this generation",
-                        e.plan
-                    )));
+                    return Err(absent(e.plan));
                 }
                 entries.push(InstanceEntry::restored(
                     e.svector.clone(),
@@ -462,46 +412,11 @@ fn apply_delta_body(
                 ));
             }
             ENTRY_INLINE => {
-                let fp = PlanFingerprint(c.u64()?);
+                let fp = PlanFingerprint(r_u64(r)?);
                 if !fps.contains(&fp) {
-                    return Err(ReplicationError::Corrupt(format!(
-                        "entry {i} references plan {fp} absent from this generation"
-                    )));
+                    return Err(absent(fp));
                 }
-                let d = c.u32()? as usize;
-                if d == 0 || d > 64 {
-                    return Err(ReplicationError::Corrupt(format!(
-                        "entry {i} has dimensionality {d}"
-                    )));
-                }
-                let mut sels = Vec::with_capacity(d);
-                for _ in 0..d {
-                    let s = c.f64()?;
-                    if !(s > 0.0 && s <= 1.0) {
-                        return Err(ReplicationError::Corrupt(format!(
-                            "entry {i} has selectivity {s}"
-                        )));
-                    }
-                    sels.push(s);
-                }
-                let opt_cost = c.f64()?;
-                let sub_opt = c.f64()?;
-                let usage = c.u64()?;
-                let violation = c.u8()? != 0;
-                if !opt_cost.is_finite() || opt_cost <= 0.0 || !sub_opt.is_finite() || sub_opt < 1.0
-                {
-                    return Err(ReplicationError::Corrupt(format!(
-                        "entry {i} has C={opt_cost}, S={sub_opt}"
-                    )));
-                }
-                entries.push(InstanceEntry::restored(
-                    SVector(sels),
-                    fp,
-                    opt_cost,
-                    sub_opt,
-                    usage,
-                    violation,
-                ));
+                entries.push(persist::read_entry(r, i, fp)?);
             }
             t => {
                 return Err(ReplicationError::Corrupt(format!(
@@ -510,16 +425,10 @@ fn apply_delta_body(
             }
         }
     }
+    let (log_cost_sum, opt_count) = persist::read_accumulators(r)?;
 
-    let log_cost_sum = c.f64()?;
-    let opt_count = c.u64()?;
-    if !log_cost_sum.is_finite() {
-        return Err(ReplicationError::Corrupt("non-finite λ accumulator".into()));
-    }
-
-    let scr = Scr::from_parts(config, plans, entries, log_cost_sum, opt_count)
-        .map_err(|e| ReplicationError::Corrupt(format!("invalid decoded state: {e}")))?;
-    Ok((scr, generation))
+    Scr::from_parts(config, plans, entries, log_cost_sum, opt_count)
+        .map_err(|e| ReplicationError::Corrupt(format!("invalid decoded state: {e}")))
 }
 
 #[cfg(test)]

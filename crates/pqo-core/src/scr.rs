@@ -21,13 +21,17 @@
 //!
 //! # Concurrency split
 //!
-//! The cache-*read* path ([`Scr::try_cached_plan`] — selectivity check and
-//! cost check) takes `&self`: served-instance bookkeeping (usage counts,
-//! violation flags, technique counters) lives in atomics, so N threads can
-//! run `getPlan` under a shared read lock. Only `manageCache`
+//! Everything a decision reads lives in one [`CacheState`]. Its cache-*read*
+//! path ([`CacheState::try_cached_plan`] — selectivity check and cost
+//! check) takes `&self`: served-instance bookkeeping (usage counts,
+//! violation flags, technique counters) lives in atomics, so N threads run
+//! `getPlan` against one published state. Only `manageCache`
 //! ([`Scr::manage_cache_entry`]) mutates the cache structure and needs
-//! `&mut self` / the write lock. [`crate::service::PqoService`] builds on
-//! exactly this split.
+//! `&mut`. [`Scr`] is the sequential technique and the oracle every other
+//! serving path is compared against; [`crate::service::PqoService`] is the
+//! concurrent one, and realises Section 4.1's asynchronous `manageCache` by
+//! publishing a clone of the writer's state after every mutation
+//! ([`crate::snapshot`]).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,7 +43,7 @@ use pqo_optimizer::error::PqoError;
 use pqo_optimizer::plan::PlanFingerprint;
 use pqo_optimizer::recost::RecostScratch;
 use pqo_optimizer::svector::SVector;
-use pqo_optimizer::template::QueryInstance;
+use pqo_optimizer::template::{QueryInstance, QueryTemplate};
 
 use crate::cache::{InstanceEntry, PlanCache};
 use crate::policy::{LecPolicy, PenaltyPolicy, PlanPolicy, PolicyId, ScrPolicy};
@@ -159,16 +163,6 @@ impl ScrConfig {
         self
     }
 
-    /// Override the indexed cost check's candidate over-fetch multiplier
-    /// (see [`ScrConfig::recost_fetch_factor`]; the CLI exposes this as
-    /// `--recost-fetch-factor`). The floor of 16 fetched candidates always
-    /// applies, so `0` degenerates to that floor rather than an empty list.
-    #[must_use]
-    pub fn with_recost_fetch_factor(mut self, factor: usize) -> Self {
-        self.recost_fetch_factor = factor;
-        self
-    }
-
     /// Validate every knob (used by the `Scr` constructors, which accept
     /// hand-edited configurations).
     pub fn validate(&self) -> Result<(), PqoError> {
@@ -212,7 +206,7 @@ impl ScrConfig {
 /// Counters describing how SCR served a sequence (Section 7.3's overhead
 /// anatomy).
 ///
-/// A point-in-time *snapshot*, returned by value from [`Scr::stats`]; the
+/// A point-in-time *snapshot*, returned by value from [`CacheState::stats`]; the
 /// live counters are atomics inside the technique, so observers never block
 /// servers.
 #[derive(Debug, Clone, Copy, Default)]
@@ -274,9 +268,8 @@ pub struct ScrStats {
 
 /// The live (atomic) form of [`ScrStats`]. Counters bumped on the read path
 /// use `Relaxed` ordering — they are independent tallies, not
-/// synchronization. Shared (`Arc`) between the writer-side [`Scr`] and
-/// every published [`crate::snapshot::CacheSnapshot`], so hits counted
-/// through any snapshot generation land in one tally.
+/// synchronization. One `Arc` shared by every clone of a [`CacheState`], so
+/// hits counted through any snapshot generation land in one tally.
 #[derive(Debug, Default)]
 pub(crate) struct ScrStatCells {
     selectivity_hits: AtomicU64,
@@ -389,8 +382,7 @@ impl ScrStatCells {
 /// fingerprint→Recost memo table plus the arena-recost scratch
 /// ([`RecostScratch`]) whose base derivation is delta-updated across
 /// candidates and across successive calls. A caller that threads one of
-/// these through repeated [`Scr::try_cached_plan_with`] /
-/// [`crate::snapshot::CacheSnapshot::try_cached_plan_with`] invocations
+/// these through repeated [`CacheState::try_cached_plan_with`] invocations
 /// allocates nothing on the cache-hit path; callers without one fall back
 /// to a fresh scratch per call.
 ///
@@ -417,42 +409,95 @@ impl GetPlanScratch {
     }
 }
 
-/// The SCR technique (Figure 2 architecture: `getPlan` + `manageCache` over
-/// the plan cache of Figure 5).
-#[derive(Debug)]
-pub struct Scr {
-    config: ScrConfig,
-    pub(crate) cache: PlanCache,
-    stats: Arc<ScrStatCells>,
-    /// Running Σ log(C) and count over optimized instances — the cost scale
-    /// for the dynamic-λ mapping. Written only on the `&mut` maintenance
-    /// path, read on the shared read path (safe under the service's RwLock).
-    log_cost_sum: f64,
-    opt_count: u64,
-    /// Owned scratch for the sequential (`&mut self`) `getPlan` path, taken
-    /// with `mem::take` around each call so the borrow never conflicts with
-    /// the cache view. Concurrent callers bring their own
-    /// [`GetPlanScratch`].
-    scratch: GetPlanScratch,
-}
-
-/// Borrowed view of everything the cache-*read* path touches: the knobs,
-/// the plan cache, the stat cells and the dynamic-λ accumulators.
+/// Everything a reuse-or-optimize decision reads, and the only thing
+/// `manageCache` writes: the knobs, the plan cache of Figure 5, the shared
+/// stat cells and the dynamic-λ accumulators.
 ///
-/// Both [`Scr::try_cached_plan`] (sequential / lock-guarded callers) and
-/// [`crate::snapshot::CacheSnapshot::try_cached_plan`] (the published
-/// lock-free read path) build one of these and run the *same* code, so the
-/// snapshot reader's reuse/optimize decisions are byte-identical to the
-/// sequential technique's by construction.
-pub(crate) struct ReadView<'a> {
-    pub(crate) config: &'a ScrConfig,
-    pub(crate) cache: &'a PlanCache,
-    pub(crate) stats: &'a ScrStatCells,
+/// There is one of these per cache and it is declared once. [`Scr`] holds
+/// the writer's copy (plus its scratch); every published
+/// [`crate::snapshot::CacheSnapshot`] holds a `clone()` of it (plus a
+/// generation stamp). Both dereference to it, so the sequential technique,
+/// a lock-guarded writer and a lock-free snapshot reader all run the *same
+/// method on the same type* — decision equivalence is by construction.
+///
+/// `Clone` is shallow: plans, instance entries and index shards are
+/// `Arc`-shared (see [`PlanCache`]), the stat cells are one shared `Arc`.
+#[derive(Debug, Clone)]
+pub struct CacheState {
+    pub(crate) config: ScrConfig,
+    pub(crate) cache: PlanCache,
+    pub(crate) stats: Arc<ScrStatCells>,
+    /// Running Σ log(C) and count over optimized instances — the cost scale
+    /// for the dynamic-λ mapping. Written only by [`CacheState::admit`].
     pub(crate) log_cost_sum: f64,
     pub(crate) opt_count: u64,
 }
 
-impl ReadView<'_> {
+impl CacheState {
+    fn new(config: ScrConfig) -> Self {
+        CacheState {
+            config,
+            cache: PlanCache::new(),
+            stats: Arc::new(ScrStatCells::default()),
+            log_cost_sum: 0.0,
+            opt_count: 0,
+        }
+    }
+
+    /// The configuration this cache runs under.
+    pub fn config(&self) -> &ScrConfig {
+        &self.config
+    }
+
+    /// The plan cache (read-only).
+    pub fn cache(&self) -> &PlanCache {
+        &self.cache
+    }
+
+    /// Point-in-time technique counters (lock-free; the cells are shared by
+    /// the writer and every published generation).
+    pub fn stats(&self) -> ScrStats {
+        self.stats.snapshot()
+    }
+
+    /// Attribute optimizer wall time measured by an outer serving layer
+    /// ([`crate::service::PqoService`] optimizes outside the technique) to
+    /// the overhead split.
+    pub(crate) fn record_optimize_nanos(&self, nanos: u64) {
+        ScrStatCells::add(&self.stats.optimize_nanos, nanos);
+    }
+
+    /// Check that this cache can be served under `template`: every plan's
+    /// relation, predicate, edge and column indices in range, every
+    /// instance entry of the template's arity. Restored and replicated
+    /// caches arrive as bytes, so the serving layer calls this before
+    /// installing one — Recost indexes the template by these values.
+    ///
+    /// # Errors
+    /// [`PqoError::Persist`] naming the first offending plan or entry.
+    pub(crate) fn check_template(&self, template: &QueryTemplate) -> Result<(), PqoError> {
+        let mismatch = |what: String| PqoError::Persist {
+            message: format!(
+                "cache does not belong to template `{}`: {what}",
+                template.name
+            ),
+        };
+        for plan in self.cache.plans() {
+            plan.check_template(template)
+                .map_err(|e| mismatch(format!("plan {}: {e}", plan.fingerprint())))?;
+        }
+        let d = template.dimensions();
+        for (i, e) in self.cache.instances().iter().enumerate() {
+            if e.svector.len() != d {
+                return Err(mismatch(format!(
+                    "entry {i} has {} dimensions, the template {d}",
+                    e.svector.len()
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// Effective λ for an entry with optimal cost `c` (Appendix D): static
     /// λ, or `λmin + (λmax − λmin)·exp(−c / Cref)` where `Cref` is the
     /// geometric mean of optimal costs seen so far.
@@ -473,12 +518,20 @@ impl ReadView<'_> {
     }
 
     /// The cache-only part of `getPlan`: the active policy's decide hook —
-    /// never an optimizer call, never a structural cache mutation.
-    /// `scratch` carries the cost check's memo table and recost scratch
-    /// across calls; the hit path allocates nothing when the caller reuses
-    /// one. Dispatch is a static `match` on [`PolicyId`] (no `dyn` on the
-    /// hot path); the SCR arm is the unchanged pre-policy code.
-    pub(crate) fn try_cached_plan(
+    /// never an optimizer call, never a structural cache mutation, `&self`,
+    /// so any number of threads share it. Allocates a fresh scratch per
+    /// call; hot callers should prefer [`CacheState::try_cached_plan_with`].
+    pub fn try_cached_plan(&self, sv: &SVector, engine: &QueryEngine) -> Option<PlanChoice> {
+        self.try_cached_plan_with(sv, engine, &mut GetPlanScratch::default())
+    }
+
+    /// [`CacheState::try_cached_plan`] with a caller-owned
+    /// [`GetPlanScratch`]: the cost check's memo table and recost base
+    /// derivation survive across calls (and across snapshot generations —
+    /// the scratch depends only on the template and cost model, not the
+    /// cache contents), so the hit path allocates nothing. Dispatch is a
+    /// static `match` on [`PolicyId`] (no `dyn` on the hot path).
+    pub fn try_cached_plan_with(
         &self,
         sv: &SVector,
         engine: &QueryEngine,
@@ -664,65 +717,6 @@ impl ReadView<'_> {
         flush_recost_tally(recosts_this_call);
         None
     }
-}
-
-impl Scr {
-    /// SCR with the paper's defaults for the given λ.
-    ///
-    /// # Errors
-    /// [`PqoError::InvalidLambda`] unless λ is finite and ≥ 1.
-    pub fn new(lambda: f64) -> Result<Self, PqoError> {
-        Scr::with_config(ScrConfig::new(lambda)?)
-    }
-
-    /// SCR with an explicit configuration.
-    ///
-    /// # Errors
-    /// [`PqoError::InvalidLambda`] / [`PqoError::InvalidBudget`] when the
-    /// configuration fails [`ScrConfig::validate`].
-    pub fn with_config(config: ScrConfig) -> Result<Self, PqoError> {
-        config.validate()?;
-        Ok(Scr {
-            config,
-            cache: PlanCache::new(),
-            stats: Arc::new(ScrStatCells::default()),
-            log_cost_sum: 0.0,
-            opt_count: 0,
-            scratch: GetPlanScratch::default(),
-        })
-    }
-
-    /// Current configuration.
-    pub fn config(&self) -> &ScrConfig {
-        &self.config
-    }
-
-    /// The plan cache (read-only).
-    pub fn cache(&self) -> &PlanCache {
-        &self.cache
-    }
-
-    /// Point-in-time snapshot of the technique counters (lock-free).
-    pub fn stats(&self) -> ScrStats {
-        self.stats.snapshot()
-    }
-
-    /// Attribute optimizer wall time measured by an outer serving layer
-    /// (e.g. [`crate::service::PqoService`], whose optimizer calls run
-    /// outside this technique) to the overhead split.
-    pub(crate) fn record_optimize_nanos(&self, nanos: u64) {
-        ScrStatCells::add(&self.stats.optimize_nanos, nanos);
-    }
-
-    /// Evict one plan (and its instance entries) from the cache — used by
-    /// the global budget of [`crate::manager::PqoManager`] and
-    /// [`crate::service::PqoService`]. Safe for the guarantee: inference
-    /// entries leave with the plan (Section 6.3.1).
-    pub fn evict_plan(&mut self, fp: PlanFingerprint) {
-        self.cache.drop_plan(fp);
-        ScrStatCells::bump(&self.stats.budget_evictions);
-        self.sync_index_stats();
-    }
 
     /// Mirror the spatial index's cumulative rebuild counters into the
     /// shared stat cells (called after every structural cache mutation).
@@ -733,140 +727,25 @@ impl Scr {
         }
     }
 
-    /// The dynamic-λ accumulators `(Σ log C, optimized count)` — persisted
-    /// alongside the cache so a restored SCR keeps its cost scale.
-    pub fn lambda_accumulators(&self) -> (f64, u64) {
-        (self.log_cost_sum, self.opt_count)
-    }
-
-    /// Reassemble an SCR from persisted parts (see [`crate::persist`]).
-    ///
-    /// # Errors
-    /// Propagates configuration validation errors.
-    ///
-    /// # Panics
-    /// Panics (debug) if an entry references a plan not in `plans` — an
-    /// internal cache invariant; the snapshot loader validates references
-    /// before calling.
-    pub fn from_parts(
-        config: ScrConfig,
-        plans: Vec<Arc<pqo_optimizer::plan::Plan>>,
-        entries: Vec<InstanceEntry>,
-        log_cost_sum: f64,
-        opt_count: u64,
-    ) -> Result<Self, PqoError> {
-        let mut scr = Scr::with_config(config)?;
-        for p in plans {
-            scr.cache.insert_plan(p);
-        }
-        for e in entries {
-            scr.cache.push_instance(e);
-        }
-        scr.log_cost_sum = log_cost_sum;
-        scr.opt_count = opt_count;
-        scr.sync_index_stats();
-        debug_assert!(scr.cache.check_invariants().is_ok());
-        Ok(scr)
-    }
-
-    /// The borrowed read-path view over this technique's state — the same
-    /// code object the published snapshots execute.
-    pub(crate) fn read_view(&self) -> ReadView<'_> {
-        ReadView {
-            config: &self.config,
-            cache: &self.cache,
-            stats: &self.stats,
-            log_cost_sum: self.log_cost_sum,
-            opt_count: self.opt_count,
-        }
-    }
-
-    /// The shared stat cells (for snapshot publication).
-    pub(crate) fn stat_cells(&self) -> &Arc<ScrStatCells> {
-        &self.stats
-    }
-
-    /// Adopt an existing set of shared stat cells (the replica apply path:
-    /// each applied generation is rebuilt via [`Scr::from_parts`], but the
-    /// shard's cumulative hit/publish tallies must survive the swap). The
-    /// adopted cells immediately re-sync the new index's rebuild counters.
-    pub(crate) fn adopt_stat_cells(&mut self, cells: Arc<ScrStatCells>) {
-        self.stats = cells;
-        self.sync_index_stats();
-    }
-
-    /// Effective λ for an entry with optimal cost `c` (Appendix D).
-    fn effective_lambda(&self, c: f64) -> f64 {
-        self.read_view().effective_lambda(c)
-    }
-
-    /// `getPlan` (Algorithm 1): selectivity check, then cost check, then an
-    /// optimizer call followed by `manageCache`. Reuses the technique's
-    /// owned [`GetPlanScratch`] so back-to-back calls allocate nothing on
-    /// the cache-hit path.
-    fn get_plan_inner(&mut self, sv: &SVector, engine: &QueryEngine) -> PlanChoice {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let hit = self.read_view().try_cached_plan(sv, engine, &mut scratch);
-        self.scratch = scratch;
-        if let Some(choice) = hit {
-            return choice;
-        }
-
-        // --- Optimizer call + manageCache -----------------------------------
-        let t0 = Instant::now();
-        let opt = engine.optimize(sv);
-        ScrStatCells::add(&self.stats.optimize_nanos, t0.elapsed().as_nanos() as u64);
-        let plan = Arc::clone(&opt.plan);
-        self.manage_cache_entry(sv, opt, engine);
-        PlanChoice {
-            plan,
-            optimized: true,
-        }
-    }
-
-    /// The cache-only part of `getPlan`: selectivity check then cost check,
-    /// never an optimizer call, never a structural cache mutation — `&self`,
-    /// so concurrent servers share it ([`crate::concurrent::AsyncScr`],
-    /// [`crate::service::PqoService`] run the identical code through a
-    /// published [`crate::snapshot::CacheSnapshot`]). Allocates a fresh
-    /// scratch per call; hot callers should prefer
-    /// [`Scr::try_cached_plan_with`].
-    pub fn try_cached_plan(&self, sv: &SVector, engine: &QueryEngine) -> Option<PlanChoice> {
-        self.read_view()
-            .try_cached_plan(sv, engine, &mut GetPlanScratch::default())
-    }
-
-    /// [`Scr::try_cached_plan`] with a caller-owned [`GetPlanScratch`]: the
-    /// cost check's memo table and recost base derivation survive across
-    /// calls, so repeated probes neither allocate nor re-derive unchanged
-    /// selectivity dimensions.
-    pub fn try_cached_plan_with(
-        &self,
+    /// `manageCache` for a fresh optimization — the only path that mutates
+    /// cache structure. The shared pre-amble (optimizer-call tally,
+    /// dynamic-λ accumulators) runs for every policy; the structural
+    /// admission dispatches to the active policy's admit hook.
+    fn admit(
+        &mut self,
         sv: &SVector,
+        opt: OptimizedPlan,
         engine: &QueryEngine,
         scratch: &mut GetPlanScratch,
-    ) -> Option<PlanChoice> {
-        self.read_view().try_cached_plan(sv, engine, scratch)
-    }
-
-    /// Record a fresh optimization in the cache (`manageCache`), including
-    /// the optimizer-call bookkeeping — the only path that mutates cache
-    /// structure. Runs on a worker thread ([`crate::concurrent::AsyncScr`])
-    /// or under the service's write lock (Section 4.1). The shared
-    /// pre-amble (optimizer-call tally, dynamic-λ accumulators) runs for
-    /// every policy; the structural admission dispatches to the active
-    /// policy's admit hook.
-    pub fn manage_cache_entry(&mut self, sv: &SVector, opt: OptimizedPlan, engine: &QueryEngine) {
+    ) {
         ScrStatCells::bump(&self.stats.optimizer_calls);
         self.log_cost_sum += opt.cost.max(f64::MIN_POSITIVE).ln();
         self.opt_count += 1;
-        let mut scratch = std::mem::take(&mut self.scratch);
         match self.config.policy {
-            PolicyId::Scr => ScrPolicy::admit(self, sv, opt, engine, &mut scratch),
-            PolicyId::Lec => LecPolicy::admit(self, sv, opt, engine, &mut scratch),
-            PolicyId::Penalty => PenaltyPolicy::admit(self, sv, opt, engine, &mut scratch),
+            PolicyId::Scr => ScrPolicy::admit(self, sv, opt, engine, scratch),
+            PolicyId::Lec => LecPolicy::admit(self, sv, opt, engine, scratch),
+            PolicyId::Penalty => PenaltyPolicy::admit(self, sv, opt, engine, scratch),
         }
-        self.scratch = scratch;
         self.sync_index_stats();
     }
 
@@ -1049,6 +928,105 @@ impl Scr {
     }
 }
 
+/// The SCR technique (Figure 2 architecture: `getPlan` + `manageCache` over
+/// the plan cache of Figure 5): a [`CacheState`] plus the scratch the
+/// sequential (`&mut self`) path reuses between calls. Dereferences to its
+/// state, so `config()`, `cache()`, `stats()` and the cache-only
+/// [`CacheState::try_cached_plan`] are the state's own methods.
+#[derive(Debug)]
+pub struct Scr {
+    state: CacheState,
+    /// Concurrent callers bring their own [`GetPlanScratch`].
+    scratch: GetPlanScratch,
+}
+
+impl std::ops::Deref for Scr {
+    type Target = CacheState;
+
+    fn deref(&self) -> &CacheState {
+        &self.state
+    }
+}
+
+impl Scr {
+    /// SCR with the paper's defaults for the given λ.
+    ///
+    /// # Errors
+    /// [`PqoError::InvalidLambda`] unless λ is finite and ≥ 1.
+    pub fn new(lambda: f64) -> Result<Self, PqoError> {
+        Scr::with_config(ScrConfig::new(lambda)?)
+    }
+
+    /// SCR with an explicit configuration.
+    ///
+    /// # Errors
+    /// [`PqoError::InvalidLambda`] / [`PqoError::InvalidBudget`] when the
+    /// configuration fails [`ScrConfig::validate`].
+    pub fn with_config(config: ScrConfig) -> Result<Self, PqoError> {
+        config.validate()?;
+        Ok(Scr {
+            state: CacheState::new(config),
+            scratch: GetPlanScratch::default(),
+        })
+    }
+
+    /// Evict one plan (and its instance entries) from the cache — the
+    /// global budget of [`crate::service::PqoService`]. Safe for the
+    /// guarantee: inference entries leave with the plan (Section 6.3.1).
+    pub fn evict_plan(&mut self, fp: PlanFingerprint) {
+        self.state.cache.drop_plan(fp);
+        ScrStatCells::bump(&self.state.stats.budget_evictions);
+        self.state.sync_index_stats();
+    }
+
+    /// Reassemble an SCR from persisted parts (see [`crate::persist`]).
+    ///
+    /// # Errors
+    /// Propagates configuration validation errors.
+    ///
+    /// # Panics
+    /// Panics (debug) if an entry references a plan not in `plans` — an
+    /// internal cache invariant; the snapshot loader validates references
+    /// before calling.
+    pub fn from_parts(
+        config: ScrConfig,
+        plans: Vec<Arc<pqo_optimizer::plan::Plan>>,
+        entries: Vec<InstanceEntry>,
+        log_cost_sum: f64,
+        opt_count: u64,
+    ) -> Result<Self, PqoError> {
+        let mut scr = Scr::with_config(config)?;
+        let state = &mut scr.state;
+        for p in plans {
+            state.cache.insert_plan(p);
+        }
+        for e in entries {
+            state.cache.push_instance(e);
+        }
+        state.log_cost_sum = log_cost_sum;
+        state.opt_count = opt_count;
+        state.sync_index_stats();
+        debug_assert!(state.cache.check_invariants().is_ok());
+        Ok(scr)
+    }
+
+    /// Adopt an existing set of shared stat cells (the replica apply path:
+    /// each applied generation is rebuilt via [`Scr::from_parts`], but the
+    /// shard's cumulative hit/publish tallies must survive the swap). The
+    /// adopted cells immediately re-sync the new index's rebuild counters.
+    pub(crate) fn adopt_stat_cells(&mut self, cells: Arc<ScrStatCells>) {
+        self.state.stats = cells;
+        self.state.sync_index_stats();
+    }
+
+    /// Record a fresh optimization in the cache (`manageCache`, Section
+    /// 4.1), including the optimizer-call bookkeeping. The serving layer
+    /// calls it under the shard's writer lock and publishes the result.
+    pub fn manage_cache_entry(&mut self, sv: &SVector, opt: OptimizedPlan, engine: &QueryEngine) {
+        self.state.admit(sv, opt, engine, &mut self.scratch);
+    }
+}
+
 impl OnlinePqo for Scr {
     fn name(&self) -> String {
         let stem = match self.config.policy {
@@ -1066,13 +1044,31 @@ impl OnlinePqo for Scr {
         n
     }
 
+    /// `getPlan` (Algorithm 1): selectivity check, then cost check, then an
+    /// optimizer call followed by `manageCache`. Reuses the technique's
+    /// owned [`GetPlanScratch`] so back-to-back calls allocate nothing on
+    /// the cache-hit path.
     fn get_plan(
         &mut self,
         _instance: &QueryInstance,
         sv: &SVector,
         engine: &QueryEngine,
     ) -> PlanChoice {
-        self.get_plan_inner(sv, engine)
+        if let Some(choice) = self
+            .state
+            .try_cached_plan_with(sv, engine, &mut self.scratch)
+        {
+            return choice;
+        }
+        let t0 = Instant::now();
+        let opt = engine.optimize(sv);
+        self.record_optimize_nanos(t0.elapsed().as_nanos() as u64);
+        let plan = Arc::clone(&opt.plan);
+        self.manage_cache_entry(sv, opt, engine);
+        PlanChoice {
+            plan,
+            optimized: true,
+        }
     }
 
     fn plans_cached(&self) -> usize {

@@ -1,10 +1,13 @@
 //! The concurrent serving layer: [`PqoService`].
 //!
-//! [`crate::manager::PqoManager`] is the single-threaded deployment surface;
-//! `PqoService` is its thread-safe replacement, realizing the paper's
-//! Figure 2 split at scale: `getPlan` stays on each caller's critical path
-//! while cache maintenance serializes per template, and N threads serve
-//! concurrently.
+//! `PqoService` is the deployment surface — many templates, many threads,
+//! one optional global plan budget — and, with the sequential
+//! [`Scr`] it is checked against, one of the crate's two `getPlan`
+//! implementations. It realizes the paper's Figure 2 split at scale:
+//! `getPlan` stays on each caller's critical path while cache maintenance
+//! serializes per template. Section 4.1's asynchronous `manageCache` is
+//! realized by snapshot publication: readers decide from the last published
+//! generation and never wait for the maintenance that produces the next.
 //!
 //! # Snapshot-published read path
 //!
@@ -14,10 +17,10 @@
 //! * **Shard** — one per template: a shared [`QueryEngine`] (interior-
 //!   mutable, no lock needed), a [`SnapshotCell`] holding the published
 //!   [`CacheSnapshot`] generation, and a `Mutex<CacheWriter>`. The SCR
-//!   read path ([`CacheSnapshot::try_cached_plan`]) runs against a loaded
-//!   generation with **no lock held** — cache hits on the same template
-//!   never wait for `manageCache`, not even while a writer holds the
-//!   writer mutex. Only confirmed misses (after the optimizer call, which
+//!   read path ([`crate::scr::CacheState::try_cached_plan`]) runs against a
+//!   loaded generation with **no lock held** — cache hits on the same
+//!   template never wait for `manageCache`, not even while a writer holds
+//!   the writer mutex. Only confirmed misses (after the optimizer call, which
 //!   also runs lock-free) enter the writer, which commits the mutation and
 //!   publishes the next generation with one `Arc` swap.
 //! * **Counters** — engine stats, SCR stats and the global plan total are
@@ -32,9 +35,11 @@
 //!
 //! # Global budget
 //!
-//! Like the manager, the service can cap the total number of plans across
-//! templates. The running total is an `AtomicUsize` adjusted by the exact
-//! cache delta under each shard's writer lock — checking the budget is
+//! The service can cap the total number of plans across templates ("in
+//! case a plan cache budget ... is enforced", Section 6.3.1 — per query in
+//! the paper, global here). The running total is an `AtomicUsize` adjusted
+//! by the exact cache delta under each shard's writer lock — checking the
+//! budget is
 //! O(1), and each eviction scans the registry once (O(templates), over
 //! published snapshots) to find the global LFU victim instead of
 //! re-counting every cache. In debug builds every eviction point
@@ -48,7 +53,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
-use pqo_optimizer::engine::{EngineStats, OptimizedPlan, QueryEngine};
+use pqo_optimizer::engine::{EngineStats, QueryEngine};
 use pqo_optimizer::error::PqoError;
 use pqo_optimizer::plan::PlanFingerprint;
 use pqo_optimizer::svector::SVector;
@@ -172,8 +177,10 @@ impl PqoService {
     /// restarted replica can resubscribe from where it left off.
     ///
     /// # Errors
-    /// [`PqoError::Persist`] when the snapshot is unreadable or corrupt, in
-    /// addition to the [`PqoService::register`] errors.
+    /// [`PqoError::Persist`] when the snapshot is unreadable, corrupt or was
+    /// saved under a template it does not fit (plan indices out of range,
+    /// entries of another arity), in addition to the
+    /// [`PqoService::register`] errors.
     pub fn register_restored(
         &self,
         template: Arc<QueryTemplate>,
@@ -184,12 +191,17 @@ impl PqoService {
         self.install(template, scr, generation)
     }
 
+    /// Restored state is bytes from outside the program: it is checked
+    /// against `template` (plan indices in range, entry arity) before the
+    /// registry is touched, so a stale or crafted `.pqo-cache` is a typed
+    /// error here rather than an index panic at the first cost check.
     fn install(
         &self,
         template: Arc<QueryTemplate>,
         scr: Scr,
         generation: u64,
     ) -> Result<(), PqoError> {
+        scr.check_template(&template)?;
         let name = template.name.clone();
         let plans = scr.cache().num_plans();
         let (writer, first) = CacheWriter::at_generation(scr, generation);
@@ -216,14 +228,14 @@ impl PqoService {
     }
 
     /// Persist one template's current published generation into `w` (see
-    /// [`persist::save_snapshot`]): the blob is internally consistent
-    /// without taking the writer lock, because the generation is immutable.
+    /// [`persist::save`]): the blob is internally consistent without taking
+    /// the writer lock, because the generation is immutable.
     ///
     /// # Errors
     /// [`PqoError::UnknownTemplate`] / [`PqoError::Persist`].
     pub fn save(&self, template: &str, w: &mut impl Write) -> Result<(), PqoError> {
         let snapshot = self.shard(template)?.published.load();
-        persist::save_snapshot(&snapshot, w).map_err(|e| PqoError::Persist {
+        persist::save(&snapshot, snapshot.generation(), w).map_err(|e| PqoError::Persist {
             message: e.to_string(),
         })
     }
@@ -303,19 +315,7 @@ impl PqoService {
             return Ok((choice, snapshot.generation()));
         }
 
-        // Miss: the optimizer call happens with no lock held.
-        let t0 = Instant::now();
-        let opt = shard.engine.optimize(&sv);
-        let opt_nanos = t0.elapsed().as_nanos() as u64;
-        let plan = Arc::clone(&opt.plan);
-        let generation = self.commit(&shard, &sv, opt, opt_nanos);
-        Ok((
-            PlanChoice {
-                plan,
-                optimized: true,
-            },
-            generation,
-        ))
+        Ok(self.optimize_and_commit(&shard, &sv))
     }
 
     /// The cache-only serving path (selectivity check + cost check against
@@ -376,35 +376,31 @@ impl PqoService {
             .map(|q| shard.engine.compute_svector(q))
             .collect();
         let mut snapshot = shard.published.load();
-        snapshot.record_batch(instances.len() as u64);
+        snapshot.stats.record_batch(instances.len() as u64);
         let mut out = Vec::with_capacity(instances.len());
         for sv in &svs {
             if let Some(choice) = shard.try_cached_plan(&snapshot, sv) {
                 out.push(choice);
                 continue;
             }
-            let t0 = Instant::now();
-            let opt = shard.engine.optimize(sv);
-            let opt_nanos = t0.elapsed().as_nanos() as u64;
-            let plan = Arc::clone(&opt.plan);
-            self.commit(&shard, sv, opt, opt_nanos);
+            out.push(self.optimize_and_commit(&shard, sv).0);
             snapshot = shard.published.load();
-            snapshot.record_snapshot_reload();
-            out.push(PlanChoice {
-                plan,
-                optimized: true,
-            });
+            snapshot.stats.record_snapshot_reload();
         }
         Ok((out, snapshot.generation()))
     }
 
-    /// Commit a fresh optimization: `manageCache` + publication under the
-    /// shard's writer lock, exact-delta accounting under the same lock,
-    /// then global-budget enforcement. `opt_nanos` is the wall time the
-    /// caller spent inside the (lock-free) optimizer call, attributed to
-    /// the technique's overhead split. Returns the generation the commit
-    /// published.
-    fn commit(&self, shard: &Shard, sv: &SVector, opt: OptimizedPlan, opt_nanos: u64) -> u64 {
+    /// The miss arm of per-instance and batched serving alike: the
+    /// optimizer call runs with no lock held; `manageCache` + publication
+    /// and the exact-delta plan accounting run under the shard's writer
+    /// lock; global-budget enforcement follows. The optimizer's wall time is
+    /// attributed to the technique's overhead split. Returns the choice and
+    /// the generation the commit published.
+    fn optimize_and_commit(&self, shard: &Shard, sv: &SVector) -> (PlanChoice, u64) {
+        let t0 = Instant::now();
+        let opt = shard.engine.optimize(sv);
+        let opt_nanos = t0.elapsed().as_nanos() as u64;
+        let plan = Arc::clone(&opt.plan);
         let generation = {
             let mut writer = shard.writer();
             writer.scr().record_optimize_nanos(opt_nanos);
@@ -414,7 +410,13 @@ impl PqoService {
             writer.generation()
         };
         self.enforce_global_budget();
-        generation
+        (
+            PlanChoice {
+                plan,
+                optimized: true,
+            },
+            generation,
+        )
     }
 
     fn apply_delta(&self, before: usize, after: usize) {
@@ -556,9 +558,10 @@ impl PqoService {
     ///
     /// # Errors
     /// [`PqoError::UnknownTemplate`]; [`PqoError::Persist`] when the record
-    /// is corrupt or its delta base does not match the currently published
-    /// generation (the caller should resubscribe from its actual
-    /// generation).
+    /// is corrupt, decodes to a cache that does not fit this template, or
+    /// its delta base does not match the currently published generation
+    /// (the caller should resubscribe from its actual generation). On any
+    /// error the published generation is unchanged.
     pub fn apply_generation(&self, template: &str, record: &[u8]) -> Result<u64, PqoError> {
         let shard = self.shard(template)?;
         let generation = {
@@ -566,6 +569,7 @@ impl PqoService {
             let base = writer.latest_snapshot();
             let config = base.config().clone();
             let (scr, generation) = replication::apply_generation(config, Some(&base), record)?;
+            scr.check_template(shard.engine.template())?;
             let before = writer.scr().cache().num_plans();
             let after = scr.cache().num_plans();
             writer.install_generation(scr, generation, &shard.published);
@@ -797,6 +801,123 @@ mod tests {
             s.with_scr(&name, |scr| assert!(scr.cache().check_invariants().is_ok()))
                 .unwrap();
         }
+    }
+
+    #[test]
+    fn guarantee_holds_under_global_pressure() {
+        // One template under a global budget of 2: every eviction takes the
+        // plan's inference entries with it, so the bound survives.
+        let t = single_rel_template("q_orders", "orders", "o_totalprice", "o_orderdate");
+        let s = PqoService::with_global_budget(2).unwrap();
+        s.register(Arc::clone(&t), ScrConfig::new(2.0).unwrap())
+            .unwrap();
+        let engine = QueryEngine::new(Arc::clone(&t));
+        for i in 0..8 {
+            for j in 0..8 {
+                let q = inst_at(&t, &[0.02 + 0.12 * i as f64, 0.02 + 0.12 * j as f64]);
+                let choice = s.get_plan("q_orders", &q).unwrap();
+                let sv = engine.compute_svector(&q);
+                let opt = engine.optimize_untracked(&sv);
+                let so = engine.recost_untracked(&choice.plan, &sv) / opt.cost;
+                assert!(so <= 2.0 * 1.001, "eviction broke the bound: {so}");
+            }
+        }
+    }
+
+    /// A one-plan cache whose plan scans `relation` and whose single entry
+    /// has `arity` dimensions — well-formed as bytes, whatever the template.
+    fn crafted_scr(relation: usize, arity: usize) -> Scr {
+        use pqo_optimizer::plan::{Plan, PlanNode, PlanOp};
+        let plan = Arc::new(Plan::new(PlanNode::leaf(PlanOp::SeqScan { relation })));
+        let entry = crate::cache::InstanceEntry::restored(
+            SVector(vec![0.5; arity]),
+            plan.fingerprint(),
+            10.0,
+            1.0,
+            1,
+            false,
+        );
+        Scr::from_parts(
+            ScrConfig::new(2.0).unwrap(),
+            vec![plan],
+            vec![entry],
+            0.0,
+            1,
+        )
+        .unwrap()
+    }
+
+    /// `register_restored` must refuse `blob` under `template` with the
+    /// typed error and leave the registry and the plan total untouched.
+    fn assert_restore_refused(template: Arc<QueryTemplate>, blob: &[u8]) {
+        let (s, _, _) = service_two_templates();
+        let before = s.templates();
+        let err = s
+            .register_restored(template, ScrConfig::new(2.0).unwrap(), &mut &blob[..])
+            .unwrap_err();
+        assert!(matches!(err, PqoError::Persist { .. }), "{err}");
+        assert_eq!(s.templates(), before, "a refused restore left a shard");
+        assert_eq!(s.total_plans(), 0);
+    }
+
+    #[test]
+    fn restored_plan_naming_a_missing_relation_is_refused() {
+        // A plan naming relation 200 decodes cleanly but fits no template.
+        let stale = single_rel_template("stale", "orders", "o_totalprice", "o_orderdate");
+        let mut blob = Vec::new();
+        persist::save(&crafted_scr(200, 2), 0, &mut blob).unwrap();
+        assert_restore_refused(Arc::clone(&stale), &blob);
+        // An in-range plan with a wrong-arity entry is caught by the arity
+        // check alone.
+        let mut blob = Vec::new();
+        persist::save(&crafted_scr(0, 3), 0, &mut blob).unwrap();
+        assert_restore_refused(stale, &blob);
+    }
+
+    #[test]
+    fn cache_saved_under_another_template_shape_is_refused() {
+        // A cache warmed under the 2-d join fixture, offered to a 1-d
+        // single-relation template of the same name (the `.sql` file was
+        // edited between runs).
+        let fixture = crate::testutil::fixture_template("edited");
+        let warm = PqoService::new();
+        warm.register(Arc::clone(&fixture), ScrConfig::new(2.0).unwrap())
+            .unwrap();
+        for i in 1..=6 {
+            let q = inst_at(&fixture, &[0.15 * i as f64, 0.4]);
+            warm.get_plan("edited", &q).unwrap();
+        }
+        let mut blob = Vec::new();
+        warm.save("edited", &mut blob).unwrap();
+        let mut b = pqo_optimizer::template::TemplateBuilder::new("edited");
+        let o = b.relation(
+            pqo_catalog::schemas::tpch_skew().expect_table("orders"),
+            "o",
+        );
+        b.param(o, "o_totalprice", pqo_optimizer::template::RangeOp::Le);
+        assert_restore_refused(b.build(), &blob);
+    }
+
+    #[test]
+    fn replicated_generation_that_does_not_fit_the_template_is_refused() {
+        // A PQG2 full record whose entry has three dimensions, pushed at
+        // a 2-d shard: typed error, published generation and plan total
+        // unchanged, and the shard still applies a good record afterwards.
+        let (r, t_orders, _) = service_two_templates();
+        let bad = CacheSnapshot::capture_at(&crafted_scr(0, 3), 5);
+        let record = replication::encode_generation(&bad, None);
+        let err = r.apply_generation("q_orders", &record).unwrap_err();
+        assert!(matches!(err, PqoError::Persist { .. }), "{err}");
+        assert_eq!(r.generation("q_orders").unwrap(), 0);
+        assert_eq!(r.total_plans(), 0);
+
+        let good = CacheSnapshot::capture_at(&crafted_scr(0, 2), 5);
+        let record = replication::encode_generation(&good, None);
+        assert_eq!(r.apply_generation("q_orders", &record).unwrap(), 5);
+        let (hit, _) = r
+            .serve_cached("q_orders", &inst_at(&t_orders, &[0.5, 0.5]))
+            .unwrap();
+        assert!(hit.is_some(), "an accepted generation must serve");
     }
 
     #[test]

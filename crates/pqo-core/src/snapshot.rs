@@ -9,9 +9,10 @@
 //! the spirit of treating optimizer state as republished snapshots
 //! (Liu & Ives, "Enabling Incremental Query Re-Optimization"):
 //!
-//! * [`CacheSnapshot`] — an immutable view of everything `getPlan`'s cached
-//!   path touches: the configuration knobs, the plan list, the instance
-//!   list, the spatial index and the dynamic-λ accumulators. Readers load
+//! * [`CacheSnapshot`] — an immutable clone of the [`CacheState`], i.e. of
+//!   everything `getPlan`'s cached path touches: the configuration knobs,
+//!   the plan list, the instance list, the spatial index and the
+//!   dynamic-λ accumulators, stamped with a generation. Readers load
 //!   the current snapshot (an `Arc` clone) and run the selectivity check,
 //!   spatial-index lookup and cost check against it with **no** lock held.
 //! * [`CacheWriter`] — the writer side: it owns the canonical [`Scr`] and
@@ -43,10 +44,11 @@
 //!
 //! # Decision equivalence
 //!
-//! [`CacheSnapshot::try_cached_plan`] executes the *same* [`ReadView`] code
-//! as [`Scr::try_cached_plan`] over a structurally identical cache, so the
-//! snapshot reader's reuse/optimize decisions are byte-identical to the
-//! sequential technique's for any given cache state.
+//! A snapshot and the sequential [`Scr`] both dereference to a
+//! [`CacheState`], so the reader's reuse/optimize decision is the same
+//! method ([`CacheState::try_cached_plan`]) over a structurally identical
+//! cache — byte-identical to the sequential technique's for any given cache
+//! state.
 //!
 //! # Counter identity
 //!
@@ -59,14 +61,13 @@
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use pqo_optimizer::engine::{OptimizedPlan, QueryEngine};
 use pqo_optimizer::plan::PlanFingerprint;
 use pqo_optimizer::svector::SVector;
 
-use crate::cache::PlanCache;
-use crate::scr::{GetPlanScratch, ReadView, Scr, ScrConfig, ScrStatCells, ScrStats};
-use crate::PlanChoice;
+use crate::scr::{CacheState, Scr};
 
 /// How many published generations the writer retains as delta bases for
 /// [`crate::replication`]: a subscriber whose acknowledged generation is
@@ -74,39 +75,34 @@ use crate::PlanChoice;
 /// subscribers fall back to a full snapshot record.
 pub const GENERATION_LOG_DEPTH: usize = 8;
 
-/// An immutable, `Arc`-published view of one SCR cache generation: plan
-/// list, instance list, spatial index, per-entry sub-optimality `S` values
-/// and the dynamic-λ accumulators — everything the cached `getPlan` path
-/// reads. Each generation carries the monotonic [`CacheSnapshot::generation`]
-/// stamp its writer published it under, making the publication stream a
-/// replicable log rather than a private pointer swap.
+/// An immutable, `Arc`-published view of one SCR cache generation: a clone
+/// of the writer's [`CacheState`] — plan list, instance list, spatial
+/// index, per-entry sub-optimality `S` values and the dynamic-λ
+/// accumulators, everything the cached `getPlan` path reads — under the
+/// monotonic [`CacheSnapshot::generation`] stamp its writer published it
+/// with, making the publication stream a replicable log rather than a
+/// private pointer swap. Dereferences to the state, so readers call
+/// [`CacheState::try_cached_plan_with`] on a snapshot directly.
 #[derive(Debug)]
 pub struct CacheSnapshot {
-    config: ScrConfig,
-    cache: PlanCache,
-    stats: Arc<ScrStatCells>,
-    log_cost_sum: f64,
-    opt_count: u64,
+    state: CacheState,
     generation: u64,
 }
 
-impl CacheSnapshot {
-    /// Capture the current state of `scr` (shallow cache clone) as
-    /// generation 0. Writers stamp real generations via
-    /// [`CacheSnapshot::capture_at`].
-    pub fn capture(scr: &Scr) -> Self {
-        Self::capture_at(scr, 0)
-    }
+impl std::ops::Deref for CacheSnapshot {
+    type Target = CacheState;
 
-    /// Capture the current state of `scr` under an explicit generation
-    /// stamp.
+    fn deref(&self) -> &CacheState {
+        &self.state
+    }
+}
+
+impl CacheSnapshot {
+    /// Capture the current state of `scr` (shallow clone) under an explicit
+    /// generation stamp.
     pub fn capture_at(scr: &Scr, generation: u64) -> Self {
         CacheSnapshot {
-            config: scr.config().clone(),
-            cache: scr.cache().clone(),
-            stats: Arc::clone(scr.stat_cells()),
-            log_cost_sum: scr.lambda_accumulators().0,
-            opt_count: scr.lambda_accumulators().1,
+            state: CacheState::clone(scr),
             generation,
         }
     }
@@ -114,73 +110,6 @@ impl CacheSnapshot {
     /// The monotonic generation this snapshot was published under.
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    fn view(&self) -> ReadView<'_> {
-        ReadView {
-            config: &self.config,
-            cache: &self.cache,
-            stats: &self.stats,
-            log_cost_sum: self.log_cost_sum,
-            opt_count: self.opt_count,
-        }
-    }
-
-    /// The cache-only part of `getPlan` against this generation:
-    /// selectivity check, then cost check — no lock, no cache mutation, no
-    /// optimizer call. Runs the identical code path as
-    /// [`Scr::try_cached_plan`]. Allocates a fresh scratch per call; hot
-    /// callers should prefer [`CacheSnapshot::try_cached_plan_with`].
-    pub fn try_cached_plan(&self, sv: &SVector, engine: &QueryEngine) -> Option<PlanChoice> {
-        self.view()
-            .try_cached_plan(sv, engine, &mut GetPlanScratch::default())
-    }
-
-    /// [`CacheSnapshot::try_cached_plan`] with a caller-owned
-    /// [`GetPlanScratch`]: the cost check's memo table and recost base
-    /// derivation survive across calls (and across snapshot generations —
-    /// the scratch depends only on the template and cost model, not the
-    /// cache contents), so the hit path allocates nothing.
-    pub fn try_cached_plan_with(
-        &self,
-        sv: &SVector,
-        engine: &QueryEngine,
-        scratch: &mut GetPlanScratch,
-    ) -> Option<PlanChoice> {
-        self.view().try_cached_plan(sv, engine, scratch)
-    }
-
-    /// The configuration this generation was published under.
-    pub fn config(&self) -> &ScrConfig {
-        &self.config
-    }
-
-    /// The frozen plan cache of this generation.
-    pub fn cache(&self) -> &PlanCache {
-        &self.cache
-    }
-
-    /// Point-in-time technique counters (shared with the writer).
-    pub fn stats(&self) -> ScrStats {
-        self.stats.snapshot()
-    }
-
-    /// Tally one batched serving frame of `len` instances against the
-    /// shared counter cells (visible through every generation).
-    pub(crate) fn record_batch(&self, len: u64) {
-        self.stats.record_batch(len);
-    }
-
-    /// Tally one published-generation re-load taken after a batch
-    /// miss→publish.
-    pub(crate) fn record_snapshot_reload(&self) {
-        self.stats.record_snapshot_reload();
-    }
-
-    /// The dynamic-λ accumulators `(Σ log C, optimized count)` frozen into
-    /// this generation (used by [`crate::persist`]).
-    pub fn lambda_accumulators(&self) -> (f64, u64) {
-        (self.log_cost_sum, self.opt_count)
     }
 }
 
@@ -296,20 +225,24 @@ impl CacheWriter {
         (before, after)
     }
 
-    /// Capture + install the next generation (stamping the next monotonic
-    /// generation id and appending it to the generation log), timing it
-    /// into the shared `publishes`/`publish_nanos` counters.
+    /// Capture + install the next locally minted generation.
     fn publish(&mut self, cell: &SnapshotCell) {
-        let t0 = std::time::Instant::now();
-        self.generation += 1;
-        let snapshot = Arc::new(CacheSnapshot::capture_at(&self.scr, self.generation));
+        self.publish_at(self.generation + 1, cell, Instant::now());
+    }
+
+    /// Capture the canonical state under `generation`, append it to the
+    /// generation log and install it in `cell`, timing the work since `t0`
+    /// into the shared `publishes`/`publish_nanos` counters.
+    fn publish_at(&mut self, generation: u64, cell: &SnapshotCell, t0: Instant) {
+        self.generation = generation;
+        let snapshot = Arc::new(CacheSnapshot::capture_at(&self.scr, generation));
         self.log.push_back(Arc::clone(&snapshot));
         while self.log.len() > GENERATION_LOG_DEPTH {
             self.log.pop_front();
         }
         cell.store(snapshot);
         self.scr
-            .stat_cells()
+            .stats
             .record_publish(t0.elapsed().as_nanos() as u64);
     }
 
@@ -321,19 +254,10 @@ impl CacheWriter {
     /// one — a replica's published generation always equals the primary
     /// generation it replayed.
     pub fn install_generation(&mut self, mut scr: Scr, generation: u64, cell: &SnapshotCell) {
-        let t0 = std::time::Instant::now();
-        scr.adopt_stat_cells(Arc::clone(self.scr.stat_cells()));
+        let t0 = Instant::now();
+        scr.adopt_stat_cells(Arc::clone(&self.scr.stats));
         self.scr = scr;
-        self.generation = generation;
-        let snapshot = Arc::new(CacheSnapshot::capture_at(&self.scr, generation));
-        self.log.push_back(Arc::clone(&snapshot));
-        while self.log.len() > GENERATION_LOG_DEPTH {
-            self.log.pop_front();
-        }
-        cell.store(snapshot);
-        self.scr
-            .stat_cells()
-            .record_publish(t0.elapsed().as_nanos() as u64);
+        self.publish_at(generation, cell, t0);
     }
 
     /// Evict one plan (global-budget victim), then publish the resulting
@@ -352,7 +276,9 @@ impl CacheWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scr::ScrConfig;
     use crate::testutil::fixture_template;
+    use crate::PlanChoice;
     use pqo_optimizer::svector::{compute_svector, instance_for_target};
 
     #[test]

@@ -16,9 +16,9 @@
 
 use std::sync::Arc;
 
-use pqo_core::persist::{restore_with_generation, save_snapshot, RestoreError};
+use pqo_core::persist::{restore_with_generation, save, RestoreError};
 use pqo_core::scr::{Scr, ScrConfig};
-use pqo_core::{CacheSnapshot, OnlinePqo, PolicyId};
+use pqo_core::{OnlinePqo, PolicyId};
 use pqo_optimizer::engine::QueryEngine;
 use pqo_optimizer::svector::{compute_svector, instance_for_target};
 use pqo_optimizer::template::{QueryTemplate, RangeOp, TemplateBuilder};
@@ -83,9 +83,8 @@ fn committed_fixture_restores_and_resaves_bit_identically() {
     // Round the restored state back through the writer: the bytes must be
     // identical to what is committed, proving the format is stable in both
     // directions (no silent field reordering, renumbering, or re-encoding).
-    let snap = CacheSnapshot::capture_at(&scr, generation);
     let mut resaved = Vec::new();
-    save_snapshot(&snap, &mut resaved).expect("re-save");
+    save(&scr, generation, &mut resaved).expect("re-save");
     assert_eq!(
         resaved, FIXTURE_V3,
         "re-saving the restored fixture changed its bytes: the on-disk \
@@ -184,9 +183,8 @@ fn bumped_version_digit_is_rejected_with_typed_error() {
 #[ignore = "writes the committed fixture; run only to re-baseline"]
 fn regenerate_fixture() {
     let scr = warmed_scr();
-    let snap = CacheSnapshot::capture_at(&scr, GENERATION);
     let mut bytes = Vec::new();
-    save_snapshot(&snap, &mut bytes).expect("serialize");
+    save(&scr, GENERATION, &mut bytes).expect("serialize");
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures/scr_cache_v3.pqo-cache");
     std::fs::create_dir_all(path.parent().unwrap()).expect("fixtures dir");

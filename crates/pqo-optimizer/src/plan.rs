@@ -250,6 +250,70 @@ impl Plan {
         })
     }
 
+    /// Check every index the plan carries against `template`: relations,
+    /// seek predicates, join edges and `(relation, column)` pairs all in
+    /// range. A plan decoded from bytes
+    /// ([`crate::compact::CompactPlan::checked_decode`]) is a well-formed
+    /// tree but may name anything, and Recost, display and execution index
+    /// the template by these values.
+    ///
+    /// # Errors
+    /// A description of the first out-of-range index.
+    pub fn check_template(&self, template: &QueryTemplate) -> Result<(), String> {
+        let in_range = |what: &str, i: usize, n: usize| {
+            if i < n {
+                Ok(())
+            } else {
+                Err(format!("{what} {i} of {n}"))
+            }
+        };
+        let relation = |r: usize| in_range("relation", r, template.relations.len());
+        let column = |r: usize, c: usize| {
+            relation(r)?;
+            in_range("column", c, template.relations[r].table.columns.len())
+        };
+        let edges = |es: &[usize]| {
+            es.iter()
+                .try_for_each(|&e| in_range("join edge", e, template.join_edges.len()))
+        };
+        for node in &self.nodes {
+            match &node.op {
+                PlanOp::SeqScan { relation: r } => relation(*r)?,
+                PlanOp::IndexSeek {
+                    relation: r,
+                    seek_pred,
+                } => {
+                    relation(*r)?;
+                    in_range("seek predicate", *seek_pred, template.param_preds.len())?;
+                }
+                PlanOp::SortedIndexScan {
+                    relation: r,
+                    column: c,
+                }
+                | PlanOp::Sort { key: Some((r, c)) } => column(*r, *c)?,
+                PlanOp::HashJoin { edges: es, .. } => edges(es)?,
+                PlanOp::MergeJoin {
+                    merge_edge: e,
+                    edges: es,
+                } => {
+                    edges(&[*e])?;
+                    edges(es)?;
+                }
+                PlanOp::IndexNlj {
+                    inner,
+                    seek_edge: e,
+                    edges: es,
+                } => {
+                    relation(*inner)?;
+                    edges(&[*e])?;
+                    edges(es)?;
+                }
+                PlanOp::Sort { key: None } | PlanOp::HashAggregate | PlanOp::StreamAggregate => {}
+            }
+        }
+        Ok(())
+    }
+
     /// Render the plan as an indented operator tree, resolving relation
     /// aliases through `template`.
     pub fn display<'a>(&'a self, template: &'a QueryTemplate) -> PlanDisplay<'a> {
@@ -374,6 +438,42 @@ mod tests {
 
     fn scan(r: usize) -> PlanNode {
         PlanNode::leaf(PlanOp::SeqScan { relation: r })
+    }
+
+    #[test]
+    fn check_template_names_the_out_of_range_index() {
+        // two_dim(): 2 relations, 1 join edge, 2 parameterized predicates.
+        let t = crate::template::test_fixtures::two_dim();
+        let join = |edges| PlanOp::HashJoin {
+            build_left: true,
+            edges,
+        };
+        let ok = Plan::new(PlanNode::internal(join(vec![0]), vec![scan(0), scan(1)]));
+        assert_eq!(ok.check_template(&t), Ok(()));
+        let seek = |relation, seek_pred| {
+            PlanNode::leaf(PlanOp::IndexSeek {
+                relation,
+                seek_pred,
+            })
+        };
+        let sorted =
+            |relation, column| PlanNode::leaf(PlanOp::SortedIndexScan { relation, column });
+        for (root, what) in [
+            (scan(2), "relation 2 of 2"),
+            (seek(0, 2), "seek predicate 2 of 2"),
+            (sorted(1, 999), "column 999 of"),
+            (
+                PlanNode::internal(join(vec![0, 1]), vec![scan(0), scan(1)]),
+                "join edge 1 of 1",
+            ),
+            (
+                PlanNode::internal(PlanOp::Sort { key: Some((5, 0)) }, vec![scan(0)]),
+                "relation 5 of 2",
+            ),
+        ] {
+            let err = Plan::new(root).check_template(&t).unwrap_err();
+            assert!(err.starts_with(what), "{err}");
+        }
     }
 
     #[test]

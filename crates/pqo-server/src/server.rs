@@ -43,7 +43,7 @@
 //! is served and its response flushed, connections close at their frame
 //! boundary, the worker pool drains, and — if a snapshot directory is
 //! configured — every template's published generation is flushed via
-//! [`pqo_core::persist::save_snapshot`] so a restart resumes warm.
+//! [`pqo_core::PqoService::save`] so a restart resumes warm.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};

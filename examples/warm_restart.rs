@@ -42,7 +42,7 @@ fn main() {
 
     // --- Snapshot ------------------------------------------------------------
     let mut snapshot = Vec::new();
-    persist::save(&scr, &mut snapshot).expect("serialize cache");
+    persist::save(&scr, 0, &mut snapshot).expect("serialize cache");
     println!(
         "snapshot: {} bytes for {} plans + {} instance entries",
         snapshot.len(),

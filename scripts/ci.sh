@@ -1,19 +1,14 @@
 #!/usr/bin/env bash
 # Local CI gate: everything runs offline against the vendored workspace.
 # Usage: scripts/ci.sh
-#   PQO_BENCH_GATE=1 scripts/ci.sh   additionally runs the bench regression
-#                                    gate (scripts/bench_gate.sh)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Every background server/client pid is recorded here so the EXIT trap can
-# reap it. Without this, a client panic between launch and `--op shutdown`
-# would orphan the server and wedge the next CI run on the same port.
-net_tmp=""
-hc_tmp=""
-repl_tmp=""
-pol_tmp=""
-sf_tmp=""
+# One temp root for every stage's logs and snapshot dirs, and one list of
+# background pids; the EXIT trap reaps both. Without this, a client panic
+# between launch and `--op shutdown` would orphan the server and wedge the
+# next CI run.
+tmp="$(mktemp -d)"
 pids=()
 cleanup() {
     for pid in "${pids[@]:-}"; do
@@ -21,13 +16,32 @@ cleanup() {
             kill "$pid" 2>/dev/null || true
         fi
     done
-    if [ -n "$net_tmp" ]; then rm -rf "$net_tmp"; fi
-    if [ -n "$hc_tmp" ]; then rm -rf "$hc_tmp"; fi
-    if [ -n "$repl_tmp" ]; then rm -rf "$repl_tmp"; fi
-    if [ -n "$pol_tmp" ]; then rm -rf "$pol_tmp"; fi
-    if [ -n "$sf_tmp" ]; then rm -rf "$sf_tmp"; fi
+    rm -rf "$tmp"
 }
 trap cleanup EXIT
+
+# start_server <logfile> <pqo serve args...>
+# Starts `pqo serve --listen 127.0.0.1:0 <args>` in the background with its
+# output in <logfile>, waits (up to 60 s — compiling a templates dir samples
+# whole catalogs) for the `listening on ADDR` line, and sets `addr` to ADDR
+# and `server_pid` to the registered pid.
+start_server() {
+    local log="$1"
+    shift
+    ./target/release/pqo serve --listen 127.0.0.1:0 "$@" >"$log" 2>&1 &
+    server_pid=$!
+    pids+=("$server_pid")
+    addr=""
+    for _ in $(seq 1 600); do
+        addr="$(sed -n 's/^listening on //p' "$log")"
+        [ -n "$addr" ] && return 0
+        kill -0 "$server_pid" 2>/dev/null || break
+        sleep 0.1
+    done
+    echo "server never reported its address: pqo serve $*"
+    cat "$log"
+    exit 1
+}
 
 echo "==> cargo build --release (all targets)"
 cargo build --release --offline --workspace --all-targets
@@ -53,24 +67,14 @@ echo "==> network serving smoke (loopback server + client oracle diff)"
 # port, replay a seeded workload through `pqo client --check true` (which
 # diffs every wire decision against an in-process SCR oracle), then
 # exercise graceful shutdown and verify the cache snapshot was flushed.
-net_tmp="$(mktemp -d)"
-./target/release/pqo serve --listen 127.0.0.1:0 \
-    --template tpch_skew_A_d2 --snapshot-dir "$net_tmp" \
-    > "$net_tmp/server.log" 2>&1 &
-net_pid=$!
-pids+=("$net_pid")
-addr=""
-for _ in $(seq 1 100); do
-    addr="$(sed -n 's/^listening on //p' "$net_tmp/server.log")"
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "server never reported its address"; cat "$net_tmp/server.log"; exit 1; }
+net_tmp="$tmp/net"
+mkdir "$net_tmp"
+start_server "$net_tmp/server.log" --template tpch_skew_A_d2 --snapshot-dir "$net_tmp"
 ./target/release/pqo client --connect "$addr" \
     --template tpch_skew_A_d2 --m 300 --batch 8 --check true \
     | grep "oracle check        : OK"
 ./target/release/pqo client --connect "$addr" --op shutdown
-wait "$net_pid"
+wait "$server_pid"
 [ -s "$net_tmp/tpch_skew_A_d2.pqo-cache" ] \
     || { echo "graceful shutdown did not flush the cache snapshot"; exit 1; }
 grep -q "snapshots flushed   : 1" "$net_tmp/server.log" \
@@ -81,21 +85,11 @@ echo "==> high-connection smoke (256 idle + 8 active checked clients)"
 # in the readiness set: hold 256 raw idle connections, then run 8 oracle-
 # checked clients (one per template) through the same server, and verify
 # graceful shutdown still flushes every snapshot.
-hc_tmp="$(mktemp -d)"
+hc_tmp="$tmp/hc"
+mkdir "$hc_tmp"
 hc_ids="tpch_skew_A_d2,tpch_skew_B_d2,tpch_skew_C_d2,tpch_skew_D_d2,tpch_skew_F_d2,tpcds_V_d2,tpcds_G_d2,tpcds_G_d3"
-./target/release/pqo serve --listen 127.0.0.1:0 \
-    --template "$hc_ids" --snapshot-dir "$hc_tmp" \
-    --max-conns 300 --workers 2 \
-    > "$hc_tmp/server.log" 2>&1 &
-hc_pid=$!
-pids+=("$hc_pid")
-addr=""
-for _ in $(seq 1 100); do
-    addr="$(sed -n 's/^listening on //p' "$hc_tmp/server.log")"
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "hc server never reported its address"; cat "$hc_tmp/server.log"; exit 1; }
+start_server "$hc_tmp/server.log" --template "$hc_ids" --snapshot-dir "$hc_tmp" \
+    --max-conns 300 --workers 2
 ./target/release/pqo client --connect "$addr" --op idle \
     --conns 256 --hold-ms 120000 > "$hc_tmp/idle.log" 2>&1 &
 idle_pid=$!
@@ -113,7 +107,7 @@ for id in ${hc_ids//,/ }; do
         || { echo "oracle check failed for $id under idle load"; exit 1; }
 done
 ./target/release/pqo client --connect "$addr" --op shutdown
-wait "$hc_pid"
+wait "$server_pid"
 kill "$idle_pid" 2>/dev/null || true
 for id in ${hc_ids//,/ }; do
     [ -s "$hc_tmp/$id.pqo-cache" ] \
@@ -131,30 +125,13 @@ echo "==> replication smoke (primary + replica, primary killed mid-run)"
 # *replica* (hits served from its applied generation, misses forwarded),
 # then the primary is killed hard and the replica must keep serving its
 # last applied generation — same plan, no re-optimization, no crash.
-repl_tmp="$(mktemp -d)"
+repl_tmp="$tmp/repl"
+mkdir "$repl_tmp"
 repl_id="tpch_skew_B_d2"
-./target/release/pqo serve --listen 127.0.0.1:0 --template "$repl_id" \
-    --primary > "$repl_tmp/primary.log" 2>&1 &
-repl_ppid=$!
-pids+=("$repl_ppid")
-paddr=""
-for _ in $(seq 1 100); do
-    paddr="$(sed -n 's/^listening on //p' "$repl_tmp/primary.log")"
-    [ -n "$paddr" ] && break
-    sleep 0.1
-done
-[ -n "$paddr" ] || { echo "primary never reported its address"; cat "$repl_tmp/primary.log"; exit 1; }
-./target/release/pqo serve --listen 127.0.0.1:0 --template "$repl_id" \
-    --replica-of "$paddr" > "$repl_tmp/replica.log" 2>&1 &
-repl_rpid=$!
-pids+=("$repl_rpid")
-raddr=""
-for _ in $(seq 1 100); do
-    raddr="$(sed -n 's/^listening on //p' "$repl_tmp/replica.log")"
-    [ -n "$raddr" ] && break
-    sleep 0.1
-done
-[ -n "$raddr" ] || { echo "replica never reported its address"; cat "$repl_tmp/replica.log"; exit 1; }
+start_server "$repl_tmp/primary.log" --template "$repl_id" --primary
+paddr="$addr" repl_ppid="$server_pid"
+start_server "$repl_tmp/replica.log" --template "$repl_id" --replica-of "$paddr"
+raddr="$addr" repl_rpid="$server_pid"
 grep -q "role: replica of" "$repl_tmp/replica.log" \
     || { echo "replica did not announce its role"; cat "$repl_tmp/replica.log"; exit 1; }
 # The wire decision stream through the replica must equal the in-process
@@ -190,20 +167,11 @@ echo "==> policy matrix smoke (scr | lec | penalty served end-to-end)"
 # replay an oracle-checked workload (the in-process oracle runs the same
 # --policy), and shut down cleanly. The server must announce the policy it
 # serves so operators can tell the deployments apart.
-pol_tmp="$(mktemp -d)"
+pol_tmp="$tmp/pol"
+mkdir "$pol_tmp"
 pol_id="tpch_skew_B_d2"
 for pol in scr lec penalty; do
-    ./target/release/pqo serve --listen 127.0.0.1:0 --template "$pol_id" \
-        --policy "$pol" > "$pol_tmp/$pol.log" 2>&1 &
-    pol_pid=$!
-    pids+=("$pol_pid")
-    addr=""
-    for _ in $(seq 1 100); do
-        addr="$(sed -n 's/^listening on //p' "$pol_tmp/$pol.log")"
-        [ -n "$addr" ] && break
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { echo "$pol server never reported its address"; cat "$pol_tmp/$pol.log"; exit 1; }
+    start_server "$pol_tmp/$pol.log" --template "$pol_id" --policy "$pol"
     grep -q "(policy: $pol)" "$pol_tmp/$pol.log" \
         || { echo "$pol server did not announce its policy"; cat "$pol_tmp/$pol.log"; exit 1; }
     ./target/release/pqo client --connect "$addr" \
@@ -211,32 +179,14 @@ for pol in scr lec penalty; do
         | grep "oracle check        : OK" \
         || { echo "oracle check failed under policy $pol"; exit 1; }
     ./target/release/pqo client --connect "$addr" --op shutdown
-    wait "$pol_pid"
+    wait "$server_pid"
 done
 # One non-SCR policy through the replicated stack: an LEC primary feeding
 # an LEC replica, oracle-checked through the replica.
-./target/release/pqo serve --listen 127.0.0.1:0 --template "$pol_id" \
-    --policy lec --primary > "$pol_tmp/lec_primary.log" 2>&1 &
-pol_ppid=$!
-pids+=("$pol_ppid")
-paddr=""
-for _ in $(seq 1 100); do
-    paddr="$(sed -n 's/^listening on //p' "$pol_tmp/lec_primary.log")"
-    [ -n "$paddr" ] && break
-    sleep 0.1
-done
-[ -n "$paddr" ] || { echo "lec primary never reported its address"; cat "$pol_tmp/lec_primary.log"; exit 1; }
-./target/release/pqo serve --listen 127.0.0.1:0 --template "$pol_id" \
-    --policy lec --replica-of "$paddr" > "$pol_tmp/lec_replica.log" 2>&1 &
-pol_rpid=$!
-pids+=("$pol_rpid")
-raddr=""
-for _ in $(seq 1 100); do
-    raddr="$(sed -n 's/^listening on //p' "$pol_tmp/lec_replica.log")"
-    [ -n "$raddr" ] && break
-    sleep 0.1
-done
-[ -n "$raddr" ] || { echo "lec replica never reported its address"; cat "$pol_tmp/lec_replica.log"; exit 1; }
+start_server "$pol_tmp/lec_primary.log" --template "$pol_id" --policy lec --primary
+paddr="$addr" pol_ppid="$server_pid"
+start_server "$pol_tmp/lec_replica.log" --template "$pol_id" --policy lec --replica-of "$paddr"
+raddr="$addr" pol_rpid="$server_pid"
 grep -q "role: replica of" "$pol_tmp/lec_replica.log" \
     || { echo "lec replica did not announce its role"; cat "$pol_tmp/lec_replica.log"; exit 1; }
 ./target/release/pqo client --connect "$raddr" \
@@ -256,18 +206,9 @@ echo "==> sql-frontend smoke (templates-dir serving across three dialects)"
 # oracle-checked workload against one template per dialect (the client
 # compiles the same .sql file into its in-process oracle), and round-trip
 # one --op explain, verifying the reply carries dialect-tagged hinted SQL.
-sf_tmp="$(mktemp -d)"
-./target/release/pqo serve --listen 127.0.0.1:0 \
-    --templates-dir templates > "$sf_tmp/server.log" 2>&1 &
-sf_pid=$!
-pids+=("$sf_pid")
-addr=""
-for _ in $(seq 1 600); do
-    addr="$(sed -n 's/^listening on //p' "$sf_tmp/server.log")"
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "sql server never reported its address"; cat "$sf_tmp/server.log"; exit 1; }
+sf_tmp="$tmp/sql"
+mkdir "$sf_tmp"
+start_server "$sf_tmp/server.log" --templates-dir templates
 sf_compiled="$(grep -c '^compiled ' "$sf_tmp/server.log")"
 [ "$sf_compiled" -ge 10 ] \
     || { echo "expected >=10 compiled templates, got ${sf_compiled}"; cat "$sf_tmp/server.log"; exit 1; }
@@ -293,12 +234,14 @@ grep -q -- "-- plan: P" "$sf_tmp/explain.txt" \
 grep -q "SELECT" "$sf_tmp/explain.txt" \
     || { echo "explain reply missing rendered SQL"; cat "$sf_tmp/explain.txt"; exit 1; }
 ./target/release/pqo client --connect "$addr" --op shutdown
-wait "$sf_pid"
+wait "$server_pid"
 
-if [ -n "${PQO_BENCH_GATE:-}" ]; then
-    echo "==> bench regression gate"
-    scripts/bench_gate.sh
-fi
+echo "==> stack benchmark builds and passes its own tests (bench/)"
+# bench/ is a package of its own that compiles against the crates' public
+# API; the pipeline runs it after every PR (BENCHMARK.json). Building and
+# testing it here makes a change to that surface fail in CI first.
+CARGO_TARGET_DIR="$PWD/target" cargo build --release --offline --manifest-path bench/Cargo.toml
+CARGO_TARGET_DIR="$PWD/target" cargo test -q --offline --manifest-path bench/Cargo.toml
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check

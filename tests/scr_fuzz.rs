@@ -107,7 +107,7 @@ fn persistence_roundtrip_holds_for_random_states() {
             let _ = scr.get_plan(&inst, &sv, &engine);
         }
         let mut buf = Vec::new();
-        pqo::core::persist::save(&scr, &mut buf).unwrap();
+        pqo::core::persist::save(&scr, 0, &mut buf).unwrap();
         let cfg = ScrConfig::new(lambda).expect("λ > 1");
         let restored = pqo::core::persist::restore(cfg, &mut buf.as_slice()).unwrap();
         assert_eq!(restored.cache().num_plans(), scr.cache().num_plans());
