@@ -101,7 +101,7 @@ impl BaselineStore {
                     .plans
                     .values()
                     .map(|p| (p.fingerprint(), engine.recost(p, sv)))
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+                    .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
                 {
                     if min_cost / opt.cost <= lr {
                         fp = min_fp;

@@ -193,7 +193,7 @@ fn candidate_entries(view: &CacheState, sv: &SVector) -> Vec<(f64, usize)> {
             })
             .collect()
     };
-    cands.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+    cands.sort_by(|a, b| a.0.total_cmp(&b.0));
     cands.truncate(k);
     cands
 }

@@ -604,7 +604,7 @@ impl CacheState {
                 CandidateOrder::AreaDescending => -e.svector.0.iter().product::<f64>(),
             }
         };
-        candidates.sort_by(|a, b| key(a).partial_cmp(&key(b)).unwrap());
+        candidates.sort_by(|a, b| key(a).total_cmp(&key(b)));
         candidates.truncate(self.config.max_recost_candidates);
         Err(candidates)
     }
@@ -793,7 +793,9 @@ impl CacheState {
                     let cost = engine.recost_prepared(c.prepared(engine), sv, &mut scratch.recost);
                     (c.fingerprint(), cost)
                 })
-                .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+                // `cached_plans` iterates a `HashMap` in per-process order:
+                // an exact cost tie must not pick a survivor by that order.
+                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
                 .expect("non-empty plan list");
             ScrStatCells::add(&self.stats.recost_nanos, t0.elapsed().as_nanos() as u64);
             let s_min = (min_cost / opt.cost).max(1.0);
@@ -913,7 +915,7 @@ impl CacheState {
                 candidates.push((g * l, idx));
             }
         }
-        candidates.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        candidates.sort_by(|a, b| a.0.total_cmp(&b.0));
         candidates.truncate(self.config.max_recost_candidates);
         for (_, idx) in candidates {
             let e = &self.cache.instances()[idx];
