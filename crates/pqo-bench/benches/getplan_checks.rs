@@ -120,11 +120,12 @@ fn main() {
         });
     }
 
-    // Section 6.2 ablation: the spatial index vs the linear scan over a
-    // large instance list, measured on unseen instances.
+    // Section 6.2 ablation: the two arithmetics of the candidate search —
+    // list-order product form vs nearest-first log form — over a large
+    // instance list, measured on unseen instances.
     for (label, threshold) in [
-        ("getplan/linear_scan", usize::MAX),
-        ("getplan/spatial_index", 0),
+        ("getplan/product_form", usize::MAX),
+        ("getplan/log_form", 0),
     ] {
         let (mut scr, engine, _) = warmed_with(1.2, big_m, Some(threshold));
         let spec = corpus().iter().find(|s| s.id == "tpcds_G_d3").unwrap();
@@ -138,5 +139,53 @@ fn main() {
             k = (k + 1) % fresh.len();
             black_box(scr.get_plan(&fresh[k], &fresh_svs[k], &engine).optimized)
         });
+    }
+
+    // The decide step by template (DESIGN.md §5c quotes these): the cached
+    // path against the cache a template's own stream leaves at λ = 2 — what
+    // `embedded_corpus` serves, at the list's final length — over a second
+    // stream, split by outcome.
+    for id in [
+        "tpch_skew_A_d1",
+        "tpcds_G_d3",
+        "tpch_skew_U_d4",
+        "rd2_R_d6",
+        "rd2_T_d10",
+    ] {
+        let spec = corpus().iter().find(|s| s.id == id).unwrap();
+        let engine = QueryEngine::new(Arc::clone(&spec.template));
+        let mut scr = Scr::new(2.0).expect("valid bench λ");
+        let m = if runner.quick() {
+            100
+        } else {
+            spec.default_len()
+        };
+        for inst in spec.generate(m, 1) {
+            let sv = engine.compute_svector(&inst);
+            let _ = scr.get_plan(&inst, &sv, &engine);
+        }
+        let mut scratch = pqo_core::scr::GetPlanScratch::new();
+        let (hits, misses): (Vec<SVector>, Vec<SVector>) = spec
+            .generate(512, 2)
+            .iter()
+            .map(|q| engine.compute_svector(q))
+            .partition(|sv| {
+                scr.try_cached_plan_with(sv, &engine, &mut scratch)
+                    .is_some()
+            });
+        let n = scr.cache().num_instances();
+        for (outcome, svs) in [("hit", &hits), ("miss", &misses)] {
+            if svs.is_empty() {
+                continue;
+            }
+            let mut k = 0usize;
+            runner.bench(&format!("getplan/decide_{outcome}/{id} n={n}"), || {
+                k = (k + 1) % svs.len();
+                black_box(
+                    scr.try_cached_plan_with(black_box(&svs[k]), &engine, &mut scratch)
+                        .is_some(),
+                )
+            });
+        }
     }
 }

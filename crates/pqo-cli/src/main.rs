@@ -122,10 +122,11 @@ pub(crate) fn sels(args: &Args, key: &str, d: usize) -> Result<Vec<f64>, String>
 
 /// SCR configuration from CLI flags: λ plus the optional
 /// `--policy scr|lec|penalty` serving-policy selector, the optional
-/// `--spatial-threshold N` crossover knob (`0` = always use the spatial
-/// index, large values = linear scan only) and the optional
-/// `--recost-fetch-factor N` over-fetch multiplier for the indexed cost
-/// check's candidate query.
+/// `--spatial-threshold N` crossover knob (instance-list length from which
+/// the candidate search decides nearest-first in log space: `0` = always,
+/// large values = list-order product form only) and the optional
+/// `--recost-fetch-factor N` multiplier sizing the nearest-first cost
+/// check's violation window.
 pub(crate) fn scr_config(args: &Args, lambda: f64) -> Result<pqo_core::scr::ScrConfig, String> {
     let mut cfg = pqo_core::scr::ScrConfig::new(lambda).map_err(|e| e.to_string())?;
     if let Some(raw) = args.opt("policy") {

@@ -257,8 +257,8 @@ pub fn serve_listen(args: &Args, listen: &str) -> Result<(), String> {
         println!("snapshot re-loads   : {}", s.snapshot_reloads);
         println!("snapshot publishes  : {}", s.publishes);
         println!("publish nanos       : {}", s.publish_nanos);
-        println!("index shard rebuilds: {}", s.index_shard_rebuilds);
-        println!("index points rebuilt: {}", s.index_points_rebuilt);
+        println!("coord blocks copied : {}", s.index_shard_rebuilds);
+        println!("coord rows copied   : {}", s.index_points_rebuilt);
     }
     Ok(())
 }

@@ -22,7 +22,7 @@ use pqo_optimizer::plan::{Plan, PlanFingerprint};
 use pqo_optimizer::recost::PreparedRecost;
 use pqo_optimizer::svector::SVector;
 
-use crate::spatial::ShardedLogSelIndex;
+use crate::spatial::CoordBlocks;
 
 /// One entry of the instance list — the paper's 5-tuple.
 ///
@@ -184,25 +184,25 @@ pub struct MemoryBreakdown {
     pub plan_list_compact_bytes: usize,
 }
 
-/// The plan cache: plan list + instance list, with a spatial index over the
-/// instances' log-selectivity vectors (Section 6.2) kept in sync with every
-/// mutation.
+/// The plan cache: plan list + instance list, with the instances'
+/// log-selectivity coordinates (Section 6.2) in a [`CoordBlocks`] store kept
+/// row-for-row in step with the instance list.
 ///
 /// Instance entries are `Arc`-shared: a `Clone` of the cache (how
 /// [`crate::snapshot::CacheSnapshot`]s are published) copies the plan map
 /// and the entry *pointers*, so the interior-mutable counters (`U`, the
 /// violation flag) keep a single identity across every published snapshot —
 /// a reader bumping usage through an old snapshot is still visible to the
-/// writer's LFU policy. The spatial index is sharded behind `Arc`s
-/// ([`ShardedLogSelIndex`]): cloning copies shard *pointers*, and the
-/// writer's next mutation deep-copies only the shard it touches — so
-/// consecutive snapshot generations share every untouched shard.
+/// writer's LFU policy. The coordinate blocks are `Arc`-shared too: cloning
+/// copies one pointer per 64 rows, and the writer's next append copies only
+/// the tail block — consecutive snapshot generations share every full block.
 #[derive(Debug, Default, Clone)]
 pub struct PlanCache {
     plans: HashMap<PlanFingerprint, Arc<CachedPlan>>,
     instances: Vec<Arc<InstanceEntry>>,
     max_plans: usize,
-    index: Option<ShardedLogSelIndex>,
+    /// Row `i` holds the ln-selectivities of `instances[i]`.
+    coords: CoordBlocks,
 }
 
 impl PlanCache {
@@ -288,37 +288,16 @@ impl PlanCache {
             self.plans.contains_key(&entry.plan),
             "instance entry points to missing plan"
         );
-        let idx = self.instances.len();
-        self.index
-            .get_or_insert_with(|| ShardedLogSelIndex::new(entry.svector.len()))
-            .insert(&entry.svector.0, idx);
+        self.coords.push(&entry.svector.0);
         self.instances.push(entry);
     }
 
-    /// The spatial index, if any instance has been inserted. Exposes the
-    /// writer's cumulative rebuild counters and (for tests) the per-shard
-    /// storage identity tokens.
-    pub fn spatial_index(&self) -> Option<&ShardedLogSelIndex> {
-        self.index.as_ref()
-    }
-
-    /// Instance entries within L1 log-selectivity distance `radius` of
-    /// `sv`, i.e. entries whose `G·L` relative to `sv` is at most
-    /// `exp(radius)`, in ascending G·L order (spatial index, Section 6.2).
-    pub fn instances_within(&self, sv: &SVector, radius: f64) -> Vec<(f64, usize)> {
-        match &self.index {
-            Some(ix) => ix.within(&sv.0, radius),
-            None => Vec::new(),
-        }
-    }
-
-    /// The `k` instance entries nearest to `sv` in log-selectivity L1
-    /// distance (ascending G·L).
-    pub fn nearest_instances(&self, sv: &SVector, k: usize) -> Vec<(f64, usize)> {
-        match &self.index {
-            Some(ix) => ix.nearest(&sv.0, k),
-            None => Vec::new(),
-        }
+    /// The instance list's coordinates in log-selectivity space: row `i` is
+    /// `instances()[i]`, L1 distance is `ln(G·L)`. The candidate search
+    /// scans it; it also carries the writer's cumulative copy-on-write
+    /// counters.
+    pub fn coords(&self) -> &CoordBlocks {
+        &self.coords
     }
 
     /// Aggregate usage count per plan: the sum of `U` over entries pointing
@@ -355,23 +334,12 @@ impl PlanCache {
     }
 
     fn remove_instances_of(&mut self, fp: PlanFingerprint) -> Vec<Arc<InstanceEntry>> {
-        // Compute the compaction map before mutating, then keep the spatial
-        // index aligned with the compacted instance list.
-        let mut remap = vec![usize::MAX; self.instances.len()];
-        let mut next = 0usize;
-        for (i, e) in self.instances.iter().enumerate() {
-            if e.plan != fp {
-                remap[i] = next;
-                next += 1;
-            }
-        }
+        // The coordinate rows compact exactly as the instance list does.
+        self.coords.retain(|i| self.instances[i].plan != fp);
         let (taken, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.instances)
             .into_iter()
             .partition(|e| e.plan == fp);
         self.instances = kept;
-        if let Some(ix) = &mut self.index {
-            ix.retain_remap(|i| remap[i] != usize::MAX, |i| remap[i]);
-        }
         taken
     }
 
@@ -527,7 +495,7 @@ mod tests {
     }
 
     #[test]
-    fn spatial_queries_follow_mutations() {
+    fn coordinate_rows_follow_mutations() {
         let mut c = PlanCache::new();
         let fp0 = c.insert_plan(plan(0));
         let fp1 = c.insert_plan(plan(1));
@@ -540,13 +508,13 @@ mod tests {
                 1,
             ));
         }
-        let near = c.nearest_instances(&SVector(vec![0.1]), 2);
+        let near = c.coords().nearest(&[0.1], 2);
         assert_eq!(near.len(), 2);
         assert_eq!(near[0].1, 0, "closest entry is the 0.1 one");
         // Dropping fp0 removes entries 0 and 2; indices compact to 0..2.
         c.drop_plan(fp0);
         assert_eq!(c.num_instances(), 2);
-        let all = c.nearest_instances(&SVector(vec![0.1]), 10);
+        let all = c.coords().nearest(&[0.1], 10);
         assert_eq!(all.len(), 2);
         for &(_, idx) in &all {
             assert!(idx < 2, "index must be remapped after compaction");

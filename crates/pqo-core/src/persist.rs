@@ -349,7 +349,7 @@ pub(crate) fn read_accumulators(r: &mut impl Read) -> Result<(f64, u64), Restore
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::CacheSnapshot;
+    use crate::snapshot::{CacheSnapshot, CacheWriter, SnapshotCell};
     use crate::testutil::fixture_template;
     use crate::OnlinePqo;
     use pqo_optimizer::engine::QueryEngine;
@@ -404,18 +404,28 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_restores_equivalent_spatial_index() {
-        // The on-disk format carries no index; restore rebuilds the sharded
-        // index by re-insertion. Its query streams (values and tie order)
-        // must be bitwise-identical to the original writer's.
+    fn roundtrip_restores_equal_candidate_search_answers() {
+        // The on-disk format carries no coordinates; restore derives them
+        // again from the selectivity vectors. Every query (values and tie
+        // order) must answer bit for bit as the writer's store does, which
+        // was appended to, and copied on write, one publication at a time.
         let t = fixture();
-        let (scr, _) = warmed(&t, 60);
+        let (mut writer, first) = CacheWriter::new(Scr::new(1.5).unwrap());
+        let cell = SnapshotCell::new(first);
+        let engine = QueryEngine::new(Arc::clone(&t));
+        for i in 0..150 {
+            let inst = instance_for_target(&t, &[0.02 + 0.006 * i as f64, 0.3]);
+            let sv = compute_svector(&t, &inst);
+            let opt = engine.optimize(&sv);
+            writer.manage_cache_entry(&sv, opt, &engine, &cell);
+        }
+        let scr = writer.scr();
         let mut buf = Vec::new();
-        save(&scr, 0, &mut buf).unwrap();
+        save(scr, 0, &mut buf).unwrap();
         let restored = restore(ScrConfig::new(1.5).unwrap(), &mut buf.as_slice()).unwrap();
-        let a = scr.cache().spatial_index().expect("warmed index");
-        let b = restored.cache().spatial_index().expect("restored index");
-        assert_eq!(a.len(), b.len());
+        let (a, b) = (scr.cache().coords(), restored.cache().coords());
+        assert_eq!((a.len(), b.len()), (150, 150));
+        assert!(a.copy_stats().0 > 100 && b.copy_stats().0 == 0);
         let bits = |v: Vec<(f64, usize)>| -> Vec<(u64, usize)> {
             v.into_iter().map(|(d, i)| (d.to_bits(), i)).collect()
         };
@@ -423,6 +433,18 @@ mod tests {
             let q = [0.03 + 0.08 * i as f64, 0.3];
             assert_eq!(bits(a.nearest(&q, 5)), bits(b.nearest(&q, 5)));
             assert_eq!(bits(a.within(&q, 1.2)), bits(b.within(&q, 1.2)));
+            let (mut qa, mut qb, mut da, mut db) = (vec![], vec![], vec![], vec![]);
+            let accept = |d: f64, row: usize| d > 0.01 && row % 2 == 1;
+            let hit_a = a.scan(&q, 1.2, &mut qa, &mut da, accept);
+            let hit_b = b.scan(&q, 1.2, &mut qb, &mut db, accept);
+            assert_eq!(
+                hit_a.map(|h| (h.0.to_bits(), h.1)),
+                hit_b.map(|h| (h.0.to_bits(), h.1))
+            );
+            assert_eq!(
+                da.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+                db.iter().map(|d| d.to_bits()).collect::<Vec<_>>()
+            );
         }
     }
 

@@ -14,9 +14,9 @@
 //!
 //! Every policy shares the substrate built for SCR: the prepared/delta
 //! Recost machinery ([`GetPlanScratch`]), the published
-//! [`crate::snapshot::CacheSnapshot`] read path, and the sharded
-//! log-selectivity index (candidate neighbourhoods come from the same
-//! crossover rule SCR uses). Dispatch is a `match` on [`PolicyId`] at the
+//! [`crate::snapshot::CacheSnapshot`] read path, and the candidate search
+//! (`CacheState::find_candidates`, under the same crossover rule SCR
+//! uses). Dispatch is a `match` on [`PolicyId`] at the
 //! two choke points in `scr.rs` — static, no `dyn` in the hot loop — and
 //! the SCR arm delegates to the *unchanged* pre-refactor code, so SCR's
 //! decision stream is byte-identical by construction (the equivalence
@@ -47,7 +47,7 @@ use pqo_optimizer::plan::PlanFingerprint;
 use pqo_optimizer::svector::SVector;
 
 use crate::cache::InstanceEntry;
-use crate::scr::{CacheState, GetPlanScratch};
+use crate::scr::{CacheState, CandidateOrder, CandidateSearch, GetPlanScratch};
 use crate::PlanChoice;
 
 /// Identity of a serving policy — threaded through [`ScrConfig`], the
@@ -165,37 +165,24 @@ impl PlanPolicy for ScrPolicy {
 
 /// The candidate neighbourhood both non-SCR policies decide over: the
 /// nearest (smallest G·L) non-violation-disabled entries, at most
-/// `max_recost_candidates`, gathered through the same linear/indexed
-/// crossover SCR uses. Returned as `(G·L, entry index)` ascending.
-fn candidate_entries(view: &CacheState, sv: &SVector) -> Vec<(f64, usize)> {
-    let k = view.config.max_recost_candidates.max(1);
-    let use_index = view.config.spatial_index_threshold != usize::MAX
-        && view.cache.num_instances() >= view.config.spatial_index_threshold;
-    let mut cands: Vec<(f64, usize)> = if use_index {
-        // Over-fetch so violation-disabled entries do not starve the list
-        // (same rule as the indexed cost check).
-        let fetch = k.saturating_mul(view.config.recost_fetch_factor).max(16);
-        view.cache
-            .nearest_instances(sv, fetch)
-            .into_iter()
-            .filter(|&(_, idx)| !view.cache.instances()[idx].violation_detected())
-            .map(|(dist, idx)| (dist.exp(), idx))
-            .collect()
-    } else {
-        view.cache
-            .instances()
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| !e.violation_detected())
-            .map(|(idx, e)| {
-                let (g, l) = sv.g_and_l(&e.svector);
-                (g * l, idx)
-            })
-            .collect()
+/// `max_recost_candidates`, gathered by the search SCR uses under the same
+/// crossover — without its selectivity check. Left in `scratch.cands` as
+/// `(G·L, entry index)` ascending.
+fn candidate_entries(view: &CacheState, sv: &SVector, scratch: &mut GetPlanScratch) {
+    let search = CandidateSearch {
+        log_form: view.uses_log_form(),
+        selectivity_check: false,
+        order: CandidateOrder::GlAscending,
+        k: view.config.max_recost_candidates.max(1),
     };
-    cands.sort_by(|a, b| a.0.total_cmp(&b.0));
-    cands.truncate(k);
-    cands
+    let hit = view.find_candidates(sv, search, scratch);
+    debug_assert!(hit.is_none(), "no selectivity check was asked for");
+    if search.log_form {
+        // The log form keys by distance: G·L = e^distance.
+        for c in &mut scratch.cands {
+            c.0 = c.0.exp();
+        }
+    }
 }
 
 /// Distinct plans referenced by the candidate entries, in fingerprint
@@ -251,29 +238,29 @@ impl PlanPolicy for LecPolicy {
         engine: &QueryEngine,
         scratch: &mut GetPlanScratch,
     ) -> Option<PlanChoice> {
-        let cands = candidate_entries(view, sv);
+        candidate_entries(view, sv, scratch);
+        let GetPlanScratch { cands, recost, .. } = scratch;
         if cands.is_empty() {
             return None; // cold cache: nothing to decide over
         }
-        if !within_decision_radius(view, &cands) {
+        if !within_decision_radius(view, cands) {
             view.stats.record_policy_reject();
             return None;
         }
         let t0 = Instant::now();
         let mut recosts = 0u64;
         let mut best: Option<(f64, PlanFingerprint)> = None;
-        for fp in candidate_plans(view, &cands) {
+        for fp in candidate_plans(view, cands) {
             let cached = view
                 .cache
                 .cached(fp)
                 .expect("candidate points to live plan");
             let prepared = cached.prepared(engine);
-            let mut expected = engine.recost_prepared(prepared, sv, &mut scratch.recost);
+            let mut expected = engine.recost_prepared(prepared, sv, recost);
             recosts += 1;
-            for &(_, idx) in &cands {
+            for &(_, idx) in cands.iter() {
                 let e = &view.cache.instances()[idx];
-                expected += e.usage() as f64
-                    * engine.recost_prepared(prepared, &e.svector, &mut scratch.recost);
+                expected += e.usage() as f64 * engine.recost_prepared(prepared, &e.svector, recost);
                 recosts += 1;
             }
             if best.is_none_or(|(c, _)| expected < c) {
@@ -283,7 +270,7 @@ impl PlanPolicy for LecPolicy {
         view.stats
             .record_policy_recosts(recosts, t0.elapsed().as_nanos() as u64);
         let (_, fp) = best?;
-        let choice = serve_entry_with_plan(view, &cands, fp)?;
+        let choice = serve_entry_with_plan(view, cands, fp)?;
         view.stats.record_policy_hit();
         Some(choice)
     }
@@ -334,17 +321,18 @@ impl PlanPolicy for PenaltyPolicy {
         engine: &QueryEngine,
         scratch: &mut GetPlanScratch,
     ) -> Option<PlanChoice> {
-        let cands = candidate_entries(view, sv);
+        candidate_entries(view, sv, scratch);
+        let GetPlanScratch { cands, recost, .. } = scratch;
         if cands.is_empty() {
             return None;
         }
-        if !within_decision_radius(view, &cands) {
+        if !within_decision_radius(view, cands) {
             view.stats.record_policy_reject();
             return None;
         }
         let t0 = Instant::now();
         let mut recosts = 0u64;
-        let plans = candidate_plans(view, &cands);
+        let plans = candidate_plans(view, cands);
         // Cost matrix: each plan recosted at the query point and at every
         // candidate entry's sVector.
         let mut at_sv: Vec<f64> = Vec::with_capacity(plans.len());
@@ -355,14 +343,14 @@ impl PlanPolicy for PenaltyPolicy {
                 .cached(fp)
                 .expect("candidate points to live plan");
             let prepared = cached.prepared(engine);
-            at_sv.push(engine.recost_prepared(prepared, sv, &mut scratch.recost));
+            at_sv.push(engine.recost_prepared(prepared, sv, recost));
             recosts += 1;
             let row: Vec<f64> = cands
                 .iter()
                 .map(|&(_, idx)| {
                     recosts += 1;
                     let e = &view.cache.instances()[idx];
-                    engine.recost_prepared(prepared, &e.svector, &mut scratch.recost)
+                    engine.recost_prepared(prepared, &e.svector, recost)
                 })
                 .collect();
             matrix.push(row);
@@ -397,7 +385,7 @@ impl PlanPolicy for PenaltyPolicy {
             view.stats.record_policy_reject();
             return None;
         }
-        let choice = serve_entry_with_plan(view, &cands, plans[i])?;
+        let choice = serve_entry_with_plan(view, cands, plans[i])?;
         view.stats.record_policy_hit();
         Some(choice)
     }

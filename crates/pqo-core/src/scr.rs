@@ -33,7 +33,6 @@
 //! publishing a clone of the writer's state after every mutation
 //! ([`crate::snapshot`]).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -47,6 +46,7 @@ use pqo_optimizer::template::{QueryInstance, QueryTemplate};
 
 use crate::cache::{InstanceEntry, PlanCache};
 use crate::policy::{LecPolicy, PenaltyPolicy, PlanPolicy, PolicyId, ScrPolicy};
+use crate::spatial;
 use crate::{OnlinePqo, PlanChoice};
 
 /// Dynamic λ mapping of Appendix D: cheaper instances tolerate a larger λ.
@@ -97,18 +97,25 @@ pub struct ScrConfig {
     /// became redundant and drop them. Off by default (the paper's
     /// evaluation only applies the redundancy check to new plans).
     pub existing_plan_redundancy: bool,
-    /// Instance-list size at which `getPlan` switches from the linear scan
-    /// to the spatial index of Section 6.2 (`usize::MAX` disables the
-    /// index).
+    /// Instance-list size at which `getPlan` switches *arithmetic* — not
+    /// data structure; both scan the list. Below it, G and L are products
+    /// of selectivity ratios, the selectivity check serves the first entry
+    /// in list order that passes and [`ScrConfig::candidate_order`] orders
+    /// the cost check. From it on (Section 6.2's "smaller G·L first"),
+    /// G·L is `exp` of the L1 distance in log-selectivity space, the
+    /// selectivity check serves the *nearest* entry that passes and the
+    /// cost check tries the nearest entries first. The two can round a
+    /// borderline G·L differently, so this is part of the decision stream.
+    /// `usize::MAX` keeps the product form always, `0` the log form.
     pub spatial_index_threshold: usize,
-    /// Cost-check candidate ordering for the linear path (the indexed path
-    /// is inherently G·L-ascending).
+    /// Cost-check candidate ordering under the product form (the log form
+    /// is G·L-ascending by construction).
     pub candidate_order: CandidateOrder,
-    /// Over-fetch multiplier for the indexed cost check: the nearest-
-    /// neighbour query fetches `max_recost_candidates × recost_fetch_factor`
-    /// entries (never fewer than 16) so violation-disabled entries do not
-    /// starve the candidate list. Larger values trade index work for
-    /// resilience under heavy Appendix G disabling.
+    /// Violation window of the log form's cost check: candidates are the
+    /// first `max_recost_candidates` entries without an Appendix G
+    /// violation mark among the `max_recost_candidates × recost_fetch_factor`
+    /// nearest (never fewer than 16), so disabled entries do not starve the
+    /// list. Larger values keep more candidates under heavy disabling.
     pub recost_fetch_factor: usize,
     /// Which serving policy decides reuse/admission over this cache
     /// (DESIGN.md §8). Part of the cache's identity: persisted in the
@@ -152,8 +159,9 @@ impl ScrConfig {
     }
 
     /// Override the instance-list size at which `getPlan` switches from
-    /// the linear scan to the spatial index (Section 6.2). `usize::MAX`
-    /// disables the index; `0` always uses it. Deployment layers
+    /// the list-order product form to the nearest-first log form (see
+    /// [`ScrConfig::spatial_index_threshold`]). `usize::MAX` never
+    /// switches; `0` always uses the log form. Deployment layers
     /// ([`crate::service::PqoService::register`], the CLI's
     /// `--spatial-threshold`) expose this knob so the crossover can be
     /// tuned per workload instead of relying on the default of 64.
@@ -246,15 +254,20 @@ pub struct ScrStats {
     pub batch_instances: u64,
     /// Largest single batch served.
     pub max_batch_size: u64,
-    /// Spatial-index shard rebuilds performed by the writer (cumulative).
+    /// Coordinate blocks the writer copied (cumulative): the tail block of
+    /// [`crate::spatial::CoordBlocks`], copied on write while a published
+    /// generation still shares it, and blocks rebuilt when a dropped plan
+    /// compacts the instance list. (The name predates the block store and
+    /// is pinned by the wire STATS layout.)
     pub index_shard_rebuilds: u64,
-    /// Total points re-inserted across those shard rebuilds — the writer's
-    /// incremental index-maintenance cost, O(n/shards) per rebuild.
+    /// Total rows copied with those blocks — at most 63 per append, the
+    /// rows behind the first gap per compaction.
     pub index_points_rebuilt: u64,
     /// Snapshot generations published by the writer.
     pub publishes: u64,
     /// Cumulative nanoseconds spent capturing + installing published
-    /// generations (the cost the sharded index keeps at O(n/shards)).
+    /// generations (one pointer bump per instance entry and per coordinate
+    /// block).
     pub publish_nanos: u64,
     /// Instances served by a non-SCR policy's decide hook (LEC /
     /// Penalty). Always 0 under [`PolicyId::Scr`], whose hits land in
@@ -316,16 +329,6 @@ impl ScrStatCells {
         Self::bump(&self.snapshot_reloads);
     }
 
-    /// Writer-side sync of the spatial index's cumulative rebuild counters
-    /// (the index owns plain `u64`s; the writer mirrors them here after
-    /// every structural mutation).
-    pub(crate) fn sync_index_stats(&self, shard_rebuilds: u64, points_rebuilt: u64) {
-        self.index_shard_rebuilds
-            .store(shard_rebuilds, Ordering::Relaxed);
-        self.index_points_rebuilt
-            .store(points_rebuilt, Ordering::Relaxed);
-    }
-
     /// One snapshot publication that took `nanos` to capture + install.
     pub(crate) fn record_publish(&self, nanos: u64) {
         Self::bump(&self.publishes);
@@ -378,20 +381,28 @@ impl ScrStatCells {
     }
 }
 
-/// Reusable scratch for one `getPlan` caller: the cost check's
-/// fingerprint→Recost memo table plus the arena-recost scratch
-/// ([`RecostScratch`]) whose base derivation is delta-updated across
+/// Reusable scratch for one `getPlan` caller: the candidate search's
+/// buffers (the query in log space, one distance per stored instance, the
+/// candidate list), the cost check's fingerprint→Recost memo (at most
+/// `max_recost_candidates` entries, probed linearly) and the arena-recost
+/// scratch ([`RecostScratch`]) whose base derivation is delta-updated across
 /// candidates and across successive calls. A caller that threads one of
 /// these through repeated [`CacheState::try_cached_plan_with`] invocations
-/// allocates nothing on the cache-hit path; callers without one fall back
-/// to a fresh scratch per call.
+/// allocates nothing on the cache-hit path once the buffers have grown to
+/// the instance list's size; callers without one fall back to a fresh
+/// scratch per call.
 ///
 /// A scratch is specific to one template and cost model (it caches
 /// per-relation base cardinalities); call [`GetPlanScratch::invalidate`]
 /// before reusing it against a different engine.
 #[derive(Debug, Default)]
 pub struct GetPlanScratch {
-    pub(crate) recosted: HashMap<PlanFingerprint, f64>,
+    q: Vec<f64>,
+    dist: Vec<f64>,
+    /// What [`CacheState::find_candidates`] leaves for the cost check:
+    /// `(key, instance index)` in the order to try.
+    pub(crate) cands: Vec<(f64, usize)>,
+    recosted: Vec<(PlanFingerprint, f64)>,
     pub(crate) recost: RecostScratch,
 }
 
@@ -409,6 +420,19 @@ impl GetPlanScratch {
     }
 }
 
+/// What one candidate search ([`CacheState::find_candidates`]) is asked for.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CandidateSearch {
+    /// Nearest-first log form (`true`) or list-order product form.
+    pub log_form: bool,
+    /// Run the selectivity check and stop at its hit.
+    pub selectivity_check: bool,
+    /// Order of the product form's candidates.
+    pub order: CandidateOrder,
+    /// Longest candidate list wanted.
+    pub k: usize,
+}
+
 /// Everything a reuse-or-optimize decision reads, and the only thing
 /// `manageCache` writes: the knobs, the plan cache of Figure 5, the shared
 /// stat cells and the dynamic-λ accumulators.
@@ -420,7 +444,7 @@ impl GetPlanScratch {
 /// a lock-guarded writer and a lock-free snapshot reader all run the *same
 /// method on the same type* — decision equivalence is by construction.
 ///
-/// `Clone` is shallow: plans, instance entries and index shards are
+/// `Clone` is shallow: plans, instance entries and coordinate blocks are
 /// `Arc`-shared (see [`PlanCache`]), the stat cells are one shared `Arc`.
 #[derive(Debug, Clone)]
 pub struct CacheState {
@@ -544,6 +568,13 @@ impl CacheState {
         }
     }
 
+    /// Whether a list of this length decides in the nearest-first log form
+    /// (see [`ScrConfig::spatial_index_threshold`]).
+    pub(crate) fn uses_log_form(&self) -> bool {
+        self.config.spatial_index_threshold != usize::MAX
+            && self.cache.num_instances() >= self.config.spatial_index_threshold
+    }
+
     /// SCR's decide-on-hit: selectivity check then cost check (Algorithm 1
     /// minus the optimizer arm).
     pub(crate) fn scr_decide(
@@ -552,20 +583,17 @@ impl CacheState {
         engine: &QueryEngine,
         scratch: &mut GetPlanScratch,
     ) -> Option<PlanChoice> {
-        let use_index = self.config.spatial_index_threshold != usize::MAX
-            && self.cache.num_instances() >= self.config.spatial_index_threshold;
-        let candidates = if use_index {
-            match self.selectivity_check_indexed(sv) {
-                Ok(choice) => return Some(choice),
-                Err(c) => c,
-            }
-        } else {
-            match self.selectivity_check_linear(sv) {
-                Ok(choice) => return Some(choice),
-                Err(c) => c,
-            }
+        let search = CandidateSearch {
+            log_form: self.uses_log_form(),
+            selectivity_check: true,
+            order: self.config.candidate_order,
+            k: self.config.max_recost_candidates,
         };
-        self.cost_check(sv, candidates, engine, scratch)
+        if let Some(idx) = self.find_candidates(sv, search, scratch) {
+            ScrStatCells::bump(&self.stats.selectivity_hits);
+            return Some(self.serve(idx));
+        }
+        self.cost_check(sv, engine, scratch)
     }
 
     /// Serve an instance through cache entry `idx` without an optimizer
@@ -580,92 +608,105 @@ impl CacheState {
         }
     }
 
-    /// Linear-scan selectivity check (small instance lists): returns the
-    /// serving choice, or the cost-check candidates `(G, L, idx)` ordered
-    /// per [`ScrConfig::candidate_order`].
-    fn selectivity_check_linear(&self, sv: &SVector) -> Result<PlanChoice, Vec<(f64, f64, usize)>> {
-        let mut candidates: Vec<(f64, f64, usize)> = Vec::new(); // (G, L, idx)
-        for (idx, e) in self.cache.instances().iter().enumerate() {
-            let (g, l) = sv.g_and_l(&e.svector);
-            let lambda_e = self.effective_lambda(e.opt_cost);
-            if g * l <= lambda_e / e.sub_opt {
-                ScrStatCells::bump(&self.stats.selectivity_hits);
-                return Ok(self.serve(idx));
-            }
-            if !e.violation_detected() {
-                candidates.push((g, l, idx));
-            }
-        }
-        let key = |&(g, l, idx): &(f64, f64, usize)| -> f64 {
-            let e = &self.cache.instances()[idx];
-            match self.config.candidate_order {
-                CandidateOrder::GlAscending => g * l,
-                CandidateOrder::UsageDescending => -(e.usage() as f64),
-                CandidateOrder::AreaDescending => -e.svector.0.iter().product::<f64>(),
-            }
-        };
-        candidates.sort_by(|a, b| key(a).total_cmp(&key(b)));
-        candidates.truncate(self.config.max_recost_candidates);
-        Err(candidates)
+    /// Whether entry `e` passes the selectivity check at `G·L = gl`
+    /// (Section 5.3: `G·L ≤ λ/S`).
+    fn passes_selectivity_check(&self, gl: f64, e: &InstanceEntry) -> bool {
+        gl <= self.effective_lambda(e.opt_cost) / e.sub_opt
     }
 
-    /// Spatial-index selectivity check (Section 6.2): the selectivity check
-    /// is an L1 ball query in log-selectivity space (G·L = e^distance), and
-    /// the cost-check candidates are the nearest neighbours — smallest G·L
-    /// first without scanning the instance list.
-    fn selectivity_check_indexed(
+    /// The one candidate search behind SCR's decide, Appendix F's simulated
+    /// `getPlan` and the `lec` / `penalty` neighbourhoods: the selectivity
+    /// check (when asked for) and the cost-check list, from one pass over
+    /// the instance list. Returns the entry the selectivity check serves
+    /// through; otherwise leaves at most `search.k` entries without an
+    /// Appendix G violation mark in `scratch.cands`, in the order to try
+    /// them, as `(key, instance index)`.
+    ///
+    /// * **Log form** (Section 6.2): one scan of the coordinate blocks
+    ///   yields every entry's `ln(G·L)`. The selectivity check serves the
+    ///   *nearest* entry that passes, looking only inside the `ln λ` ball
+    ///   (`exp` is taken only there). The candidates are the nearest
+    ///   unmarked entries within the violation window, keyed by distance.
+    /// * **Product form**: `G`, `L` by [`SVector::g_and_l`] per entry. The
+    ///   selectivity check serves the *first* entry in list order that
+    ///   passes. The candidates are the `k` smallest under `search.order`,
+    ///   ties in list order, keyed once each.
+    pub(crate) fn find_candidates(
         &self,
         sv: &SVector,
-    ) -> Result<PlanChoice, Vec<(f64, f64, usize)>> {
-        let lambda_upper = match self.config.dynamic_lambda {
-            Some(d) => d.lambda_max,
-            None => self.config.lambda,
-        };
-        for (dist, idx) in self.cache.instances_within(sv, lambda_upper.ln()) {
-            let e = &self.cache.instances()[idx];
-            let gl = dist.exp();
-            if gl <= self.effective_lambda(e.opt_cost) / e.sub_opt {
-                ScrStatCells::bump(&self.stats.selectivity_hits);
-                return Ok(self.serve(idx));
+        search: CandidateSearch,
+        scratch: &mut GetPlanScratch,
+    ) -> Option<usize> {
+        let entries = self.cache.instances();
+        let GetPlanScratch { q, dist, cands, .. } = scratch;
+        cands.clear();
+        if search.log_form {
+            let lambda_upper = match self.config.dynamic_lambda {
+                Some(d) => d.lambda_max,
+                None => self.config.lambda,
+            };
+            let radius = if search.selectivity_check {
+                lambda_upper.ln()
+            } else {
+                f64::NEG_INFINITY
+            };
+            let hit = self.cache.coords().scan(&sv.0, radius, q, dist, |d, idx| {
+                self.passes_selectivity_check(d.exp(), &entries[idx])
+            });
+            if let Some((_, idx)) = hit {
+                return Some(idx);
+            }
+            // Look past the `k` nearest only as far as violation-disabled
+            // entries could starve the list.
+            let window = search
+                .k
+                .saturating_mul(self.config.recost_fetch_factor)
+                .max(16);
+            let disabled = |idx: usize| entries[idx].violation_detected();
+            spatial::nearest_enabled(dist, search.k, window, disabled, cands);
+            return None;
+        }
+        for (idx, e) in entries.iter().enumerate() {
+            let (g, l) = sv.g_and_l(&e.svector);
+            if search.selectivity_check && self.passes_selectivity_check(g * l, e) {
+                return Some(idx);
+            }
+            if !e.violation_detected() {
+                let key = match search.order {
+                    CandidateOrder::GlAscending => g * l,
+                    CandidateOrder::UsageDescending => -(e.usage() as f64),
+                    CandidateOrder::AreaDescending => -e.svector.0.iter().product::<f64>(),
+                };
+                spatial::insert_bounded(cands, search.k, key, idx);
             }
         }
-        // Over-fetch so violation-disabled entries do not starve the list.
-        let fetch = self
-            .config
-            .max_recost_candidates
-            .saturating_mul(self.config.recost_fetch_factor)
-            .max(16);
-        let mut candidates: Vec<(f64, f64, usize)> = self
-            .cache
-            .nearest_instances(sv, fetch)
-            .into_iter()
-            .filter(|&(_, idx)| !self.cache.instances()[idx].violation_detected())
-            .map(|(_, idx)| {
-                let (g, l) = sv.g_and_l(&self.cache.instances()[idx].svector);
-                (g, l, idx)
-            })
-            .collect();
-        candidates.truncate(self.config.max_recost_candidates);
-        Err(candidates)
+        None
     }
 
-    /// Cost check over ordered candidates: replace the `G` bound by the
-    /// exact Recost ratio `R`, re-costing each distinct plan at most once.
-    /// Each Recost runs over the plan's [`CachedPlan`](crate::cache::CachedPlan)
-    /// prepared form — a linear arena pass whose base derivation lives in
-    /// `scratch` and is shared across candidates (and delta-updated across
-    /// calls), so the loop performs no allocation and no tree walk.
+    /// Cost check over the candidates [`CacheState::find_candidates`] left
+    /// in `scratch`: replace the `G` bound by the exact Recost ratio `R`,
+    /// re-costing each distinct plan at most once. `G` and `L` are derived
+    /// per candidate *reached*. Each Recost runs over the plan's
+    /// [`CachedPlan`](crate::cache::CachedPlan) prepared form — a linear
+    /// arena pass whose base derivation lives in `scratch` and is shared
+    /// across candidates (and delta-updated across calls), so the loop
+    /// performs no allocation and no tree walk.
     fn cost_check(
         &self,
         sv: &SVector,
-        candidates: Vec<(f64, f64, usize)>,
         engine: &QueryEngine,
         scratch: &mut GetPlanScratch,
     ) -> Option<PlanChoice> {
-        if candidates.is_empty() {
+        let GetPlanScratch {
+            cands,
+            recosted,
+            recost,
+            ..
+        } = scratch;
+        if cands.is_empty() {
             return None;
         }
-        scratch.recosted.clear();
+        recosted.clear();
         let mut recosts_this_call = 0u64;
         let t0 = Instant::now();
         let flush_recost_tally = |n: u64| {
@@ -677,7 +718,7 @@ impl CacheState {
                 .fetch_max(n, Ordering::Relaxed);
             ScrStatCells::add(&self.stats.recost_nanos, t0.elapsed().as_nanos() as u64);
         };
-        for (g, l, idx) in candidates {
+        for &(_, idx) in cands.iter() {
             let e = &self.cache.instances()[idx];
             let (fp, c, s, lambda_e) = (
                 e.plan,
@@ -685,17 +726,17 @@ impl CacheState {
                 e.sub_opt,
                 self.effective_lambda(e.opt_cost),
             );
-            let new_cost = match scratch.recosted.get(&fp) {
-                Some(&c) => c,
+            let new_cost = match recosted.iter().find(|(seen, _)| *seen == fp) {
+                Some(&(_, c)) => c,
                 None => {
                     let cached = self.cache.cached(fp).expect("live plan");
-                    let c =
-                        engine.recost_prepared(cached.prepared(engine), sv, &mut scratch.recost);
+                    let c = engine.recost_prepared(cached.prepared(engine), sv, recost);
                     recosts_this_call += 1;
-                    scratch.recosted.insert(fp, c);
+                    recosted.push((fp, c));
                     c
                 }
             };
+            let (g, l) = sv.g_and_l(&e.svector);
             let r = new_cost / c;
             // Appendix G: Cost(P, qe) = S·C, so BCG demands
             // S·C/L ≤ Cost(P, qc) ≤ G·S·C. Outside → violation at qe.
@@ -718,13 +759,17 @@ impl CacheState {
         None
     }
 
-    /// Mirror the spatial index's cumulative rebuild counters into the
-    /// shared stat cells (called after every structural cache mutation).
-    fn sync_index_stats(&self) {
-        if let Some(ix) = self.cache.spatial_index() {
-            let (rebuilds, points) = ix.rebuild_stats();
-            self.stats.sync_index_stats(rebuilds, points);
-        }
+    /// Mirror the coordinate store's cumulative copy counters (plain `u64`s
+    /// it owns) into the shared stat cells; called after every structural
+    /// cache mutation.
+    fn sync_block_stats(&self) {
+        let (blocks_copied, rows_copied) = self.cache.coords().copy_stats();
+        self.stats
+            .index_shard_rebuilds
+            .store(blocks_copied, Ordering::Relaxed);
+        self.stats
+            .index_points_rebuilt
+            .store(rows_copied, Ordering::Relaxed);
     }
 
     /// `manageCache` for a fresh optimization — the only path that mutates
@@ -746,7 +791,7 @@ impl CacheState {
             PolicyId::Lec => LecPolicy::admit(self, sv, opt, engine, scratch),
             PolicyId::Penalty => PenaltyPolicy::admit(self, sv, opt, engine, scratch),
         }
-        self.sync_index_stats();
+        self.sync_block_stats();
     }
 
     /// Enforce the plan budget before an insertion (Section 6.3.1): drop
@@ -889,8 +934,9 @@ impl CacheState {
     }
 
     /// The simulated `getPlan` of Appendix F: find an alternative λ-optimal
-    /// plan for a stored instance (selectivity check, then cost check) and
-    /// return it with its *exact* sub-optimality at that instance (one extra
+    /// plan for a stored instance (selectivity check, then cost check, in
+    /// the list-order product form whatever the list's length) and return
+    /// it with its *exact* sub-optimality at that instance (one extra
     /// Recost against the instance's stored optimal cost).
     fn simulated_get_plan(
         &self,
@@ -899,28 +945,26 @@ impl CacheState {
         engine: &QueryEngine,
         scratch: &mut GetPlanScratch,
     ) -> Option<(PlanFingerprint, f64)> {
-        let recost = |fp: PlanFingerprint, scratch: &mut GetPlanScratch| -> f64 {
-            let cached = self.cache.cached(fp).expect("live plan");
-            engine.recost_prepared(cached.prepared(engine), sv, &mut scratch.recost)
+        let search = CandidateSearch {
+            log_form: false,
+            selectivity_check: true,
+            order: CandidateOrder::GlAscending,
+            k: self.config.max_recost_candidates,
         };
-        let mut candidates: Vec<(f64, usize)> = Vec::new();
-        for (idx, e) in self.cache.instances().iter().enumerate() {
-            let (g, l) = sv.g_and_l(&e.svector);
-            let lambda_e = self.effective_lambda(e.opt_cost);
-            if g * l <= lambda_e / e.sub_opt {
-                let s_new = (recost(e.plan, scratch) / opt_cost).max(1.0);
-                return Some((e.plan, s_new));
-            }
-            if !e.violation_detected() {
-                candidates.push((g * l, idx));
-            }
+        let hit = self.find_candidates(sv, search, scratch);
+        let GetPlanScratch { cands, recost, .. } = scratch;
+        let mut recost = |fp: PlanFingerprint| -> f64 {
+            let cached = self.cache.cached(fp).expect("live plan");
+            engine.recost_prepared(cached.prepared(engine), sv, recost)
+        };
+        if let Some(idx) = hit {
+            let e = &self.cache.instances()[idx];
+            return Some((e.plan, (recost(e.plan) / opt_cost).max(1.0)));
         }
-        candidates.sort_by(|a, b| a.0.total_cmp(&b.0));
-        candidates.truncate(self.config.max_recost_candidates);
-        for (_, idx) in candidates {
+        for &(_, idx) in cands.iter() {
             let e = &self.cache.instances()[idx];
             let (_, l) = sv.g_and_l(&e.svector);
-            let new_cost = recost(e.plan, scratch);
+            let new_cost = recost(e.plan);
             let r = new_cost / e.opt_cost;
             if r * l <= self.effective_lambda(e.opt_cost) / e.sub_opt {
                 return Some((e.plan, (new_cost / opt_cost).max(1.0)));
@@ -978,7 +1022,7 @@ impl Scr {
     pub fn evict_plan(&mut self, fp: PlanFingerprint) {
         self.state.cache.drop_plan(fp);
         ScrStatCells::bump(&self.state.stats.budget_evictions);
-        self.state.sync_index_stats();
+        self.state.sync_block_stats();
     }
 
     /// Reassemble an SCR from persisted parts (see [`crate::persist`]).
@@ -1007,7 +1051,7 @@ impl Scr {
         }
         state.log_cost_sum = log_cost_sum;
         state.opt_count = opt_count;
-        state.sync_index_stats();
+        state.sync_block_stats();
         debug_assert!(state.cache.check_invariants().is_ok());
         Ok(scr)
     }
@@ -1015,10 +1059,10 @@ impl Scr {
     /// Adopt an existing set of shared stat cells (the replica apply path:
     /// each applied generation is rebuilt via [`Scr::from_parts`], but the
     /// shard's cumulative hit/publish tallies must survive the swap). The
-    /// adopted cells immediately re-sync the new index's rebuild counters.
+    /// adopted cells immediately re-sync the new store's copy counters.
     pub(crate) fn adopt_stat_cells(&mut self, cells: Arc<ScrStatCells>) {
         self.state.stats = cells;
-        self.state.sync_index_stats();
+        self.state.sync_block_stats();
     }
 
     /// Record a fresh optimization in the cache (`manageCache`, Section
@@ -1298,10 +1342,10 @@ mod tests {
     }
 
     #[test]
-    fn indexed_and_linear_paths_agree_on_decisions() {
-        // The spatial index must make the same optimize-or-reuse decisions
-        // as the linear scan (it sees the same candidate set, just without
-        // scanning): same numOpt, same guarantee.
+    fn log_and_product_forms_agree_on_decisions() {
+        // The nearest-first log form must make the same optimize-or-reuse
+        // decisions as the list-order product form on this grid (same
+        // candidate set, another arithmetic): same numOpt, same guarantee.
         let points: Vec<[f64; 2]> = (0..12)
             .flat_map(|i| (0..12).map(move |j| [0.004 + 0.08 * i as f64, 0.004 + 0.08 * j as f64]))
             .collect();
@@ -1316,18 +1360,18 @@ mod tests {
             }
             (engine.stats().optimize_calls, scr.plans_cached())
         };
-        let linear = run(usize::MAX);
-        let indexed = run(0);
-        assert_eq!(linear.0, indexed.0, "optimizer-call counts must match");
-        assert_eq!(linear.1, indexed.1, "plan-cache sizes must match");
+        let product = run(usize::MAX);
+        let log = run(0);
+        assert_eq!(product.0, log.0, "optimizer-call counts must match");
+        assert_eq!(product.1, log.1, "plan-cache sizes must match");
     }
 
     #[test]
-    fn indexed_path_respects_guarantee() {
+    fn log_form_respects_guarantee() {
         let t = fixture();
         let engine = QueryEngine::new(Arc::clone(&t));
         let mut cfg = ScrConfig::new(2.0).unwrap();
-        cfg.spatial_index_threshold = 0; // always use the index
+        cfg.spatial_index_threshold = 0; // the log form from the first instance on
         let mut scr = Scr::with_config(cfg).unwrap();
         let mut worst = 1.0f64;
         for i in 0..10 {
@@ -1340,10 +1384,7 @@ mod tests {
                 worst = worst.max(engine.recost_untracked(&choice.plan, &sv) / opt.cost);
             }
         }
-        assert!(
-            worst <= 2.0 * 1.001,
-            "indexed path broke λ-optimality: {worst}"
-        );
+        assert!(worst <= 2.0 * 1.001, "log form broke λ-optimality: {worst}");
     }
 
     #[test]
@@ -1357,7 +1398,7 @@ mod tests {
             let engine = QueryEngine::new(Arc::clone(&t));
             let mut cfg = ScrConfig::new(1.5).unwrap();
             cfg.candidate_order = order;
-            cfg.spatial_index_threshold = usize::MAX; // ordering applies to the linear path
+            cfg.spatial_index_threshold = usize::MAX; // ordering applies to the product form
             let mut scr = Scr::with_config(cfg).unwrap();
             let mut worst = 1.0f64;
             for i in 0..8 {

@@ -82,6 +82,29 @@ impl Shard {
         self.writer.lock().expect("writer lock poisoned")
     }
 
+    /// The selectivity vector of `instance`, once it is known to fit the
+    /// template: instances come from outside the program, and
+    /// `compute_svector` asserts the arity and compares values with
+    /// `partial_cmp().unwrap()`.
+    fn checked_svector(&self, instance: &QueryInstance) -> Result<SVector, PqoError> {
+        let template = self.engine.template();
+        let invalid = |reason: String| PqoError::InvalidInstance {
+            template: template.name.clone(),
+            reason,
+        };
+        if instance.values.len() != template.dimensions() {
+            return Err(invalid(format!(
+                "takes {} parameters, got {}",
+                template.dimensions(),
+                instance.values.len()
+            )));
+        }
+        if let Some(bad) = instance.values.iter().find(|v| !v.is_finite()) {
+            return Err(invalid(format!("non-finite parameter value {bad}")));
+        }
+        Ok(self.engine.compute_svector(instance))
+    }
+
     /// The cached `getPlan` path against `snapshot`, borrowing the shard
     /// scratch when it is free. Contended callers fall back to a fresh
     /// scratch rather than wait — the scratch is an optimization, never a
@@ -240,9 +263,8 @@ impl PqoService {
         })
     }
 
-    /// The registered template object behind `name` — front ends (e.g. the
-    /// TCP server) use it to validate incoming instances (arity, finite
-    /// parameter values) *before* entering the serving path.
+    /// The registered template object behind `name` (front ends render
+    /// plans against it).
     ///
     /// # Errors
     /// [`PqoError::UnknownTemplate`].
@@ -284,7 +306,10 @@ impl PqoService {
     /// violates λ).
     ///
     /// # Errors
-    /// [`PqoError::UnknownTemplate`] when `template` is not registered.
+    /// [`PqoError::UnknownTemplate`] when `template` is not registered;
+    /// [`PqoError::InvalidInstance`] when the instance has the wrong number
+    /// of values or a non-finite one (nothing is served, counted or
+    /// published).
     pub fn get_plan(
         &self,
         template: &str,
@@ -301,14 +326,14 @@ impl PqoService {
     /// sequence forwarded decisions against their own applied stream.
     ///
     /// # Errors
-    /// [`PqoError::UnknownTemplate`] when `template` is not registered.
+    /// As [`PqoService::get_plan`].
     pub fn get_plan_with_generation(
         &self,
         template: &str,
         instance: &QueryInstance,
     ) -> Result<(PlanChoice, u64), PqoError> {
         let shard = self.shard(template)?;
-        let sv = shard.engine.compute_svector(instance);
+        let sv = shard.checked_svector(instance)?;
 
         let snapshot = shard.published.load();
         if let Some(choice) = shard.try_cached_plan(&snapshot, &sv) {
@@ -325,14 +350,14 @@ impl PqoService {
     /// (`None`) to its primary.
     ///
     /// # Errors
-    /// [`PqoError::UnknownTemplate`] when `template` is not registered.
+    /// As [`PqoService::get_plan`].
     pub fn serve_cached(
         &self,
         template: &str,
         instance: &QueryInstance,
     ) -> Result<(Option<PlanChoice>, u64), PqoError> {
         let shard = self.shard(template)?;
-        let sv = shard.engine.compute_svector(instance);
+        let sv = shard.checked_svector(instance)?;
         let snapshot = shard.published.load();
         Ok((shard.try_cached_plan(&snapshot, &sv), snapshot.generation()))
     }
@@ -348,7 +373,8 @@ impl PqoService {
     /// against the oracle in `tests/snapshot_stress.rs`).
     ///
     /// # Errors
-    /// [`PqoError::UnknownTemplate`] when `template` is not registered.
+    /// As [`PqoService::get_plan`]; one invalid instance refuses the whole
+    /// batch before any of it is served.
     pub fn get_plan_batch(
         &self,
         template: &str,
@@ -363,7 +389,7 @@ impl PqoService {
     /// final snapshot consulted, which covers every decision in the frame.
     ///
     /// # Errors
-    /// [`PqoError::UnknownTemplate`] when `template` is not registered.
+    /// As [`PqoService::get_plan_batch`].
     pub fn get_plan_batch_with_generation(
         &self,
         template: &str,
@@ -371,10 +397,10 @@ impl PqoService {
     ) -> Result<(Vec<PlanChoice>, u64), PqoError> {
         let shard = self.shard(template)?;
         // One selectivity pass over the whole batch.
-        let svs: Vec<_> = instances
+        let svs = instances
             .iter()
-            .map(|q| shard.engine.compute_svector(q))
-            .collect();
+            .map(|q| shard.checked_svector(q))
+            .collect::<Result<Vec<_>, _>>()?;
         let mut snapshot = shard.published.load();
         snapshot.stats.record_batch(instances.len() as u64);
         let mut out = Vec::with_capacity(instances.len());
@@ -751,6 +777,61 @@ mod tests {
         assert!(matches!(
             PqoService::with_global_budget(0),
             Err(PqoError::InvalidBudget { budget: 0 })
+        ));
+    }
+
+    #[test]
+    fn malformed_instances_are_typed_errors_on_every_entry_point() {
+        let (s, t_orders, _) = service_two_templates();
+        let good = inst_at(&t_orders, &[0.1, 0.5]);
+        s.get_plan("q_orders", &good).unwrap();
+        let generation = s.generation("q_orders").unwrap();
+        let decisions = |s: &PqoService| {
+            let st = s.scr_stats("q_orders").unwrap();
+            st.selectivity_hits + st.cost_hits + st.optimizer_calls + st.batch_instances
+        };
+        let counted = decisions(&s);
+
+        let mut bad = vec![
+            QueryInstance::new(vec![1.0]),
+            QueryInstance::new(vec![1.0, 2.0, 3.0]),
+            QueryInstance::new(vec![]),
+        ];
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            bad.push(QueryInstance::new(vec![v, 1.0]));
+            bad.push(QueryInstance::new(vec![1.0, v]));
+        }
+        for q in &bad {
+            let batch = [good.clone(), q.clone()];
+            let errors = [
+                s.get_plan("q_orders", q).unwrap_err(),
+                s.get_plan_with_generation("q_orders", q).unwrap_err(),
+                s.serve_cached("q_orders", q).unwrap_err(),
+                s.get_plan_batch("q_orders", &batch).unwrap_err(),
+                s.get_plan_batch_with_generation("q_orders", &batch)
+                    .unwrap_err(),
+            ];
+            for e in errors {
+                assert!(
+                    matches!(&e, PqoError::InvalidInstance { template, .. } if template == "q_orders"),
+                    "{:?}: {e}",
+                    q.values
+                );
+            }
+        }
+        let arity = s.get_plan("q_orders", &bad[0]).unwrap_err().to_string();
+        assert!(arity.contains("takes 2 parameters, got 1"), "{arity}");
+        let nan = s.get_plan("q_orders", &bad[3]).unwrap_err().to_string();
+        assert!(nan.contains("non-finite parameter value NaN"), "{nan}");
+        // Nothing was served, counted or published — not even the good
+        // instance ahead of a bad one in a batch.
+        assert_eq!(s.generation("q_orders").unwrap(), generation);
+        assert_eq!(decisions(&s), counted);
+        assert_eq!(s.total_optimizer_calls(), 1);
+        // An unknown template is still reported as such.
+        assert!(matches!(
+            s.get_plan("nope", &bad[0]),
+            Err(PqoError::UnknownTemplate { .. })
         ));
     }
 

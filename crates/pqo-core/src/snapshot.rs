@@ -11,25 +11,25 @@
 //!
 //! * [`CacheSnapshot`] — an immutable clone of the [`CacheState`], i.e. of
 //!   everything `getPlan`'s cached path touches: the configuration knobs,
-//!   the plan list, the instance list, the spatial index and the
+//!   the plan list, the instance list, its coordinate blocks and the
 //!   dynamic-λ accumulators, stamped with a generation. Readers load
-//!   the current snapshot (an `Arc` clone) and run the selectivity check,
-//!   spatial-index lookup and cost check against it with **no** lock held.
+//!   the current snapshot (an `Arc` clone) and run the candidate search
+//!   and cost check against it with **no** lock held.
 //! * [`CacheWriter`] — the writer side: it owns the canonical [`Scr`] and
 //!   applies `manageCache` / evictions against it, then publishes the next
 //!   snapshot. Publishing clones the cache *shallowly* (`Arc`-shared plans
-//!   and instance entries; the spatial index is a
-//!   [`crate::spatial::ShardedLogSelIndex`], so cloning it copies shard
-//!   pointers and only the shard the writer touches next is deep-copied
-//!   via `Arc::make_mut` — untouched shards stay `Arc::ptr_eq` across
-//!   consecutive generations and publish cost is O(n/shards) amortized).
+//!   and instance entries; the coordinates are a
+//!   [`crate::spatial::CoordBlocks`], so cloning copies one pointer per 64
+//!   rows and only the tail block the writer appends to next is copied,
+//!   via `Arc::make_mut` — full blocks stay `Arc::ptr_eq` across every
+//!   later generation).
 //!   Each publication is timed into the `publishes`/`publish_nanos`
 //!   counters of [`crate::scr::ScrStats`].
 //! * [`SnapshotCell`] — the `ArcCell`-style publication point: a
 //!   `Mutex<Arc<CacheSnapshot>>` whose `load()` clones the `Arc` under a
 //!   lock held for a few instructions. It is lock-free in practice: the
-//!   cell lock is never held across `manageCache`, an optimizer call or an
-//!   index rebuild, so a reader can only ever wait for another pointer
+//!   cell lock is never held across `manageCache` or an optimizer call,
+//!   so a reader can only ever wait for another pointer
 //!   clone/swap. (Std-only; an `arc-swap` dependency would make `load()`
 //!   truly wait-free but the workspace builds offline.)
 //!
@@ -76,8 +76,8 @@ use crate::scr::{CacheState, Scr};
 pub const GENERATION_LOG_DEPTH: usize = 8;
 
 /// An immutable, `Arc`-published view of one SCR cache generation: a clone
-/// of the writer's [`CacheState`] — plan list, instance list, spatial
-/// index, per-entry sub-optimality `S` values and the dynamic-λ
+/// of the writer's [`CacheState`] — plan list, instance list, coordinate
+/// blocks, per-entry sub-optimality `S` values and the dynamic-λ
 /// accumulators, everything the cached `getPlan` path reads — under the
 /// monotonic [`CacheSnapshot::generation`] stamp its writer published it
 /// with, making the publication stream a replicable log rather than a
@@ -277,6 +277,7 @@ impl CacheWriter {
 mod tests {
     use super::*;
     use crate::scr::ScrConfig;
+    use crate::spatial::BLOCK_ROWS;
     use crate::testutil::fixture_template;
     use crate::PlanChoice;
     use pqo_optimizer::svector::{compute_svector, instance_for_target};
@@ -387,70 +388,76 @@ mod tests {
     }
 
     #[test]
-    fn consecutive_generations_share_untouched_index_shards() {
+    fn consecutive_generations_share_every_full_coordinate_block() {
         let t = fixture_template("snap_share");
         let engine = QueryEngine::new(std::sync::Arc::clone(&t));
         let mut cfg = ScrConfig::new(1.02).unwrap();
         cfg.lambda_r = 0.0;
         let (mut writer, first) = CacheWriter::new(Scr::with_config(cfg).unwrap());
         let cell = SnapshotCell::new(first);
-        // Seed enough instances that several shards hold points.
-        for i in 0..60 {
+        // Publish generation after generation until the instance list spans
+        // several blocks, holding on to every generation on the way. Every
+        // point is optimized and committed, hit or not: a commit always
+        // stores an instance.
+        let rows = 3 * BLOCK_ROWS + 17;
+        let mut generations = vec![cell.load()];
+        for i in 0..rows {
             let target = [
-                0.02 + 0.015 * (i % 31) as f64,
-                0.03 + 0.013 * ((i * 7) % 29) as f64,
+                0.02 + 0.0041 * (i % 211) as f64,
+                0.03 + 0.0043 * ((i * 7) % 199) as f64,
             ];
             let inst = instance_for_target(&t, &target);
             let sv = compute_svector(&t, &inst);
-            if cell.load().try_cached_plan(&sv, &engine).is_none() {
-                let opt = engine.optimize(&sv);
-                writer.manage_cache_entry(&sv, opt, &engine, &cell);
-            }
+            let opt = engine.optimize(&sv);
+            writer.manage_cache_entry(&sv, opt, &engine, &cell);
+            generations.push(cell.load());
         }
+        assert_eq!(cell.load().cache().num_instances(), rows);
+
+        // Consecutive generations differ in at most the tail block: every
+        // block either generation holds in full is one shared allocation.
+        for pair in generations.windows(2) {
+            let (a, b) = (pair[0].cache().coords(), pair[1].cache().coords());
+            assert_eq!(b.len(), a.len() + 1, "one instance per generation");
+            let full = a.len() / BLOCK_ROWS;
+            assert_eq!(
+                a.block_tokens()[..full],
+                b.block_tokens()[..full],
+                "generation {} copied a full block",
+                pair[1].generation()
+            );
+        }
+        // So the first and the last generation still share the first's
+        // full blocks, hundreds of publications apart.
+        let (first, last) = (&generations[BLOCK_ROWS + 1], generations.last().unwrap());
+        assert_eq!(
+            first.cache().coords().block_tokens()[0],
+            last.cache().coords().block_tokens()[0]
+        );
+
+        // A publication with no structural change (evicting a plan that is
+        // not cached) shares *every* block, the tail included.
         let publishes_before = cell.load().stats().publishes;
-
-        // A publication with no index mutation (evicting a plan that is no
-        // longer cached) must share *every* shard with the previous
-        // generation.
-        let fp = cell
-            .load()
-            .cache()
-            .plans()
-            .map(|p| p.fingerprint())
-            .min()
-            .expect("seeded cache has plans");
-        writer.evict_plan(fp, &cell);
         let gen_a = cell.load();
-        writer.evict_plan(fp, &cell); // already gone: publish only
+        writer.evict_plan(pqo_optimizer::plan::PlanFingerprint(0), &cell);
         let gen_b = cell.load();
-        let tokens_a = gen_a.cache().spatial_index().unwrap().shard_tokens();
-        let tokens_b = gen_b.cache().spatial_index().unwrap().shard_tokens();
+        assert_eq!(gen_b.generation(), gen_a.generation() + 1);
         assert_eq!(
-            tokens_a, tokens_b,
-            "a mutation-free publication must share all shards"
+            gen_a.cache().coords().block_tokens(),
+            gen_b.cache().coords().block_tokens(),
+            "a mutation-free publication must share all blocks"
         );
 
-        // One fresh insert must replace exactly the shard that absorbed it.
-        let inst = instance_for_target(&t, &[0.91, 0.87]);
-        let sv = compute_svector(&t, &inst);
-        let opt = engine.optimize(&sv);
-        writer.manage_cache_entry(&sv, opt, &engine, &cell);
-        let gen_c = cell.load();
-        let tokens_c = gen_c.cache().spatial_index().unwrap().shard_tokens();
-        let changed = tokens_b
-            .iter()
-            .zip(&tokens_c)
-            .filter(|(b, c)| b != c)
-            .count();
-        assert_eq!(
-            changed, 1,
-            "one insert must deep-copy exactly one shard (got {changed})"
-        );
-
-        // Publication cost counters advanced with each publish.
-        let stats = gen_c.stats();
-        assert_eq!(stats.publishes, publishes_before + 3);
+        // The copy-on-write cost is counted: one tail copy per append to a
+        // published block (none when the append opens a fresh block), never
+        // more than a block of rows each.
+        let stats = gen_b.stats();
+        assert_eq!(stats.publishes, publishes_before + 1);
         assert!(stats.publishes > 0 && stats.publish_nanos > 0);
+        let appends = (rows - 1) as u64;
+        assert!(stats.index_shard_rebuilds <= appends);
+        assert!(stats.index_shard_rebuilds >= appends - appends / BLOCK_ROWS as u64 - 1);
+        assert!(stats.index_points_rebuilt < stats.index_shard_rebuilds * BLOCK_ROWS as u64);
     }
 
     #[test]

@@ -1,895 +1,327 @@
-//! Spatial index over the instance list (paper Section 6.2).
+//! The coordinate block store: "smaller G·L first" (paper Section 6.2) by
+//! one scan over the instance list's ln-selectivities.
 //!
 //! *"...the overheads can also be improved by exploiting [the] idea of
 //! checking instances with smaller GL values first. This can be achieved by
 //! using a spatial index that can provide such instances without scanning
 //! the entire list."*
 //!
-//! The key observation: for selectivity vectors `a`, `b` with per-dimension
-//! ratios `αi = ai/bi`,
+//! For selectivity vectors `a`, `b` with per-dimension ratios `αi = ai/bi`,
 //!
 //! ```text
 //! G·L = ∏_{αi>1} αi · ∏_{αi<1} 1/αi = exp( Σi |ln ai − ln bi| )
 //! ```
 //!
 //! so **G·L is the exponential of the L1 distance in log-selectivity
-//! space**. "Smallest G·L first" is exactly a nearest-neighbour walk under
-//! the L1 metric, and "selectivity check can pass" is an L1 ball of radius
-//! `ln(λ/S)`.
+//! space**: "smallest G·L first" is a nearest-neighbour order under L1, and
+//! "the selectivity check can pass" is an L1 ball of radius `ln(λ/S)`.
 //!
-//! Two layers live here:
+//! At the list sizes and dimensionalities this system sees (hundreds to a
+//! few thousand stored instances, d up to 10, 8–32 neighbours wanted) a
+//! tree prunes next to nothing — at d ≥ 4 the 32nd-nearest neighbour is
+//! farther away than most splitting planes — while a scan over contiguous
+//! columns runs at memory speed. So there is no tree: [`CoordBlocks`] keeps
+//! `ln s` for every stored instance in blocks of [`BLOCK_ROWS`] rows,
+//! dimension-major inside a block, and one kernel computes a block's
+//! distances column by column (a loop the compiler vectorises). DESIGN.md
+//! §5c has the measurements and the list size at which this stops holding.
 //!
-//! * [`KdArena`]/[`LogSelIndex`] — a k-d tree flattened into a postorder
-//!   arena (same style as the plan arena in `pqo-optimizer::plan`): one
-//!   `Vec` of fixed-size nodes, coordinates in a flat stride-`dims` buffer,
-//!   iterative build and traversal with explicit stacks, so a degenerate
-//!   point distribution can never blow the thread stack. Insertions are
-//!   buffered and the tree is rebuilt (perfectly balanced, via
-//!   `select_nth_unstable_by` median partitioning) when the buffer outgrows
-//!   the tree — amortized O(log n) structure without incremental
-//!   rebalancing.
-//! * [`ShardedLogSelIndex`] — partitions points over log-selectivity
-//!   subregions (bands of the coordinate sum `Σi ln si`), each shard behind
-//!   an `Arc`. `Clone` is O(shards) pointer bumps; a writer's insert uses
-//!   `Arc::make_mut`, so only the shard that absorbed a point since the
-//!   last publication is deep-copied — published `CacheSnapshot`
-//!   generations share every untouched shard (`Arc::ptr_eq` across
-//!   generations), dropping publish cost from O(n) to O(n/shards)
-//!   amortized.
+//! **Bit-identity.** A row's distance is `Σi |ci − qi|` with the terms added
+//! in dimension order from zero — the same operations in the same order as
+//! a scalar fold over that row — and every output is ordered by
+//! `(distance, row)`. Results are therefore a pure function of the stored
+//! rows: independent of block boundaries, of how the store was built
+//! (appended, compacted, restored from bytes) and of the instruction set
+//! the kernel was compiled to.
 //!
-//! **Canonical-output invariant.** `within` returns every point inside the
-//! ball sorted by `(distance, item)`; `nearest` returns exactly the k
-//! smallest under the same lexicographic order (its far-side prune uses
-//! `<=` against the current worst, so boundary ties are always visited).
-//! Both outputs are pure functions of the point *multiset* — independent of
-//! tree shape, shard partitioning, or visit order — which is what lets the
-//! sharded index stay byte-identical to the unsharded oracle and keeps the
-//! SCR decision stream unchanged.
+//! **Sharing.** Blocks sit behind `Arc`s. A full block is never written
+//! again, so every published generation of a cache shares it; appending
+//! writes the tail block through `Arc::make_mut`, which copies it (at most
+//! `64·d·8` bytes) only while a published generation still holds it.
+//! `Clone` is one pointer bump per block.
 //!
-//! Comparisons use `f64::total_cmp` throughout: a pathological selectivity
-//! (NaN/∞ from a hostile client or a histogram bug) degrades gracefully
-//! instead of panicking the writer, matching the wire decoder's
-//! never-panic discipline. (`to_log` additionally clamps into
-//! `[MIN_POSITIVE, MAX]`, so stored coordinates are always finite and L1
-//! distances can never be NaN.)
+//! Stored coordinates are clamped into `[ln MIN_POSITIVE, ln MAX]`, so a
+//! pathological selectivity (NaN, ∞, 0 from a hostile client or a histogram
+//! bug) degrades to a far-away point instead of a NaN distance, and no
+//! comparison here can panic.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-/// Default shard count for [`ShardedLogSelIndex`].
-const SHARD_COUNT: usize = 8;
+/// Rows per block.
+pub const BLOCK_ROWS: usize = 64;
 
-/// Width (in log-selectivity units) of one router band: points are
-/// assigned to shards by `floor(Σi ln si / BAND_WIDTH) mod shards`, so
-/// nearby instances (small G·L) tend to land in the same shard.
-const BAND_WIDTH: f64 = 2.0;
-
-/// A point in log-selectivity space with its instance-list index.
-#[derive(Debug, Clone)]
-struct Point {
-    coords: Vec<f64>,
-    item: usize,
-}
-
-/// Insert buffer in flat stride-`dims` storage: cloning it (on the
-/// publication path, via shard copy-on-write) is three memcpys, never a
-/// per-point allocation.
-#[derive(Debug, Default, Clone)]
-struct FlatPending {
-    dims: usize,
-    coords: Vec<f64>,
-    items: Vec<usize>,
-}
-
-impl FlatPending {
-    fn new(dims: usize) -> Self {
-        FlatPending {
-            dims,
-            coords: Vec::new(),
-            items: Vec::new(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    fn push(&mut self, coords: &[f64], item: usize) {
-        self.coords.extend_from_slice(coords);
-        self.items.push(item);
-    }
-
-    fn coords_of(&self, i: usize) -> &[f64] {
-        &self.coords[i * self.dims..(i + 1) * self.dims]
-    }
-
-    /// Move every buffered point out (for rebuilds), clearing the buffer.
-    fn drain_into(&mut self, out: &mut Vec<Point>) {
-        if self.dims == 0 {
-            for &item in &self.items {
-                out.push(Point {
-                    coords: Vec::new(),
-                    item,
-                });
-            }
-        } else {
-            for (chunk, &item) in self.coords.chunks(self.dims).zip(&self.items) {
-                out.push(Point {
-                    coords: chunk.to_vec(),
-                    item,
-                });
-            }
-        }
-        self.coords.clear();
-        self.items.clear();
-    }
-}
-
-fn l1(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
-}
-
-/// Map a selectivity vector to (finite) log space.
+/// `ln s`, clamped finite.
 // Not `clamp`: `NaN.clamp(..)` is NaN, while `max` drops NaN
-// (NaN.max(x) == x) and `min` drops +∞, so every stored coordinate is
-// finite and distances are never NaN.
+// (NaN.max(x) == x) and `min` drops +∞, so every coordinate is finite and
+// distances are never NaN.
 #[allow(clippy::manual_clamp)]
-fn to_log_coords(selectivities: &[f64]) -> Vec<f64> {
-    selectivities
-        .iter()
-        .map(|&s| s.max(f64::MIN_POSITIVE).min(f64::MAX).ln())
-        .collect()
+fn ln_clamped(s: f64) -> f64 {
+    s.max(f64::MIN_POSITIVE).min(f64::MAX).ln()
 }
 
-/// Total order on points along `axis`: coordinate first (`total_cmp`),
-/// instance index as tie-break. Items are unique within an index, so this
-/// order has no ties — `select_nth_unstable_by` under it picks the exact
-/// element a full sort would place at the median, making arena builds
-/// structurally deterministic.
-fn cmp_on_axis(a: &Point, b: &Point, axis: usize) -> Ordering {
-    let ca = a.coords.get(axis).copied().unwrap_or(0.0);
-    let cb = b.coords.get(axis).copied().unwrap_or(0.0);
-    ca.total_cmp(&cb).then(a.item.cmp(&b.item))
-}
-
-/// One k-d node in postorder position: children (when present) precede the
-/// parent, the right subtree ends at `i - 1` and the left subtree ends at
-/// `i - 1 - right_len`. The root is the last node.
-#[derive(Debug, Clone, Copy)]
-struct KdNode {
-    axis: u32,
-    left_len: u32,
-    right_len: u32,
-}
-
-/// Flat postorder k-d tree arena. Coordinates live in one stride-`dims`
-/// buffer parallel to `nodes`/`items`.
-#[derive(Debug, Default, Clone)]
-struct KdArena {
-    dims: usize,
-    nodes: Vec<KdNode>,
-    coords: Vec<f64>,
-    items: Vec<usize>,
-}
-
-enum BuildTask {
-    /// Partition `points[lo..hi]` at `depth` and schedule its subtrees.
-    Build { lo: usize, hi: usize, depth: usize },
-    /// Append the (already partitioned) median at `at` to the arena.
-    Emit {
-        at: usize,
-        axis: u32,
-        left_len: u32,
-        right_len: u32,
-    },
-}
-
-impl KdArena {
-    fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Build a balanced arena from `points` without recursion: an explicit
-    /// task stack interleaves `Build` (median partition via
-    /// `select_nth_unstable_by`) and `Emit` (postorder append) steps.
-    fn build(dims: usize, mut points: Vec<Point>) -> KdArena {
-        let n = points.len();
-        let mut arena = KdArena {
-            dims,
-            nodes: Vec::with_capacity(n),
-            coords: Vec::with_capacity(n * dims),
-            items: Vec::with_capacity(n),
-        };
-        if n == 0 {
-            return arena;
-        }
-        let mut stack = vec![BuildTask::Build {
-            lo: 0,
-            hi: n,
-            depth: 0,
-        }];
-        while let Some(task) = stack.pop() {
-            match task {
-                BuildTask::Build { lo, hi, depth } => {
-                    if lo >= hi {
-                        continue;
-                    }
-                    let axis = if dims == 0 { 0 } else { depth % dims };
-                    let mid = (hi - lo) / 2;
-                    points[lo..hi].select_nth_unstable_by(mid, |a, b| cmp_on_axis(a, b, axis));
-                    let at = lo + mid;
-                    // LIFO order: left expands fully, then right, then the
-                    // parent's Emit — exactly postorder. The median at `at`
-                    // is outside both child ranges, so it survives their
-                    // partitions untouched until Emit reads it.
-                    stack.push(BuildTask::Emit {
-                        at,
-                        axis: axis as u32,
-                        left_len: mid as u32,
-                        right_len: (hi - at - 1) as u32,
-                    });
-                    stack.push(BuildTask::Build {
-                        lo: at + 1,
-                        hi,
-                        depth: depth + 1,
-                    });
-                    stack.push(BuildTask::Build {
-                        lo,
-                        hi: at,
-                        depth: depth + 1,
-                    });
-                }
-                BuildTask::Emit {
-                    at,
-                    axis,
-                    left_len,
-                    right_len,
-                } => {
-                    arena.coords.append(&mut points[at].coords);
-                    arena.items.push(points[at].item);
-                    arena.nodes.push(KdNode {
-                        axis,
-                        left_len,
-                        right_len,
-                    });
-                }
+/// Insert `(key, item)` into `top` — ascending by key, at most `k` long —
+/// *after* every entry whose key is not greater, dropping the last entry when
+/// that makes `k + 1`. Feeding items in list order thus yields exactly what a
+/// stable sort by key followed by `truncate(k)` would, and for distances fed
+/// in row order the canonical `(distance, row)` order.
+pub(crate) fn insert_bounded(top: &mut Vec<(f64, usize)>, k: usize, key: f64, item: usize) {
+    if top.len() == k {
+        match top.last() {
+            Some(last) if key.total_cmp(&last.0).is_lt() => {
+                top.pop();
             }
-        }
-        arena
-    }
-
-    fn root(&self) -> Option<usize> {
-        self.nodes.len().checked_sub(1)
-    }
-
-    fn left_of(&self, i: usize) -> Option<usize> {
-        let n = self.nodes[i];
-        (n.left_len > 0).then(|| i - 1 - n.right_len as usize)
-    }
-
-    fn right_of(&self, i: usize) -> Option<usize> {
-        (self.nodes[i].right_len > 0).then(|| i - 1)
-    }
-
-    fn coords_of(&self, i: usize) -> &[f64] {
-        &self.coords[i * self.dims..(i + 1) * self.dims]
-    }
-
-    /// Move every stored point back out (for rebuilds), clearing the arena.
-    fn drain_points(&mut self, out: &mut Vec<Point>) {
-        if self.dims == 0 {
-            for &item in &self.items {
-                out.push(Point {
-                    coords: Vec::new(),
-                    item,
-                });
-            }
-        } else {
-            for (chunk, &item) in self.coords.chunks(self.dims).zip(&self.items) {
-                out.push(Point {
-                    coords: chunk.to_vec(),
-                    item,
-                });
-            }
-        }
-        self.nodes.clear();
-        self.coords.clear();
-        self.items.clear();
-    }
-
-    /// Append every `(distance, item)` within `radius` of `q` (unsorted).
-    /// `stack` is caller-provided scratch (left empty on return) so one
-    /// query over many shards allocates one stack, not one per shard.
-    fn within_into(
-        &self,
-        q: &[f64],
-        radius: f64,
-        out: &mut Vec<(f64, usize)>,
-        stack: &mut Vec<usize>,
-    ) {
-        let Some(root) = self.root() else { return };
-        stack.push(root);
-        while let Some(i) = stack.pop() {
-            let c = self.coords_of(i);
-            let d = l1(c, q);
-            if d <= radius {
-                out.push((d, self.items[i]));
-            }
-            let axis = self.nodes[i].axis as usize;
-            let diff = q.get(axis).copied().unwrap_or(0.0) - c.get(axis).copied().unwrap_or(0.0);
-            let (near, far) = if diff <= 0.0 {
-                (self.left_of(i), self.right_of(i))
-            } else {
-                (self.right_of(i), self.left_of(i))
-            };
-            // The splitting plane's L1 contribution alone bounds the far side.
-            if diff.abs() <= radius {
-                if let Some(f) = far {
-                    stack.push(f);
-                }
-            }
-            if let Some(near) = near {
-                stack.push(near);
-            }
+            _ => return,
         }
     }
+    let at = top.partition_point(|e| e.0.total_cmp(&key).is_le());
+    top.insert(at, (key, item));
+}
 
-    /// Feed candidates into `best`, near side first, pruning far subtrees
-    /// whose splitting-plane bound already exceeds the current worst.
-    /// `stack` is caller-provided scratch (left empty on return).
-    fn nearest_into(&self, q: &[f64], best: &mut BoundedNearest, stack: &mut Vec<(f64, usize)>) {
-        let Some(root) = self.root() else { return };
-        // (plane-distance lower bound, node); a deferred far subtree is
-        // re-checked against the (possibly improved) worst when popped.
-        stack.push((0.0, root));
-        while let Some((bound, i)) = stack.pop() {
-            if bound > best.worst() {
-                continue;
-            }
-            let c = self.coords_of(i);
-            best.push(l1(c, q), self.items[i]);
-            let axis = self.nodes[i].axis as usize;
-            let diff = q.get(axis).copied().unwrap_or(0.0) - c.get(axis).copied().unwrap_or(0.0);
-            let (near, far) = if diff <= 0.0 {
-                (self.left_of(i), self.right_of(i))
-            } else {
-                (self.right_of(i), self.left_of(i))
-            };
-            if let Some(f) = far {
-                // `<=`: boundary ties must be visited so item-order
-                // tie-breaks stay canonical.
-                if diff.abs() <= best.worst() {
-                    stack.push((diff.abs(), f));
-                }
-            }
-            if let Some(near) = near {
-                stack.push((0.0, near));
+/// The `k` smallest of `dist` as `(distance, row)`, ascending, into `top`.
+fn select_nearest(dist: &[f64], k: usize, top: &mut Vec<(f64, usize)>) {
+    top.clear();
+    if k == 0 {
+        return;
+    }
+    // Distances are never NaN, so `<` against the current worst is the
+    // canonical order's "strictly before": a tie loses to the earlier row.
+    let mut worst = f64::INFINITY;
+    for (row, &d) in dist.iter().enumerate() {
+        if top.len() < k || d < worst {
+            insert_bounded(top, k, d, row);
+            if top.len() == k {
+                worst = top.last().map_or(f64::INFINITY, |e| e.0);
             }
         }
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct NearEntry {
-    dist: f64,
-    item: usize,
-}
-
-impl PartialEq for NearEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for NearEntry {}
-impl PartialOrd for NearEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for NearEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.dist
-            .total_cmp(&other.dist)
-            .then(self.item.cmp(&other.item))
+/// The cost-check list over the distances of one [`CoordBlocks::scan`]: the
+/// first `want` rows, nearest first, that are not `disabled`, looking no
+/// further than the `window` nearest rows. The selection starts with
+/// `k = want` and widens to `window` only when a disabled row sits among the
+/// `want` nearest — both are prefixes of the same `(distance, row)` order, so
+/// the result is exactly "the first `want` enabled of the `window` nearest".
+pub fn nearest_enabled(
+    dist: &[f64],
+    want: usize,
+    window: usize,
+    disabled: impl Fn(usize) -> bool,
+    top: &mut Vec<(f64, usize)>,
+) {
+    let want = want.min(window);
+    select_nearest(dist, want, top);
+    if top.iter().any(|&(_, row)| disabled(row)) {
+        select_nearest(dist, window, top);
+        top.retain(|&(_, row)| !disabled(row));
+        top.truncate(want);
     }
 }
 
-/// Bounded best-k collector: a real max-heap over `(distance, item)` (the
-/// heap top is the current worst), so each candidate costs O(log k) instead
-/// of the O(k log k) full re-sort the old sorted-`Vec` emulation paid per
-/// visited node.
-#[derive(Debug)]
-struct BoundedNearest {
-    k: usize,
-    heap: BinaryHeap<NearEntry>,
-}
-
-impl BoundedNearest {
-    fn new(k: usize) -> Self {
-        BoundedNearest {
-            k,
-            heap: BinaryHeap::with_capacity(k.saturating_add(1).min(1 << 20)),
-        }
-    }
-
-    /// Distance of the current k-th best (`∞` while underfull).
-    fn worst(&self) -> f64 {
-        if self.heap.len() < self.k {
-            f64::INFINITY
-        } else {
-            self.heap.peek().map_or(f64::INFINITY, |e| e.dist)
-        }
-    }
-
-    fn push(&mut self, dist: f64, item: usize) {
-        if self.k == 0 {
-            return;
-        }
-        let entry = NearEntry { dist, item };
-        if self.heap.len() < self.k {
-            self.heap.push(entry);
-        } else if let Some(top) = self.heap.peek() {
-            if entry < *top {
-                self.heap.pop();
-                self.heap.push(entry);
-            }
-        }
-    }
-
-    /// The collected candidates, ascending by `(distance, item)`.
-    fn into_sorted(self) -> Vec<(f64, usize)> {
-        self.heap
-            .into_sorted_vec()
-            .into_iter()
-            .map(|e| (e.dist, e.item))
-            .collect()
-    }
-}
-
-/// Arena-backed k-d index over log-selectivity vectors, mapping to
-/// instance-list indices. Unsharded: this is the reference oracle the
-/// sharded index must match byte-for-byte, and remains useful where a
-/// single self-contained index is wanted (benchmarks, tests).
-#[derive(Debug, Default, Clone)]
-pub struct LogSelIndex {
-    dims: usize,
-    arena: KdArena,
-    pending: FlatPending,
-}
-
-impl LogSelIndex {
-    /// Empty index over `dims`-dimensional selectivity vectors.
-    pub fn new(dims: usize) -> Self {
-        LogSelIndex {
-            dims,
-            arena: KdArena::default(),
-            pending: FlatPending::new(dims),
-        }
-    }
-
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.arena.len() + self.pending.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Map a selectivity vector to log space.
-    pub fn to_log(selectivities: &[f64]) -> Vec<f64> {
-        to_log_coords(selectivities)
-    }
-
-    /// Insert an instance-list index at the given selectivities.
-    pub fn insert(&mut self, selectivities: &[f64], item: usize) {
-        assert_eq!(selectivities.len(), self.dims, "dimension mismatch");
-        let coords = to_log_coords(selectivities);
-        self.pending.push(&coords, item);
-        if self.pending.len() > self.arena.len().max(16) {
-            self.rebuild();
-        }
-    }
-
-    /// Remove every point whose item index fails `keep`, remapping the
-    /// survivors with `remap` (the instance list compacts on plan drops).
-    pub fn retain_remap(&mut self, keep: impl Fn(usize) -> bool, remap: impl Fn(usize) -> usize) {
-        let mut points = Vec::with_capacity(self.len());
-        self.arena.drain_points(&mut points);
-        self.pending.drain_into(&mut points);
-        points.retain(|p| keep(p.item));
-        for p in &mut points {
-            p.item = remap(p.item);
-        }
-        self.arena = KdArena::build(self.dims, points);
-    }
-
-    fn rebuild(&mut self) {
-        let mut points = Vec::with_capacity(self.len());
-        self.arena.drain_points(&mut points);
-        self.pending.drain_into(&mut points);
-        self.arena = KdArena::build(self.dims, points);
-    }
-
-    /// All items within L1 distance `radius` of `query` (log-space), as
-    /// `(distance, item)` sorted ascending by `(distance, item)`.
-    pub fn within(&self, query: &[f64], radius: f64) -> Vec<(f64, usize)> {
-        let q = to_log_coords(query);
-        let mut out = Vec::new();
-        let mut stack = Vec::new();
-        self.arena.within_into(&q, radius, &mut out, &mut stack);
-        for i in 0..self.pending.len() {
-            let d = l1(self.pending.coords_of(i), &q);
-            if d <= radius {
-                out.push((d, self.pending.items[i]));
-            }
-        }
-        out.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        out
-    }
-
-    /// The `k` nearest items to `query` under L1 distance, ascending.
-    pub fn nearest(&self, query: &[f64], k: usize) -> Vec<(f64, usize)> {
-        if k == 0 || self.is_empty() {
-            return Vec::new();
-        }
-        let q = to_log_coords(query);
-        let mut best = BoundedNearest::new(k);
-        let mut stack = Vec::new();
-        self.arena.nearest_into(&q, &mut best, &mut stack);
-        for i in 0..self.pending.len() {
-            best.push(l1(self.pending.coords_of(i), &q), self.pending.items[i]);
-        }
-        best.into_sorted()
-    }
-}
-
-/// One shard: an arena + pending buffer over a log-selectivity subregion,
-/// plus the bounding box of every held point (for query-time pruning).
+/// Append-only store of the instance list's coordinates in log-selectivity
+/// space: row `i` is instance-list entry `i`. See the module docs.
 #[derive(Debug, Clone, Default)]
-struct IndexShard {
-    arena: KdArena,
-    pending: FlatPending,
-    /// Per-dimension bounds over arena + pending; `lo > hi` while empty.
-    lo: Vec<f64>,
-    hi: Vec<f64>,
-}
-
-impl IndexShard {
-    fn new(dims: usize) -> Self {
-        IndexShard {
-            arena: KdArena {
-                dims,
-                ..KdArena::default()
-            },
-            pending: FlatPending::new(dims),
-            lo: vec![f64::INFINITY; dims],
-            hi: vec![f64::NEG_INFINITY; dims],
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.arena.len() + self.pending.len()
-    }
-
-    /// Buffer a point; rebuild when the buffer outgrows the tree. Returns
-    /// the number of points rebuilt (0 when only buffered).
-    fn absorb(&mut self, coords: &[f64], item: usize) -> usize {
-        for (axis, &c) in coords.iter().enumerate() {
-            self.lo[axis] = self.lo[axis].min(c);
-            self.hi[axis] = self.hi[axis].max(c);
-        }
-        self.pending.push(coords, item);
-        if self.pending.len() > self.arena.len().max(16) {
-            self.rebuild()
-        } else {
-            0
-        }
-    }
-
-    fn rebuild(&mut self) -> usize {
-        let dims = self.arena.dims;
-        let mut points = Vec::with_capacity(self.len());
-        self.arena.drain_points(&mut points);
-        self.pending.drain_into(&mut points);
-        let n = points.len();
-        self.arena = KdArena::build(dims, points);
-        n
-    }
-
-    /// True iff `keep`/`remap` would leave every held item untouched —
-    /// checked read-only so clean shards keep their `Arc` identity.
-    fn untouched_by(&self, keep: &impl Fn(usize) -> bool, remap: &impl Fn(usize) -> usize) -> bool {
-        self.arena
-            .items
-            .iter()
-            .chain(self.pending.items.iter())
-            .all(|&it| keep(it) && remap(it) == it)
-    }
-
-    /// Apply `keep`/`remap` and rebuild; returns points rebuilt.
-    fn retain_remap(
-        &mut self,
-        keep: &impl Fn(usize) -> bool,
-        remap: &impl Fn(usize) -> usize,
-    ) -> usize {
-        let dims = self.arena.dims;
-        let mut points = Vec::with_capacity(self.len());
-        self.arena.drain_points(&mut points);
-        self.pending.drain_into(&mut points);
-        points.retain(|p| keep(p.item));
-        for p in &mut points {
-            p.item = remap(p.item);
-        }
-        let n = points.len();
-        self.recompute_bounds(&points);
-        self.arena = KdArena::build(dims, points);
-        n
-    }
-
-    fn recompute_bounds(&mut self, points: &[Point]) {
-        self.lo.fill(f64::INFINITY);
-        self.hi.fill(f64::NEG_INFINITY);
-        for p in points {
-            for (axis, &c) in p.coords.iter().enumerate() {
-                self.lo[axis] = self.lo[axis].min(c);
-                self.hi[axis] = self.hi[axis].max(c);
-            }
-        }
-    }
-
-    /// L1 lower bound from `q` to the shard's bounding box (`∞` if empty).
-    fn box_bound(&self, q: &[f64]) -> f64 {
-        if self.len() == 0 {
-            return f64::INFINITY;
-        }
-        let mut bound = 0.0;
-        for (axis, &qa) in q.iter().enumerate() {
-            if qa < self.lo[axis] {
-                bound += self.lo[axis] - qa;
-            } else if qa > self.hi[axis] {
-                bound += qa - self.hi[axis];
-            }
-        }
-        bound
-    }
-
-    fn within_into(
-        &self,
-        q: &[f64],
-        radius: f64,
-        out: &mut Vec<(f64, usize)>,
-        stack: &mut Vec<usize>,
-    ) {
-        self.arena.within_into(q, radius, out, stack);
-        for i in 0..self.pending.len() {
-            let d = l1(self.pending.coords_of(i), q);
-            if d <= radius {
-                out.push((d, self.pending.items[i]));
-            }
-        }
-    }
-
-    fn nearest_into(&self, q: &[f64], best: &mut BoundedNearest, stack: &mut Vec<(f64, usize)>) {
-        self.arena.nearest_into(q, best, stack);
-        for i in 0..self.pending.len() {
-            best.push(l1(self.pending.coords_of(i), q), self.pending.items[i]);
-        }
-    }
-}
-
-/// Sharded log-selectivity index: points are partitioned over subregions
-/// (bands of `Σi ln si`), each shard behind an `Arc`.
-///
-/// `Clone` — the snapshot-publication path — is O(shards) pointer bumps.
-/// Mutation goes through `Arc::make_mut`, deep-copying only a shard still
-/// shared with a published generation, so consecutive `CacheSnapshot`
-/// generations share every untouched shard (`Arc::ptr_eq`) and the
-/// writer's publish cost is O(n/shards) amortized instead of O(n).
-///
-/// Query results (including tie order) are byte-identical to the unsharded
-/// [`LogSelIndex`] — see the module docs for why the outputs are canonical
-/// in the point multiset.
-#[derive(Debug, Clone)]
-pub struct ShardedLogSelIndex {
+pub struct CoordBlocks {
     dims: usize,
-    shards: Vec<Arc<IndexShard>>,
     len: usize,
-    shard_rebuilds: u64,
-    points_rebuilt: u64,
+    /// `blocks[b][dim * BLOCK_ROWS + r]` is coordinate `dim` of row
+    /// `b * BLOCK_ROWS + r`; every block is allocated whole, rows past
+    /// `len` are zero and never read as results.
+    blocks: Vec<Arc<[f64]>>,
+    blocks_copied: u64,
+    rows_copied: u64,
 }
 
-impl ShardedLogSelIndex {
-    /// Empty index over `dims`-dimensional selectivity vectors with the
-    /// default shard count.
-    pub fn new(dims: usize) -> Self {
-        Self::with_shards(dims, SHARD_COUNT)
+impl CoordBlocks {
+    /// Empty store; the first row fixes the dimensionality.
+    pub fn new() -> Self {
+        CoordBlocks::default()
     }
 
-    /// Empty index with an explicit shard count (min 1).
-    pub fn with_shards(dims: usize, shards: usize) -> Self {
-        let n = shards.max(1);
-        ShardedLogSelIndex {
-            dims,
-            shards: (0..n).map(|_| Arc::new(IndexShard::new(dims))).collect(),
-            len: 0,
-            shard_rebuilds: 0,
-            points_rebuilt: 0,
-        }
-    }
-
-    /// Number of indexed points.
+    /// Number of rows.
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// Whether the index is empty.
+    /// Whether the store holds no row.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// Number of shards (fixed at construction).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// Cumulative `(blocks copied, rows copied)`: tail blocks copied on
+    /// write because a published generation still shared them, and blocks
+    /// rebuilt by [`CoordBlocks::retain`] — the writer's cost of keeping
+    /// published generations immutable, surfaced through `ScrStats`.
+    pub fn copy_stats(&self) -> (u64, u64) {
+        (self.blocks_copied, self.rows_copied)
     }
 
-    /// Cumulative `(shard rebuilds, points rebuilt)` over this index's
-    /// lifetime — the writer's incremental-maintenance cost, surfaced
-    /// through `ScrStats`.
-    pub fn rebuild_stats(&self) -> (u64, u64) {
-        (self.shard_rebuilds, self.points_rebuilt)
-    }
-
-    /// Per-shard storage identity tokens: two clones that share a shard's
-    /// storage report equal tokens at that position. Test hook for the
+    /// Per-block storage identity: two clones that share a block's storage
+    /// report equal tokens at that position. Test hook for the
     /// generation-sharing invariant.
     #[doc(hidden)]
-    pub fn shard_tokens(&self) -> Vec<usize> {
-        self.shards
+    pub fn block_tokens(&self) -> Vec<usize> {
+        self.blocks
             .iter()
-            .map(|s| Arc::as_ptr(s) as usize)
+            .map(|b| Arc::as_ptr(b) as *const f64 as usize)
             .collect()
     }
 
-    /// Map a selectivity vector to log space.
-    pub fn to_log(selectivities: &[f64]) -> Vec<f64> {
-        to_log_coords(selectivities)
-    }
-
-    /// Deterministic shard router: band of the coordinate sum, folded over
-    /// the shard count. A pure function of the coordinates, so an item's
-    /// shard never depends on insertion order or index history.
-    fn shard_of(&self, coords: &[f64]) -> usize {
-        if self.shards.len() == 1 {
-            return 0;
+    /// Append a row at the given selectivities; its index is the previous
+    /// [`CoordBlocks::len`].
+    ///
+    /// # Panics
+    /// Panics if the arity differs from the rows already stored.
+    pub fn push(&mut self, selectivities: &[f64]) {
+        if self.len == 0 {
+            self.dims = selectivities.len();
         }
-        let total: f64 = coords.iter().sum();
-        // Coordinates are finite (clamped in `to_log`), so the band fits
-        // comfortably in i64; a hostile NaN would saturate-cast to 0.
-        let band = (total / BAND_WIDTH).floor() as i64;
-        band.rem_euclid(self.shards.len() as i64) as usize
-    }
-
-    /// Insert an instance-list index at the given selectivities. Only the
-    /// owning shard is copied (if still shared with a snapshot) and
-    /// possibly rebuilt.
-    pub fn insert(&mut self, selectivities: &[f64], item: usize) {
         assert_eq!(selectivities.len(), self.dims, "dimension mismatch");
-        let coords = to_log_coords(selectivities);
-        let s = self.shard_of(&coords);
-        let shard = Arc::make_mut(&mut self.shards[s]);
-        let rebuilt = shard.absorb(&coords, item);
+        self.push_row(|dim| ln_clamped(selectivities[dim]));
+    }
+
+    fn push_row(&mut self, coord: impl Fn(usize) -> f64) {
+        let r = self.len % BLOCK_ROWS;
+        if r == 0 {
+            self.blocks.push(vec![0.0; self.dims * BLOCK_ROWS].into());
+        }
+        let tail = self.blocks.last_mut().expect("a tail block exists");
+        if Arc::get_mut(tail).is_none() {
+            self.blocks_copied += 1;
+            self.rows_copied += r as u64;
+        }
+        let block = Arc::make_mut(tail);
+        for dim in 0..self.dims {
+            block[dim * BLOCK_ROWS + r] = coord(dim);
+        }
         self.len += 1;
-        if rebuilt > 0 {
-            self.shard_rebuilds += 1;
-            self.points_rebuilt += rebuilt as u64;
-        }
     }
 
-    /// Remove every point whose item index fails `keep`, remapping the
-    /// survivors with `remap`. Shards whose items are all kept and
-    /// identity-mapped are left untouched (and keep their `Arc` identity);
-    /// only dirty shards are copied and rebuilt.
-    pub fn retain_remap(&mut self, keep: impl Fn(usize) -> bool, remap: impl Fn(usize) -> usize) {
-        self.len = 0;
-        for slot in &mut self.shards {
-            if slot.untouched_by(&keep, &remap) {
-                self.len += slot.len();
-                continue;
+    /// Drop every row `i` with `!keep(i)` and close the gaps (the instance
+    /// list compacts the same way when a plan is dropped). Blocks before
+    /// the first dropped row keep their storage; the rest are rebuilt from
+    /// the kept rows. Dropping nothing touches nothing.
+    pub fn retain(&mut self, keep: impl Fn(usize) -> bool) {
+        let Some(first) = (0..self.len).find(|&i| !keep(i)) else {
+            return;
+        };
+        let clean = first / BLOCK_ROWS;
+        let stale = self.blocks.split_off(clean);
+        let (start, end) = (clean * BLOCK_ROWS, self.len);
+        self.len = start;
+        for i in (start..end).filter(|&i| keep(i)) {
+            let from = &stale[(i - start) / BLOCK_ROWS];
+            self.push_row(|dim| from[dim * BLOCK_ROWS + i % BLOCK_ROWS]);
+        }
+        self.blocks_copied += (self.blocks.len() - clean) as u64;
+        self.rows_copied += (self.len - start) as u64;
+    }
+
+    /// The kernel: each block's distances from `q`, column by column, handed
+    /// to `visit` with the index of the block's first row. Rows are summed a
+    /// tile at a time so that a tile's accumulators stay in registers (eight
+    /// 2-lane registers on baseline x86-64) across the dimensions.
+    fn for_each_block(&self, q: &[f64], mut visit: impl FnMut(usize, &[f64])) {
+        const TILE: usize = 16;
+        let mut dist = [0.0f64; BLOCK_ROWS];
+        for (b, block) in self.blocks.iter().enumerate() {
+            for (t, out) in dist.chunks_exact_mut(TILE).enumerate() {
+                let mut acc = [0.0f64; TILE];
+                for (col, &qd) in block.chunks_exact(BLOCK_ROWS).zip(q) {
+                    for (a, &c) in acc.iter_mut().zip(&col[t * TILE..(t + 1) * TILE]) {
+                        *a += (c - qd).abs();
+                    }
+                }
+                out.copy_from_slice(&acc);
             }
-            let shard = Arc::make_mut(slot);
-            let n = shard.retain_remap(&keep, &remap);
-            self.shard_rebuilds += 1;
-            self.points_rebuilt += n as u64;
-            self.len += shard.len();
+            let base = b * BLOCK_ROWS;
+            visit(base, &dist[..(self.len - base).min(BLOCK_ROWS)]);
         }
     }
 
-    /// All items within L1 distance `radius` of `query` (log-space), as
-    /// `(distance, item)` sorted ascending by `(distance, item)`.
-    /// Byte-identical to [`LogSelIndex::within`] on the same points.
+    /// One pass for both of `getPlan`'s steps. Writes every row's L1
+    /// distance from `query` (mapped to log space into `q`) to `dist`, and
+    /// returns the minimum `(distance, row)` among the rows within `radius`
+    /// that `accept` — what walking the ball in ascending order and stopping
+    /// at the first accepted row would find, without materialising or
+    /// sorting the ball. `accept` is called only for rows that would become
+    /// the new minimum.
+    pub fn scan(
+        &self,
+        query: &[f64],
+        radius: f64,
+        q: &mut Vec<f64>,
+        dist: &mut Vec<f64>,
+        mut accept: impl FnMut(f64, usize) -> bool,
+    ) -> Option<(f64, usize)> {
+        q.clear();
+        q.extend(query.iter().map(|&s| ln_clamped(s)));
+        dist.clear();
+        let mut best: Option<(f64, usize)> = None;
+        if self.len > 0 {
+            assert_eq!(q.len(), self.dims, "dimension mismatch");
+        }
+        self.for_each_block(q, |base, rows| {
+            dist.extend_from_slice(rows);
+            // Rows come in index order, so only a strictly smaller
+            // distance displaces the best so far.
+            let limit = best.map_or(radius, |b| b.0);
+            if rows.iter().filter(|&&d| d <= limit).count() == 0 {
+                return;
+            }
+            for (r, &d) in rows.iter().enumerate() {
+                let closer = match best {
+                    Some((b, _)) => d < b,
+                    None => d <= radius,
+                };
+                if closer && accept(d, base + r) {
+                    best = Some((d, base + r));
+                }
+            }
+        });
+        best
+    }
+
+    /// Every row within L1 distance `radius` of `query`, as
+    /// `(distance, row)` ascending by `(distance, row)`.
     pub fn within(&self, query: &[f64], radius: f64) -> Vec<(f64, usize)> {
-        let q = to_log_coords(query);
-        let mut out = Vec::new();
-        let mut stack = Vec::new();
-        for shard in &self.shards {
-            if shard.box_bound(&q) <= radius {
-                shard.within_into(&q, radius, &mut out, &mut stack);
-            }
-        }
+        let (mut q, mut dist) = (Vec::new(), Vec::new());
+        self.scan(query, radius, &mut q, &mut dist, |_, _| false);
+        let mut out: Vec<(f64, usize)> = dist
+            .iter()
+            .enumerate()
+            .filter(|&(_, &d)| d <= radius)
+            .map(|(row, &d)| (d, row))
+            .collect();
         out.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         out
     }
 
-    /// The `k` nearest items to `query` under L1 distance, ascending.
-    /// Byte-identical to [`LogSelIndex::nearest`] on the same points.
+    /// The `k` rows nearest to `query`, as `(distance, row)` ascending by
+    /// `(distance, row)`.
     pub fn nearest(&self, query: &[f64], k: usize) -> Vec<(f64, usize)> {
-        if k == 0 || self.len == 0 {
-            return Vec::new();
-        }
-        let q = to_log_coords(query);
-        // Visit shards in ascending box-distance order; once the next
-        // shard's lower bound exceeds the current worst, no remaining
-        // shard can contribute (strict `>`: boundary ties still visited).
-        let mut order: Vec<(f64, usize)> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.box_bound(&q), i))
-            .collect();
-        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut best = BoundedNearest::new(k);
-        let mut stack = Vec::new();
-        for &(bound, i) in &order {
-            if bound > best.worst() {
-                break;
-            }
-            self.shards[i].nearest_into(&q, &mut best, &mut stack);
-        }
-        best.into_sorted()
+        let (mut q, mut dist, mut top) = (Vec::new(), Vec::new(), Vec::new());
+        self.scan(query, f64::NEG_INFINITY, &mut q, &mut dist, |_, _| false);
+        select_nearest(&dist, k, &mut top);
+        top
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pqo_rand::rngs::StdRng;
-    use pqo_rand::{Rng, SeedableRng};
 
-    fn brute_nearest(points: &[Vec<f64>], q: &[f64], k: usize) -> Vec<(f64, usize)> {
-        let ql = LogSelIndex::to_log(q);
-        let mut d: Vec<(f64, usize)> = points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (l1(&LogSelIndex::to_log(p), &ql), i))
-            .collect();
-        d.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        d.truncate(k);
-        d
-    }
-
-    #[test]
-    fn insert_and_count() {
-        let mut idx = LogSelIndex::new(2);
-        assert!(idx.is_empty());
-        for i in 0..100 {
-            idx.insert(&[0.01 + i as f64 * 0.009, 0.5], i);
+    fn store(points: &[[f64; 2]]) -> CoordBlocks {
+        let mut s = CoordBlocks::new();
+        for p in points {
+            s.push(p);
         }
-        assert_eq!(idx.len(), 100);
-        let mut sharded = ShardedLogSelIndex::new(2);
-        assert!(sharded.is_empty());
-        for i in 0..100 {
-            sharded.insert(&[0.01 + i as f64 * 0.009, 0.5], i);
-        }
-        assert_eq!(sharded.len(), 100);
+        s
     }
 
     #[test]
     fn within_radius_matches_gl_bound() {
         // within(q, ln λ) must return exactly the entries with G·L ≤ λ.
-        let mut idx = LogSelIndex::new(2);
         let points = [
             [0.1, 0.1],
             [0.12, 0.1],
@@ -897,12 +329,10 @@ mod tests {
             [0.1, 0.45],
             [0.105, 0.098],
         ];
-        for (i, p) in points.iter().enumerate() {
-            idx.insert(p, i);
-        }
+        let s = store(&points);
         let q = [0.1, 0.1];
         let lambda: f64 = 1.5;
-        let hits = idx.within(&q, lambda.ln());
+        let hits = s.within(&q, lambda.ln());
         let expect: Vec<usize> = points
             .iter()
             .enumerate()
@@ -916,10 +346,9 @@ mod tests {
             })
             .map(|(i, _)| i)
             .collect();
-        let got: Vec<usize> = hits.iter().map(|&(_, i)| i).collect();
-        let mut got_sorted = got.clone();
-        got_sorted.sort();
-        assert_eq!(got_sorted, expect);
+        let mut got: Vec<usize> = hits.iter().map(|&(_, i)| i).collect();
+        got.sort();
+        assert_eq!(got, expect);
         // Ascending distance = ascending G·L.
         for w in hits.windows(2) {
             assert!(w[0].0 <= w[1].0);
@@ -927,249 +356,75 @@ mod tests {
     }
 
     #[test]
-    fn nearest_returns_k_ascending() {
-        let mut idx = LogSelIndex::new(3);
-        let pts: Vec<Vec<f64>> = (0..50)
-            .map(|i| vec![0.01 * (i + 1) as f64, 0.3, 0.02 * (i + 1) as f64])
-            .collect();
-        for (i, p) in pts.iter().enumerate() {
-            idx.insert(p, i);
-        }
-        let got = idx.nearest(&[0.25, 0.3, 0.5], 5);
-        assert_eq!(got.len(), 5);
-        let want = brute_nearest(&pts, &[0.25, 0.3, 0.5], 5);
-        assert_eq!(got, want);
+    fn zero_k_and_empty_store() {
+        let empty = CoordBlocks::new();
+        assert!(empty.is_empty());
+        assert!(empty.nearest(&[0.1, 0.1], 3).is_empty());
+        assert!(empty.within(&[0.1, 0.1], 10.0).is_empty());
+        let one = store(&[[0.1, 0.1]]);
+        assert!(one.nearest(&[0.1, 0.1], 0).is_empty());
+        assert_eq!(one.nearest(&[0.1, 0.1], 3), vec![(0.0, 0)]);
     }
 
     #[test]
-    fn retain_remap_compacts_items() {
-        let mut idx = LogSelIndex::new(1);
-        let mut sharded = ShardedLogSelIndex::new(1);
-        for i in 0..10 {
-            idx.insert(&[0.05 * (i + 1) as f64], i);
-            sharded.insert(&[0.05 * (i + 1) as f64], i);
-        }
-        // Drop even items; odd item j becomes (j-1)/2.
-        idx.retain_remap(|i| i % 2 == 1, |i| (i - 1) / 2);
-        sharded.retain_remap(|i| i % 2 == 1, |i| (i - 1) / 2);
-        assert_eq!(idx.len(), 5);
-        assert_eq!(sharded.len(), 5);
-        let all = idx.nearest(&[0.5], 10);
-        let mut items: Vec<usize> = all.iter().map(|&(_, i)| i).collect();
-        items.sort();
-        assert_eq!(items, vec![0, 1, 2, 3, 4]);
-        assert_eq!(sharded.nearest(&[0.5], 10), all);
-    }
-
-    #[test]
-    fn zero_k_and_empty_index() {
-        let idx = LogSelIndex::new(2);
-        assert!(idx.nearest(&[0.1, 0.1], 3).is_empty());
-        let mut idx = LogSelIndex::new(2);
-        idx.insert(&[0.1, 0.1], 0);
-        assert!(idx.nearest(&[0.1, 0.1], 0).is_empty());
-        let sharded = ShardedLogSelIndex::new(2);
-        assert!(sharded.nearest(&[0.1, 0.1], 3).is_empty());
-        assert!(sharded.within(&[0.1, 0.1], 10.0).is_empty());
-    }
-
-    #[test]
-    fn pathological_selectivities_never_panic() {
-        // NaN/∞/0 selectivities degrade (clamped coords) but must not
-        // panic any query or rebuild path.
-        let mut idx = LogSelIndex::new(2);
-        let mut sharded = ShardedLogSelIndex::new(2);
-        let weird = [
-            [f64::NAN, 0.5],
-            [f64::INFINITY, 1e-300],
-            [0.0, f64::NAN],
-            [-1.0, f64::INFINITY],
-        ];
-        for round in 0..10 {
-            for (i, p) in weird.iter().enumerate() {
-                idx.insert(p, round * weird.len() + i);
-                sharded.insert(p, round * weird.len() + i);
+    fn bounded_insert_is_a_stable_sort_then_truncate() {
+        let keys = [3.0, 1.0, 2.0, 1.0, f64::NAN, 0.5, 2.0, -0.0, 0.0, 1.0];
+        for k in 0..=keys.len() {
+            let mut top = Vec::new();
+            for (i, &key) in keys.iter().enumerate() {
+                insert_bounded(&mut top, k, key, i);
             }
-        }
-        let q = [f64::NAN, f64::INFINITY];
-        assert_eq!(idx.nearest(&q, 7), sharded.nearest(&q, 7));
-        assert_eq!(idx.within(&q, 5.0), sharded.within(&q, 5.0));
-        idx.retain_remap(|i| i < 20, |i| i);
-        sharded.retain_remap(|i| i < 20, |i| i);
-        assert_eq!(idx.len(), 20);
-        assert_eq!(sharded.len(), 20);
-    }
-
-    fn random_points(rng: &mut StdRng, dims: usize, max_n: usize) -> Vec<Vec<f64>> {
-        let n = rng.gen_range(1..max_n);
-        (0..n)
-            .map(|_| (0..dims).map(|_| rng.gen_range(0.001..1.0)).collect())
-            .collect()
-    }
-
-    #[test]
-    fn nearest_matches_brute_force_randomized() {
-        let mut rng = StdRng::seed_from_u64(0x5eed_5917);
-        for _ in 0..256 {
-            let pts = random_points(&mut rng, 3, 120);
-            let q: Vec<f64> = (0..3).map(|_| rng.gen_range(0.001..1.0)).collect();
-            let k = rng.gen_range(1..8usize);
-            let mut idx = LogSelIndex::new(3);
-            for (i, p) in pts.iter().enumerate() {
-                idx.insert(p, i);
-            }
-            let got = idx.nearest(&q, k);
-            let want = brute_nearest(&pts, &q, k);
-            assert_eq!(got, want);
-        }
-    }
-
-    #[test]
-    fn within_matches_brute_force_randomized() {
-        let mut rng = StdRng::seed_from_u64(0x5eed_3417);
-        for _ in 0..256 {
-            let pts = random_points(&mut rng, 2, 120);
-            let q: Vec<f64> = (0..2).map(|_| rng.gen_range(0.001..1.0)).collect();
-            let radius = rng.gen_range(0.0..3.0);
-            let mut idx = LogSelIndex::new(2);
-            for (i, p) in pts.iter().enumerate() {
-                idx.insert(p, i);
-            }
-            let got: Vec<usize> = {
-                let mut v: Vec<usize> = idx.within(&q, radius).iter().map(|&(_, i)| i).collect();
-                v.sort();
-                v
+            let mut want: Vec<(f64, usize)> = keys.iter().copied().zip(0..).collect();
+            want.sort_by(|a, b| a.0.total_cmp(&b.0));
+            want.truncate(k);
+            let bits = |v: &[(f64, usize)]| -> Vec<(u64, usize)> {
+                v.iter().map(|&(d, i)| (d.to_bits(), i)).collect()
             };
-            let ql = LogSelIndex::to_log(&q);
-            let want: Vec<usize> = pts
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| l1(&LogSelIndex::to_log(p), &ql) <= radius)
-                .map(|(i, _)| i)
-                .collect();
-            assert_eq!(got, want);
-        }
-    }
-
-    /// Reference recursive builder with the same `(coord, item)` total
-    /// order but a full sort per level — `select_nth_unstable_by` must
-    /// produce a structurally identical arena (same postorder node,
-    /// coordinate, and item sequences).
-    fn reference_build(dims: usize, points: Vec<Point>) -> KdArena {
-        fn rec(mut points: Vec<Point>, depth: usize, dims: usize, arena: &mut KdArena) {
-            if points.is_empty() {
-                return;
-            }
-            let axis = if dims == 0 { 0 } else { depth % dims };
-            points.sort_by(|a, b| cmp_on_axis(a, b, axis));
-            let mid = points.len() / 2;
-            let right: Vec<Point> = points.split_off(mid + 1);
-            let mut median = points.pop().expect("mid element");
-            let left_len = points.len() as u32;
-            let right_len = right.len() as u32;
-            rec(points, depth + 1, dims, arena);
-            rec(right, depth + 1, dims, arena);
-            arena.coords.append(&mut median.coords);
-            arena.items.push(median.item);
-            arena.nodes.push(KdNode {
-                axis: axis as u32,
-                left_len,
-                right_len,
-            });
-        }
-        let mut arena = KdArena {
-            dims,
-            ..KdArena::default()
-        };
-        rec(points, 0, dims, &mut arena);
-        arena
-    }
-
-    #[test]
-    fn select_nth_build_structurally_identical_to_sorted_build() {
-        let mut rng = StdRng::seed_from_u64(0x5eed_a12e);
-        for _ in 0..64 {
-            let dims = rng.gen_range(1..4usize);
-            let pts = random_points(&mut rng, dims, 200);
-            // Duplicate some coordinates to exercise the item tie-break.
-            let points: Vec<Point> = pts
-                .iter()
-                .chain(pts.iter().take(pts.len() / 2))
-                .enumerate()
-                .map(|(i, p)| Point {
-                    coords: to_log_coords(p),
-                    item: i,
-                })
-                .collect();
-            let fast = KdArena::build(dims, points.clone());
-            let slow = reference_build(dims, points);
-            assert_eq!(fast.items, slow.items);
-            assert_eq!(
-                fast.coords.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
-                slow.coords.iter().map(|c| c.to_bits()).collect::<Vec<_>>()
-            );
-            let fast_nodes: Vec<(u32, u32, u32)> = fast
-                .nodes
-                .iter()
-                .map(|n| (n.axis, n.left_len, n.right_len))
-                .collect();
-            let slow_nodes: Vec<(u32, u32, u32)> = slow
-                .nodes
-                .iter()
-                .map(|n| (n.axis, n.left_len, n.right_len))
-                .collect();
-            assert_eq!(fast_nodes, slow_nodes);
+            assert_eq!(bits(&top), bits(&want), "k = {k}");
         }
     }
 
     #[test]
-    fn sharded_streams_bitwise_match_unsharded_oracle() {
-        let mut rng = StdRng::seed_from_u64(0x5eed_54a2);
-        for round in 0..64 {
-            let dims = rng.gen_range(1..5usize);
-            let shards = rng.gen_range(1..6usize);
-            let pts = random_points(&mut rng, dims, 250);
-            let mut oracle = LogSelIndex::new(dims);
-            let mut sharded = ShardedLogSelIndex::with_shards(dims, shards);
-            for (i, p) in pts.iter().enumerate() {
-                oracle.insert(p, i);
-                sharded.insert(p, i);
-            }
-            for _ in 0..8 {
-                let q: Vec<f64> = (0..dims).map(|_| rng.gen_range(0.001..1.0)).collect();
-                let k = rng.gen_range(1..10usize);
-                let radius = rng.gen_range(0.0..4.0);
-                let (a, b) = (oracle.nearest(&q, k), sharded.nearest(&q, k));
-                assert_eq!(bits(&a), bits(&b), "nearest diverged round {round}");
-                let (a, b) = (oracle.within(&q, radius), sharded.within(&q, radius));
-                assert_eq!(bits(&a), bits(&b), "within diverged round {round}");
-            }
+    fn clone_shares_blocks_until_the_tail_is_written() {
+        let mut writer = CoordBlocks::new();
+        for i in 0..150 {
+            writer.push(&[0.001 * (i + 1) as f64, 0.5, 0.25]);
         }
-    }
-
-    fn bits(v: &[(f64, usize)]) -> Vec<(u64, usize)> {
-        v.iter().map(|&(d, i)| (d.to_bits(), i)).collect()
-    }
-
-    #[test]
-    fn clone_shares_shards_until_touched() {
-        let mut writer = ShardedLogSelIndex::new(3);
-        let mut rng = StdRng::seed_from_u64(0x5eed_c0f7);
-        for i in 0..500 {
-            let p: Vec<f64> = (0..3).map(|_| rng.gen_range(0.001..1.0)).collect();
-            writer.insert(&p, i);
-        }
+        assert_eq!(
+            writer.copy_stats(),
+            (0, 0),
+            "nothing shared, nothing copied"
+        );
         let published = writer.clone();
-        assert_eq!(published.shard_tokens(), writer.shard_tokens());
-        // One more insert must replace exactly the owning shard.
-        let p: Vec<f64> = (0..3).map(|_| rng.gen_range(0.001..1.0)).collect();
-        writer.insert(&p, 500);
-        let before = published.shard_tokens();
-        let after = writer.shard_tokens();
-        let changed = before.iter().zip(&after).filter(|(a, b)| a != b).count();
-        assert_eq!(changed, 1, "exactly one shard may be copied per insert");
+        assert_eq!(published.block_tokens(), writer.block_tokens());
+        writer.push(&[0.9, 0.9, 0.9]);
+        let (before, after) = (published.block_tokens(), writer.block_tokens());
+        assert_eq!(before[..2], after[..2], "full blocks are never copied");
+        assert_ne!(before[2], after[2], "the shared tail is copied on write");
+        assert_eq!(writer.copy_stats(), (1, 150 - 128));
         // The published generation still answers from its own storage.
-        assert_eq!(published.len(), 500);
-        assert_eq!(writer.len(), 501);
+        assert_eq!((published.len(), writer.len()), (150, 151));
+        assert_eq!(published.nearest(&[0.9, 0.9, 0.9], 1)[0].1, 149);
+        assert_eq!(writer.nearest(&[0.9, 0.9, 0.9], 1), vec![(0.0, 150)]);
+    }
+
+    #[test]
+    fn retain_keeps_the_blocks_before_the_first_gap() {
+        let mut s = CoordBlocks::new();
+        for i in 0..200 {
+            s.push(&[0.004 * (i + 1) as f64]);
+        }
+        let before = s.block_tokens();
+        s.retain(|_| true);
+        assert_eq!(s.block_tokens(), before, "dropping nothing copies nothing");
+        s.retain(|i| i != 70 && i != 199);
+        assert_eq!(s.len(), 198);
+        let after = s.block_tokens();
+        assert_eq!(after[0], before[0]);
+        assert_ne!(after[1], before[1]);
+        assert_eq!(s.copy_stats(), (3, 198 - 64));
+        // Row 70 is gone: old row 71 answers at index 70.
+        let q = [0.004 * 72.0];
+        assert_eq!(s.nearest(&q, 1), vec![(0.0, 70)]);
     }
 }

@@ -42,6 +42,16 @@ pub enum PqoError {
         /// Human-readable reason.
         reason: String,
     },
+    /// A query instance that does not fit its template: the wrong number of
+    /// parameter values, or a value that is not finite. Instances arrive
+    /// from outside the program (the wire, an embedding engine), so serving
+    /// entry points check them before deriving selectivities.
+    InvalidInstance {
+        /// The template the instance was offered to.
+        template: String,
+        /// What is wrong with it.
+        reason: String,
+    },
     /// Loading or saving persisted cache state failed.
     Persist {
         /// Human-readable cause (I/O failure, bad header, corrupt section).
@@ -80,6 +90,9 @@ impl std::fmt::Display for PqoError {
             }
             PqoError::InvalidTemplate { name, reason } => {
                 write!(f, "invalid template `{name}`: {reason}")
+            }
+            PqoError::InvalidInstance { template, reason } => {
+                write!(f, "invalid instance of template `{template}`: {reason}")
             }
             PqoError::Persist { message } => write!(f, "persistence error: {message}"),
             PqoError::PolicyMismatch { expected, found } => write!(
@@ -140,6 +153,13 @@ mod tests {
                     reason: "disconnected join graph".into(),
                 },
                 "disconnected join graph",
+            ),
+            (
+                PqoError::InvalidInstance {
+                    template: "q7".into(),
+                    reason: "takes 2 parameters, got 3".into(),
+                },
+                "got 3",
             ),
             (
                 PqoError::Persist {

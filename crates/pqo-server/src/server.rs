@@ -545,44 +545,9 @@ fn pqo_error_frame(e: &PqoError) -> Response {
     }
 }
 
-/// Validate raw wire values against the registered template *before* the
-/// serving path (whose `compute_svector` asserts arity) can be reached.
-///
-/// The `Err` arm carries a full [`Response`] (whose largest variant is the
-/// 23-field STATS_OK payload) so it can be encoded directly; the frames are
-/// built once per request, so the size is irrelevant.
-#[allow(clippy::result_large_err)]
-fn validated_instance(
-    shared: &Shared,
-    template: &str,
-    values: Vec<f64>,
-) -> Result<QueryInstance, Response> {
-    let t = shared
-        .service
-        .template(template)
-        .map_err(|e| pqo_error_frame(&e))?;
-    if values.len() != t.dimensions() {
-        return Err(Response::Error {
-            code: code::MALFORMED,
-            message: format!(
-                "template `{template}` takes {} parameters, got {}",
-                t.dimensions(),
-                values.len()
-            ),
-        });
-    }
-    if let Some(bad) = values.iter().find(|v| !v.is_finite()) {
-        return Err(Response::Error {
-            code: code::MALFORMED,
-            message: format!("non-finite parameter value {bad}"),
-        });
-    }
-    Ok(QueryInstance::new(values))
-}
-
 #[allow(clippy::result_large_err)]
 fn serve_one(shared: &Shared, template: &str, values: Vec<f64>) -> Result<WireChoice, Response> {
-    let inst = validated_instance(shared, template, values)?;
+    let inst = QueryInstance::new(values);
     if let Some(rep) = &shared.replica {
         return replica_serve(shared, rep, template, inst);
     }
@@ -603,13 +568,12 @@ fn serve_batch(
     template: &str,
     instances: Vec<Vec<f64>>,
 ) -> Result<Vec<WireChoice>, Response> {
-    let insts = instances
-        .into_iter()
-        .map(|values| validated_instance(shared, template, values))
-        .collect::<Result<Vec<_>, _>>()?;
+    let insts: Vec<QueryInstance> = instances.into_iter().map(QueryInstance::new).collect();
     if let Some(rep) = &shared.replica {
         // A replica serves a batch as the sequential stream it is: each
-        // instance sees every earlier instance's applied generation.
+        // instance sees every earlier instance's applied generation — so
+        // an instance the service refuses ends the batch with an error
+        // frame after the ones before it were served.
         return insts
             .into_iter()
             .map(|inst| replica_serve(shared, rep, template, inst))
@@ -646,7 +610,7 @@ fn explain_one(
             message: format!("unknown dialect tag {dialect_tag} (0=postgres, 1=mysql, 2=duckdb)"),
         });
     };
-    let inst = validated_instance(shared, template, values)?;
+    let inst = QueryInstance::new(values);
     let t = shared
         .service
         .template(template)

@@ -149,9 +149,11 @@ pub mod code {
 }
 
 /// The stable error code for a [`PqoError`] variant. Every variant maps to
-/// its own code so clients can match on semantics without parsing messages;
-/// variants added after this protocol version fall back to
-/// [`code::INTERNAL`].
+/// its own code so clients can match on semantics without parsing messages
+/// — except [`PqoError::InvalidInstance`], which is what
+/// [`code::MALFORMED`] has always meant for a frame that parses but does
+/// not carry an instance of its template; variants added after this
+/// protocol version fall back to [`code::INTERNAL`].
 pub fn error_code(e: &PqoError) -> u16 {
     match e {
         PqoError::UnknownTemplate { .. } => code::UNKNOWN_TEMPLATE,
@@ -161,6 +163,9 @@ pub fn error_code(e: &PqoError) -> u16 {
         PqoError::InvalidTemplate { .. } => code::INVALID_TEMPLATE,
         PqoError::Persist { .. } => code::PERSIST,
         PqoError::PolicyMismatch { .. } => code::POLICY_MISMATCH,
+        // Wrong arity or a non-finite value: the frame parsed, but what it
+        // carries is not an instance of the template.
+        PqoError::InvalidInstance { .. } => code::MALFORMED,
         _ => code::INTERNAL,
     }
 }
@@ -326,9 +331,11 @@ wire_stats! {
     peak_queue_depth,
     /// Size of the server's worker pool.
     workers,
-    /// Spatial-index shard rebuilds performed by this template's writer.
+    /// Coordinate blocks this template's writer copied: tail blocks copied
+    /// on write, blocks rebuilt by a compaction (the field predates the
+    /// block store; its name and position are the v3 layout's).
     index_shard_rebuilds,
-    /// Total points re-inserted across those shard rebuilds.
+    /// Total rows copied with those blocks.
     index_points_rebuilt,
     /// Snapshot generations published by this template's writer.
     publishes,
@@ -1139,6 +1146,14 @@ mod tests {
                 },
                 23,
                 "POLICY_MISMATCH",
+            ),
+            (
+                PqoError::InvalidInstance {
+                    template: "x".into(),
+                    reason: "r".into(),
+                },
+                1,
+                "MALFORMED (invalid instance)",
             ),
         ];
         assert_eq!(code::PRIMARY_UNREACHABLE, 22);

@@ -49,11 +49,12 @@ cargo build --release --offline --workspace --all-targets
 echo "==> cargo test"
 cargo test -q --offline --workspace
 
-echo "==> spatial index oracle equivalence (sharded vs brute-force)"
-# The sharded-index refactor's core invariant, run as its own stage so a
-# divergence is named in CI output: within/nearest result streams must be
-# bitwise identical to a linear-scan oracle on every index path.
-cargo test -q --offline --test spatial_oracle
+echo "==> candidate search oracle + decision golden"
+# The decide path's two invariants, run (optimized, as served) as their own
+# stage so a divergence is named in CI output: every answer of the
+# coordinate block store is bitwise identical to a brute-force scan, and
+# the decision streams hash to tests/fixtures/decision_stream.golden.
+cargo test -q --offline --release --test spatial_oracle --test decision_golden
 
 echo "==> microbench smoke (quick mode, includes service/batch throughput)"
 # Running the harness=false bench binaries through `cargo test` omits the
@@ -242,6 +243,21 @@ echo "==> stack benchmark builds and passes its own tests (bench/)"
 # testing it here makes a change to that surface fail in CI first.
 CARGO_TARGET_DIR="$PWD/target" cargo build --release --offline --manifest-path bench/Cargo.toml
 CARGO_TARGET_DIR="$PWD/target" cargo test -q --offline --manifest-path bench/Cargo.toml
+
+echo "==> stack benchmark smoke (embedded_corpus, 4 s, output checks)"
+# A short run of the workload that leans on the decide path: every pass must
+# decide as the first did and as the sequential technique does. A decision
+# drift fails here before it fails in the pipeline.
+CARGO_TARGET_DIR="$PWD/target" bash bench/run.sh \
+    --workload embedded_corpus --seed 1 --seconds 4 --trace 0 > "$tmp/stackbench.out"
+result="$(tail -n 1 "$tmp/stackbench.out")"
+case "$result" in
+*'"correct": true,'*'"failed": 0,'*) ;;
+*)
+    echo "stack benchmark output checks failed: $result"
+    exit 1
+    ;;
+esac
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check

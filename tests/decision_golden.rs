@@ -206,28 +206,32 @@ fn jobs() -> Vec<Job> {
     jobs
 }
 
-/// Every job's hash, in job order, computed on two threads.
-fn hashes(jobs: &[Job]) -> Vec<u64> {
+/// `work(item)` for every item, in order, shared out over two threads.
+fn on_two_threads<T: Sync, R: Send>(items: &[T], work: impl Fn(&T) -> R + Sync) -> Vec<R> {
     let next = AtomicUsize::new(0);
-    let out = Mutex::new(vec![0u64; jobs.len()]);
+    let out = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         for _ in 0..2 {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(i) else { break };
-                let hash = job.run();
-                out.lock().expect("no worker panicked holding it")[i] = hash;
+                let Some(item) = items.get(i) else { break };
+                let result = work(item);
+                out.lock()
+                    .expect("no worker panics holding it")
+                    .push((i, result));
             });
         }
     });
-    out.into_inner().expect("workers joined")
+    let mut out = out.into_inner().expect("workers joined");
+    out.sort_by_key(|&(i, _)| i);
+    out.into_iter().map(|(_, result)| result).collect()
 }
 
 #[test]
 fn decision_streams_match_the_committed_golden() {
     let jobs = jobs();
     let mut actual = String::new();
-    for (job, hash) in jobs.iter().zip(hashes(&jobs)) {
+    for (job, hash) in jobs.iter().zip(on_two_threads(&jobs, Job::run)) {
         writeln!(actual, "{} {hash:016x}", job.label).unwrap();
     }
     let golden =
@@ -264,41 +268,31 @@ fn tie_holding_templates_decide_identically_in_every_service() {
         .into_iter()
         .flat_map(|id| [16u64, 105, 110].map(|seed| (spec(id), seed)))
         .collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..2 {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(s, seed)) = cases.get(i) else {
-                    break;
-                };
-                let instances = s.generate(s.default_len(), seed);
-                let stream = || -> Vec<(u64, bool)> {
-                    // A fresh service: its caches' `HashMap`s draw fresh
-                    // hasher keys.
-                    let service = PqoService::new();
-                    service
-                        .register(Arc::clone(&s.template), lambda(2.0))
-                        .expect("fresh name");
-                    instances
-                        .iter()
-                        .map(|q| {
-                            let c = service.get_plan(&s.id, q).expect("registered");
-                            (c.plan.fingerprint().0, c.optimized)
-                        })
-                        .collect()
-                };
-                let first = stream();
-                for service in 1..16 {
-                    let again = stream();
-                    let at = first.iter().zip(&again).position(|(a, b)| a != b);
-                    assert!(
-                        at.is_none(),
-                        "{} seed {seed}: service {service} diverged at decision {at:?}",
-                        s.id
-                    );
-                }
-            });
+    on_two_threads(&cases, |&(s, seed)| {
+        let instances = s.generate(s.default_len(), seed);
+        let stream = || -> Vec<(u64, bool)> {
+            // A fresh service: its caches' `HashMap`s draw fresh hasher keys.
+            let service = PqoService::new();
+            service
+                .register(Arc::clone(&s.template), lambda(2.0))
+                .expect("fresh name");
+            instances
+                .iter()
+                .map(|q| {
+                    let c = service.get_plan(&s.id, q).expect("registered");
+                    (c.plan.fingerprint().0, c.optimized)
+                })
+                .collect()
+        };
+        let first = stream();
+        for service in 1..16 {
+            let again = stream();
+            let at = first.iter().zip(&again).position(|(a, b)| a != b);
+            assert!(
+                at.is_none(),
+                "{} seed {seed}: service {service} diverged at decision {at:?}",
+                s.id
+            );
         }
     });
 }

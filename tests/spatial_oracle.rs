@@ -1,20 +1,39 @@
-//! Spatial-index oracle equivalence (the sharded-arena refactor's core
-//! invariant): the sharded, Arc-copy-on-write index and the unsharded
-//! arena index must both produce `within`/`nearest` result streams —
-//! values *and* tie order — bitwise identical to a brute-force linear
-//! scan, across random dimensions, radii, `k`, and eviction-compaction via
-//! `retain_remap`. SCR's candidate ordering (and therefore its decision
-//! stream) consumes only these streams, so bitwise identity here is what
-//! keeps decisions byte-identical on every index path.
+//! Candidate-search oracle equivalence: everything the coordinate block
+//! store answers — `within`, `nearest`, the fused scan behind `getPlan`'s
+//! selectivity check, the violation-aware cost-check list — must equal a
+//! brute-force linear scan that sorts every row, values *and* tie order,
+//! bit for bit: across block boundaries, dimensionalities, duplicated
+//! points, compaction, and selectivities no histogram should produce. SCR's
+//! decisions (and the `lec` / `penalty` neighbourhoods) consume only these
+//! answers, so bitwise identity here is what keeps the decision stream a
+//! function of the stored instances and nothing else.
 
-use pqo::core::spatial::{LogSelIndex, ShardedLogSelIndex};
+use std::sync::Arc;
+
+use pqo::core::cache::{InstanceEntry, PlanCache};
+use pqo::core::spatial::{nearest_enabled, CoordBlocks};
+use pqo::optimizer::plan::{Plan, PlanNode, PlanOp};
+use pqo::optimizer::svector::SVector;
 use pqo_rand::rngs::StdRng;
 use pqo_rand::{Rng, SeedableRng};
 
-/// The linear-scan oracle: distances computed exactly as the index does
-/// (same `to_log` clamp, same L1 fold), sorted by `(distance, item)`.
+/// The linear-scan oracle: its own clamp-and-`ln`, a scalar L1 fold per
+/// row, everything sorted by `(distance, item)`.
 struct BruteOracle {
-    points: Vec<(Vec<f64>, usize)>,
+    points: Vec<Vec<f64>>,
+}
+
+// Not `clamp`: that keeps a NaN, `max` then `min` drop it.
+#[allow(clippy::manual_clamp)]
+fn to_log(selectivities: &[f64]) -> Vec<f64> {
+    selectivities
+        .iter()
+        .map(|&s| s.max(f64::MIN_POSITIVE).min(f64::MAX).ln())
+        .collect()
+}
+
+fn l1(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
 }
 
 impl BruteOracle {
@@ -22,20 +41,26 @@ impl BruteOracle {
         BruteOracle { points: Vec::new() }
     }
 
-    fn insert(&mut self, selectivities: &[f64], item: usize) {
-        self.points.push((LogSelIndex::to_log(selectivities), item));
+    fn insert(&mut self, selectivities: &[f64]) {
+        self.points.push(to_log(selectivities));
     }
 
-    fn retain_remap(&mut self, keep: impl Fn(usize) -> bool, remap: impl Fn(usize) -> usize) {
-        self.points.retain(|(_, it)| keep(*it));
-        for (_, it) in &mut self.points {
-            *it = remap(*it);
-        }
+    fn retain(&mut self, keep: impl Fn(usize) -> bool) {
+        let mut i = 0;
+        self.points.retain(|_| {
+            i += 1;
+            keep(i - 1)
+        });
     }
 
     fn ranked(&self, query: &[f64]) -> Vec<(f64, usize)> {
-        let q = LogSelIndex::to_log(query);
-        let mut d: Vec<(f64, usize)> = self.points.iter().map(|(c, it)| (l1(c, &q), *it)).collect();
+        let q = to_log(query);
+        let mut d: Vec<(f64, usize)> = self
+            .points
+            .iter()
+            .enumerate()
+            .map(|(item, c)| (l1(c, &q), item))
+            .collect();
         d.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         d
     }
@@ -52,10 +77,33 @@ impl BruteOracle {
         r.truncate(k);
         r
     }
-}
 
-fn l1(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
+    /// What walking the ball in ascending order finds first.
+    fn first_accepted(
+        &self,
+        query: &[f64],
+        radius: f64,
+        accept: impl Fn(usize) -> bool,
+    ) -> Option<(f64, usize)> {
+        self.within(query, radius)
+            .into_iter()
+            .find(|&(_, item)| accept(item))
+    }
+
+    /// "The first `want` enabled of the `window` nearest."
+    fn nearest_enabled(
+        &self,
+        query: &[f64],
+        want: usize,
+        window: usize,
+        disabled: impl Fn(usize) -> bool,
+    ) -> Vec<(f64, usize)> {
+        self.nearest(query, window)
+            .into_iter()
+            .filter(|&(_, item)| !disabled(item))
+            .take(want)
+            .collect()
+    }
 }
 
 /// Bit-exact view of a result stream: distances compared by bit pattern,
@@ -64,82 +112,130 @@ fn bits(v: &[(f64, usize)]) -> Vec<(u64, usize)> {
     v.iter().map(|&(d, i)| (d.to_bits(), i)).collect()
 }
 
+/// Every answer of `store` at `query` against the oracle's.
+fn assert_same_answers(
+    store: &CoordBlocks,
+    oracle: &BruteOracle,
+    query: &[f64],
+    k: usize,
+    radius: f64,
+    at: &str,
+) {
+    assert_eq!(store.len(), oracle.points.len(), "{at}");
+    assert_eq!(
+        bits(&store.nearest(query, k)),
+        bits(&oracle.nearest(query, k)),
+        "nearest({k}) diverged ({at})"
+    );
+    assert_eq!(
+        bits(&store.within(query, radius)),
+        bits(&oracle.within(query, radius)),
+        "within({radius}) diverged ({at})"
+    );
+    // The fused scan: one distance per row in row order, and the first
+    // accepted row of the ball without sorting it.
+    let accept = |item: usize| item % 3 != 1;
+    let (mut q, mut dist) = (Vec::new(), Vec::new());
+    let hit = store.scan(query, radius, &mut q, &mut dist, |_, item| accept(item));
+    let mut by_row = oracle.ranked(query);
+    by_row.sort_by_key(|&(_, item)| item);
+    let scanned: Vec<(f64, usize)> = dist.iter().copied().zip(0..).collect();
+    assert_eq!(bits(&scanned), bits(&by_row), "distances diverged ({at})");
+    let want = oracle.first_accepted(query, radius, accept);
+    assert_eq!(
+        bits(hit.as_slice()),
+        bits(want.as_slice()),
+        "selectivity-check hit diverged ({at})"
+    );
+    // The cost-check list over the same distances.
+    let disabled = |item: usize| item % 4 == 2;
+    let mut top = Vec::new();
+    nearest_enabled(&dist, k, k.saturating_mul(4).max(16), disabled, &mut top);
+    assert_eq!(
+        bits(&top),
+        bits(&oracle.nearest_enabled(query, k, k.saturating_mul(4).max(16), disabled)),
+        "cost-check list diverged ({at})"
+    );
+}
+
+/// Clustered selectivities, so ties and near-ties get exercised.
+fn clustered(rng: &mut StdRng, dims: usize) -> Vec<f64> {
+    (0..dims)
+        .map(|_| {
+            let cluster = [0.01, 0.05, 0.2, 0.7][rng.gen_range(0..4usize)];
+            cluster * (1.0 + rng.gen_range(0.0..0.5))
+        })
+        .collect()
+}
+
 #[test]
-fn sharded_and_unsharded_match_linear_oracle_bitwise() {
+fn store_matches_linear_oracle_bitwise_through_appends_and_compactions() {
     let mut rng = StdRng::seed_from_u64(0x5eed_02ac ^ 0x7e57);
     for round in 0..48 {
         let dims = rng.gen_range(1..6usize);
-        let shards = rng.gen_range(1..9usize);
         let mut oracle = BruteOracle::new();
-        let mut flat = LogSelIndex::new(dims);
-        let mut sharded = ShardedLogSelIndex::with_shards(dims, shards);
-
-        let mut next_item = 0usize;
-        let ops = rng.gen_range(40..220usize);
+        let mut store = CoordBlocks::new();
+        let ops = rng.gen_range(40..420usize);
         for _ in 0..ops {
-            // Mostly inserts, occasionally an eviction-compaction.
-            if next_item > 4 && rng.gen_range(0..16u32) == 0 {
-                // Drop a random contiguous run of items and compact, the
-                // way `PlanCache::remove_instances_of` does.
-                let cut_lo = rng.gen_range(0..next_item);
-                let cut_hi = rng.gen_range(cut_lo..next_item.min(cut_lo + 9));
-                let keep = move |it: usize| it < cut_lo || it > cut_hi;
-                let remap = move |it: usize| {
-                    if it > cut_hi {
-                        it - (cut_hi - cut_lo + 1)
-                    } else {
-                        it
-                    }
-                };
-                oracle.retain_remap(keep, remap);
-                flat.retain_remap(keep, remap);
-                sharded.retain_remap(keep, remap);
-                next_item -= cut_hi - cut_lo + 1;
+            let n = store.len();
+            // Mostly appends, occasionally a compaction.
+            if n > 4 && rng.gen_range(0..16u32) == 0 {
+                // Drop a run of rows plus a scattering, the way dropping a
+                // plan drops its instance entries.
+                let cut_lo = rng.gen_range(0..n);
+                let cut_hi = rng.gen_range(cut_lo..n.min(cut_lo + 9));
+                let stride = rng.gen_range(5..40usize);
+                let keep = move |i: usize| (i < cut_lo || i > cut_hi) && i % stride != 3;
+                oracle.retain(keep);
+                store.retain(keep);
             } else {
-                // Clustered selectivities so shards and ties get exercised.
-                let sv: Vec<f64> = (0..dims)
-                    .map(|_| {
-                        let cluster = [0.01, 0.05, 0.2, 0.7][rng.gen_range(0..4usize)];
-                        cluster * (1.0 + rng.gen_range(0.0..0.5))
-                    })
-                    .collect();
-                oracle.insert(&sv, next_item);
-                flat.insert(&sv, next_item);
-                sharded.insert(&sv, next_item);
-                next_item += 1;
+                let sv = clustered(&mut rng, dims);
+                oracle.insert(&sv);
+                store.push(&sv);
             }
         }
-        assert_eq!(flat.len(), oracle.points.len(), "round {round}");
-        assert_eq!(sharded.len(), oracle.points.len(), "round {round}");
-
         for probe in 0..12 {
             let q: Vec<f64> = (0..dims).map(|_| rng.gen_range(0.001..1.0)).collect();
             let k = rng.gen_range(1..12usize);
             let radius = rng.gen_range(0.0..5.0);
+            let at = format!("round {round}, probe {probe}");
+            assert_same_answers(&store, &oracle, &q, k, radius, &at);
+        }
+    }
+}
 
-            let want_k = oracle.nearest(&q, k);
-            assert_eq!(
-                bits(&flat.nearest(&q, k)),
-                bits(&want_k),
-                "unsharded nearest diverged (round {round}, probe {probe})"
-            );
-            assert_eq!(
-                bits(&sharded.nearest(&q, k)),
-                bits(&want_k),
-                "sharded nearest diverged (round {round}, probe {probe})"
-            );
-
-            let want_w = oracle.within(&q, radius);
-            assert_eq!(
-                bits(&flat.within(&q, radius)),
-                bits(&want_w),
-                "unsharded within diverged (round {round}, probe {probe})"
-            );
-            assert_eq!(
-                bits(&sharded.within(&q, radius)),
-                bits(&want_w),
-                "sharded within diverged (round {round}, probe {probe})"
-            );
+#[test]
+fn block_boundaries_and_dimensionalities_match_linear_oracle() {
+    let mut rng = StdRng::seed_from_u64(0x5eed_b10c);
+    for dims in [1usize, 2, 10] {
+        for n in [0usize, 1, 63, 64, 65, 128, 129, 1000] {
+            let mut oracle = BruteOracle::new();
+            let mut store = CoordBlocks::new();
+            let mut points: Vec<Vec<f64>> = Vec::new();
+            for i in 0..n {
+                // Every third point duplicates an earlier one.
+                let sv = if i % 3 == 2 {
+                    points[rng.gen_range(0..i)].clone()
+                } else {
+                    clustered(&mut rng, dims)
+                };
+                oracle.insert(&sv);
+                store.push(&sv);
+                points.push(sv);
+            }
+            for probe in 0..6 {
+                // Half the probes sit exactly on a stored point.
+                let q = if probe % 2 == 0 && n > 0 {
+                    points[rng.gen_range(0..n)].clone()
+                } else {
+                    (0..dims).map(|_| rng.gen_range(0.001..1.0)).collect()
+                };
+                for k in [1usize, 8, 32, n + 5] {
+                    let radius = [0.0, 0.7, 3.0, 50.0][probe % 4];
+                    let at = format!("d {dims}, n {n}, probe {probe}");
+                    assert_same_answers(&store, &oracle, &q, k, radius, &at);
+                }
+            }
         }
     }
 }
@@ -147,22 +243,141 @@ fn sharded_and_unsharded_match_linear_oracle_bitwise() {
 #[test]
 fn duplicate_coordinates_keep_canonical_tie_order() {
     // Many points at identical coordinates: output order must be the
-    // item-ascending canonical order on every path.
-    let dims = 3;
+    // item-ascending canonical order, across block boundaries.
     let sv = [0.25, 0.25, 0.25];
     let mut oracle = BruteOracle::new();
-    let mut flat = LogSelIndex::new(dims);
-    let mut sharded = ShardedLogSelIndex::new(dims);
-    for item in 0..64 {
-        oracle.insert(&sv, item);
-        flat.insert(&sv, item);
-        sharded.insert(&sv, item);
+    let mut store = CoordBlocks::new();
+    for _ in 0..150 {
+        oracle.insert(&sv);
+        store.push(&sv);
     }
     let q = [0.3, 0.2, 0.25];
-    let want = oracle.nearest(&q, 10);
-    assert_eq!(bits(&flat.nearest(&q, 10)), bits(&want));
-    assert_eq!(bits(&sharded.nearest(&q, 10)), bits(&want));
-    let want = oracle.within(&q, 10.0);
-    assert_eq!(bits(&flat.within(&q, 10.0)), bits(&want));
-    assert_eq!(bits(&sharded.within(&q, 10.0)), bits(&want));
+    for k in [10, 64, 100] {
+        assert_same_answers(&store, &oracle, &q, k, 10.0, "all duplicates");
+    }
+    assert_eq!(
+        store
+            .nearest(&q, 70)
+            .iter()
+            .map(|e| e.1)
+            .collect::<Vec<_>>(),
+        (0..70).collect::<Vec<_>>()
+    );
+}
+
+#[test]
+fn cost_check_list_is_the_first_8_unmarked_of_the_32_nearest() {
+    let mut rng = StdRng::seed_from_u64(0x5eed_a9f6);
+    let dims = 4;
+    let mut oracle = BruteOracle::new();
+    let mut store = CoordBlocks::new();
+    for _ in 0..300 {
+        let sv = clustered(&mut rng, dims);
+        oracle.insert(&sv);
+        store.push(&sv);
+    }
+    for probe in 0..16 {
+        let q: Vec<f64> = (0..dims).map(|_| rng.gen_range(0.001..1.0)).collect();
+        let nearest32: Vec<usize> = oracle.nearest(&q, 32).iter().map(|e| e.1).collect();
+        for marked in [0usize, 3, 24, 32] {
+            // Mark the nearest `marked` neighbours, then the same number
+            // spread over the 32 nearest.
+            let front: Vec<usize> = nearest32[..marked].to_vec();
+            let spread: Vec<usize> = (0..marked).map(|i| nearest32[i * 32 / marked]).collect();
+            for marks in [front, spread] {
+                let disabled = |item: usize| marks.contains(&item);
+                let (mut qb, mut dist, mut top) = (Vec::new(), Vec::new(), Vec::new());
+                store.scan(&q, f64::NEG_INFINITY, &mut qb, &mut dist, |_, _| false);
+                nearest_enabled(&dist, 8, 32, disabled, &mut top);
+                let want = oracle.nearest_enabled(&q, 8, 32, disabled);
+                assert_eq!(bits(&top), bits(&want), "probe {probe}, {marked} marked");
+                assert_eq!(top.len(), 8.min(32 - marks.len()));
+            }
+        }
+    }
+}
+
+#[test]
+fn pathological_selectivities_never_panic() {
+    // NaN/∞/0/denormal/negative selectivities degrade (clamped
+    // coordinates) but must not panic any query or compaction, and must
+    // still match the oracle, which clamps alike.
+    let weird = [
+        [f64::NAN, 0.5],
+        [f64::INFINITY, 1e-300],
+        [0.0, f64::NAN],
+        [-1.0, f64::INFINITY],
+        [5e-324, f64::MIN_POSITIVE],
+        [-0.0, f64::NEG_INFINITY],
+        [1.0, 1e-310],
+    ];
+    let mut oracle = BruteOracle::new();
+    let mut store = CoordBlocks::new();
+    for _ in 0..20 {
+        for p in &weird {
+            oracle.insert(p);
+            store.push(p);
+        }
+    }
+    for q in &weird {
+        for radius in [0.0, 5.0, f64::INFINITY, f64::NAN] {
+            assert_same_answers(&store, &oracle, q, 7, radius, "weird");
+        }
+    }
+    oracle.retain(|i| i % 5 != 0);
+    store.retain(|i| i % 5 != 0);
+    assert_same_answers(
+        &store,
+        &oracle,
+        &[f64::NAN, f64::INFINITY],
+        40,
+        1e9,
+        "weird",
+    );
+}
+
+#[test]
+fn plan_cache_rows_follow_interleaved_plan_drops() {
+    // Through the owner: `PlanCache` compacts its coordinate rows with its
+    // instance list whenever a plan's entries leave, and every query then
+    // speaks in compacted instance indices.
+    let mut rng = StdRng::seed_from_u64(0x5eed_d209);
+    let plans: Vec<Arc<Plan>> = (0..5)
+        .map(|r| Arc::new(Plan::new(PlanNode::leaf(PlanOp::SeqScan { relation: r }))))
+        .collect();
+    let mut cache = PlanCache::new();
+    for p in &plans {
+        cache.insert_plan(Arc::clone(p));
+    }
+    let push = |cache: &mut PlanCache, rng: &mut StdRng, n: usize| {
+        for _ in 0..n {
+            let fp = plans[rng.gen_range(0..plans.len())].fingerprint();
+            if cache.contains_plan(fp) {
+                let sv = SVector(clustered(rng, 3));
+                cache.push_instance(InstanceEntry::new(sv, fp, 10.0, 1.0, 1));
+            }
+        }
+    };
+    push(&mut cache, &mut rng, 300);
+    for (round, victim) in [3usize, 0, 4].into_iter().enumerate() {
+        if round == 1 {
+            // Appendix F's probe: take a plan's entries out and put them
+            // back at the end.
+            for e in cache.take_instances_of(plans[1].fingerprint()) {
+                cache.push_instance_arc(e);
+            }
+        } else {
+            cache.drop_plan(plans[victim].fingerprint());
+        }
+        push(&mut cache, &mut rng, 70);
+        let mut oracle = BruteOracle::new();
+        for e in cache.instances() {
+            oracle.insert(&e.svector.0);
+        }
+        for probe in 0..8 {
+            let q: Vec<f64> = (0..3).map(|_| rng.gen_range(0.001..1.0)).collect();
+            let at = format!("round {round}, probe {probe}");
+            assert_same_answers(cache.coords(), &oracle, &q, 9, 1.5, &at);
+        }
+    }
 }
