@@ -12,12 +12,13 @@
 //! regenerates it (the failing test writes the new text beside the test
 //! binaries and prints where) and says so.
 
+mod common;
+
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use pqo::catalog::schemas;
+use common::{bigjoin_templates, fnv1a, FNV_OFFSET};
 use pqo::core::engine::QueryEngine;
 use pqo::core::scr::{CandidateOrder, DynamicLambda, Scr, ScrConfig};
 use pqo::core::{OnlinePqo, PolicyId, PqoService};
@@ -25,20 +26,16 @@ use pqo::optimizer::template::{QueryInstance, QueryTemplate};
 use pqo::workload::corpus::{corpus, TemplateSpec};
 use pqo::workload::regions;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// FNV-1a over one decision: the served plan's fingerprint (little-endian)
 /// and whether the optimizer was called.
 fn fold_decision(hash: &mut u64, fingerprint: u64, optimized: bool) {
-    for byte in fingerprint
-        .to_le_bytes()
-        .into_iter()
-        .chain([u8::from(optimized)])
-    {
-        *hash ^= u64::from(byte);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
+    fnv1a(
+        hash,
+        fingerprint
+            .to_le_bytes()
+            .into_iter()
+            .chain([u8::from(optimized)]),
+    );
 }
 
 /// One line of the golden: a stream served into a fresh `Scr`.
@@ -83,36 +80,6 @@ fn mix(seed: u64, stream: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// The `bench/templates/*.sql` files, compiled in place, sorted by name.
-fn bigjoin_templates() -> Vec<(String, Arc<QueryTemplate>)> {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("bench/templates");
-    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
-        .map(|entry| entry.expect("readable directory entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "sql"))
-        .collect();
-    files.sort();
-    let catalogs = [schemas::tpch_skew(), schemas::tpcds()];
-    files
-        .iter()
-        .map(|path| {
-            let id = path.file_stem().unwrap().to_string_lossy().into_owned();
-            let src = std::fs::read_to_string(path).unwrap();
-            let wanted = pqo::sql::directives(&src)
-                .unwrap_or_else(|e| panic!("{}: {}", path.display(), e.render(&src)))
-                .catalog
-                .unwrap_or_else(|| panic!("{}: no `-- pqo:catalog`", path.display()));
-            let catalog = catalogs
-                .iter()
-                .find(|c| c.name() == wanted)
-                .unwrap_or_else(|| panic!("{}: unknown catalog `{wanted}`", path.display()));
-            let compiled = pqo::sql::compile(&id, &src, catalog)
-                .unwrap_or_else(|e| panic!("{}: {}", path.display(), e.render(&src)));
-            (id, compiled.template)
-        })
-        .collect()
 }
 
 fn jobs() -> Vec<Job> {
@@ -234,28 +201,7 @@ fn decision_streams_match_the_committed_golden() {
     for (job, hash) in jobs.iter().zip(on_two_threads(&jobs, Job::run)) {
         writeln!(actual, "{} {hash:016x}", job.label).unwrap();
     }
-    let golden =
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/decision_stream.golden");
-    let wanted = std::fs::read_to_string(&golden).unwrap_or_default();
-    if actual != wanted {
-        let differing: Vec<&str> = actual
-            .lines()
-            .zip(wanted.lines().chain(std::iter::repeat("")))
-            .filter(|(a, w)| a != w)
-            .map(|(a, _)| a)
-            .collect();
-        let dump = Path::new(env!("CARGO_TARGET_TMPDIR")).join("decision_stream.actual");
-        std::fs::write(&dump, &actual).expect("write the actual streams");
-        panic!(
-            "{} of {} decision streams differ from {} (first: `{}`); the streams this build \
-             produces were written to {}",
-            differing.len(),
-            jobs.len(),
-            golden.display(),
-            differing.first().copied().unwrap_or("<line count>"),
-            dump.display(),
-        );
-    }
+    common::assert_matches_golden("decision_stream", &actual);
 }
 
 /// Decisions are a function of the request stream: the redundancy check once
