@@ -392,11 +392,16 @@ impl ScrStatCells {
 /// the instance list's size; callers without one fall back to a fresh
 /// scratch per call.
 ///
-/// A scratch is specific to one template and cost model (it caches
-/// per-relation base cardinalities); call [`GetPlanScratch::invalidate`]
-/// before reusing it against a different engine.
+/// The recost scratch memoizes one engine's per-relation base cardinalities
+/// (it compares only the sVector's arity and bits), so a scratch remembers
+/// the [`QueryEngine::id`] it last served and every entry point that takes
+/// one drops that state when handed a different engine: one scratch per
+/// thread can serve every template.
 #[derive(Debug, Default)]
 pub struct GetPlanScratch {
+    /// [`QueryEngine::id`] of the engine `recost` was last derived against;
+    /// 0 (no engine's id) when fresh.
+    engine_id: u64,
     q: Vec<f64>,
     dist: Vec<f64>,
     /// What [`CacheState::find_candidates`] leaves for the cost check:
@@ -412,11 +417,13 @@ impl GetPlanScratch {
         Self::default()
     }
 
-    /// Drop all memoized state so the scratch can serve a different
-    /// template or cost model.
-    pub fn invalidate(&mut self) {
-        self.recosted.clear();
-        self.recost.invalidate();
+    /// Make the scratch `engine`'s: whatever it memoized against another
+    /// engine (another template or cost model) is dropped.
+    fn bind(&mut self, engine: &QueryEngine) {
+        if self.engine_id != engine.id() {
+            self.engine_id = engine.id();
+            self.recost.invalidate();
+        }
     }
 }
 
@@ -552,8 +559,8 @@ impl CacheState {
     /// [`CacheState::try_cached_plan`] with a caller-owned
     /// [`GetPlanScratch`]: the cost check's memo table and recost base
     /// derivation survive across calls (and across snapshot generations —
-    /// the scratch depends only on the template and cost model, not the
-    /// cache contents), so the hit path allocates nothing. Dispatch is a
+    /// the scratch depends only on the engine, not the cache contents), so
+    /// the hit path allocates nothing. Dispatch is a
     /// static `match` on [`PolicyId`] (no `dyn` on the hot path).
     pub fn try_cached_plan_with(
         &self,
@@ -561,6 +568,7 @@ impl CacheState {
         engine: &QueryEngine,
         scratch: &mut GetPlanScratch,
     ) -> Option<PlanChoice> {
+        scratch.bind(engine);
         match self.config.policy {
             PolicyId::Scr => ScrPolicy::decide(self, sv, engine, scratch),
             PolicyId::Lec => LecPolicy::decide(self, sv, engine, scratch),
@@ -783,6 +791,7 @@ impl CacheState {
         engine: &QueryEngine,
         scratch: &mut GetPlanScratch,
     ) {
+        scratch.bind(engine);
         ScrStatCells::bump(&self.stats.optimizer_calls);
         self.log_cost_sum += opt.cost.max(f64::MIN_POSITIVE).ln();
         self.opt_count += 1;

@@ -47,6 +47,7 @@
 //! writer locks held (every structural change *and* its accounting happen
 //! under a writer lock, so the total is stable at that point).
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -66,15 +67,20 @@ use crate::snapshot::{CacheSnapshot, CacheWriter, SnapshotCell};
 use crate::PlanChoice;
 
 /// One registered template: its engine (shared, lock-free), the published
-/// snapshot generation (read path, lock-free in practice), the writer
-/// (cache maintenance, serialized by the mutex) and a shared
-/// [`GetPlanScratch`] so cost checks reuse one memo table and recost base
-/// derivation across calls instead of allocating per call.
+/// snapshot generation (read path, lock-free in practice) and the writer
+/// (cache maintenance, serialized by the mutex).
 struct Shard {
     engine: QueryEngine,
     published: SnapshotCell,
     writer: Mutex<CacheWriter>,
-    scratch: Mutex<GetPlanScratch>,
+}
+
+thread_local! {
+    /// The calling thread's decide scratch, shared by every shard of every
+    /// service the thread serves (it re-binds itself when the engine
+    /// changes): the cached path allocates nothing once it is warm, and no
+    /// caller waits for, or allocates around, another's.
+    static SCRATCH: RefCell<GetPlanScratch> = RefCell::default();
 }
 
 impl Shard {
@@ -105,15 +111,9 @@ impl Shard {
         Ok(self.engine.compute_svector(instance))
     }
 
-    /// The cached `getPlan` path against `snapshot`, borrowing the shard
-    /// scratch when it is free. Contended callers fall back to a fresh
-    /// scratch rather than wait — the scratch is an optimization, never a
-    /// serialization point.
+    /// The cached `getPlan` path against `snapshot`, in the thread's scratch.
     fn try_cached_plan(&self, snapshot: &CacheSnapshot, sv: &SVector) -> Option<PlanChoice> {
-        match self.scratch.try_lock() {
-            Ok(mut scratch) => snapshot.try_cached_plan_with(sv, &self.engine, &mut scratch),
-            Err(_) => snapshot.try_cached_plan(sv, &self.engine),
-        }
+        SCRATCH.with_borrow_mut(|scratch| snapshot.try_cached_plan_with(sv, &self.engine, scratch))
     }
 }
 
@@ -238,7 +238,6 @@ impl PqoService {
                 engine: QueryEngine::new(template),
                 published: SnapshotCell::new(first),
                 writer: Mutex::new(writer),
-                scratch: Mutex::new(GetPlanScratch::new()),
             }),
         );
         // Account while still holding the registry write lock so the debug

@@ -68,10 +68,8 @@ impl Default for CostModel {
     }
 }
 
-/// Clamped base-2 log used by the B-tree and sort terms. `pub(crate)` so the
-/// prepared-recost path can fold `log2c(table_rows) * cpu_btree_level` into a
-/// per-node constant with bit-identical arithmetic.
-pub(crate) fn log2c(n: f64) -> f64 {
+/// Clamped base-2 log used by the B-tree and sort terms.
+fn log2c(n: f64) -> f64 {
     n.max(2.0).log2()
 }
 
@@ -92,6 +90,36 @@ impl CostModel {
             + log2c(table_rows) * self.cpu_btree_level
             + fetch_rows
                 * (self.index_fetch_io + self.cpu_tuple + residual_preds as f64 * self.cpu_pred)
+    }
+
+    /// The two selectivity-independent groups of [`index_seek`](Self::index_seek),
+    /// `(konst, per_fetch)`: `index_seek(n, fetch, r) == konst + fetch * per_fetch`
+    /// bit for bit, which is what lets prepared Recost and the prepared
+    /// optimizer leave only `fetch` free.
+    pub(crate) fn index_seek_consts(&self, table_rows: f64, residual_preds: usize) -> (f64, f64) {
+        (
+            self.op_startup + log2c(table_rows) * self.cpu_btree_level,
+            self.index_fetch_io + self.cpu_tuple + residual_preds as f64 * self.cpu_pred,
+        )
+    }
+
+    /// The per-outer-row factor of [`index_nlj`](Self::index_nlj), fully
+    /// static: `index_nlj(o, n, l, r, out) == op_startup + o * per_outer +
+    /// out * cpu_tuple` bit for bit.
+    pub(crate) fn index_nlj_per_outer(
+        &self,
+        inner_table_rows: f64,
+        lookup_rows: f64,
+        residual_preds: usize,
+    ) -> f64 {
+        log2c(inner_table_rows) * self.cpu_btree_level
+            + lookup_rows
+                * (self.index_fetch_io + self.cpu_tuple + residual_preds as f64 * self.cpu_pred)
+    }
+
+    /// [`index_nlj`](Self::index_nlj) from its folded `per_outer` factor.
+    pub(crate) fn index_nlj_folded(&self, outer_rows: f64, per_outer: f64, out_rows: f64) -> f64 {
+        self.op_startup + outer_rows * per_outer + out_rows * self.cpu_tuple
     }
 
     /// Hash join: build on `build_rows`, probe with `probe_rows`, emit

@@ -12,8 +12,9 @@
 use std::collections::BTreeMap;
 
 use crate::cost::CostModel;
-use crate::optimizer;
+use crate::optimizer::PreparedOptimize;
 use crate::plan::PlanFingerprint;
+use crate::recost::BaseConsts;
 use crate::svector::SVector;
 use crate::template::QueryTemplate;
 
@@ -55,6 +56,8 @@ impl PlanDiagram {
         let grid: Vec<f64> = (0..resolution)
             .map(|i| lo * (hi / lo).powf(i as f64 / (resolution - 1) as f64))
             .collect();
+        let consts = BaseConsts::new(template);
+        let prepared = PreparedOptimize::new(template, model, &consts);
         let mut cells = Vec::with_capacity(resolution * resolution);
         let mut costs = Vec::with_capacity(resolution * resolution);
         for &s2 in &grid {
@@ -62,7 +65,7 @@ impl PlanDiagram {
                 let mut sels = vec![pin; d];
                 sels[0] = s1;
                 sels[1] = s2;
-                let r = optimizer::optimize(template, model, &SVector(sels));
+                let r = prepared.run(template, model, &consts, &SVector(sels));
                 cells.push(r.plan.fingerprint());
                 costs.push(r.cost);
             }

@@ -11,7 +11,8 @@
 //! overhead experiments (Sections 7.3, Table 3) report. It also interns
 //! plans by structural fingerprint so that repeated optimizations returning
 //! the same plan share one allocation — mirroring a real plan cache's
-//! handle semantics.
+//! handle semantics — and keeps what the optimizer call can reuse between
+//! calls: the template's search space, laid out by the first one.
 //!
 //! Every entry point takes `&self`: the counters are atomics and the intern
 //! table sits behind a `Mutex`, so a shared engine can serve concurrent
@@ -20,11 +21,11 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::cost::CostModel;
-use crate::optimizer::{self, OptimizeResult};
+use crate::optimizer::{OptimizeResult, PreparedOptimize};
 use crate::plan::{Plan, PlanFingerprint};
 use crate::recost::{self, BaseConsts, PreparedRecost, RecostScratch};
 use crate::svector::{self, SVector};
@@ -109,9 +110,14 @@ pub struct OptimizedPlan {
 /// be shared across serving threads without an outer lock.
 #[derive(Debug)]
 pub struct QueryEngine {
+    id: u64,
     template: Arc<QueryTemplate>,
     cost_model: CostModel,
     base_consts: BaseConsts,
+    /// The template's search space, laid out by the first optimizer call:
+    /// an engine that only ever re-costs (a replica's, a hit-only one) never
+    /// builds it.
+    prepared: OnceLock<Box<PreparedOptimize>>,
     optimize_stat: ApiCounter,
     recost_stat: ApiCounter,
     svector_stat: ApiCounter,
@@ -126,8 +132,13 @@ impl QueryEngine {
 
     /// Create an engine with a custom cost model.
     pub fn with_cost_model(template: Arc<QueryTemplate>, cost_model: CostModel) -> Self {
+        // `Relaxed`: the counter hands out distinct values and publishes
+        // nothing else. 0 is never handed out.
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
         QueryEngine {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             base_consts: BaseConsts::new(&template),
+            prepared: OnceLock::new(),
             template,
             cost_model,
             optimize_stat: ApiCounter::default(),
@@ -135,6 +146,15 @@ impl QueryEngine {
             svector_stat: ApiCounter::default(),
             interned: Mutex::new(HashMap::new()),
         }
+    }
+
+    /// A number no other engine of this process has or will have (never 0).
+    /// State memoized against an engine — a per-thread
+    /// `GetPlanScratch`'s base cardinalities — is keyed by it rather than
+    /// by the engine's address, which the allocator hands to the next engine
+    /// as soon as this one is dropped.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// The template this engine serves.
@@ -182,11 +202,22 @@ impl QueryEngine {
     /// The traditional optimizer call: optimal plan + cost for `sv`.
     pub fn optimize(&self, sv: &SVector) -> OptimizedPlan {
         let start = Instant::now();
-        let OptimizeResult { plan, cost, .. } =
-            optimizer::optimize(&self.template, &self.cost_model, sv);
+        let result = self.run_optimizer(sv);
         self.optimize_stat.record(start.elapsed());
-        let plan = self.intern(plan);
-        OptimizedPlan { plan, cost }
+        self.interned(result)
+    }
+
+    /// The one way into the optimizer: lay the search space out if this is
+    /// the engine's first call, then search it.
+    fn run_optimizer(&self, sv: &SVector) -> OptimizeResult {
+        let prepared = self.prepared.get_or_init(|| {
+            Box::new(PreparedOptimize::new(
+                &self.template,
+                &self.cost_model,
+                &self.base_consts,
+            ))
+        });
+        prepared.run(&self.template, &self.cost_model, &self.base_consts, sv)
     }
 
     /// API 2 (Section 4.2): re-cost a frozen plan at new selectivities.
@@ -214,7 +245,7 @@ impl QueryEngine {
     /// selectivity-independent quantity out of the per-call path. Done once
     /// when a plan enters a cache.
     pub fn prepare_recost(&self, plan: &Plan) -> PreparedRecost {
-        PreparedRecost::new(&self.template, &self.cost_model, plan)
+        PreparedRecost::new(&self.template, &self.cost_model, &self.base_consts, plan)
     }
 
     /// API 2, prepared form: re-cost a compiled plan at new selectivities
@@ -246,19 +277,17 @@ impl QueryEngine {
 
     /// Optimize without touching the counters (ground-truth oracle).
     pub fn optimize_untracked(&self, sv: &SVector) -> OptimizedPlan {
-        let OptimizeResult { plan, cost, .. } =
-            optimizer::optimize(&self.template, &self.cost_model, sv);
-        let plan = self.intern(plan);
-        OptimizedPlan { plan, cost }
+        self.interned(self.run_optimizer(sv))
     }
 
-    fn intern(&self, plan: Plan) -> Arc<Plan> {
+    fn interned(&self, OptimizeResult { plan, cost, .. }: OptimizeResult) -> OptimizedPlan {
         let mut interned = self.interned.lock().expect("plan intern table poisoned");
-        Arc::clone(
+        let plan = Arc::clone(
             interned
                 .entry(plan.fingerprint())
                 .or_insert_with(|| Arc::new(plan)),
-        )
+        );
+        OptimizedPlan { plan, cost }
     }
 }
 

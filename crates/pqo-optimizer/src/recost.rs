@@ -27,7 +27,7 @@
 //! uses, so `recost(P, q) == Cost(P, q)` holds *by construction* whenever
 //! `P` was produced for `q` — an invariant the integration tests rely on.
 
-use crate::cost::{log2c, CostModel};
+use crate::cost::CostModel;
 use crate::plan::{ArenaNode, Plan, PlanNode, PlanOp};
 use crate::svector::SVector;
 use crate::template::QueryTemplate;
@@ -184,6 +184,27 @@ pub fn recost(template: &QueryTemplate, model: &CostModel, plan: &Plan, sv: &SVe
     let base = BaseDerivation::new(template, sv);
     let mut stack: Vec<(f64, f64)> = Vec::with_capacity(plan.size());
     recost_arena(template, model, &base, sv, plan.nodes(), &mut stack)
+}
+
+/// [`recost`] over the base derivation `scratch` already holds for `sv`
+/// ([`BaseConsts::derive_fresh`]) and its value stack: the same pass and the
+/// same bits, without the per-call vectors. The optimizer prices its winner
+/// with this.
+pub(crate) fn recost_derived(
+    template: &QueryTemplate,
+    model: &CostModel,
+    plan: &Plan,
+    sv: &SVector,
+    scratch: &mut RecostScratch,
+) -> f64 {
+    recost_arena(
+        template,
+        model,
+        &scratch.base,
+        sv,
+        plan.nodes(),
+        &mut scratch.stack,
+    )
 }
 
 /// Legacy reference: cost of a boxed plan tree at `sv`, via the recursive
@@ -349,6 +370,11 @@ impl BaseConsts {
         self.dim_rel.len()
     }
 
+    /// Per relation: number of (param + fixed) predicates.
+    pub(crate) fn pred_count(&self) -> &[usize] {
+        &self.pred_count
+    }
+
     /// Re-derive relation `r` of `base` from scratch. Reproduces the exact
     /// per-relation multiplication sequence of [`BaseDerivation::new`]
     /// (param selectivities in ascending dimension order, then fixed
@@ -407,6 +433,19 @@ impl BaseConsts {
         scratch
             .sv_key
             .extend((0..sv.len()).map(|i| sv.get(i).to_bits()));
+    }
+
+    /// The full derivation for `sv` into `scratch`, whatever it last held
+    /// (it may have served another template of this arity); returns its
+    /// `base_rows`.
+    pub(crate) fn derive_fresh<'a>(
+        &self,
+        sv: &SVector,
+        scratch: &'a mut RecostScratch,
+    ) -> &'a [f64] {
+        scratch.invalidate();
+        self.update_scratch(sv, scratch);
+        &scratch.base.base_rows
     }
 }
 
@@ -493,17 +532,14 @@ pub struct PreparedRecost {
 }
 
 impl PreparedRecost {
-    /// Compile `plan` against `template` and `model`.
-    pub fn new(template: &QueryTemplate, model: &CostModel, plan: &Plan) -> Self {
-        // Static predicate counts, identical to `BaseDerivation::pred_count`.
-        let n = template.num_relations();
-        let mut pred_count = vec![0usize; n];
-        for p in &template.param_preds {
-            pred_count[p.relation] += 1;
-        }
-        for p in &template.fixed_preds {
-            pred_count[p.relation] += 1;
-        }
+    /// Compile `plan` against `template`, its `consts` and `model`.
+    pub fn new(
+        template: &QueryTemplate,
+        model: &CostModel,
+        consts: &BaseConsts,
+        plan: &Plan,
+    ) -> Self {
+        let pred_count = consts.pred_count();
         let edge_sel = |edges: &[usize]| -> f64 {
             edges
                 .iter()
@@ -533,12 +569,7 @@ impl PreparedRecost {
                     let t = &template.relations[*relation].table;
                     let table_rows = t.row_count as f64;
                     let residual = pred_count[*relation].saturating_sub(1);
-                    // `index_seek` is `(op_startup + log2c(n)·btree) +
-                    // fetch · ((io + tuple) + residual·pred)`; fold both
-                    // parenthesised groups, leaving `fetch` free.
-                    let konst = model.op_startup + log2c(table_rows) * model.cpu_btree_level;
-                    let per_fetch =
-                        model.index_fetch_io + model.cpu_tuple + residual as f64 * model.cpu_pred;
+                    let (konst, per_fetch) = model.index_seek_consts(table_rows, residual);
                     PreparedNode::IndexSeek {
                         rel: *relation as u32,
                         dim: *seek_pred as u32,
@@ -574,13 +605,7 @@ impl PreparedRecost {
                     let n_inner = t.row_count as f64;
                     let lookup = n_inner * template.join_edges[*seek_edge].selectivity;
                     let residual = pred_count[*inner] + edges.len().saturating_sub(1);
-                    // `index_nlj`'s per-outer factor is fully static:
-                    // `log2c(n)·btree + lookup · ((io + tuple) + res·pred)`.
-                    let per_outer = log2c(n_inner) * model.cpu_btree_level
-                        + lookup
-                            * (model.index_fetch_io
-                                + model.cpu_tuple
-                                + residual as f64 * model.cpu_pred);
+                    let per_outer = model.index_nlj_per_outer(n_inner, lookup, residual);
                     PreparedNode::IndexNlj {
                         inner: *inner as u32,
                         edge_sel: edge_sel(edges),
@@ -665,8 +690,7 @@ pub fn recost_prepared(
             } => {
                 let (or, oc) = stack.pop().expect("prepared stack underflow");
                 let out = or * base.base_rows[*inner as usize] * edge_sel;
-                let cost = model.op_startup + or * per_outer + out * model.cpu_tuple;
-                (out, oc + cost)
+                (out, oc + model.index_nlj_folded(or, *per_outer, out))
             }
             PreparedNode::HashAggregate { groups } => {
                 let (ir, ic) = stack.pop().expect("prepared stack underflow");
@@ -908,7 +932,7 @@ mod tests {
         let consts = BaseConsts::new(&t);
         let mut scratch = RecostScratch::new();
         for plan in fixture_plans() {
-            let prepared = PreparedRecost::new(&t, &model, &plan);
+            let prepared = PreparedRecost::new(&t, &model, &consts, &plan);
             assert_eq!(prepared.len(), plan.size());
             // Walk a sequence of sVectors that exercises full derivation,
             // single-dimension deltas, and exact repeats — one shared
@@ -936,8 +960,8 @@ mod tests {
         let model = CostModel::default();
         let mut scratch = RecostScratch::new();
         let plan2 = &fixture_plans()[0];
-        let prepared2 = PreparedRecost::new(&t2, &model, plan2);
         let c2 = BaseConsts::new(&t2);
+        let prepared2 = PreparedRecost::new(&t2, &model, &c2, plan2);
         let sv2 = sv_for(&t2, &[0.4, 0.4]);
         let a = recost_prepared(&c2, &model, &prepared2, &sv2, &mut scratch);
         // Different template, different arity: scratch re-derives fully.
@@ -961,7 +985,7 @@ mod tests {
                 PlanNode::leaf(PlanOp::SeqScan { relation: 2 }),
             ],
         ));
-        let prepared3 = PreparedRecost::new(&t3, &model, &plan3);
+        let prepared3 = PreparedRecost::new(&t3, &model, &c3, &plan3);
         let sv3 = sv_for(&t3, &[0.2, 0.5, 0.8]);
         scratch.invalidate();
         let b = recost_prepared(&c3, &model, &prepared3, &sv3, &mut scratch);
