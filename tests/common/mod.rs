@@ -1,14 +1,18 @@
-//! What the two committed goldens (`decision_golden.rs`,
-//! `optimizer_golden.rs`) share: the FNV-1a fold, the `bench/templates`
-//! joins compiled in place, and the comparison against a fixture that has no
-//! bless switch — a mismatch writes the text this build produces beside the
-//! test binaries and says where.
+//! What the committed goldens (`decision_golden.rs`, `optimizer_golden.rs`,
+//! `publication_golden.rs`) share: the FNV-1a fold, the `bench/templates`
+//! joins compiled in place, the stream seeds and configurations, the
+//! two-thread driver, and the comparison against a fixture that has no bless
+//! switch — a mismatch writes the text this build produces beside the test
+//! binaries and says where.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use pqo::catalog::schemas;
+use pqo::core::scr::ScrConfig;
 use pqo::optimizer::template::QueryTemplate;
+use pqo::workload::corpus::{corpus, TemplateSpec};
 
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -19,6 +23,51 @@ pub fn fnv1a(hash: &mut u64, bytes: impl IntoIterator<Item = u8>) {
         *hash ^= u64::from(byte);
         *hash = hash.wrapping_mul(FNV_PRIME);
     }
+}
+
+/// The corpus template named `id`.
+pub fn spec(id: &str) -> &'static TemplateSpec {
+    corpus()
+        .iter()
+        .find(|s| s.id == id)
+        .unwrap_or_else(|| panic!("corpus has no template `{id}`"))
+}
+
+/// The paper's default configuration at λ = `l`.
+pub fn lambda(l: f64) -> ScrConfig {
+    ScrConfig::new(l).expect("valid λ")
+}
+
+/// SplitMix64 step, as `bench/src/inputs.rs` derives the per-template seeds
+/// of the `embedded_bigjoin` streams.
+pub fn mix(seed: u64, stream: u64) -> u64 {
+    let mut z = seed
+        .wrapping_add(stream.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        .wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// `work(item)` for every item, in order, shared out over two threads.
+pub fn on_two_threads<T: Sync, R: Send>(items: &[T], work: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let next = AtomicUsize::new(0);
+    let out = Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                let result = work(item);
+                out.lock()
+                    .expect("no worker panics holding it")
+                    .push((i, result));
+            });
+        }
+    });
+    let mut out = out.into_inner().expect("workers joined");
+    out.sort_by_key(|&(i, _)| i);
+    out.into_iter().map(|(_, result)| result).collect()
 }
 
 /// The `bench/templates/*.sql` files, compiled in place, sorted by name.

@@ -15,10 +15,9 @@
 mod common;
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use common::{bigjoin_templates, fnv1a, FNV_OFFSET};
+use common::{bigjoin_templates, fnv1a, lambda, mix, on_two_threads, spec, FNV_OFFSET};
 use pqo::core::engine::QueryEngine;
 use pqo::core::scr::{CandidateOrder, DynamicLambda, Scr, ScrConfig};
 use pqo::core::{OnlinePqo, PolicyId, PqoService};
@@ -58,28 +57,6 @@ impl Job {
         }
         hash
     }
-}
-
-fn spec(id: &str) -> &'static TemplateSpec {
-    corpus()
-        .iter()
-        .find(|s| s.id == id)
-        .unwrap_or_else(|| panic!("corpus has no template `{id}`"))
-}
-
-fn lambda(l: f64) -> ScrConfig {
-    ScrConfig::new(l).expect("valid λ")
-}
-
-/// SplitMix64 step, as `bench/src/inputs.rs` derives the per-template seeds
-/// of the `embedded_bigjoin` streams.
-fn mix(seed: u64, stream: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(stream.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 fn jobs() -> Vec<Job> {
@@ -171,27 +148,6 @@ fn jobs() -> Vec<Job> {
         }
     }
     jobs
-}
-
-/// `work(item)` for every item, in order, shared out over two threads.
-fn on_two_threads<T: Sync, R: Send>(items: &[T], work: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let next = AtomicUsize::new(0);
-    let out = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..2 {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let result = work(item);
-                out.lock()
-                    .expect("no worker panics holding it")
-                    .push((i, result));
-            });
-        }
-    });
-    let mut out = out.into_inner().expect("workers joined");
-    out.sort_by_key(|&(i, _)| i);
-    out.into_iter().map(|(_, result)| result).collect()
 }
 
 #[test]

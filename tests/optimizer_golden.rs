@@ -9,6 +9,8 @@
 //! of the `bench/templates` joins — against
 //! `tests/fixtures/optimizer_plans.golden`.
 
+// The other goldens' helpers come with it.
+#[allow(dead_code)]
 mod common;
 
 use std::fmt::Write as _;
