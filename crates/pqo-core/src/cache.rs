@@ -12,8 +12,28 @@
 //! * `U` — running count of instances served through this entry.
 //!
 //! Many instance entries typically point to the same stored plan.
+//!
+//! # What a clone shares and what it copies
+//!
+//! A cache is cloned once per publication ([`crate::snapshot`]), so the
+//! structure is persistent: a clone costs O(blocks), a mutation O(what
+//! changed).
+//!
+//! * The **instance list** is the row payload of one
+//!   [`CoordBlocks`] store — each `Arc`-shared block of 64 rows holds the
+//!   rows' ln-selectivity columns and their `Arc<InstanceEntry>`s. A clone
+//!   copies one pointer per block; an append copies at most the tail block
+//!   (`Arc::make_mut`); dropping a plan rebuilds the blocks behind the first
+//!   dropped row. There is no second per-instance array.
+//! * The **plan list** is a fingerprint-ordered `Vec` behind one `Arc`. A
+//!   clone is one pointer bump; only a change of membership
+//!   ([`PlanCache::insert_plan`] of a new plan, [`PlanCache::drop_plan`],
+//!   [`PlanCache::remove_plan_only`]) copies the `Vec`. Everything that
+//!   walks the plans — decisions, persistence, replication — walks them in
+//!   fingerprint order.
+//! * **Entries** themselves are never copied: the interior-mutable counters
+//!   (`U`, the violation flag) keep one identity across every generation.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -22,7 +42,7 @@ use pqo_optimizer::plan::{Plan, PlanFingerprint};
 use pqo_optimizer::recost::PreparedRecost;
 use pqo_optimizer::svector::SVector;
 
-use crate::spatial::CoordBlocks;
+use crate::spatial::{CoordBlocks, Rows};
 
 /// One entry of the instance list — the paper's 5-tuple.
 ///
@@ -184,25 +204,22 @@ pub struct MemoryBreakdown {
     pub plan_list_compact_bytes: usize,
 }
 
-/// The plan cache: plan list + instance list, with the instances'
-/// log-selectivity coordinates (Section 6.2) in a [`CoordBlocks`] store kept
-/// row-for-row in step with the instance list.
+/// The plan cache: plan list + instance list. See the module docs for what
+/// a `Clone` (one per published [`crate::snapshot::CacheSnapshot`]) shares.
 ///
-/// Instance entries are `Arc`-shared: a `Clone` of the cache (how
-/// [`crate::snapshot::CacheSnapshot`]s are published) copies the plan map
-/// and the entry *pointers*, so the interior-mutable counters (`U`, the
-/// violation flag) keep a single identity across every published snapshot —
-/// a reader bumping usage through an old snapshot is still visible to the
-/// writer's LFU policy. The coordinate blocks are `Arc`-shared too: cloning
-/// copies one pointer per 64 rows, and the writer's next append copies only
-/// the tail block — consecutive snapshot generations share every full block.
+/// Instance entries are `Arc`-shared, so the interior-mutable counters (`U`,
+/// the violation flag) keep a single identity across every published
+/// snapshot — a reader bumping usage through an old snapshot is still
+/// visible to the writer's LFU policy.
 #[derive(Debug, Default, Clone)]
 pub struct PlanCache {
-    plans: HashMap<PlanFingerprint, Arc<CachedPlan>>,
-    instances: Vec<Arc<InstanceEntry>>,
+    /// Ascending by fingerprint; written only through `Arc::make_mut`, and
+    /// only when membership changes.
+    plans: Arc<Vec<(PlanFingerprint, Arc<CachedPlan>)>>,
     max_plans: usize,
-    /// Row `i` holds the ln-selectivities of `instances[i]`.
-    coords: CoordBlocks,
+    /// The instance list: row `i` holds entry `i` beside its
+    /// ln-selectivities (Section 6.2).
+    rows: CoordBlocks<Arc<InstanceEntry>>,
 }
 
 impl PlanCache {
@@ -223,48 +240,64 @@ impl PlanCache {
 
     /// Number of instance entries.
     pub fn num_instances(&self) -> usize {
-        self.instances.len()
+        self.rows.len()
+    }
+
+    /// The rank of `fp` among the cached fingerprints — its index in
+    /// [`PlanCache::plans`], which is how the persist format names a plan —
+    /// or, as the error, the rank it would be inserted at.
+    pub(crate) fn plan_index(&self, fp: PlanFingerprint) -> Result<usize, usize> {
+        self.plans.binary_search_by_key(&fp, |&(key, _)| key)
     }
 
     /// Whether a plan with this fingerprint is cached.
     pub fn contains_plan(&self, fp: PlanFingerprint) -> bool {
-        self.plans.contains_key(&fp)
+        self.plan_index(fp).is_ok()
     }
 
     /// Fetch a cached plan by fingerprint.
     pub fn plan(&self, fp: PlanFingerprint) -> Option<&Arc<Plan>> {
-        self.plans.get(&fp).map(|c| c.plan())
+        self.cached(fp).map(|c| c.plan())
     }
 
     /// Fetch a plan together with its prepared-recost slot.
     pub fn cached(&self, fp: PlanFingerprint) -> Option<&Arc<CachedPlan>> {
-        self.plans.get(&fp)
+        self.plan_index(fp).ok().map(|at| &self.plans[at].1)
     }
 
-    /// Iterate over cached plans.
+    /// Iterate over cached plans, ascending by fingerprint.
     pub fn plans(&self) -> impl Iterator<Item = &Arc<Plan>> {
-        self.plans.values().map(|c| c.plan())
+        self.cached_plans().map(|c| c.plan())
     }
 
-    /// Iterate over cached plans with their prepared-recost slots.
+    /// Iterate over cached plans with their prepared-recost slots,
+    /// ascending by fingerprint.
     pub fn cached_plans(&self) -> impl Iterator<Item = &Arc<CachedPlan>> {
-        self.plans.values()
+        self.plans.iter().map(|(_, c)| c)
+    }
+
+    /// Whether both caches hold one and the same plan list, as a cache and
+    /// its clone do until a plan is added to or dropped from either. Test
+    /// hook for the generation-sharing invariant.
+    #[doc(hidden)]
+    pub fn shares_plan_list(&self, other: &PlanCache) -> bool {
+        Arc::ptr_eq(&self.plans, &other.plans)
     }
 
     /// The instance list. Entries expose their own interior-mutable
     /// counters ([`InstanceEntry::record_use`], `mark_violation`), so no
     /// `&mut` accessor is needed.
-    pub fn instances(&self) -> &[Arc<InstanceEntry>] {
-        &self.instances
+    pub fn instances(&self) -> Rows<'_, Arc<InstanceEntry>> {
+        self.rows.rows()
     }
 
     /// Insert a plan (idempotent) and return its fingerprint.
     pub fn insert_plan(&mut self, plan: Arc<Plan>) -> PlanFingerprint {
         let fp = plan.fingerprint();
-        self.plans
-            .entry(fp)
-            .or_insert_with(|| Arc::new(CachedPlan::new(plan)));
-        self.max_plans = self.max_plans.max(self.plans.len());
+        if let Err(at) = self.plan_index(fp) {
+            Arc::make_mut(&mut self.plans).insert(at, (fp, Arc::new(CachedPlan::new(plan))));
+            self.max_plans = self.max_plans.max(self.plans.len());
+        }
         fp
     }
 
@@ -285,68 +318,73 @@ impl PlanCache {
     /// the structural invariant of Figure 5.
     pub fn push_instance_arc(&mut self, entry: Arc<InstanceEntry>) {
         debug_assert!(
-            self.plans.contains_key(&entry.plan),
+            self.contains_plan(entry.plan),
             "instance entry points to missing plan"
         );
-        self.coords.push(&entry.svector.0);
-        self.instances.push(entry);
+        let coordinates = Arc::clone(&entry);
+        self.rows.push_with(&coordinates.svector.0, entry);
     }
 
-    /// The instance list's coordinates in log-selectivity space: row `i` is
-    /// `instances()[i]`, L1 distance is `ln(G·L)`. The candidate search
-    /// scans it; it also carries the writer's cumulative copy-on-write
-    /// counters.
-    pub fn coords(&self) -> &CoordBlocks {
-        &self.coords
+    /// The instance list's block store: row `i` is `instances()[i]` at its
+    /// coordinates in log-selectivity space, L1 distance is `ln(G·L)`. The
+    /// candidate search scans it; it also carries the writer's cumulative
+    /// copy-on-write counters.
+    pub fn coords(&self) -> &CoordBlocks<Arc<InstanceEntry>> {
+        &self.rows
     }
 
     /// Aggregate usage count per plan: the sum of `U` over entries pointing
     /// at it. Used by the plan-budget eviction policy (Section 6.3.1).
     pub fn plan_usage(&self, fp: PlanFingerprint) -> u64 {
-        self.instances
+        self.instances()
             .iter()
             .filter(|e| e.plan == fp)
             .map(|e| e.usage())
             .sum()
     }
 
-    /// The cached plan with minimum aggregate usage (LFU victim).
+    /// `Σ weight(entry)` over each plan's entries, with the plan, in
+    /// fingerprint order: one pass over the instance list, whatever the
+    /// number of plans.
+    pub(crate) fn tally(
+        &self,
+        weight: impl Fn(&InstanceEntry) -> u64,
+    ) -> impl Iterator<Item = (u64, PlanFingerprint)> + '_ {
+        let mut sums = vec![0u64; self.plans.len()];
+        for e in self.instances() {
+            if let Ok(at) = self.plan_index(e.plan) {
+                sums[at] += weight(e);
+            }
+        }
+        sums.into_iter().zip(self.plans.iter().map(|&(fp, _)| fp))
+    }
+
+    /// The cached plan with minimum aggregate usage (LFU victim); a tie goes
+    /// to the smaller fingerprint.
     pub fn min_usage_plan(&self) -> Option<PlanFingerprint> {
-        self.plans
-            .keys()
-            .map(|&fp| (self.plan_usage(fp), fp))
-            .min_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)))
-            .map(|(_, fp)| fp)
+        self.tally(InstanceEntry::usage).min().map(|(_, fp)| fp)
     }
 
     /// Drop a plan and every instance entry pointing at it (required so
     /// dropping can never violate the sub-optimality guarantee —
     /// Section 6.3.1).
     pub fn drop_plan(&mut self, fp: PlanFingerprint) {
-        self.plans.remove(&fp);
-        self.remove_instances_of(fp);
+        self.remove_plan_only(fp);
+        self.take_instances_of(fp);
     }
 
     /// Remove and return all instance entries pointing at `fp`, keeping the
     /// plan itself. Used by the existing-plan redundancy sweep (Appendix F).
     pub fn take_instances_of(&mut self, fp: PlanFingerprint) -> Vec<Arc<InstanceEntry>> {
-        self.remove_instances_of(fp)
-    }
-
-    fn remove_instances_of(&mut self, fp: PlanFingerprint) -> Vec<Arc<InstanceEntry>> {
-        // The coordinate rows compact exactly as the instance list does.
-        self.coords.retain(|i| self.instances[i].plan != fp);
-        let (taken, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.instances)
-            .into_iter()
-            .partition(|e| e.plan == fp);
-        self.instances = kept;
-        taken
+        self.rows.retain_rows(|_, e| e.plan != fp)
     }
 
     /// Remove a plan from the plan list only (Appendix F temporarily removes
     /// a plan while probing redundancy).
     pub fn remove_plan_only(&mut self, fp: PlanFingerprint) -> Option<Arc<Plan>> {
-        self.plans.remove(&fp).map(|c| c.plan().clone())
+        let at = self.plan_index(fp).ok()?;
+        let (_, cached) = Arc::make_mut(&mut self.plans).remove(at);
+        Some(Arc::clone(cached.plan()))
     }
 
     /// Estimated memory footprint (Section 6.1's overheads discussion: the
@@ -356,21 +394,19 @@ impl PlanCache {
     /// pay instead of the tree representation.
     pub fn memory_breakdown(&self) -> MemoryBreakdown {
         let instance_list_bytes = self
-            .instances
+            .instances()
             .iter()
             .map(|e| std::mem::size_of::<InstanceEntry>() + e.svector.0.capacity() * 8)
             .sum();
         let plan_list_bytes = self
-            .plans
-            .values()
+            .cached_plans()
             .map(|c| {
                 pqo_optimizer::compact::estimated_plan_bytes(c.plan())
                     + c.prepared_bytes().unwrap_or(0)
             })
             .sum();
         let plan_list_compact_bytes = self
-            .plans
-            .values()
+            .cached_plans()
             .map(|c| pqo_optimizer::compact::CompactPlan::encode(c.plan()).bytes_len())
             .sum();
         MemoryBreakdown {
@@ -383,8 +419,8 @@ impl PlanCache {
     /// Check the Figure 5 invariant: every instance entry points to a live
     /// plan. Exposed for tests.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (i, e) in self.instances.iter().enumerate() {
-            if !self.plans.contains_key(&e.plan) {
+        for (i, e) in self.instances().iter().enumerate() {
+            if !self.contains_plan(e.plan) {
                 return Err(format!("instance {i} points to evicted plan {}", e.plan));
             }
             if e.sub_opt.is_nan() || e.sub_opt < 1.0 {

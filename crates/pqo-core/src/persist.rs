@@ -166,25 +166,20 @@ pub fn save(state: &CacheState, generation: u64, w: &mut impl Write) -> io::Resu
     w_u64(w, generation)?;
     w.write_all(&[state.config.policy.as_tag()])?;
 
-    // Plan list, ordered by fingerprint for determinism.
-    let mut plans: Vec<_> = cache.plans().collect();
-    plans.sort_by_key(|p| p.fingerprint());
-    w_u32(w, plans.len() as u32)?;
-    let mut fp_order: Vec<PlanFingerprint> = Vec::with_capacity(plans.len());
-    for p in &plans {
+    // Plan list, in the cache's own order: ascending by fingerprint.
+    w_u32(w, cache.num_plans() as u32)?;
+    for p in cache.plans() {
         let enc = CompactPlan::encode(p);
         w_u32(w, enc.bytes_len() as u32)?;
         w.write_all(enc.as_bytes())?;
-        fp_order.push(p.fingerprint());
     }
 
-    // Instance list.
+    // Instance list; an entry names its plan by that plan's rank.
     let entries = cache.instances();
     w_u32(w, entries.len() as u32)?;
     for e in entries {
-        let plan_idx = fp_order
-            .iter()
-            .position(|&fp| fp == e.plan)
+        let plan_idx = cache
+            .plan_index(e.plan)
             .expect("entry references listed plan") as u32;
         w_u32(w, plan_idx)?;
         w_u32(w, e.svector.len() as u32)?;
@@ -261,6 +256,7 @@ pub fn restore_with_generation(
         )));
     }
     let mut entries = Vec::with_capacity(entry_count);
+    let mut arity = None;
     for i in 0..entry_count {
         let plan_idx = r_u32(r)? as usize;
         if plan_idx >= plans.len() {
@@ -268,7 +264,9 @@ pub fn restore_with_generation(
                 "entry {i} references plan {plan_idx}"
             )));
         }
-        entries.push(read_entry(r, i, plans[plan_idx].fingerprint())?);
+        let entry = read_entry(r, i, plans[plan_idx].fingerprint())?;
+        check_arity(i, &entry, &mut arity)?;
+        entries.push(entry);
     }
     let (log_cost_sum, opt_count) = read_accumulators(r)?;
 
@@ -334,6 +332,24 @@ pub(crate) fn read_entry(
         usage,
         violation,
     ))
+}
+
+/// Reject entry `i` unless it has the arity of the entries before it
+/// (`arity`, `None` before the first): the instance list stores rows of one
+/// dimensionality, and bytes from outside the program must not be able to
+/// ask it for anything else.
+pub(crate) fn check_arity(
+    i: usize,
+    entry: &InstanceEntry,
+    arity: &mut Option<usize>,
+) -> Result<(), RestoreError> {
+    let d = entry.svector.len();
+    match *arity.get_or_insert(d) {
+        expected if expected == d => Ok(()),
+        expected => Err(RestoreError::Corrupt(format!(
+            "entry {i} has {d} dimensions, the entries before it {expected}"
+        ))),
+    }
 }
 
 /// Read the trailing dynamic-λ accumulators `(Σ log C, optimized count)`.
@@ -612,6 +628,25 @@ mod tests {
                 "cut at {cut}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn entries_of_mixed_arity_are_rejected() {
+        let t = fixture();
+        let (scr, _) = warmed(&t, 10);
+        let mut buf = Vec::new();
+        save(&scr, 0, &mut buf).unwrap();
+        // The blob ends with a 2-d entry (plan, arity, two selectivities,
+        // C, S, U, flag) and the accumulators: make that entry 1-d.
+        let entry = buf.len() - 16 - 49;
+        assert_eq!(buf[entry + 4..entry + 8], 2u32.to_le_bytes());
+        buf[entry + 4] = 1;
+        buf.drain(entry + 16..entry + 24);
+        let err = restore(ScrConfig::new(1.5).unwrap(), &mut buf.as_slice()).unwrap_err();
+        assert!(
+            matches!(&err, RestoreError::Corrupt(m) if m.contains("dimensions")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -23,25 +23,30 @@
 //!   base has aged out of the writer's generation log.
 //! * **Delta** — encoded against a recently published base generation.
 //!   Because consecutive generations share `Arc`s (the cache clone is
-//!   shallow: plan list values and instance entries are `Arc`-shared, see
-//!   [`crate::cache::PlanCache`]), the encoder detects "untouched" by
-//!   pointer identity and ships *references*: an unchanged instance entry
-//!   is a 5-byte base-index tag, an unchanged plan an 8-byte fingerprint —
-//!   only genuinely new plans/entries ship bytes. A typical post-warmup
-//!   publish (one new instance entry on an existing plan) is tens of bytes
-//!   regardless of cache size, mirroring PR 7's O(n/shards) publish cost at
-//!   the fleet level.
+//!   shallow: the plan list, the instance list's blocks and the entries in
+//!   them are `Arc`-shared, see [`crate::cache::PlanCache`]), the encoder
+//!   detects "untouched" by pointer identity and ships *references*: an
+//!   unchanged instance entry is a 5-byte base-index tag, an unchanged plan
+//!   an 8-byte fingerprint — only genuinely new plans/entries ship bytes.
+//!   Identity is read off the sharing itself: the entries of a block both
+//!   generations hold are their own base indices, and only the base's
+//!   *unshared* blocks (the tail, or what a compaction rebuilt) are looked
+//!   up by address.
 //!
-//! Decoding rebuilds an [`Scr`] via [`Scr::from_parts`] — the same
-//! re-insertion path as a persist restore, whose index/decision equivalence
-//! with the writer's incrementally-maintained state is pinned by the
-//! persist round-trip tests. Delta decoding resolves base references
-//! against the replica's *current published generation*, which must carry
-//! exactly the record's base stamp ([`ReplicationError::BaseMismatch`]
-//! otherwise) — so a replica can never silently apply a delta onto the
-//! wrong state.
+//! Applying rides on the same sharing. A delta that keeps every plan and
+//! every entry of its base where it was (the common publication: rows
+//! appended, perhaps a plan added) is applied as
+//! [`Scr::from_base`] — a shallow clone of the replica's current generation
+//! plus the inline rows. Any other delta, and every full record, rebuilds an
+//! [`Scr`] via [`Scr::from_parts`] — the same re-insertion path as a
+//! persist restore, whose decision equivalence with the writer's
+//! incrementally-maintained state is pinned by the persist round-trip
+//! tests. Both read and validate the record through one parser, so they
+//! fail alike. Delta decoding resolves base references against the
+//! replica's *current published generation*, which must carry exactly the
+//! record's base stamp ([`ReplicationError::BaseMismatch`] otherwise) — so
+//! a replica can never silently apply a delta onto the wrong state.
 
-use std::collections::{HashMap, HashSet};
 use std::io::Read;
 use std::sync::Arc;
 
@@ -54,6 +59,7 @@ use crate::persist::{self, r_u32, r_u64, r_u8, RestoreError};
 use crate::policy::PolicyId;
 use crate::scr::{Scr, ScrConfig};
 use crate::snapshot::CacheSnapshot;
+use crate::spatial::BLOCK_ROWS;
 
 /// Record header magic ("PQO generation record, layout 2" — layout 2 added
 /// the policy tag byte after the record kind).
@@ -190,17 +196,14 @@ pub fn encode_generation(snapshot: &CacheSnapshot, base: Option<&CacheSnapshot>)
 }
 
 fn encode_delta_body(snapshot: &CacheSnapshot, base: &CacheSnapshot, out: &mut Vec<u8>) {
-    // Plan membership: the complete fingerprint list of the new generation
-    // (so evictions and zero-entry plans replicate exactly). Plans the base
-    // already holds ship as references.
-    let base_fps: HashSet<PlanFingerprint> =
-        base.cache().plans().map(|p| p.fingerprint()).collect();
-    let mut plans: Vec<&Arc<Plan>> = snapshot.cache().plans().collect();
-    plans.sort_by_key(|p| p.fingerprint());
-    out.extend_from_slice(&(plans.len() as u32).to_le_bytes());
-    for p in &plans {
+    let (cache, base_cache) = (snapshot.cache(), base.cache());
+    // Plan membership: the complete fingerprint list of the new generation,
+    // ascending (so evictions and zero-entry plans replicate exactly). Plans
+    // the base already holds ship as references.
+    out.extend_from_slice(&(cache.num_plans() as u32).to_le_bytes());
+    for p in cache.plans() {
         out.extend_from_slice(&p.fingerprint().0.to_le_bytes());
-        if base_fps.contains(&p.fingerprint()) {
+        if base_cache.contains_plan(p.fingerprint()) {
             out.push(PLAN_BASE_REF);
         } else {
             out.push(PLAN_INLINE);
@@ -211,34 +214,48 @@ fn encode_delta_body(snapshot: &CacheSnapshot, base: &CacheSnapshot, out: &mut V
     }
 
     // Instance list in the new generation's order. Entries `Arc`-shared
-    // with the base (the shallow-clone publish path guarantees pointer
-    // identity for untouched entries) ship as base-index references.
-    let base_index: HashMap<*const InstanceEntry, u32> = base
-        .cache()
-        .instances()
-        .iter()
-        .enumerate()
-        .map(|(i, e)| (Arc::as_ptr(e), i as u32))
-        .collect();
-    let entries = snapshot.cache().instances();
-    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for e in entries {
-        match base_index.get(&Arc::as_ptr(e)) {
-            Some(&idx) => {
-                out.push(ENTRY_BASE_REF);
-                out.extend_from_slice(&idx.to_le_bytes());
-            }
-            None => {
-                out.push(ENTRY_INLINE);
-                out.extend_from_slice(&e.plan.0.to_le_bytes());
-                out.extend_from_slice(&(e.svector.len() as u32).to_le_bytes());
-                for &s in &e.svector.0 {
-                    out.extend_from_slice(&s.to_le_bytes());
+    // with the base ship as base-index references. A block both generations
+    // hold has the same entries at the same indices; an entry is in the list
+    // once, so any other shared entry sits in one of the base's unshared
+    // blocks — only those are indexed by address.
+    let (rows, base_rows) = (cache.coords(), base_cache.coords());
+    let mut moved: Vec<(*const InstanceEntry, u32)> = Vec::new();
+    for (b, block) in base_rows.block_rows().enumerate() {
+        if !rows.shares_block(base_rows, b) {
+            let first = (b * BLOCK_ROWS) as u32;
+            moved.extend(block.iter().zip(first..).map(|(e, i)| (Arc::as_ptr(e), i)));
+        }
+    }
+    moved.sort_unstable();
+    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+    for (b, block) in rows.block_rows().enumerate() {
+        let shared = rows.shares_block(base_rows, b);
+        for (e, i) in block.iter().zip((b * BLOCK_ROWS) as u32..) {
+            let in_base = if shared {
+                Some(i)
+            } else {
+                moved
+                    .binary_search_by_key(&Arc::as_ptr(e), |&(at, _)| at)
+                    .ok()
+                    .map(|found| moved[found].1)
+            };
+            match in_base {
+                Some(idx) => {
+                    out.push(ENTRY_BASE_REF);
+                    out.extend_from_slice(&idx.to_le_bytes());
                 }
-                out.extend_from_slice(&e.opt_cost.to_le_bytes());
-                out.extend_from_slice(&e.sub_opt.to_le_bytes());
-                out.extend_from_slice(&e.usage().to_le_bytes());
-                out.push(u8::from(e.violation_detected()));
+                None => {
+                    out.push(ENTRY_INLINE);
+                    out.extend_from_slice(&e.plan.0.to_le_bytes());
+                    out.extend_from_slice(&(e.svector.len() as u32).to_le_bytes());
+                    for &s in &e.svector.0 {
+                        out.extend_from_slice(&s.to_le_bytes());
+                    }
+                    out.extend_from_slice(&e.opt_cost.to_le_bytes());
+                    out.extend_from_slice(&e.sub_opt.to_le_bytes());
+                    out.extend_from_slice(&e.usage().to_le_bytes());
+                    out.push(u8::from(e.violation_detected()));
+                }
             }
         }
     }
@@ -336,99 +353,186 @@ pub fn apply_generation(
     Ok((scr, generation))
 }
 
-/// Decode a delta body. Inline plans and entries use the persist layout, so
-/// [`persist::read_plan`] / [`persist::read_entry`] read and validate them.
+/// A delta body as read and validated against its base, before anything is
+/// built from it.
+struct Delta {
+    /// Every plan of the new generation, in record order; base references
+    /// resolved to the base's `Arc`.
+    plans: Vec<Arc<Plan>>,
+    /// How many leading entries are base references to their own index.
+    kept: usize,
+    /// The entries behind that prefix, base references copied out.
+    rest: Vec<InstanceEntry>,
+    /// Whether the record keeps the base whole and in place: every plan of
+    /// the base, and every entry of it as the prefix of the new list, with
+    /// nothing but inline entries behind.
+    extends_base: bool,
+    log_cost_sum: f64,
+    opt_count: u64,
+}
+
+impl Delta {
+    /// Read a delta body. Inline plans and entries use the persist layout,
+    /// so [`persist::read_plan`] / [`persist::read_entry`] read and validate
+    /// them.
+    fn read(base: &CacheSnapshot, r: &mut &[u8]) -> Result<Delta, ReplicationError> {
+        let plan_count = r_u32(r)? as usize;
+        if plan_count > 1_000_000 {
+            return Err(ReplicationError::Corrupt(format!(
+                "implausible plan count {plan_count}"
+            )));
+        }
+        let mut plans: Vec<Arc<Plan>> = Vec::with_capacity(plan_count);
+        // An inline plan the base also holds would be a second copy of it.
+        let mut recopies_a_plan = false;
+        let mut fps: Vec<PlanFingerprint> = Vec::with_capacity(plan_count);
+        for i in 0..plan_count {
+            let fp = PlanFingerprint(r_u64(r)?);
+            let plan = match r_u8(r)? {
+                PLAN_BASE_REF => Arc::clone(base.cache().plan(fp).ok_or_else(|| {
+                    ReplicationError::Corrupt(format!("plan {i} references {fp} missing from base"))
+                })?),
+                PLAN_INLINE => {
+                    let plan = persist::read_plan(r, i)?;
+                    if plan.fingerprint() != fp {
+                        return Err(ReplicationError::Corrupt(format!(
+                            "plan {i} fingerprint mismatch"
+                        )));
+                    }
+                    recopies_a_plan |= base.cache().contains_plan(fp);
+                    Arc::new(plan)
+                }
+                t => {
+                    return Err(ReplicationError::Corrupt(format!(
+                        "plan {i} has unknown tag {t}"
+                    )))
+                }
+            };
+            fps.push(fp);
+            plans.push(plan);
+        }
+        fps.sort_unstable();
+        let listed = |fp: PlanFingerprint| fps.binary_search(&fp).is_ok();
+        let keeps_plans = !recopies_a_plan && base.cache().plans().all(|p| listed(p.fingerprint()));
+
+        let entry_count = r_u32(r)? as usize;
+        if entry_count > 100_000_000 {
+            return Err(ReplicationError::Corrupt(format!(
+                "implausible entry count {entry_count}"
+            )));
+        }
+        let base_entries = base.cache().instances();
+        let absent = |i: usize, fp: PlanFingerprint| {
+            ReplicationError::Corrupt(format!(
+                "entry {i} references plan {fp} absent from this generation"
+            ))
+        };
+        // The identity prefix: entry `i` is a reference to base entry `i`.
+        let mut kept = 0;
+        while kept < entry_count.min(base_entries.len()) {
+            let mut ahead = *r;
+            match (r_u8(&mut ahead), r_u32(&mut ahead)) {
+                (Ok(ENTRY_BASE_REF), Ok(idx)) if idx as usize == kept => *r = ahead,
+                _ => break,
+            }
+            if !keeps_plans && !listed(base_entries[kept].plan) {
+                return Err(absent(kept, base_entries[kept].plan));
+            }
+            kept += 1;
+        }
+        let mut arity = (!base_entries.is_empty()).then(|| base.cache().coords().dims());
+        // Every entry takes at least a tag and an index: bytes from outside
+        // do not get to reserve more than they could fill.
+        let mut rest: Vec<InstanceEntry> =
+            Vec::with_capacity((entry_count - kept).min(r.len() / 5));
+        let mut rest_inline = true;
+        for i in kept..entry_count {
+            let entry = match r_u8(r)? {
+                ENTRY_BASE_REF => {
+                    rest_inline = false;
+                    let idx = r_u32(r)? as usize;
+                    let e = base_entries.get(idx).ok_or_else(|| {
+                        ReplicationError::Corrupt(format!(
+                            "entry {i} references base index {idx} of {}",
+                            base_entries.len()
+                        ))
+                    })?;
+                    if !listed(e.plan) {
+                        return Err(absent(i, e.plan));
+                    }
+                    InstanceEntry::clone(e)
+                }
+                ENTRY_INLINE => {
+                    let fp = PlanFingerprint(r_u64(r)?);
+                    if !listed(fp) {
+                        return Err(absent(i, fp));
+                    }
+                    persist::read_entry(r, i, fp)?
+                }
+                t => {
+                    return Err(ReplicationError::Corrupt(format!(
+                        "entry {i} has unknown tag {t}"
+                    )))
+                }
+            };
+            persist::check_arity(i, &entry, &mut arity)?;
+            rest.push(entry);
+        }
+        let (log_cost_sum, opt_count) = persist::read_accumulators(r)?;
+        Ok(Delta {
+            plans,
+            kept,
+            rest,
+            extends_base: keeps_plans && kept == base_entries.len() && rest_inline,
+            log_cost_sum,
+            opt_count,
+        })
+    }
+
+    /// The new generation as the base plus the delta's rows — nothing of the
+    /// base re-materialised. Requires [`Delta::extends_base`].
+    fn onto(self, config: ScrConfig, base: &CacheSnapshot) -> Result<Scr, PqoError> {
+        debug_assert!(self.extends_base);
+        Scr::from_base(
+            config,
+            base,
+            self.plans,
+            self.rest,
+            self.log_cost_sum,
+            self.opt_count,
+        )
+    }
+
+    /// The new generation rebuilt entry by entry, as a restore builds one.
+    fn rebuilt(self, config: ScrConfig, base: &CacheSnapshot) -> Result<Scr, PqoError> {
+        let kept = base.cache().instances().iter().take(self.kept);
+        let entries = kept
+            .map(|e| InstanceEntry::clone(e))
+            .chain(self.rest)
+            .collect();
+        Scr::from_parts(
+            config,
+            self.plans,
+            entries,
+            self.log_cost_sum,
+            self.opt_count,
+        )
+    }
+}
+
+/// Decode a delta body into the generation it describes.
 fn apply_delta_body(
     config: ScrConfig,
     base: &CacheSnapshot,
     r: &mut &[u8],
 ) -> Result<Scr, ReplicationError> {
-    let plan_count = r_u32(r)? as usize;
-    if plan_count > 1_000_000 {
-        return Err(ReplicationError::Corrupt(format!(
-            "implausible plan count {plan_count}"
-        )));
+    let delta = Delta::read(base, r)?;
+    if delta.extends_base {
+        delta.onto(config, base)
+    } else {
+        delta.rebuilt(config, base)
     }
-    let mut plans: Vec<Arc<Plan>> = Vec::with_capacity(plan_count);
-    let mut fps: HashSet<PlanFingerprint> = HashSet::with_capacity(plan_count);
-    for i in 0..plan_count {
-        let fp = PlanFingerprint(r_u64(r)?);
-        let plan = match r_u8(r)? {
-            PLAN_BASE_REF => Arc::clone(base.cache().plan(fp).ok_or_else(|| {
-                ReplicationError::Corrupt(format!("plan {i} references {fp} missing from base"))
-            })?),
-            PLAN_INLINE => {
-                let plan = persist::read_plan(r, i)?;
-                if plan.fingerprint() != fp {
-                    return Err(ReplicationError::Corrupt(format!(
-                        "plan {i} fingerprint mismatch"
-                    )));
-                }
-                Arc::new(plan)
-            }
-            t => {
-                return Err(ReplicationError::Corrupt(format!(
-                    "plan {i} has unknown tag {t}"
-                )))
-            }
-        };
-        fps.insert(fp);
-        plans.push(plan);
-    }
-
-    let entry_count = r_u32(r)? as usize;
-    if entry_count > 100_000_000 {
-        return Err(ReplicationError::Corrupt(format!(
-            "implausible entry count {entry_count}"
-        )));
-    }
-    let base_entries = base.cache().instances();
-    let mut entries: Vec<InstanceEntry> = Vec::with_capacity(entry_count);
-    for i in 0..entry_count {
-        let absent = |fp: PlanFingerprint| {
-            ReplicationError::Corrupt(format!(
-                "entry {i} references plan {fp} absent from this generation"
-            ))
-        };
-        match r_u8(r)? {
-            ENTRY_BASE_REF => {
-                let idx = r_u32(r)? as usize;
-                let e = base_entries.get(idx).ok_or_else(|| {
-                    ReplicationError::Corrupt(format!(
-                        "entry {i} references base index {idx} of {}",
-                        base_entries.len()
-                    ))
-                })?;
-                if !fps.contains(&e.plan) {
-                    return Err(absent(e.plan));
-                }
-                entries.push(InstanceEntry::restored(
-                    e.svector.clone(),
-                    e.plan,
-                    e.opt_cost,
-                    e.sub_opt,
-                    e.usage(),
-                    e.violation_detected(),
-                ));
-            }
-            ENTRY_INLINE => {
-                let fp = PlanFingerprint(r_u64(r)?);
-                if !fps.contains(&fp) {
-                    return Err(absent(fp));
-                }
-                entries.push(persist::read_entry(r, i, fp)?);
-            }
-            t => {
-                return Err(ReplicationError::Corrupt(format!(
-                    "entry {i} has unknown tag {t}"
-                )))
-            }
-        }
-    }
-    let (log_cost_sum, opt_count) = persist::read_accumulators(r)?;
-
-    Scr::from_parts(config, plans, entries, log_cost_sum, opt_count)
-        .map_err(|e| ReplicationError::Corrupt(format!("invalid decoded state: {e}")))
+    .map_err(|e| ReplicationError::Corrupt(format!("invalid decoded state: {e}")))
 }
 
 #[cfg(test)]
@@ -583,6 +687,63 @@ mod tests {
     }
 
     #[test]
+    fn a_delta_builds_the_same_state_extended_or_rebuilt() {
+        // Every delta of a chain, parsed once each way: where it may extend
+        // its base, extending and rebuilding must arrive at one state (the
+        // bytes `persist::save` writes), the extension sharing the base's
+        // blocks and plans and the rebuild sharing nothing.
+        let t = fixture_template("repl_both_ways");
+        let engine = QueryEngine::new(Arc::clone(&t));
+        let mut cfg = ScrConfig::new(1.05).unwrap();
+        cfg.lambda_r = 0.0;
+        cfg.plan_budget = Some(3);
+        let (mut writer, first) = CacheWriter::new(Scr::with_config(cfg.clone()).unwrap());
+        let cell = SnapshotCell::new(first);
+        let saved = |scr: &Scr| {
+            let mut blob = Vec::new();
+            persist::save(scr, 0, &mut blob).unwrap();
+            blob
+        };
+        let (mut extended, mut rebuilt_only) = (0, 0);
+        for tg in targets(200) {
+            let base = writer.latest_snapshot();
+            if !drive(&t, &engine, &mut writer, &cell, &tg) {
+                continue;
+            }
+            let record = encode_generation(&writer.latest_snapshot(), Some(&base));
+            let body = || {
+                let mut r = &record[..];
+                read_header(&mut r).unwrap();
+                Delta::read(&base, &mut r).unwrap()
+            };
+            let rebuilt = body().rebuilt(cfg.clone(), &base).unwrap();
+            assert_eq!(saved(&rebuilt), saved(writer.scr()));
+            if !body().extends_base {
+                rebuilt_only += 1;
+                continue;
+            }
+            extended += 1;
+            let onto = body().onto(cfg.clone(), &base).unwrap();
+            assert_eq!(saved(&onto), saved(&rebuilt));
+            assert_eq!(onto.log_cost_sum.to_bits(), rebuilt.log_cost_sum.to_bits());
+            assert_eq!(onto.opt_count, rebuilt.opt_count);
+            let full = base.cache().num_instances() / BLOCK_ROWS;
+            assert_eq!(
+                onto.cache().coords().block_tokens()[..full],
+                base.cache().coords().block_tokens()[..full]
+            );
+            for p in base.cache().cached_plans() {
+                let kept = onto.cache().cached(p.fingerprint()).unwrap();
+                assert!(Arc::ptr_eq(p, kept), "an extension keeps prepared plans");
+            }
+        }
+        assert!(
+            extended > 20 && rebuilt_only > 2,
+            "{extended} / {rebuilt_only}"
+        );
+    }
+
+    #[test]
     fn delta_base_mismatch_is_typed() {
         let t = fixture_template("repl_mismatch");
         let engine = QueryEngine::new(Arc::clone(&t));
@@ -656,6 +817,32 @@ mod tests {
 
         // A matching LEC replica applies the full record fine.
         assert!(apply_generation(lec_cfg, None, &full).is_ok());
+    }
+
+    #[test]
+    fn an_inline_entry_of_another_arity_is_corrupt_not_a_panic() {
+        let t = fixture_template("repl_arity");
+        let engine = QueryEngine::new(Arc::clone(&t));
+        let cfg = ScrConfig::new(1.5).unwrap();
+        let (mut writer, first) = CacheWriter::new(Scr::with_config(cfg.clone()).unwrap());
+        let cell = SnapshotCell::new(first);
+        for tg in targets(10) {
+            drive(&t, &engine, &mut writer, &cell, &tg);
+        }
+        let base = writer.logged_snapshot(writer.generation() - 1).unwrap();
+        let mut record = encode_generation(&writer.latest_snapshot(), Some(&base));
+        // The record ends with one inline 2-d entry (tag, plan, arity, two
+        // selectivities, C, S, U, flag) and the accumulators: make it 1-d.
+        let entry = record.len() - 16 - 54;
+        assert_eq!(record[entry], ENTRY_INLINE);
+        assert_eq!(record[entry + 9..entry + 13], 2u32.to_le_bytes());
+        record[entry + 9] = 1;
+        record.drain(entry + 21..entry + 29);
+        let err = apply_generation(cfg, Some(&base), &record).unwrap_err();
+        assert!(
+            matches!(&err, ReplicationError::Corrupt(m) if m.contains("dimensions")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -254,11 +254,13 @@ pub struct ScrStats {
     pub batch_instances: u64,
     /// Largest single batch served.
     pub max_batch_size: u64,
-    /// Coordinate blocks the writer copied (cumulative): the tail block of
-    /// [`crate::spatial::CoordBlocks`], copied on write while a published
-    /// generation still shares it, and blocks rebuilt when a dropped plan
-    /// compacts the instance list. (The name predates the block store and
-    /// is pinned by the wire STATS layout.)
+    /// Instance-list blocks the writer copied (cumulative): the tail block
+    /// of [`crate::spatial::CoordBlocks`] — coordinates and entry pointers —
+    /// copied on write while a published generation still shares it, and
+    /// blocks rebuilt when a dropped plan compacts the instance list. On a
+    /// replica, whose applied generations extend the one before, it counts
+    /// the same. (The name predates the block store and is pinned by the
+    /// wire STATS layout.)
     pub index_shard_rebuilds: u64,
     /// Total rows copied with those blocks — at most 63 per append, the
     /// rows behind the first gap per compaction.
@@ -266,8 +268,8 @@ pub struct ScrStats {
     /// Snapshot generations published by the writer.
     pub publishes: u64,
     /// Cumulative nanoseconds spent capturing + installing published
-    /// generations (one pointer bump per instance entry and per coordinate
-    /// block).
+    /// generations (one pointer bump per 64-row block and one for the plan
+    /// list).
     pub publish_nanos: u64,
     /// Instances served by a non-SCR policy's decide hook (LEC /
     /// Penalty). Always 0 under [`PolicyId::Scr`], whose hits land in
@@ -451,8 +453,9 @@ pub(crate) struct CandidateSearch {
 /// a lock-guarded writer and a lock-free snapshot reader all run the *same
 /// method on the same type* — decision equivalence is by construction.
 ///
-/// `Clone` is shallow: plans, instance entries and coordinate blocks are
-/// `Arc`-shared (see [`PlanCache`]), the stat cells are one shared `Arc`.
+/// `Clone` is shallow and does no per-instance work: the plan list is one
+/// `Arc`, the instance list one `Arc` per 64-row block (see [`PlanCache`]),
+/// the stat cells one shared `Arc`.
 #[derive(Debug, Clone)]
 pub struct CacheState {
     pub(crate) config: ScrConfig,
@@ -517,14 +520,13 @@ impl CacheState {
             plan.check_template(template)
                 .map_err(|e| mismatch(format!("plan {}: {e}", plan.fingerprint())))?;
         }
-        let d = template.dimensions();
-        for (i, e) in self.cache.instances().iter().enumerate() {
-            if e.svector.len() != d {
-                return Err(mismatch(format!(
-                    "entry {i} has {} dimensions, the template {d}",
-                    e.svector.len()
-                )));
-            }
+        // The block store holds rows of one arity only.
+        let (rows, d) = (self.cache.coords(), template.dimensions());
+        if !rows.is_empty() && rows.dims() != d {
+            return Err(mismatch(format!(
+                "its entries have {} dimensions, the template {d}",
+                rows.dims()
+            )));
         }
         Ok(())
     }
@@ -847,8 +849,7 @@ impl CacheState {
                     let cost = engine.recost_prepared(c.prepared(engine), sv, &mut scratch.recost);
                     (c.fingerprint(), cost)
                 })
-                // `cached_plans` iterates a `HashMap` in per-process order:
-                // an exact cost tie must not pick a survivor by that order.
+                // An exact cost tie goes to the smaller fingerprint.
                 .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
                 .expect("non-empty plan list");
             ScrStatCells::add(&self.stats.recost_nanos, t0.elapsed().as_nanos() as u64);
@@ -891,18 +892,9 @@ impl CacheState {
     /// λ-optimal plan.
     fn sweep_existing_plans(&mut self, engine: &QueryEngine, scratch: &mut GetPlanScratch) {
         let t0 = Instant::now();
-        let mut plans: Vec<PlanFingerprint> = self.cache.plans().map(|p| p.fingerprint()).collect();
-        plans.sort_by_key(|&fp| {
-            (
-                self.cache
-                    .instances()
-                    .iter()
-                    .filter(|e| e.plan == fp)
-                    .count(),
-                fp,
-            )
-        });
-        for fp in plans {
+        let mut plans: Vec<(u64, PlanFingerprint)> = self.cache.tally(|_| 1).collect();
+        plans.sort_unstable();
+        for (_, fp) in plans {
             if self.cache.num_plans() <= 1 {
                 break;
             }
@@ -1050,25 +1042,53 @@ impl Scr {
         log_cost_sum: f64,
         opt_count: u64,
     ) -> Result<Self, PqoError> {
-        let mut scr = Scr::with_config(config)?;
-        let state = &mut scr.state;
+        let empty = CacheState::new(config.clone());
+        Scr::from_base(config, &empty, plans, entries, log_cost_sum, opt_count)
+    }
+
+    /// `base` plus what a replication delta adds to it — plans (those `base`
+    /// holds stay as they are), entries appended to the instance list, the
+    /// accumulators as they now stand — under `config`. The result shares
+    /// `base`'s plans and every block of its instance list (a shallow clone,
+    /// then copy-on-write of the tail); nothing of `base` is
+    /// re-materialised.
+    ///
+    /// # Errors
+    /// Propagates configuration validation errors.
+    pub(crate) fn from_base(
+        config: ScrConfig,
+        base: &CacheState,
+        plans: Vec<Arc<pqo_optimizer::plan::Plan>>,
+        entries: Vec<InstanceEntry>,
+        log_cost_sum: f64,
+        opt_count: u64,
+    ) -> Result<Self, PqoError> {
+        config.validate()?;
+        let mut state = CacheState {
+            config,
+            log_cost_sum,
+            opt_count,
+            ..base.clone()
+        };
         for p in plans {
             state.cache.insert_plan(p);
         }
         for e in entries {
             state.cache.push_instance(e);
         }
-        state.log_cost_sum = log_cost_sum;
-        state.opt_count = opt_count;
         state.sync_block_stats();
         debug_assert!(state.cache.check_invariants().is_ok());
-        Ok(scr)
+        Ok(Scr {
+            state,
+            scratch: GetPlanScratch::default(),
+        })
     }
 
     /// Adopt an existing set of shared stat cells (the replica apply path:
-    /// each applied generation is rebuilt via [`Scr::from_parts`], but the
-    /// shard's cumulative hit/publish tallies must survive the swap). The
-    /// adopted cells immediately re-sync the new store's copy counters.
+    /// an applied generation decoded through [`Scr::from_parts`] comes with
+    /// fresh cells, but the shard's cumulative hit/publish tallies must
+    /// survive the swap). The adopted cells immediately re-sync the new
+    /// store's copy counters.
     pub(crate) fn adopt_stat_cells(&mut self, cells: Arc<ScrStatCells>) {
         self.state.stats = cells;
         self.state.sync_block_stats();

@@ -11,20 +11,23 @@
 //!
 //! * [`CacheSnapshot`] — an immutable clone of the [`CacheState`], i.e. of
 //!   everything `getPlan`'s cached path touches: the configuration knobs,
-//!   the plan list, the instance list, its coordinate blocks and the
+//!   the plan list, the instance list with its coordinates and the
 //!   dynamic-λ accumulators, stamped with a generation. Readers load
 //!   the current snapshot (an `Arc` clone) and run the candidate search
 //!   and cost check against it with **no** lock held.
 //! * [`CacheWriter`] — the writer side: it owns the canonical [`Scr`] and
 //!   applies `manageCache` / evictions against it, then publishes the next
-//!   snapshot. Publishing clones the cache *shallowly* (`Arc`-shared plans
-//!   and instance entries; the coordinates are a
-//!   [`crate::spatial::CoordBlocks`], so cloning copies one pointer per 64
-//!   rows and only the tail block the writer appends to next is copied,
-//!   via `Arc::make_mut` — full blocks stay `Arc::ptr_eq` across every
-//!   later generation).
-//!   Each publication is timed into the `publishes`/`publish_nanos`
-//!   counters of [`crate::scr::ScrStats`].
+//!   snapshot. The cache is a persistent structure
+//!   ([`crate::cache::PlanCache`]), so a publication costs O(blocks + what
+//!   changed), not O(instances). **Shared** with every earlier generation:
+//!   the plan list (one `Arc`, replaced only when a plan is added or
+//!   dropped), every full 64-row block of the instance list — coordinates
+//!   and entry pointers alike ([`crate::spatial::CoordBlocks`]) — and the
+//!   entries themselves. **Copied** per publication: one pointer per block,
+//!   and, when the writer next appends, the tail block it appends to
+//!   (`Arc::make_mut`, at most 63 rows); a dropped plan rebuilds the blocks
+//!   behind its first entry. Each publication is timed into the
+//!   `publishes`/`publish_nanos` counters of [`crate::scr::ScrStats`].
 //! * [`SnapshotCell`] — the `ArcCell`-style publication point: a
 //!   `Mutex<Arc<CacheSnapshot>>` whose `load()` clones the `Arc` under a
 //!   lock held for a few instructions. It is lock-free in practice: the
@@ -53,10 +56,10 @@
 //! # Counter identity
 //!
 //! Instance entries are `Arc`-shared across generations
-//! ([`crate::cache::PlanCache`] clones are shallow), so usage counts bumped
-//! through an *old* snapshot remain visible to the writer's LFU eviction,
-//! and Appendix G violation flags set by any reader disable the entry in
-//! every generation. Technique counters ([`crate::scr::ScrStats`]) live in
+//! ([`crate::cache::PlanCache`] clones are shallow; a copied tail block
+//! copies pointers, never entries), so usage counts bumped through an *old*
+//! snapshot remain visible to the writer's LFU eviction, and Appendix G
+//! violation flags set by any reader disable the entry in every generation. Technique counters ([`crate::scr::ScrStats`]) live in
 //! one shared cell set for the same reason.
 
 use std::collections::VecDeque;
@@ -76,9 +79,9 @@ use crate::scr::{CacheState, Scr};
 pub const GENERATION_LOG_DEPTH: usize = 8;
 
 /// An immutable, `Arc`-published view of one SCR cache generation: a clone
-/// of the writer's [`CacheState`] — plan list, instance list, coordinate
-/// blocks, per-entry sub-optimality `S` values and the dynamic-λ
-/// accumulators, everything the cached `getPlan` path reads — under the
+/// of the writer's [`CacheState`] — plan list, instance list (entries and
+/// coordinates, block by block), per-entry sub-optimality `S` values and the
+/// dynamic-λ accumulators, everything the cached `getPlan` path reads — under the
 /// monotonic [`CacheSnapshot::generation`] stamp its writer published it
 /// with, making the publication stream a replicable log rather than a
 /// private pointer swap. Dereferences to the state, so readers call

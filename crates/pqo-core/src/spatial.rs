@@ -1,5 +1,5 @@
-//! The coordinate block store: "smaller G·L first" (paper Section 6.2) by
-//! one scan over the instance list's ln-selectivities.
+//! The block store of the instance list: its rows, and "smaller G·L first"
+//! (paper Section 6.2) by one scan over their ln-selectivities.
 //!
 //! *"...the overheads can also be improved by exploiting [the] idea of
 //! checking instances with smaller GL values first. This can be achieved by
@@ -26,6 +26,13 @@
 //! distances column by column (a loop the compiler vectorises). DESIGN.md
 //! §5c has the measurements and the list size at which this stops holding.
 //!
+//! **Rows.** A block also carries a payload per row — for
+//! [`crate::cache::PlanCache`] the `Arc<InstanceEntry>` the coordinates
+//! belong to, so the instance list *is* this store and there is no second
+//! per-instance array to keep in step with it ([`CoordBlocks::rows`] is the
+//! list view). The payload type is a parameter; `CoordBlocks<()>` is the
+//! plain coordinate store the oracle tests drive.
+//!
 //! **Bit-identity.** A row's distance is `Σi |ci − qi|` with the terms added
 //! in dimension order from zero — the same operations in the same order as
 //! a scalar fold over that row — and every output is ordered by
@@ -37,8 +44,12 @@
 //! **Sharing.** Blocks sit behind `Arc`s. A full block is never written
 //! again, so every published generation of a cache shares it; appending
 //! writes the tail block through `Arc::make_mut`, which copies it (at most
-//! `64·d·8` bytes) only while a published generation still holds it.
-//! `Clone` is one pointer bump per block.
+//! `64·d·8` bytes of coordinates and 63 payloads — pointer bumps, for the
+//! instance list) only while a published generation still holds it, and
+//! two clones appended to independently each copy their own tail. `Clone`
+//! is one pointer bump per block: what is *shared* is every block, what is
+//! *copied* per publication is the `Vec` of block pointers and, on the
+//! writer's next append, at most the tail.
 //!
 //! Stored coordinates are clamped into `[ln MIN_POSITIVE, ln MAX]`, so a
 //! pathological selectivity (NaN, ∞, 0 from a hostile client or a histogram
@@ -118,26 +129,76 @@ pub fn nearest_enabled(
     }
 }
 
-/// Append-only store of the instance list's coordinates in log-selectivity
-/// space: row `i` is instance-list entry `i`. See the module docs.
-#[derive(Debug, Clone, Default)]
-pub struct CoordBlocks {
+/// One block: [`BLOCK_ROWS`] rows of coordinates, allocated whole, and the
+/// payloads of the rows filled so far.
+#[derive(Debug)]
+struct Block<T> {
+    /// `coords[dim * BLOCK_ROWS + r]` is coordinate `dim` of the block's row
+    /// `r`; rows past `rows.len()` are zero and never read as results.
+    coords: Box<[f64]>,
+    rows: Vec<T>,
+}
+
+/// The copy `Arc::make_mut` takes of a shared tail: room for the rows the
+/// writer is about to append, so the copy is the append's only allocation.
+impl<T: Clone> Clone for Block<T> {
+    fn clone(&self) -> Self {
+        let mut rows = Vec::with_capacity(BLOCK_ROWS);
+        rows.extend_from_slice(&self.rows);
+        Block {
+            coords: self.coords.clone(),
+            rows,
+        }
+    }
+}
+
+/// Append-only store of the instance list: row `i` is entry `i`, its
+/// coordinates in log-selectivity space beside its payload. See the module
+/// docs.
+#[derive(Debug, Clone)]
+pub struct CoordBlocks<T = ()> {
     dims: usize,
     len: usize,
-    /// `blocks[b][dim * BLOCK_ROWS + r]` is coordinate `dim` of row
-    /// `b * BLOCK_ROWS + r`; every block is allocated whole, rows past
-    /// `len` are zero and never read as results.
-    blocks: Vec<Arc<[f64]>>,
+    blocks: Vec<Arc<Block<T>>>,
     blocks_copied: u64,
     rows_copied: u64,
 }
 
+impl<T> Default for CoordBlocks<T> {
+    fn default() -> Self {
+        CoordBlocks {
+            dims: 0,
+            len: 0,
+            blocks: Vec::new(),
+            blocks_copied: 0,
+            rows_copied: 0,
+        }
+    }
+}
+
 impl CoordBlocks {
-    /// Empty store; the first row fixes the dimensionality.
+    /// Empty payload-free store; the first row fixes the dimensionality.
+    /// (A store with payloads starts from `Default`.)
     pub fn new() -> Self {
         CoordBlocks::default()
     }
 
+    /// Append a payload-free row at the given selectivities; its index is
+    /// the previous [`CoordBlocks::len`].
+    ///
+    /// # Panics
+    /// Panics if the arity differs from the rows already stored.
+    pub fn push(&mut self, selectivities: &[f64]) {
+        self.push_with(selectivities, ());
+    }
+
+    /// [`CoordBlocks::retain_rows`] by row index alone.
+    pub fn retain(&mut self, keep: impl Fn(usize) -> bool) {
+        self.retain_rows(|i, ()| keep(i));
+    }
+}
+
+impl<T> CoordBlocks<T> {
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.len
@@ -148,10 +209,15 @@ impl CoordBlocks {
         self.len == 0
     }
 
+    /// The rows' payloads as a list: entry `i` belongs to coordinate row `i`.
+    pub fn rows(&self) -> Rows<'_, T> {
+        Rows { store: self }
+    }
+
     /// Cumulative `(blocks copied, rows copied)`: tail blocks copied on
     /// write because a published generation still shared them, and blocks
-    /// rebuilt by [`CoordBlocks::retain`] — the writer's cost of keeping
-    /// published generations immutable, surfaced through `ScrStats`.
+    /// rebuilt by [`CoordBlocks::retain_rows`] — the writer's cost of
+    /// keeping published generations immutable, surfaced through `ScrStats`.
     pub fn copy_stats(&self) -> (u64, u64) {
         (self.blocks_copied, self.rows_copied)
     }
@@ -163,58 +229,28 @@ impl CoordBlocks {
     pub fn block_tokens(&self) -> Vec<usize> {
         self.blocks
             .iter()
-            .map(|b| Arc::as_ptr(b) as *const f64 as usize)
+            .map(|b| Arc::as_ptr(b) as usize)
             .collect()
     }
 
-    /// Append a row at the given selectivities; its index is the previous
-    /// [`CoordBlocks::len`].
-    ///
-    /// # Panics
-    /// Panics if the arity differs from the rows already stored.
-    pub fn push(&mut self, selectivities: &[f64]) {
-        if self.len == 0 {
-            self.dims = selectivities.len();
-        }
-        assert_eq!(selectivities.len(), self.dims, "dimension mismatch");
-        self.push_row(|dim| ln_clamped(selectivities[dim]));
+    /// The payloads of each block in turn; block `b` starts at row
+    /// `b * BLOCK_ROWS`.
+    pub(crate) fn block_rows(&self) -> impl Iterator<Item = &[T]> {
+        self.blocks.iter().map(|b| b.rows.as_slice())
     }
 
-    fn push_row(&mut self, coord: impl Fn(usize) -> f64) {
-        let r = self.len % BLOCK_ROWS;
-        if r == 0 {
-            self.blocks.push(vec![0.0; self.dims * BLOCK_ROWS].into());
+    /// Whether block `b` of both stores is one shared allocation — the same
+    /// rows at the same indices.
+    pub(crate) fn shares_block(&self, other: &Self, b: usize) -> bool {
+        match (self.blocks.get(b), other.blocks.get(b)) {
+            (Some(x), Some(y)) => Arc::ptr_eq(x, y),
+            _ => false,
         }
-        let tail = self.blocks.last_mut().expect("a tail block exists");
-        if Arc::get_mut(tail).is_none() {
-            self.blocks_copied += 1;
-            self.rows_copied += r as u64;
-        }
-        let block = Arc::make_mut(tail);
-        for dim in 0..self.dims {
-            block[dim * BLOCK_ROWS + r] = coord(dim);
-        }
-        self.len += 1;
     }
 
-    /// Drop every row `i` with `!keep(i)` and close the gaps (the instance
-    /// list compacts the same way when a plan is dropped). Blocks before
-    /// the first dropped row keep their storage; the rest are rebuilt from
-    /// the kept rows. Dropping nothing touches nothing.
-    pub fn retain(&mut self, keep: impl Fn(usize) -> bool) {
-        let Some(first) = (0..self.len).find(|&i| !keep(i)) else {
-            return;
-        };
-        let clean = first / BLOCK_ROWS;
-        let stale = self.blocks.split_off(clean);
-        let (start, end) = (clean * BLOCK_ROWS, self.len);
-        self.len = start;
-        for i in (start..end).filter(|&i| keep(i)) {
-            let from = &stale[(i - start) / BLOCK_ROWS];
-            self.push_row(|dim| from[dim * BLOCK_ROWS + i % BLOCK_ROWS]);
-        }
-        self.blocks_copied += (self.blocks.len() - clean) as u64;
-        self.rows_copied += (self.len - start) as u64;
+    /// Dimensionality of the rows (0 while empty).
+    pub fn dims(&self) -> usize {
+        self.dims
     }
 
     /// The kernel: each block's distances from `q`, column by column, handed
@@ -227,7 +263,7 @@ impl CoordBlocks {
         for (b, block) in self.blocks.iter().enumerate() {
             for (t, out) in dist.chunks_exact_mut(TILE).enumerate() {
                 let mut acc = [0.0f64; TILE];
-                for (col, &qd) in block.chunks_exact(BLOCK_ROWS).zip(q) {
+                for (col, &qd) in block.coords.chunks_exact(BLOCK_ROWS).zip(q) {
                     for (a, &c) in acc.iter_mut().zip(&col[t * TILE..(t + 1) * TILE]) {
                         *a += (c - qd).abs();
                     }
@@ -304,6 +340,146 @@ impl CoordBlocks {
         self.scan(query, f64::NEG_INFINITY, &mut q, &mut dist, |_, _| false);
         select_nearest(&dist, k, &mut top);
         top
+    }
+}
+
+impl<T: Clone> CoordBlocks<T> {
+    /// Append a row at the given selectivities; its index is the previous
+    /// [`CoordBlocks::len`].
+    ///
+    /// # Panics
+    /// Panics if the arity differs from the rows already stored.
+    pub fn push_with(&mut self, selectivities: &[f64], payload: T) {
+        if self.len == 0 {
+            self.dims = selectivities.len();
+        }
+        assert_eq!(selectivities.len(), self.dims, "dimension mismatch");
+        self.push_row(payload, |dim| ln_clamped(selectivities[dim]));
+    }
+
+    fn push_row(&mut self, payload: T, coord: impl Fn(usize) -> f64) {
+        let r = self.len % BLOCK_ROWS;
+        if r == 0 {
+            self.blocks.push(Arc::new(Block {
+                coords: vec![0.0; self.dims * BLOCK_ROWS].into(),
+                rows: Vec::with_capacity(BLOCK_ROWS),
+            }));
+        }
+        let tail = self.blocks.last_mut().expect("a tail block exists");
+        if Arc::get_mut(tail).is_none() {
+            self.blocks_copied += 1;
+            self.rows_copied += r as u64;
+        }
+        let block = Arc::make_mut(tail);
+        for dim in 0..self.dims {
+            block.coords[dim * BLOCK_ROWS + r] = coord(dim);
+        }
+        block.rows.push(payload);
+        self.len += 1;
+    }
+
+    /// Drop every row `i` with `!keep(i, payload)`, close the gaps and hand
+    /// back the dropped payloads in row order. Blocks before the first
+    /// dropped row keep their storage; the rest are rebuilt from the kept
+    /// rows. Dropping nothing touches nothing.
+    pub fn retain_rows(&mut self, keep: impl Fn(usize, &T) -> bool) -> Vec<T> {
+        let Some(first) = self
+            .rows()
+            .iter()
+            .enumerate()
+            .position(|(i, t)| !keep(i, t))
+        else {
+            return Vec::new();
+        };
+        let clean = first / BLOCK_ROWS;
+        let stale = self.blocks.split_off(clean);
+        let start = clean * BLOCK_ROWS;
+        self.len = start;
+        let mut dropped = Vec::new();
+        for (b, from) in stale.iter().enumerate() {
+            for (r, payload) in from.rows.iter().enumerate() {
+                if keep(start + b * BLOCK_ROWS + r, payload) {
+                    self.push_row(payload.clone(), |dim| from.coords[dim * BLOCK_ROWS + r]);
+                } else {
+                    dropped.push(payload.clone());
+                }
+            }
+        }
+        self.blocks_copied += (self.blocks.len() - clean) as u64;
+        self.rows_copied += (self.len - start) as u64;
+        dropped
+    }
+}
+
+/// A block store's payloads as a list: borrowed and indexable.
+#[derive(Debug)]
+pub struct Rows<'a, T> {
+    store: &'a CoordBlocks<T>,
+}
+
+impl<'a, T> Rows<'a, T> {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.store.len
+    }
+
+    /// Whether there is no row.
+    pub fn is_empty(&self) -> bool {
+        self.store.len == 0
+    }
+
+    /// Row `i`, if there is one.
+    pub fn get(&self, i: usize) -> Option<&'a T> {
+        self.store
+            .blocks
+            .get(i / BLOCK_ROWS)?
+            .rows
+            .get(i % BLOCK_ROWS)
+    }
+
+    /// The rows in index order.
+    pub fn iter(&self) -> RowsIter<'a, T> {
+        RowsIter {
+            blocks: self.store.blocks.iter(),
+            rows: [].iter(),
+        }
+    }
+}
+
+impl<T> std::ops::Index<usize> for Rows<'_, T> {
+    type Output = T;
+
+    fn index(&self, i: usize) -> &T {
+        &self.store.blocks[i / BLOCK_ROWS].rows[i % BLOCK_ROWS]
+    }
+}
+
+impl<'a, T> IntoIterator for Rows<'a, T> {
+    type Item = &'a T;
+    type IntoIter = RowsIter<'a, T>;
+
+    fn into_iter(self) -> RowsIter<'a, T> {
+        self.iter()
+    }
+}
+
+/// Iterator over [`Rows`].
+#[derive(Debug)]
+pub struct RowsIter<'a, T> {
+    blocks: std::slice::Iter<'a, Arc<Block<T>>>,
+    rows: std::slice::Iter<'a, T>,
+}
+
+impl<'a, T> Iterator for RowsIter<'a, T> {
+    type Item = &'a T;
+
+    fn next(&mut self) -> Option<&'a T> {
+        loop {
+            if let Some(row) = self.rows.next() {
+                return Some(row);
+            }
+            self.rows = self.blocks.next()?.rows.iter();
+        }
     }
 }
 
@@ -426,5 +602,34 @@ mod tests {
         // Row 70 is gone: old row 71 answers at index 70.
         let q = [0.004 * 72.0];
         assert_eq!(s.nearest(&q, 1), vec![(0.0, 70)]);
+    }
+
+    #[test]
+    fn payloads_ride_with_their_rows_through_forks_and_compaction() {
+        let mut origin: CoordBlocks<usize> = CoordBlocks::default();
+        for i in 0..70 {
+            origin.push_with(&[0.01 * (i + 1) as f64], i);
+        }
+        // Two forks of a shared tail each copy it; the origin sees neither.
+        let (mut left, mut right) = (origin.clone(), origin.clone());
+        left.push_with(&[0.9], 700);
+        right.push_with(&[0.8], 800);
+        assert_eq!((origin.len(), left.len(), right.len()), (70, 71, 71));
+        assert_eq!(left.rows()[70], 700);
+        assert_eq!(right.rows().get(70), Some(&800));
+        assert_eq!(origin.rows().get(70), None);
+        assert_eq!(left.block_tokens()[0], right.block_tokens()[0]);
+        assert_ne!(left.block_tokens()[1], right.block_tokens()[1]);
+        // Compaction hands the dropped payloads back in row order and keeps
+        // payload and coordinates together.
+        let dropped = left.retain_rows(|i, &p| p % 10 != 3 || i >= 65);
+        assert_eq!(dropped, vec![3, 13, 23, 33, 43, 53, 63]);
+        assert_eq!(left.len(), 64);
+        let kept: Vec<usize> = left.rows().iter().copied().collect();
+        assert_eq!(kept.len(), 64);
+        assert!(kept.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(left.nearest(&[0.9], 1), vec![(0.0, 63)]);
+        assert_eq!(left.rows()[63], 700);
+        assert_eq!(right.rows().len(), 71, "the other fork is untouched");
     }
 }

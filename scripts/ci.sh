@@ -49,16 +49,20 @@ cargo build --release --offline --workspace --all-targets
 echo "==> cargo test"
 cargo test -q --offline --workspace
 
-echo "==> candidate search oracle + decision and optimizer goldens + per-thread scratch"
+echo "==> candidate search oracle + decision, optimizer and publication goldens + per-thread scratch"
 # The serving path's invariants, run (optimized, as served) as their own
 # stage so a divergence is named in CI output: every answer of the
 # coordinate block store is bitwise identical to a brute-force scan; the
-# decision streams hash to tests/fixtures/decision_stream.golden and the
-# optimizer's results to tests/fixtures/optimizer_plans.golden; a warm
-# optimizer call allocates only its plan; one thread's scratch serves
-# same-arity templates through dropped and rebuilt services.
+# decision streams hash to tests/fixtures/decision_stream.golden, the
+# optimizer's results to tests/fixtures/optimizer_plans.golden and the bytes
+# a cache is saved and replicated as to
+# tests/fixtures/publication_bytes.golden; a warm optimizer call allocates
+# only its plan and a publication nothing that grows with the instance list;
+# one thread's scratch serves same-arity templates through dropped and
+# rebuilt services.
 cargo test -q --offline --release --test spatial_oracle --test decision_golden \
-    --test optimizer_golden --test optimize_alloc --test scratch_identity
+    --test optimizer_golden --test optimize_alloc --test scratch_identity \
+    --test publication_golden --test publish_alloc
 
 echo "==> microbench smoke (quick mode, includes service/batch throughput)"
 # Running the harness=false bench binaries through `cargo test` omits the
@@ -274,6 +278,12 @@ echo "==> stack benchmark smoke (embedded_bigjoin, 4 s, output checks)"
 # And of the workload that leans on the optimizer call: 62% of its decisions
 # run the prepared join search, and each pass is checked the same way.
 stackbench_smoke embedded_bigjoin
+
+echo "==> stack benchmark smoke (replica_follow, 4 s, output checks)"
+# And of the one workload that runs the primary's delta encode and the
+# replica's apply over real sockets: the replica's decisions are checked
+# against the primary's stream.
+stackbench_smoke replica_follow
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check

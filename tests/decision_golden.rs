@@ -160,10 +160,12 @@ fn decision_streams_match_the_committed_golden() {
     common::assert_matches_golden("decision_stream", &actual);
 }
 
-/// Decisions are a function of the request stream: the redundancy check once
-/// broke an exact cost tie between two cached plans by `HashMap` iteration
-/// order, so two services fed the same stream could keep different plans.
-/// These templates hold such ties on these seeds.
+/// Decisions — and everything published on the way — are a function of the
+/// request stream: the redundancy check once broke an exact cost tie between
+/// two cached plans by `HashMap` iteration order, so two services fed the
+/// same stream could keep different plans. These templates hold such ties on
+/// these seeds. The plan list is ordered now, so sixteen fresh services must
+/// agree on the decisions, on every delta record and on the persisted bytes.
 #[test]
 fn tie_holding_templates_decide_identically_in_every_service() {
     let cases: Vec<(&TemplateSpec, u64)> = ["rd2_R_d6", "rd2_P_d8", "rd2_R_d8"]
@@ -172,27 +174,52 @@ fn tie_holding_templates_decide_identically_in_every_service() {
         .collect();
     on_two_threads(&cases, |&(s, seed)| {
         let instances = s.generate(s.default_len(), seed);
-        let stream = || -> Vec<(u64, bool)> {
-            // A fresh service: its caches' `HashMap`s draw fresh hasher keys.
+        // Decisions, delta records in publication order, persisted bytes.
+        type Served = (Vec<(u64, bool)>, Vec<Vec<u8>>, Vec<u8>);
+        let serve = || -> Served {
             let service = PqoService::new();
             service
                 .register(Arc::clone(&s.template), lambda(2.0))
                 .expect("fresh name");
-            instances
+            let (mut published, mut deltas) = (0u64, Vec::new());
+            let decisions = instances
                 .iter()
                 .map(|q| {
-                    let c = service.get_plan(&s.id, q).expect("registered");
+                    let (c, generation) = service
+                        .get_plan_with_generation(&s.id, q)
+                        .expect("registered");
+                    if generation > published {
+                        let (record, _) = service
+                            .generation_record(&s.id, Some(published))
+                            .expect("registered");
+                        deltas.push(record);
+                        published = generation;
+                    }
                     (c.plan.fingerprint().0, c.optimized)
                 })
-                .collect()
+                .collect();
+            let mut blob = Vec::new();
+            service.save(&s.id, &mut blob).expect("registered");
+            (decisions, deltas, blob)
         };
-        let first = stream();
+        let first = serve();
         for service in 1..16 {
-            let again = stream();
-            let at = first.iter().zip(&again).position(|(a, b)| a != b);
+            let again = serve();
+            let at = first.0.iter().zip(&again.0).position(|(a, b)| a != b);
             assert!(
                 at.is_none(),
                 "{} seed {seed}: service {service} diverged at decision {at:?}",
+                s.id
+            );
+            let at = first.1.iter().zip(&again.1).position(|(a, b)| a != b);
+            assert!(
+                at.is_none() && first.1.len() == again.1.len(),
+                "{} seed {seed}: service {service} published another delta record at {at:?}",
+                s.id
+            );
+            assert!(
+                first.2 == again.2,
+                "{} seed {seed}: service {service} persisted other bytes",
                 s.id
             );
         }

@@ -112,9 +112,10 @@ fn bits(v: &[(f64, usize)]) -> Vec<(u64, usize)> {
     v.iter().map(|&(d, i)| (d.to_bits(), i)).collect()
 }
 
-/// Every answer of `store` at `query` against the oracle's.
-fn assert_same_answers(
-    store: &CoordBlocks,
+/// Every answer of `store` at `query` against the oracle's, whatever the
+/// rows carry beside their coordinates.
+fn assert_same_answers<T>(
+    store: &CoordBlocks<T>,
     oracle: &BruteOracle,
     query: &[f64],
     k: usize,
