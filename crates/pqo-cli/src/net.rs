@@ -223,6 +223,7 @@ pub fn serve_listen(args: &Args, listen: &str) -> Result<(), String> {
     println!("connections accepted: {}", stats.connections_accepted);
     println!("rejected (busy)     : {}", stats.connections_rejected_busy);
     println!("frames served       : {}", stats.frames_served);
+    println!("frames to pool      : {}", stats.pool_frames);
     println!("plans served        : {}", stats.plans_served);
     println!("batch frames        : {}", stats.batch_frames);
     println!("malformed frames    : {}", stats.malformed_frames);

@@ -154,6 +154,31 @@ pub struct PqoService {
     global_evictions: AtomicU64,
 }
 
+/// What the cache-only half of `getPlan` found
+/// ([`PqoService::serve_cached`]).
+pub enum Cached {
+    /// The selectivity or the cost check passed: `choice` is valid at
+    /// `generation`, the published generation it was served from.
+    Hit {
+        /// The cached plan (`optimized` is `false`).
+        choice: PlanChoice,
+        /// The generation consulted.
+        generation: u64,
+    },
+    /// Both checks failed; [`PqoService::resume`] finishes the decision.
+    Miss(MissTicket),
+}
+
+/// A confirmed cache miss in transit to the thread that may call the
+/// optimizer: the shard, the checked selectivity vector and the generation
+/// the miss was decided against, so that nothing is looked up, validated or
+/// decided a second time.
+pub struct MissTicket {
+    shard: Arc<Shard>,
+    sv: SVector,
+    generation: u64,
+}
+
 impl PqoService {
     /// Service without a global budget.
     pub fn new() -> Self {
@@ -331,22 +356,19 @@ impl PqoService {
         template: &str,
         instance: &QueryInstance,
     ) -> Result<(PlanChoice, u64), PqoError> {
-        let shard = self.shard(template)?;
-        let sv = shard.checked_svector(instance)?;
-
-        let snapshot = shard.published.load();
-        if let Some(choice) = shard.try_cached_plan(&snapshot, &sv) {
-            return Ok((choice, snapshot.generation()));
-        }
-
-        Ok(self.optimize_and_commit(&shard, &sv))
+        Ok(match self.serve_cached(template, instance)? {
+            Cached::Hit { choice, generation } => (choice, generation),
+            Cached::Miss(ticket) => self.resume(ticket),
+        })
     }
 
-    /// The cache-only serving path (selectivity check + cost check against
-    /// the current published generation — never an optimizer call, never a
-    /// cache mutation), plus the generation consulted. This is the replica
-    /// fast path: a read replica answers hits locally and forwards misses
-    /// (`None`) to its primary.
+    /// The cache-only half of `getPlan` (selectivity check + cost check
+    /// against the current published generation — never an optimizer call,
+    /// never the writer lock, never a cache mutation): a hit with the generation it
+    /// was served from, or a [`MissTicket`] for [`PqoService::resume`]. A
+    /// network front end answers hits where the request was decoded and
+    /// hands only tickets to its worker pool; a read replica answers hits
+    /// locally and forwards misses to its primary.
     ///
     /// # Errors
     /// As [`PqoService::get_plan`].
@@ -354,11 +376,41 @@ impl PqoService {
         &self,
         template: &str,
         instance: &QueryInstance,
-    ) -> Result<(Option<PlanChoice>, u64), PqoError> {
+    ) -> Result<Cached, PqoError> {
         let shard = self.shard(template)?;
         let sv = shard.checked_svector(instance)?;
         let snapshot = shard.published.load();
-        Ok((shard.try_cached_plan(&snapshot, &sv), snapshot.generation()))
+        let generation = snapshot.generation();
+        Ok(match shard.try_cached_plan(&snapshot, &sv) {
+            Some(choice) => Cached::Hit { choice, generation },
+            None => Cached::Miss(MissTicket {
+                shard,
+                sv,
+                generation,
+            }),
+        })
+    }
+
+    /// The other half: finish a miss [`PqoService::serve_cached`] reported,
+    /// on whichever thread may call the optimizer. While the generation the
+    /// ticket was decided against is still the published one, this goes
+    /// straight to the optimizer call and `manageCache` — the instance is
+    /// decided once. If a publication landed in between (another caller's
+    /// miss), the instance is decided again against the new generation and
+    /// can come back as a hit of it.
+    pub fn resume(&self, ticket: MissTicket) -> (PlanChoice, u64) {
+        let MissTicket {
+            shard,
+            sv,
+            generation,
+        } = ticket;
+        let snapshot = shard.published.load();
+        if snapshot.generation() != generation {
+            if let Some(choice) = shard.try_cached_plan(&snapshot, &sv) {
+                return (choice, snapshot.generation());
+            }
+        }
+        self.optimize_and_commit(&shard, &sv)
     }
 
     /// Serve a batch of instances of the named template, amortizing the
@@ -805,7 +857,7 @@ mod tests {
             let errors = [
                 s.get_plan("q_orders", q).unwrap_err(),
                 s.get_plan_with_generation("q_orders", q).unwrap_err(),
-                s.serve_cached("q_orders", q).unwrap_err(),
+                s.serve_cached("q_orders", q).err().expect("refused"),
                 s.get_plan_batch("q_orders", &batch).unwrap_err(),
                 s.get_plan_batch_with_generation("q_orders", &batch)
                     .unwrap_err(),
@@ -832,6 +884,42 @@ mod tests {
             s.get_plan("nope", &bad[0]),
             Err(PqoError::UnknownTemplate { .. })
         ));
+    }
+
+    #[test]
+    fn a_ticket_is_decided_once_per_generation_it_meets() {
+        let decisions = |s: &PqoService| {
+            let st = s.scr_stats("q_orders").unwrap();
+            (st.selectivity_hits, st.cost_hits, st.optimizer_calls)
+        };
+        let miss = |s: &PqoService, q: &QueryInstance| match s.serve_cached("q_orders", q) {
+            Ok(Cached::Miss(ticket)) => ticket,
+            _ => panic!("an empty cache can only miss"),
+        };
+
+        // Generation unchanged: straight to the optimizer, nothing decided
+        // a second time.
+        let (s, t_orders, _) = service_two_templates();
+        let q = inst_at(&t_orders, &[0.1, 0.5]);
+        let ticket = miss(&s, &q);
+        let (choice, generation) = s.resume(ticket);
+        assert!(choice.optimized);
+        assert_eq!(generation, s.generation("q_orders").unwrap());
+        assert_eq!(decisions(&s), (0, 0, 1));
+
+        // Generation moved while the ticket was in transit (another caller's
+        // miss on the same point published): decided again, against the new
+        // generation, and served from it without an optimizer call.
+        let (s, t_orders, _) = service_two_templates();
+        let q = inst_at(&t_orders, &[0.1, 0.5]);
+        let stale = miss(&s, &q);
+        let (winner, published) = s.get_plan_with_generation("q_orders", &q).unwrap();
+        assert!(winner.optimized);
+        let (choice, generation) = s.resume(stale);
+        assert!(!choice.optimized, "the moved generation covers the point");
+        assert_eq!(generation, published);
+        assert_eq!(choice.plan.fingerprint(), winner.plan.fingerprint());
+        assert_eq!(decisions(&s), (1, 0, 1));
     }
 
     #[test]
@@ -994,10 +1082,13 @@ mod tests {
         let good = CacheSnapshot::capture_at(&crafted_scr(0, 2), 5);
         let record = replication::encode_generation(&good, None);
         assert_eq!(r.apply_generation("q_orders", &record).unwrap(), 5);
-        let (hit, _) = r
+        let hit = r
             .serve_cached("q_orders", &inst_at(&t_orders, &[0.5, 0.5]))
             .unwrap();
-        assert!(hit.is_some(), "an accepted generation must serve");
+        assert!(
+            matches!(hit, Cached::Hit { generation: 5, .. }),
+            "an accepted generation must serve"
+        );
     }
 
     #[test]
@@ -1062,10 +1153,11 @@ mod tests {
                 assert_eq!(applied, produced);
             }
             // The replica now serves the same point as a local cache hit.
-            let (hit, g) = r.serve_cached("q_orders", &q).unwrap();
-            assert_eq!(g, applied);
-            let hit = hit.expect("replayed generation must cover the instance");
-            assert!(!hit.optimized);
+            let Cached::Hit { choice, generation } = r.serve_cached("q_orders", &q).unwrap() else {
+                panic!("replayed generation must cover the instance");
+            };
+            assert_eq!(generation, applied);
+            assert!(!choice.optimized);
         }
         assert_eq!(
             r.generation("q_orders").unwrap(),

@@ -1,12 +1,18 @@
 //! A small blocking client for the wire protocol: one TCP connection, one
 //! in-flight request at a time (the protocol is strictly request/response).
+//! A round trip is two syscalls: the request leaves in one vectored `write`
+//! ([`wire::write_frame`]) and the response is read through a buffer the
+//! client owns, so header and body arrive in one `read` — as does a
+//! `SNAPSHOT_PUSH` that shared the response's segment, which
+//! [`PqoClient::poll_push`] therefore looks for in the buffer before it
+//! waits on the socket.
 //!
 //! Used by `pqo-cli client`, the `net_throughput` bench and the loopback
 //! stress tests; it is also the reference implementation for writing a
 //! client in another language.
 
 use std::collections::VecDeque;
-use std::io::Write;
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -64,7 +70,11 @@ impl From<std::io::Error> for ClientError {
 
 /// A connected, handshaken client.
 pub struct PqoClient {
-    stream: TcpStream,
+    /// Reads go through the buffer, writes straight to the socket.
+    stream: BufReader<TcpStream>,
+    /// The connection's read deadline, which [`PqoClient::poll_push`]
+    /// shortens for its wait and puts back.
+    timeout: Duration,
     templates: Vec<String>,
     body: Vec<u8>,
     frame: Vec<u8>,
@@ -113,7 +123,8 @@ impl PqoClient {
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
         let mut client = PqoClient {
-            stream,
+            stream: BufReader::new(stream),
+            timeout,
             templates: Vec::new(),
             body: Vec::new(),
             frame: Vec::new(),
@@ -148,8 +159,7 @@ impl PqoClient {
     /// are buffered for [`PqoClient::poll_push`], never dropped.
     fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
         encode_request(req, &mut self.body);
-        wire::write_frame(&mut self.stream, &self.body)?;
-        self.stream.flush()?;
+        wire::write_frame(self.stream.get_mut(), &self.body)?;
         loop {
             if !wire::read_frame(&mut self.stream, self.max_frame, &mut self.frame)? {
                 return Err(ClientError::Protocol(
@@ -299,27 +309,33 @@ impl PqoClient {
         if let Some(p) = self.pushes.pop_front() {
             return Ok(Some(p));
         }
-        // Peek (no consumption) under the short deadline, so an idle
-        // timeout can never strand a half-read frame on the stream.
-        self.stream.set_read_timeout(Some(idle))?;
-        let mut probe = [0u8; 1];
-        match self.stream.peek(&mut probe) {
-            Ok(0) => {
-                return Err(ClientError::Protocol(
-                    "server closed the subscription stream".into(),
-                ))
+        // A push that arrived in the same segment as a response is already
+        // in the buffer; the socket has nothing to say about it.
+        if self.stream.buffer().is_empty() {
+            // Peek (no consumption) under the short deadline, so an idle
+            // timeout can never strand a half-read frame on the stream —
+            // and put the connection's own deadline back whatever the peek
+            // said, so the frame below and every later call run under it.
+            let socket = self.stream.get_ref();
+            socket.set_read_timeout(Some(idle))?;
+            let peeked = socket.peek(&mut [0u8; 1]);
+            socket.set_read_timeout(Some(self.timeout))?;
+            match peeked {
+                Ok(0) => {
+                    return Err(ClientError::Protocol(
+                        "server closed the subscription stream".into(),
+                    ))
+                }
+                Ok(_) => {}
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    return Ok(None)
+                }
+                Err(e) => return Err(e.into()),
             }
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return Ok(None)
-            }
-            Err(e) => return Err(e.into()),
         }
-        self.stream
-            .set_read_timeout(Some(Duration::from_secs(10)))?;
         if !wire::read_frame(&mut self.stream, self.max_frame, &mut self.frame)? {
             return Err(ClientError::Protocol(
                 "server closed the subscription stream".into(),
@@ -358,8 +374,7 @@ impl PqoClient {
             },
             &mut self.body,
         );
-        wire::write_frame(&mut self.stream, &self.body)?;
-        self.stream.flush()?;
+        wire::write_frame(self.stream.get_mut(), &self.body)?;
         Ok(())
     }
 

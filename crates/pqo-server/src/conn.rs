@@ -7,7 +7,7 @@
 
 use std::collections::VecDeque;
 
-use crate::wire::{Request, WireError};
+use crate::wire::{self, Request, Response, WireError};
 
 /// Reassembly failure: the announced frame length exceeds the limit.
 /// Framing cannot resynchronize after an oversized announcement, so the
@@ -126,6 +126,16 @@ impl WriteBuf {
         self.buf.extend_from_slice(body);
     }
 
+    /// Queue `resp` as one frame, encoded in place: the length prefix is
+    /// reserved, the body encoded behind it, the prefix patched.
+    pub fn push_response(&mut self, resp: &Response) {
+        let at = self.buf.len();
+        self.buf.extend_from_slice(&[0; 4]);
+        wire::append_response(resp, &mut self.buf);
+        let len = (self.buf.len() - at - 4) as u32;
+        self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    }
+
     /// The bytes still to be written.
     pub fn pending(&self) -> &[u8] {
         &self.buf[self.pos..]
@@ -206,7 +216,7 @@ impl PendingQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{self, encode_request, Request};
+    use crate::wire::{self, encode_request, encode_response, Request, WireChoice};
 
     fn frame_stream(requests: &[Request]) -> (Vec<u8>, Vec<Vec<u8>>) {
         let mut stream = Vec::new();
@@ -345,6 +355,41 @@ mod tests {
         }
         assert_eq!(written, want, "short-write stream diverged from writer");
         assert_eq!(wbuf.len(), 0);
+    }
+
+    /// A response encoded in place is the frame the blocking writer emits
+    /// for the same response, also behind a partly drained buffer.
+    #[test]
+    fn responses_encoded_in_place_match_blocking_writer() {
+        let responses = [
+            Response::ShutdownOk,
+            Response::Plan(WireChoice {
+                fingerprint: 0xFEED_F00D,
+                optimized: true,
+                generation: 7,
+            }),
+            Response::Error {
+                code: wire::code::TIMEOUT,
+                message: "no progress within 400ms (mid-frame)".into(),
+            },
+            Response::SnapshotPush {
+                template: "t".into(),
+                generation: 9,
+                record: vec![0xAB; 70_000],
+            },
+        ];
+        let mut want = Vec::new();
+        let mut body = Vec::new();
+        let mut wbuf = WriteBuf::new();
+        wire::write_frame(&mut want, b"earlier").unwrap();
+        wbuf.push_frame(b"earlier");
+        wbuf.advance(5);
+        for resp in &responses {
+            encode_response(resp, &mut body);
+            wire::write_frame(&mut want, &body).unwrap();
+            wbuf.push_response(resp);
+        }
+        assert_eq!(wbuf.pending(), &want[5..]);
     }
 
     /// The pending queue answers strictly in arrival order with one

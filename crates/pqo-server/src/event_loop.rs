@@ -1,23 +1,39 @@
 //! The event-driven server core: one thread owns the nonblocking listener
 //! and every accepted socket in a readiness set ([`crate::poller`]), drives
-//! the per-connection state machines of [`crate::conn`], and hands decoded
-//! frames to a fixed worker pool that calls the dispatch layer of
-//! [`crate::server`].
+//! the per-connection state machines of [`crate::conn`], answers what the
+//! published generation can answer, and hands the rest to a fixed worker
+//! pool that calls the dispatch layer of [`crate::server`].
 //!
 //! ```text
 //!            ┌───────────────────────────── event-loop thread ─────┐
 //!  sockets ─▶│ poller.wait ─▶ read ─▶ FrameAssembler ─▶ decode ──┐ │
 //!            │     ▲                                             ▼ │
-//!            │ completions ◀─ WriteBuf ◀─ encode ◀──┐   PendingQueue│
-//!            └──────▲───────────────────────────────┼──────────▼───┘
-//!                   │ waker                 ┌───────┴──────────────┐
-//!                   └───────────────────────│ worker pool: dispatch│
-//!                                           └──────────────────────┘
+//!            │     │          ┌── hit, control, bad frame ◀─ PendingQueue
+//!            │     │          ▼                                  │ │
+//!            │ completions ─▶ WriteBuf ─▶ write                  │ │
+//!            └──────▲────────────────────────────────────────────┼─┘
+//!                   │ waker       ┌──────────────────────────────▼─┐
+//!                   └─────────────│ worker pool: miss, batch, …    │
+//!                                 └────────────────────────────────┘
 //! ```
 //!
-//! Ordering: each connection has at most one frame in flight in the pool,
-//! so responses always return in request order even for a pipelining
-//! client. Backpressure: a connection whose write buffer or pending queue
+//! `GET_PLAN` is split at the miss. The selectivity and cost checks
+//! ([`crate::server::serve_local`]) run here, where the frame was decoded:
+//! one decide against the published generation, bounded by the technique
+//! (≤ 3 µs at the corpus' longest instance lists), taking no lock a writer
+//! holds and calling nothing that can block. A hit is encoded into the
+//! connection's write buffer and flushed in the same iteration — no queue,
+//! no condvar, no waker byte, no second wake-up. A miss goes to the pool
+//! with what was computed for it, and so does everything that can take
+//! long or block: the optimizer call and `manageCache`, a replica's
+//! forward to its primary and the wait for the generation to apply,
+//! batches, `EXPLAIN`, `STATS`, `HELLO`, `SHUTDOWN`.
+//!
+//! Ordering: each connection has at most one frame in flight in the pool
+//! and nothing behind it is answered until it completes, so responses
+//! return in request order even for a pipelining client, and a hit behind
+//! a miss sees the generation the miss published. Backpressure: a
+//! connection whose write buffer or pending queue
 //! is over its bound loses read interest until the excess drains, so a
 //! fast sender cannot balloon server memory. Deadlines: the loop sweeps
 //! connections every `poll_interval`; no read progress for `read_timeout`
@@ -34,9 +50,15 @@ use std::time::Instant;
 #[cfg(unix)]
 use std::os::unix::io::AsRawFd;
 
-use crate::conn::{Decoded, FrameAssembler, PendingQueue, WriteBuf};
+use pqo_core::PqoService;
+use pqo_optimizer::template::QueryInstance;
+
+use crate::conn::{FrameAssembler, PendingQueue, WriteBuf};
 use crate::poller::{Event, Interest, Poller, WakeReader};
-use crate::server::{dispatch, flush_snapshots, Shared, StatCells};
+use crate::server::{
+    dispatch, flush_snapshots, plan_response, serve_local, serve_remote, Local, PlanMiss, Shared,
+    StatCells,
+};
 use crate::wire::{
     code, decode_request, encode_response, error_code, Request, Response, WireError,
 };
@@ -46,11 +68,20 @@ const TOKEN_LISTENER: usize = usize::MAX;
 /// Token for the self-pipe wakeup fd.
 const TOKEN_WAKER: usize = usize::MAX - 1;
 
-/// One decoded frame on its way to the worker pool.
+/// What the event loop does not answer itself, on its way to the worker
+/// pool.
 struct Work {
     slot: usize,
     conn_id: u64,
-    frame: Decoded,
+    job: Job,
+}
+
+enum Job {
+    /// A `GET_PLAN` the published generation could not answer: the remote
+    /// half of [`crate::server`]'s serving path.
+    Miss(PlanMiss),
+    /// Any other request, dispatched whole.
+    Frame(Request),
 }
 
 /// One encoded response on its way back from the worker pool.
@@ -80,6 +111,7 @@ impl WorkQueue {
     fn push(&self, work: Work, stats: &StatCells) {
         let mut guard = self.inner.lock().expect("work queue lock");
         guard.0.push_back(work);
+        stats.pool_frames.fetch_add(1, Ordering::Relaxed);
         let depth = guard.0.len() as u64;
         stats.queue_depth.store(depth, Ordering::Relaxed);
         stats.peak_queue_depth.fetch_max(depth, Ordering::Relaxed);
@@ -114,6 +146,15 @@ impl WorkQueue {
 struct LoopShared {
     queue: WorkQueue,
     completions: Mutex<Vec<Done>>,
+}
+
+impl LoopShared {
+    /// Queue `job` for the pool as `conn`'s one frame in flight.
+    fn hand_over(&self, conn: &mut Conn, slot: usize, job: Job, stats: &StatCells) {
+        conn.pending.set_in_flight(true);
+        let conn_id = conn.id;
+        self.queue.push(Work { slot, conn_id, job }, stats);
+    }
 }
 
 /// One live subscription on a connection: the generation stream of one
@@ -164,22 +205,27 @@ impl Conn {
     fn buffer_bytes(&self) -> u64 {
         (self.assembler.buffer_bytes() + self.wbuf.buffer_bytes()) as u64
     }
+
+    /// Queue `resp` behind whatever is still unwritten; the write deadline
+    /// starts when the buffer stops being empty.
+    fn respond(&mut self, resp: &Response, stats: &StatCells, now: Instant) {
+        if matches!(resp, Response::Error { .. }) {
+            stats.error_frames.fetch_add(1, Ordering::Relaxed);
+        }
+        if self.wbuf.is_empty() {
+            self.last_write = now;
+        }
+        self.wbuf.push_response(resp);
+    }
 }
 
-/// Worker body: drain decoded frames, dispatch against the service, push
-/// encoded responses back and wake the loop.
+/// Worker body: drain the queue, serve against the service, push encoded
+/// responses back and wake the loop.
 fn worker_loop(shared: &Shared, lshared: &LoopShared) {
-    let mut body = Vec::new();
     while let Some(work) = lshared.queue.pop(&shared.stats) {
-        let (resp, shutdown_after) = match work.frame {
-            Err(WireError(msg)) => (
-                Response::Error {
-                    code: code::MALFORMED,
-                    message: msg,
-                },
-                false,
-            ),
-            Ok(req) => {
+        let (resp, shutdown_after) = match work.job {
+            Job::Miss(miss) => (plan_response(shared, serve_remote(shared, miss)), false),
+            Job::Frame(req) => {
                 let is_shutdown = matches!(req, Request::Shutdown);
                 let resp = dispatch(req, shared);
                 let ack = is_shutdown && matches!(resp, Response::ShutdownOk);
@@ -189,6 +235,7 @@ fn worker_loop(shared: &Shared, lshared: &LoopShared) {
         if matches!(resp, Response::Error { .. }) {
             shared.stats.error_frames.fetch_add(1, Ordering::Relaxed);
         }
+        let mut body = Vec::new();
         encode_response(&resp, &mut body);
         lshared
             .completions
@@ -197,7 +244,7 @@ fn worker_loop(shared: &Shared, lshared: &LoopShared) {
             .push(Done {
                 slot: work.slot,
                 conn_id: work.conn_id,
-                body: body.clone(),
+                body,
                 shutdown_after,
             });
         shared.waker.wake();
@@ -406,16 +453,8 @@ impl EventLoop {
         };
         let stats = &self.shared.stats;
         if let Some((code, message)) = rejection {
-            let mut body = Vec::new();
-            encode_response(
-                &Response::Error {
-                    code,
-                    message: message.into(),
-                },
-                &mut body,
-            );
-            stats.error_frames.fetch_add(1, Ordering::Relaxed);
-            conn.wbuf.push_frame(&body);
+            let message = message.into();
+            conn.respond(&Response::Error { code, message }, stats, now);
         } else {
             stats.connections_accepted.fetch_add(1, Ordering::Relaxed);
             let open = stats.open_connections.fetch_add(1, Ordering::Relaxed) + 1;
@@ -494,7 +533,8 @@ impl EventLoop {
                 {
                     continue;
                 }
-                for sub in &mut conn.subs {
+                let mut subs = std::mem::take(&mut conn.subs);
+                for sub in &mut subs {
                     if sub.acked != sub.sent {
                         continue;
                     }
@@ -517,23 +557,17 @@ impl EventLoop {
                         stats
                             .replication_bytes_out
                             .fetch_add(record.len() as u64, Ordering::Relaxed);
-                        let mut body = Vec::new();
-                        encode_response(
-                            &Response::SnapshotPush {
-                                template: sub.template.clone(),
-                                generation,
-                                record,
-                            },
-                            &mut body,
-                        );
-                        if conn.wbuf.is_empty() {
-                            conn.last_write = now;
-                        }
-                        conn.wbuf.push_frame(&body);
+                        let push = Response::SnapshotPush {
+                            template: sub.template.clone(),
+                            generation,
+                            record,
+                        };
+                        conn.respond(&push, stats, now);
                         sub.sent = generation;
                         pushed = true;
                     }
                 }
+                conn.subs = subs;
             }
             if pushed {
                 self.settle(slot, now);
@@ -553,80 +587,52 @@ impl EventLoop {
             self.close_slot(slot);
             return;
         }
-        // Subscription control frames mutate per-connection state only the
-        // loop thread can see, so they are handled inline — in arrival
-        // order, because `pending.next()` yields nothing while a worker
-        // request from this connection is still in flight.
-        let mut inline = false;
+        // Answered here, in arrival order (`pending.next()` yields nothing
+        // while a request of this connection is in the pool): what only the
+        // loop thread can do — subscription control mutates per-connection
+        // state — and what is cheaper done than handed over — a frame that
+        // did not decode, and the cached half of `GET_PLAN`. Everything
+        // behind a frame that goes to the pool waits for its completion, and
+        // so sees the generation it publishes.
+        let stats = &self.shared.stats;
+        let mut answered = false;
         while let Some(frame) = conn.pending.next() {
-            match frame {
+            let resp = match frame {
+                Err(WireError(message)) => Response::Error {
+                    code: code::MALFORMED,
+                    message,
+                },
                 Ok(Request::Subscribe { template, since }) => {
-                    inline = true;
-                    let resp = match self.shared.service.generation(&template) {
-                        Ok(current) => {
-                            // A subscriber claiming a generation ahead of
-                            // us (it outlived a primary restart) restarts
-                            // from 0 and gets a full snapshot to converge.
-                            let start = if since <= current { since } else { 0 };
-                            match conn.subs.iter_mut().find(|s| s.template == template) {
-                                Some(s) => {
-                                    s.sent = start;
-                                    s.acked = start;
-                                }
-                                None => conn.subs.push(SubState {
-                                    template: template.clone(),
-                                    sent: start,
-                                    acked: start,
-                                }),
-                            }
-                            Response::SubscribeOk {
-                                template,
-                                generation: current,
-                            }
-                        }
-                        Err(e) => Response::Error {
-                            code: error_code(&e),
-                            message: e.to_string(),
-                        },
-                    };
-                    if matches!(resp, Response::Error { .. }) {
-                        self.shared
-                            .stats
-                            .error_frames
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    let mut body = Vec::new();
-                    encode_response(&resp, &mut body);
-                    if conn.wbuf.is_empty() {
-                        conn.last_write = now;
-                    }
-                    conn.wbuf.push_frame(&body);
+                    subscribe(&mut conn.subs, &self.shared.service, template, since)
                 }
                 Ok(Request::GenAck {
                     template,
                     generation,
                 }) => {
-                    inline = true;
                     if let Some(s) = conn.subs.iter_mut().find(|s| s.template == template) {
                         s.acked = s.acked.max(generation);
                         s.sent = s.sent.max(s.acked);
                     }
+                    continue;
                 }
-                other => {
-                    conn.pending.set_in_flight(true);
-                    self.lshared.queue.push(
-                        Work {
-                            slot,
-                            conn_id: conn.id,
-                            frame: other,
-                        },
-                        &self.shared.stats,
-                    );
+                Ok(Request::GetPlan { template, values }) => {
+                    match serve_local(&self.shared, &template, QueryInstance::new(values)) {
+                        Local::Served(served) => plan_response(&self.shared, served),
+                        Local::Miss(miss) => {
+                            self.lshared.hand_over(conn, slot, Job::Miss(miss), stats);
+                            break;
+                        }
+                    }
+                }
+                Ok(other) => {
+                    self.lshared.hand_over(conn, slot, Job::Frame(other), stats);
                     break;
                 }
-            }
+            };
+            conn.respond(&resp, stats, now);
+            answered = true;
         }
-        if inline && !pump_write(conn, now) {
+        if answered && !pump_write(conn, now) {
             self.close_slot(slot);
             return;
         }
@@ -694,25 +700,16 @@ impl EventLoop {
                 // stall of the loop.
                 let stats = &self.shared.stats;
                 stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                stats.error_frames.fetch_add(1, Ordering::Relaxed);
-                let mut body = Vec::new();
-                encode_response(
-                    &Response::Error {
-                        code: code::TIMEOUT,
-                        message: format!(
-                            "no progress within {:?}{}",
-                            read_timeout,
-                            if conn.assembler.mid_frame() {
-                                " (mid-frame)"
-                            } else {
-                                " (idle)"
-                            }
-                        ),
-                    },
-                    &mut body,
-                );
-                conn.last_write = now;
-                conn.wbuf.push_frame(&body);
+                let what = if conn.assembler.mid_frame() {
+                    "mid-frame"
+                } else {
+                    "idle"
+                };
+                let timeout = Response::Error {
+                    code: code::TIMEOUT,
+                    message: format!("no progress within {read_timeout:?} ({what})"),
+                };
+                conn.respond(&timeout, stats, now);
                 conn.read_closed = true;
                 conn.close_after_flush = true;
                 self.settle(slot, now);
@@ -755,9 +752,47 @@ impl EventLoop {
     }
 }
 
-/// Read until `WouldBlock` (or backpressure), feeding the assembler and
-/// queueing decoded frames. Returns `false` when the connection must close
-/// (EOF or hard error).
+/// `SUBSCRIBE`: (re)start `template`'s subscription in `subs` at `since`.
+fn subscribe(
+    subs: &mut Vec<SubState>,
+    service: &PqoService,
+    template: String,
+    since: u64,
+) -> Response {
+    let current = match service.generation(&template) {
+        Ok(current) => current,
+        Err(e) => {
+            return Response::Error {
+                code: error_code(&e),
+                message: e.to_string(),
+            }
+        }
+    };
+    // A subscriber claiming a generation ahead of us (it outlived a primary
+    // restart) restarts from 0 and gets a full snapshot to converge.
+    let start = if since <= current { since } else { 0 };
+    match subs.iter_mut().find(|s| s.template == template) {
+        Some(s) => {
+            s.sent = start;
+            s.acked = start;
+        }
+        None => subs.push(SubState {
+            template: template.clone(),
+            sent: start,
+            acked: start,
+        }),
+    }
+    Response::SubscribeOk {
+        template,
+        generation: current,
+    }
+}
+
+/// Read what the socket has (up to backpressure), feeding the assembler and
+/// queueing decoded frames. A read that does not fill `scratch` drained the
+/// socket: the poller is level-triggered, so whatever arrives next — bytes
+/// or EOF — is a new readiness, and no `read` is spent on `WouldBlock`.
+/// Returns `false` when the connection must close (EOF or hard error).
 fn read_into(conn: &mut Conn, scratch: &mut [u8], shared: &Shared) -> bool {
     let cfg = &shared.config;
     loop {
@@ -768,38 +803,11 @@ fn read_into(conn: &mut Conn, scratch: &mut [u8], shared: &Shared) -> bool {
             Ok(0) => return false,
             Ok(n) => {
                 conn.last_read = Instant::now();
-                if conn.doomed {
-                    continue; // rejected connection: discard input until EOF
+                // A rejected connection's input is discarded until EOF.
+                if !conn.doomed && !feed(conn, &scratch[..n], shared) {
+                    return true;
                 }
-                let mut frames = Vec::new();
-                let fed = conn.assembler.feed(&scratch[..n], &mut frames);
-                for body in frames {
-                    shared.stats.frames_served.fetch_add(1, Ordering::Relaxed);
-                    match decode_request(&body) {
-                        Ok(req) => conn.pending.push(Ok(req)),
-                        Err(e) => {
-                            shared
-                                .stats
-                                .malformed_frames
-                                .fetch_add(1, Ordering::Relaxed);
-                            conn.pending.push(Err(e));
-                        }
-                    }
-                }
-                if let Err(too_large) = fed {
-                    // Framing is lost after an oversized announcement:
-                    // answer MALFORMED (after anything already queued),
-                    // stop reading, close once flushed.
-                    shared
-                        .stats
-                        .malformed_frames
-                        .fetch_add(1, Ordering::Relaxed);
-                    conn.pending.push(Err(WireError(format!(
-                        "frame of {} bytes exceeds limit {}",
-                        too_large.announced, cfg.max_frame_bytes
-                    ))));
-                    conn.read_closed = true;
-                    conn.close_after_flush = true;
+                if n < scratch.len() {
                     return true;
                 }
             }
@@ -808,6 +816,35 @@ fn read_into(conn: &mut Conn, scratch: &mut [u8], shared: &Shared) -> bool {
             Err(_) => return false,
         }
     }
+}
+
+/// Reassemble and decode `bytes` into `conn.pending`. Returns `false` once
+/// framing is lost (an oversized announcement) and reading must stop.
+fn feed(conn: &mut Conn, bytes: &[u8], shared: &Shared) -> bool {
+    let stats = &shared.stats;
+    let mut frames = Vec::new();
+    let fed = conn.assembler.feed(bytes, &mut frames);
+    for body in frames {
+        stats.frames_served.fetch_add(1, Ordering::Relaxed);
+        let decoded = decode_request(&body);
+        if decoded.is_err() {
+            stats.malformed_frames.fetch_add(1, Ordering::Relaxed);
+        }
+        conn.pending.push(decoded);
+    }
+    let Err(too_large) = fed else {
+        return true;
+    };
+    // Answer MALFORMED (after anything already queued), stop reading, close
+    // once flushed.
+    stats.malformed_frames.fetch_add(1, Ordering::Relaxed);
+    conn.pending.push(Err(WireError(format!(
+        "frame of {} bytes exceeds limit {}",
+        too_large.announced, shared.config.max_frame_bytes
+    ))));
+    conn.read_closed = true;
+    conn.close_after_flush = true;
+    false
 }
 
 /// Write as much buffered output as the socket accepts. Returns `false`

@@ -16,8 +16,9 @@
 //!   portable `poll(2)` elsewhere) plus the self-pipe waker.
 //! * [`conn`] — pure per-connection state machines (frame reassembly from
 //!   fragmented reads, buffered writeback under short writes).
-//! * `event_loop` — the single-threaded readiness loop and its fixed
-//!   worker pool draining the decoded-frame queue.
+//! * `event_loop` — the single-threaded readiness loop, which answers
+//!   cache hits itself, and the fixed worker pool it hands misses and
+//!   every other request to.
 //! * [`client`] — [`client::PqoClient`]: blocking request/response client,
 //!   which also speaks the v4 subscription stream
 //!   (`SUBSCRIBE` / `SNAPSHOT_PUSH` / `GEN_ACK`).

@@ -1,6 +1,7 @@
-//! The TCP server: configuration, counters, public handles and the pure
-//! request-dispatch layer over a shared [`PqoService`]. The concurrency
-//! substrate lives in the crate-private `event_loop` module.
+//! The TCP server: configuration, counters, public handles and the serving
+//! layer over a shared [`PqoService`] — `GET_PLAN` in its two halves
+//! ([`serve_local`], [`serve_remote`]), everything else in `dispatch`. The
+//! concurrency substrate lives in the crate-private `event_loop` module.
 //!
 //! # Concurrency model
 //!
@@ -8,14 +9,17 @@
 //! socket, registered in a readiness set ([`crate::poller`]: `epoll` on
 //! Linux, `poll(2)` elsewhere). Per-connection state machines
 //! ([`crate::conn`]) reassemble frames from whatever fragments the socket
-//! yields and buffer writebacks; decoded frames are handed to a fixed
-//! worker pool that calls the service exactly as the former
-//! thread-per-connection workers did. An idle connection therefore costs a
+//! yields and buffer writebacks. A `GET_PLAN` that the published generation
+//! answers — the paper's common case — is served on that thread, where it
+//! was decoded: the service's snapshot-published read path takes no lock a
+//! writer holds, so the loop cannot be made to wait. What can take long or
+//! block goes to a fixed worker pool: a miss (the optimizer call and
+//! `manageCache` on a primary; the forward to the primary and the wait for
+//! its generation on a replica), batches, `EXPLAIN`, `STATS`, `HELLO`,
+//! `SHUTDOWN`. An idle connection therefore costs a
 //! poll-set slot and a few hundred buffer bytes instead of a parked OS
-//! thread — the axis that lets one server hold 10k+ mostly-idle clients.
-//! The service's snapshot-published read path means N workers serving
-//! cache hits never contend — the server adds no locks of its own around
-//! serving.
+//! thread — the axis that lets one server hold 10k+ mostly-idle clients —
+//! and the server adds no locks of its own around serving.
 //!
 //! # Robustness
 //!
@@ -53,8 +57,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use pqo_core::service::PqoService;
-use pqo_core::PqoError;
+use pqo_core::service::{Cached, MissTicket, PqoService};
+use pqo_core::{PlanChoice, PqoError};
 use pqo_optimizer::template::QueryInstance;
 
 use crate::client::PqoClient;
@@ -84,7 +88,8 @@ pub struct ServerConfig {
     /// Flush every template's published snapshot here on graceful shutdown
     /// (`<dir>/<template>.pqo-cache`).
     pub snapshot_dir: Option<PathBuf>,
-    /// Fixed worker pool size draining the decoded-frame queue.
+    /// Fixed worker pool size: the threads that serve what the event loop
+    /// does not answer itself (misses, batches, everything but cache hits).
     pub workers: usize,
     /// Per-connection cap on buffered response bytes; reads pause above it.
     pub max_conn_buffer: usize,
@@ -125,6 +130,9 @@ pub struct ServerStats {
     pub connections_rejected_busy: u64,
     /// Frames decoded and dispatched.
     pub frames_served: u64,
+    /// Frames handed to the worker pool: everything but subscription
+    /// control and the `GET_PLAN`s the event loop answered from the cache.
+    pub pool_frames: u64,
     /// Frames answered with `MALFORMED`.
     pub malformed_frames: u64,
     /// Plan decisions served (single + batched instances).
@@ -164,6 +172,7 @@ pub(crate) struct StatCells {
     pub connections_accepted: AtomicU64,
     pub connections_rejected_busy: AtomicU64,
     pub frames_served: AtomicU64,
+    pub pool_frames: AtomicU64,
     pub malformed_frames: AtomicU64,
     pub plans_served: AtomicU64,
     pub batch_frames: AtomicU64,
@@ -188,6 +197,7 @@ impl StatCells {
             connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
             connections_rejected_busy: self.connections_rejected_busy.load(Ordering::Relaxed),
             frames_served: self.frames_served.load(Ordering::Relaxed),
+            pool_frames: self.pool_frames.load(Ordering::Relaxed),
             malformed_frames: self.malformed_frames.load(Ordering::Relaxed),
             plans_served: self.plans_served.load(Ordering::Relaxed),
             batch_frames: self.batch_frames.load(Ordering::Relaxed),
@@ -491,13 +501,12 @@ pub(crate) fn dispatch(req: Request, shared: &Shared) -> Response {
                 }
             }
         }
-        Request::GetPlan { template, values } => match serve_one(shared, &template, values) {
-            Ok(choice) => {
-                shared.stats.plans_served.fetch_add(1, Ordering::Relaxed);
-                Response::Plan(choice)
-            }
-            Err(resp) => resp,
-        },
+        // The event loop answers `GET_PLAN` itself and sends the pool only
+        // the miss ([`serve_remote`]); the arm keeps dispatch total.
+        Request::GetPlan { template, values } => plan_response(
+            shared,
+            serve_one(shared, &template, QueryInstance::new(values)),
+        ),
         Request::GetPlanBatch {
             template,
             instances,
@@ -545,21 +554,105 @@ fn pqo_error_frame(e: &PqoError) -> Response {
     }
 }
 
-#[allow(clippy::result_large_err)]
-fn serve_one(shared: &Shared, template: &str, values: Vec<f64>) -> Result<WireChoice, Response> {
-    let inst = QueryInstance::new(values);
-    if let Some(rep) = &shared.replica {
-        return replica_serve(shared, rep, template, inst);
-    }
-    let (choice, generation) = shared
-        .service
-        .get_plan_with_generation(template, &inst)
-        .map_err(|e| pqo_error_frame(&e))?;
-    Ok(WireChoice {
+/// A `GET_PLAN` the local cache could not answer, on its way to the pool.
+pub(crate) struct PlanMiss {
+    template: String,
+    inst: QueryInstance,
+    ticket: MissTicket,
+}
+
+/// What the local half of serving one instance came to: the answer (a
+/// cache hit, or the refusal of an instance that fits no template), or the
+/// miss the remote half finishes.
+pub(crate) enum Local {
+    Served(Result<WireChoice, Response>),
+    Miss(PlanMiss),
+}
+
+fn wire_choice(choice: &PlanChoice, generation: u64) -> WireChoice {
+    WireChoice {
         fingerprint: choice.plan.fingerprint().0,
         optimized: choice.optimized,
         generation,
+    }
+}
+
+/// The local half of serving one instance, primary and replica alike: the
+/// selectivity and cost checks against the published (on a replica: the
+/// applied) generation. Bounded — one decide — and waiting on nothing a
+/// writer holds, so the event loop runs it on its own thread; it never
+/// calls the optimizer, takes the writer mutex or touches the network.
+pub(crate) fn serve_local(shared: &Shared, template: &str, inst: QueryInstance) -> Local {
+    match shared.service.serve_cached(template, &inst) {
+        Ok(Cached::Hit { choice, generation }) => {
+            Local::Served(Ok(wire_choice(&choice, generation)))
+        }
+        Ok(Cached::Miss(ticket)) => Local::Miss(PlanMiss {
+            template: template.to_string(),
+            inst,
+            ticket,
+        }),
+        Err(e) => Local::Served(Err(pqo_error_frame(&e))),
+    }
+}
+
+/// The remote half, on a pool worker — everything that can block. A
+/// primary resumes the ticket: the optimizer call and `manageCache`, the
+/// instance decided again only if a publication landed since the loop
+/// decided it. A replica forwards to the primary (whose optimizer is the
+/// single decision authority) and holds the reply until the generation the
+/// primary's decision produced has been applied here — so the *next*
+/// instance of this sequential stream observes it, keeping the replica's
+/// decision stream byte-identical to the primary's at a generation lag of
+/// at most one.
+#[allow(clippy::result_large_err)]
+pub(crate) fn serve_remote(shared: &Shared, miss: PlanMiss) -> Result<WireChoice, Response> {
+    let PlanMiss {
+        template,
+        inst,
+        ticket,
+    } = miss;
+    let Some(rep) = &shared.replica else {
+        let (choice, generation) = shared.service.resume(ticket);
+        return Ok(wire_choice(&choice, generation));
+    };
+    let remote = forward_to_primary(shared, rep, &template, &inst.values)?;
+    rep.note_primary(&template, remote.generation);
+    if !rep.wait_applied(&template, remote.generation, shared.config.read_timeout) {
+        return Err(Response::Error {
+            code: code::PRIMARY_UNREACHABLE,
+            message: format!(
+                "generation {} from primary {} not applied within {:?}",
+                remote.generation, rep.primary, shared.config.read_timeout
+            ),
+        });
+    }
+    Ok(WireChoice {
+        fingerprint: remote.fingerprint.0,
+        optimized: remote.optimized,
+        generation: remote.generation,
     })
+}
+
+/// Both halves on one thread: how a worker serves the instances of a
+/// replica's batch and an `EXPLAIN`.
+#[allow(clippy::result_large_err)]
+fn serve_one(shared: &Shared, template: &str, inst: QueryInstance) -> Result<WireChoice, Response> {
+    match serve_local(shared, template, inst) {
+        Local::Served(served) => served,
+        Local::Miss(miss) => serve_remote(shared, miss),
+    }
+}
+
+/// The frame that answers one served instance, counted.
+pub(crate) fn plan_response(shared: &Shared, served: Result<WireChoice, Response>) -> Response {
+    match served {
+        Ok(choice) => {
+            shared.stats.plans_served.fetch_add(1, Ordering::Relaxed);
+            Response::Plan(choice)
+        }
+        Err(error) => error,
+    }
 }
 
 #[allow(clippy::result_large_err)]
@@ -569,28 +662,21 @@ fn serve_batch(
     instances: Vec<Vec<f64>>,
 ) -> Result<Vec<WireChoice>, Response> {
     let insts: Vec<QueryInstance> = instances.into_iter().map(QueryInstance::new).collect();
-    if let Some(rep) = &shared.replica {
+    if shared.replica.is_some() {
         // A replica serves a batch as the sequential stream it is: each
         // instance sees every earlier instance's applied generation — so
         // an instance the service refuses ends the batch with an error
         // frame after the ones before it were served.
         return insts
             .into_iter()
-            .map(|inst| replica_serve(shared, rep, template, inst))
+            .map(|inst| serve_one(shared, template, inst))
             .collect();
     }
     let (choices, generation) = shared
         .service
         .get_plan_batch_with_generation(template, &insts)
         .map_err(|e| pqo_error_frame(&e))?;
-    Ok(choices
-        .iter()
-        .map(|c| WireChoice {
-            fingerprint: c.plan.fingerprint().0,
-            optimized: c.optimized,
-            generation,
-        })
-        .collect())
+    Ok(choices.iter().map(|c| wire_choice(c, generation)).collect())
 }
 
 /// Serve one instance and render the chosen plan as dialect-specific
@@ -615,11 +701,11 @@ fn explain_one(
         .service
         .template(template)
         .map_err(|e| pqo_error_frame(&e))?;
-    if let Some(rep) = &shared.replica {
-        let choice = replica_serve(shared, rep, template, inst.clone())?;
+    if shared.replica.is_some() {
+        let choice = serve_one(shared, template, inst.clone())?;
         let plan = match shared.service.serve_cached(template, &inst) {
-            Ok((Some(cached), _)) => cached.plan,
-            Ok((None, _)) => {
+            Ok(Cached::Hit { choice, .. }) => choice.plan,
+            Ok(Cached::Miss(_)) => {
                 return Err(Response::Error {
                     code: code::PRIMARY_UNREACHABLE,
                     message: format!(
@@ -639,55 +725,8 @@ fn explain_one(
         .map_err(|e| pqo_error_frame(&e))?;
     let sql = pqo_sql::emit::render(&t, &decision.plan, dialect, Some(&inst.values));
     Ok(Response::ExplainOk {
-        choice: WireChoice {
-            fingerprint: decision.plan.fingerprint().0,
-            optimized: decision.optimized,
-            generation,
-        },
+        choice: wire_choice(&decision, generation),
         sql,
-    })
-}
-
-/// The replica serving path: a cache hit against the locally applied
-/// generation is served with no network hop; a miss is forwarded to the
-/// primary (whose optimizer is the single decision authority), and the
-/// reply is held until the generation the primary's decision produced has
-/// been applied here — so the *next* instance of this sequential stream
-/// observes it, keeping the replica's decision stream byte-identical to
-/// the primary's at a generation lag of at most one.
-#[allow(clippy::result_large_err)]
-fn replica_serve(
-    shared: &Shared,
-    rep: &ReplicaState,
-    template: &str,
-    inst: QueryInstance,
-) -> Result<WireChoice, Response> {
-    match shared.service.serve_cached(template, &inst) {
-        Ok((Some(choice), generation)) => {
-            return Ok(WireChoice {
-                fingerprint: choice.plan.fingerprint().0,
-                optimized: false,
-                generation,
-            })
-        }
-        Ok((None, _)) => {}
-        Err(e) => return Err(pqo_error_frame(&e)),
-    }
-    let remote = forward_to_primary(shared, rep, template, &inst.values)?;
-    rep.note_primary(template, remote.generation);
-    if !rep.wait_applied(template, remote.generation, shared.config.read_timeout) {
-        return Err(Response::Error {
-            code: code::PRIMARY_UNREACHABLE,
-            message: format!(
-                "generation {} from primary {} not applied within {:?}",
-                remote.generation, rep.primary, shared.config.read_timeout
-            ),
-        });
-    }
-    Ok(WireChoice {
-        fingerprint: remote.fingerprint.0,
-        optimized: remote.optimized,
-        generation: remote.generation,
     })
 }
 

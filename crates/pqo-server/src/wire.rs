@@ -27,7 +27,7 @@
 //! error. A decode failure maps to an [`code::MALFORMED`] error frame and
 //! the connection survives (asserted by the seeded fuzz tests below).
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 use pqo_optimizer::error::PqoError;
 
@@ -522,6 +522,12 @@ pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
 /// Encode a response body (opcode + payload; no length prefix).
 pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
     out.clear();
+    append_response(resp, out);
+}
+
+/// [`encode_response`] onto the end of `out` (what
+/// [`crate::conn::WriteBuf::push_response`] encodes in place with).
+pub(crate) fn append_response(resp: &Response, out: &mut Vec<u8>) {
     match resp {
         Response::HelloOk { version, templates } => {
             out.push(opcode::HELLO_OK);
@@ -832,10 +838,22 @@ fn take_choice(c: &mut Cursor<'_>) -> Result<WireChoice, WireError> {
 
 // ------------------------------------------------------------- frame I/O
 
-/// Write one frame (length prefix + body) to `w`.
+/// Write one frame (length prefix + body) to `w`, handing both to it in one
+/// vectored call: on a `TCP_NODELAY` socket two `write`s are two syscalls
+/// and two segments. A writer that accepts less is called again with what
+/// is left.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)
+    let header = (body.len() as u32).to_le_bytes();
+    let mut left = &mut [IoSlice::new(&header), IoSlice::new(body)][..];
+    while !left.is_empty() {
+        match w.write_vectored(left) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut left, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Blocking read of one frame body into `buf` (client side; the server uses

@@ -7,17 +7,31 @@
 //! `MALFORMED` error without killing the server or their own connection.
 //! Graceful shutdown must drain the storm and flush a restorable snapshot
 //! per template.
+//!
+//! The split `GET_PLAN` path — hits answered on the event-loop thread,
+//! misses finished by the pool — is held to the same oracle under
+//! pipelining, counted (no hit reaches the pool, a miss is decided once),
+//! and shown not to stall behind a blocked worker, on both poller backends;
+//! the codec's one-call-per-frame contract and the client's buffered reads
+//! are driven against hand-scripted peers.
 
-use std::io::Write;
-use std::net::TcpStream;
+use std::io::{IoSlice, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use pqo_core::scr::ScrConfig;
-use pqo_core::{persist, PqoService};
+use pqo_core::service::Cached;
+use pqo_core::{persist, OnlinePqo, PqoService, Scr};
+use pqo_optimizer::engine::QueryEngine;
+use pqo_optimizer::template::QueryInstance;
 use pqo_rand::{Rng, SeedableRng};
-use pqo_server::wire::{self, code, decode_response, encode_request, Request, Response};
+use pqo_server::wire::{
+    self, code, decode_response, encode_request, encode_response, Request, Response, WireChoice,
+    WireStats,
+};
 use pqo_server::{ClientError, PqoClient, PqoServer, ServerConfig};
 use pqo_workload::corpus::{corpus, TemplateSpec};
 
@@ -42,16 +56,37 @@ fn spec_for(id: &str) -> &'static TemplateSpec {
 }
 
 fn fresh_service(ids: &[&str]) -> Arc<PqoService> {
+    service_at(ids, LAMBDA)
+}
+
+fn service_at(ids: &[&str], lambda: f64) -> Arc<PqoService> {
     let service = Arc::new(PqoService::new());
     for id in ids {
         service
             .register(
                 Arc::clone(&spec_for(id).template),
-                ScrConfig::new(LAMBDA).expect("valid λ"),
+                ScrConfig::new(lambda).expect("valid λ"),
             )
             .expect("fresh template registers");
     }
     service
+}
+
+/// Run `scenario` once per poller backend. The backend is chosen by the
+/// process-global `PQO_FORCE_POLL` when a server's loop thread starts, so
+/// the scenarios that flip it are serialized and each holds its setting
+/// until its servers have been joined.
+fn on_both_backends(scenario: impl Fn()) {
+    static ENV: Mutex<()> = Mutex::new(());
+    for force_poll in [false, true] {
+        let _env = ENV.lock().unwrap_or_else(|e| e.into_inner());
+        if force_poll {
+            std::env::set_var("PQO_FORCE_POLL", "1");
+        } else {
+            std::env::remove_var("PQO_FORCE_POLL");
+        }
+        scenario();
+    }
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -474,4 +509,420 @@ fn slow_loris_is_deadlined_without_stalling_others() {
     server.shutdown();
     let summary = server.join();
     assert!(summary.timeouts >= 1, "timeout must be counted");
+}
+
+fn get_plan_frame(out: &mut Vec<u8>, id: &str, q: &QueryInstance) {
+    let mut body = Vec::new();
+    encode_request(
+        &Request::GetPlan {
+            template: id.into(),
+            values: q.values.clone(),
+        },
+        &mut body,
+    );
+    wire::write_frame(out, &body).expect("vec write");
+}
+
+/// Pipelining across the split: `[hit, miss, hit on the plan the miss adds,
+/// hit]` and the mirror `[miss, hit, hit, hit]`, each sent as one segment.
+/// The hits behind a miss must wait for it — responses in request order,
+/// every decision and generation what an in-process service fed the same
+/// stream answers.
+#[test]
+fn pipelined_hits_and_misses_keep_order_and_generations() {
+    on_both_backends(|| {
+        let id = "tpcds_G_d3";
+        let server = PqoServer::bind(fresh_service(&[id]), "127.0.0.1:0", ServerConfig::default())
+            .expect("bind loopback");
+        let oracle = fresh_service(&[id]);
+
+        // Three instances that each miss a cache holding the ones before.
+        let probe = fresh_service(&[id]);
+        let misses: Vec<QueryInstance> = spec_for(id)
+            .generate(400, 4242)
+            .into_iter()
+            .filter(|q| probe.get_plan(id, q).expect("probe serves").optimized)
+            .take(3)
+            .collect();
+        let [warm, m1, m2] = &misses[..] else {
+            panic!("the stream holds fewer than three misses");
+        };
+
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connects");
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut frame = Vec::new();
+        let mut exchange = |burst: &[&QueryInstance], optimized: &[bool]| {
+            let mut segment = Vec::new();
+            for q in burst {
+                get_plan_frame(&mut segment, id, q);
+            }
+            stream.write_all(&segment).expect("burst written");
+            for (i, (q, &optimized)) in burst.iter().zip(optimized).enumerate() {
+                assert!(
+                    wire::read_frame(&mut stream, wire::DEFAULT_MAX_FRAME_BYTES, &mut frame)
+                        .expect("response arrives")
+                );
+                let Response::Plan(got) = decode_response(&frame).expect("decodes") else {
+                    panic!("request {i} was not answered with PLAN");
+                };
+                let (want, generation) = oracle
+                    .get_plan_with_generation(id, q)
+                    .expect("oracle serves");
+                assert_eq!(
+                    got.optimized, optimized,
+                    "request {i}: not the case under test"
+                );
+                assert_eq!(
+                    (got.fingerprint, got.optimized, got.generation),
+                    (want.plan.fingerprint().0, want.optimized, generation),
+                    "request {i} diverged from the in-process stream"
+                );
+            }
+        };
+        exchange(&[warm], &[true]);
+        exchange(&[warm, m1, m1, warm], &[false, true, false, false]);
+        exchange(&[m2, m2, warm, m1], &[true, false, false, false]);
+
+        server.shutdown();
+        server.join();
+    });
+}
+
+/// No hit reaches the pool, and each costs the loop one wake-up.
+#[test]
+fn hits_are_answered_without_the_pool() {
+    on_both_backends(|| {
+        let id = "tpch_skew_A_d2";
+        let config = ServerConfig::default();
+        let poll_interval = config.poll_interval;
+        let server =
+            PqoServer::bind(fresh_service(&[id]), "127.0.0.1:0", config).expect("bind loopback");
+        let mut client = PqoClient::connect(server.local_addr()).expect("connects");
+        let warm = spec_for(id).generate(24, 77);
+        for q in &warm {
+            client.get_plan(id, &q.values).expect("warm-up served");
+        }
+
+        let before = server.stats();
+        let start = Instant::now();
+        for i in 0..2000 {
+            let choice = client
+                .get_plan(id, &warm[i % warm.len()].values)
+                .expect("hit served");
+            assert!(!choice.optimized, "request {i} is a repeat");
+        }
+        let ticks = (start.elapsed().as_nanos() / poll_interval.as_nanos()) as u64;
+        let after = server.stats();
+        assert_eq!(after.frames_served - before.frames_served, 2000);
+        assert_eq!(after.plans_served - before.plans_served, 2000);
+        assert_eq!(
+            after.pool_frames, before.pool_frames,
+            "a cache hit was handed to the worker pool"
+        );
+        let wakeups = after.poll_wakeups - before.poll_wakeups;
+        assert!(
+            wakeups <= 2000 + 16 + ticks,
+            "{wakeups} wake-ups for 2000 frames ({ticks} idle ticks)"
+        );
+
+        server.shutdown();
+        server.join();
+    });
+}
+
+/// A miss is decided once: the loop's decide is carried to the worker, not
+/// repeated there, so the technique's counters equal exactly those of the
+/// sequential [`Scr`], which has no halves to decide twice in.
+#[test]
+fn a_miss_heavy_stream_is_decided_once_per_instance() {
+    on_both_backends(|| {
+        let id = "tpcds_G_d3";
+        let lambda = 1.05;
+        let server = PqoServer::bind(
+            service_at(&[id], lambda),
+            "127.0.0.1:0",
+            ServerConfig::default(),
+        )
+        .expect("bind loopback");
+        let engine = QueryEngine::new(Arc::clone(&spec_for(id).template));
+        let mut oracle = Scr::with_config(ScrConfig::new(lambda).unwrap()).unwrap();
+        let mut client = PqoClient::connect(server.local_addr()).expect("connects");
+        for q in spec_for(id).generate(300, 5150) {
+            let got = client.get_plan(id, &q.values).expect("served");
+            let want = oracle.get_plan(&q, &engine.compute_svector(&q), &engine);
+            assert_eq!(got.optimized, want.optimized);
+        }
+        let got = client.stats(id).expect("stats served");
+        let want = oracle.stats();
+        assert!(
+            want.optimizer_calls >= 100,
+            "not miss-heavy: {} optimizer calls",
+            want.optimizer_calls
+        );
+        assert_eq!(
+            (
+                got.selectivity_hits,
+                got.cost_hits,
+                got.optimizer_calls,
+                got.getplan_recost_calls
+            ),
+            (
+                want.selectivity_hits,
+                want.cost_hits,
+                want.optimizer_calls,
+                want.getplan_recost_calls
+            ),
+            "the wire path did not decide what the sequential technique decides"
+        );
+
+        drop(client);
+        server.shutdown();
+        server.join();
+    });
+}
+
+/// A replica whose primary accepts connections and never answers: a miss
+/// sits in a worker for the whole forwarding timeout, and meanwhile every
+/// hit on another connection is answered by the loop thread.
+#[test]
+fn hits_are_served_while_a_miss_waits_on_a_dead_primary() {
+    on_both_backends(|| {
+        let id = "tpch_skew_A_d2";
+        let silent_primary = TcpListener::bind("127.0.0.1:0").expect("bind silent primary");
+        let service = fresh_service(&[id]);
+        let stream = spec_for(id).generate(200, 31337);
+        let (warm, rest) = stream.split_at(40);
+        for q in warm {
+            service.get_plan(id, q).expect("warmed in process");
+        }
+        let cold = rest
+            .iter()
+            .find(|q| matches!(service.serve_cached(id, q), Ok(Cached::Miss(_))))
+            .expect("the stream leaves the warm region somewhere");
+        let replica = PqoServer::bind(
+            service,
+            "127.0.0.1:0",
+            ServerConfig {
+                replica_of: Some(silent_primary.local_addr().unwrap().to_string()),
+                read_timeout: Duration::from_millis(1500),
+                poll_interval: Duration::from_millis(10),
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind replica");
+        let addr = replica.local_addr();
+
+        std::thread::scope(|scope| {
+            let mut a = PqoClient::connect(addr).expect("A connects");
+            let miss = scope.spawn(move || a.get_plan(id, &cold.values));
+            // Let the miss reach its worker before B starts.
+            while replica.stats().pool_frames < 2 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let mut b = PqoClient::connect(addr).expect("B connects");
+            for i in 0..500 {
+                let t0 = Instant::now();
+                let choice = b
+                    .get_plan(id, &warm[i % warm.len()].values)
+                    .expect("hit served while the miss waits");
+                assert!(!choice.optimized);
+                assert!(
+                    t0.elapsed() < Duration::from_millis(50),
+                    "hit {i} took {:?} beside a blocked worker",
+                    t0.elapsed()
+                );
+            }
+            assert!(!miss.is_finished(), "the miss did not wait on the primary");
+            match miss.join().expect("A's thread") {
+                Err(ClientError::Server { code: c, .. }) => {
+                    assert_eq!(c, code::PRIMARY_UNREACHABLE)
+                }
+                other => panic!("a miss with no primary yielded {other:?}"),
+            }
+        });
+
+        // Resets the subscriber's pending handshake, so join does not wait
+        // for its timeout.
+        drop(silent_primary);
+        replica.shutdown();
+        replica.join();
+    });
+}
+
+/// A `Write` that counts calls and accepts at most `limit` bytes per call.
+struct CountingWriter {
+    calls: usize,
+    limit: usize,
+    bytes: Vec<u8>,
+}
+
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.write_vectored(&[IoSlice::new(buf)])
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        self.calls += 1;
+        let mut room = self.limit;
+        for buf in bufs {
+            let n = buf.len().min(room);
+            self.bytes.extend_from_slice(&buf[..n]);
+            room -= n;
+        }
+        Ok(self.limit - room)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn write_frame_hands_a_frame_over_in_one_call() {
+    for len in [0usize, 22, 70_000] {
+        let body: Vec<u8> = (0..len).map(|i| i as u8).collect();
+        let mut want = (len as u32).to_le_bytes().to_vec();
+        want.extend_from_slice(&body);
+        for limit in [usize::MAX, 1] {
+            let mut w = CountingWriter {
+                calls: 0,
+                limit,
+                bytes: Vec::new(),
+            };
+            wire::write_frame(&mut w, &body).expect("frame written");
+            assert_eq!(w.bytes, want, "{len}-byte body, {limit} bytes per call");
+            if limit == usize::MAX {
+                assert_eq!(w.calls, 1, "{len}-byte body took {} calls", w.calls);
+            }
+        }
+    }
+}
+
+/// A hand-driven peer for [`PqoClient`]: accepts one connection, answers
+/// the handshake, then runs `script` on the raw stream.
+fn scripted_server(
+    script: impl FnOnce(&mut TcpStream) + Send + 'static,
+) -> (SocketAddr, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind scripted server");
+    let addr = listener.local_addr().unwrap();
+    let handle = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("client connects");
+        stream.set_nodelay(true).unwrap();
+        expect_request(&mut stream);
+        send(
+            &mut stream,
+            &[Response::HelloOk {
+                version: wire::PROTOCOL_VERSION,
+                templates: vec!["t".into()],
+            }],
+        );
+        script(&mut stream);
+    });
+    (addr, handle)
+}
+
+fn expect_request(stream: &mut TcpStream) -> Request {
+    let mut frame = Vec::new();
+    assert!(
+        wire::read_frame(stream, wire::DEFAULT_MAX_FRAME_BYTES, &mut frame).expect("request read")
+    );
+    wire::decode_request(&frame).expect("request decodes")
+}
+
+/// `responses` as back-to-back frames in one `write`: one segment.
+fn send(stream: &mut TcpStream, responses: &[Response]) {
+    let mut segment = Vec::new();
+    let mut body = Vec::new();
+    for resp in responses {
+        encode_response(resp, &mut body);
+        wire::write_frame(&mut segment, &body).expect("vec write");
+    }
+    stream.write_all(&segment).expect("segment written");
+}
+
+const CHOICE: WireChoice = WireChoice {
+    fingerprint: 0xC0DE,
+    optimized: false,
+    generation: 3,
+};
+
+/// A push that rides in the segment of a response is read with it, and
+/// `poll_push` must find it there: the socket will never become readable
+/// for it.
+#[test]
+fn client_finds_a_push_that_arrived_with_a_response() {
+    let (addr, server) = scripted_server(|stream| {
+        expect_request(stream);
+        send(
+            stream,
+            &[
+                Response::Plan(CHOICE),
+                Response::SnapshotPush {
+                    template: "t".into(),
+                    generation: 4,
+                    record: vec![7; 100],
+                },
+            ],
+        );
+        // Hold the connection until the client is done with it.
+        let _ = wire::read_frame(stream, wire::DEFAULT_MAX_FRAME_BYTES, &mut Vec::new());
+    });
+    let mut client = PqoClient::connect(addr).expect("handshake");
+    let choice = client.get_plan("t", &[1.0]).expect("response decoded");
+    assert_eq!((choice.fingerprint.0, choice.generation), (0xC0DE, 3));
+    let push = client
+        .poll_push(Duration::from_millis(200))
+        .expect("stream intact")
+        .expect("the push was in the buffer");
+    assert_eq!((push.generation, push.record.len()), (4, 100));
+    assert!(client
+        .poll_push(Duration::from_millis(1))
+        .expect("stream intact")
+        .is_none());
+    drop(client);
+    server.join().expect("scripted server");
+}
+
+#[test]
+fn client_reassembles_a_response_delivered_one_byte_at_a_time() {
+    let (addr, server) = scripted_server(|stream| {
+        expect_request(stream);
+        let mut body = Vec::new();
+        encode_response(&Response::Plan(CHOICE), &mut body);
+        let mut frame = Vec::new();
+        wire::write_frame(&mut frame, &body).expect("vec write");
+        for byte in frame {
+            stream.write_all(&[byte]).expect("byte written");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    });
+    let mut client = PqoClient::connect(addr).expect("handshake");
+    let choice = client.get_plan("t", &[1.0]).expect("response reassembled");
+    assert_eq!((choice.fingerprint.0, choice.generation), (0xC0DE, 3));
+    server.join().expect("scripted server");
+}
+
+/// Regression: `poll_push` used to leave its idle wait installed as the
+/// socket's read timeout, so the next call on the connection ran under a
+/// 1 ms deadline and failed mid-exchange against any server slower than
+/// that.
+#[test]
+fn an_idle_poll_push_leaves_the_read_deadline_alone() {
+    let (addr, server) = scripted_server(|stream| {
+        expect_request(stream);
+        std::thread::sleep(Duration::from_millis(20));
+        send(stream, &[Response::Stats(WireStats::default())]);
+    });
+    let mut client = PqoClient::connect(addr).expect("handshake");
+    assert!(client
+        .poll_push(Duration::from_millis(1))
+        .expect("an idle stream is not an error")
+        .is_none());
+    client
+        .stats("t")
+        .expect("a call after an idle poll_push runs under the connection's deadline");
+    server.join().expect("scripted server");
 }

@@ -64,6 +64,13 @@ cargo test -q --offline --release --test spatial_oracle --test decision_golden \
     --test optimizer_golden --test optimize_alloc --test scratch_identity \
     --test publication_golden --test publish_alloc
 
+echo "==> server suites, optimized (loopback + replication, release)"
+# The wire path as it is served: the loopback oracle storm, the split
+# GET_PLAN path's ordering / pool-count / decide-once / dead-primary tests
+# and the replica fleet, under --release, where a timing-dependent
+# interleaving differs most from the debug run above.
+cargo test -q --offline --release -p pqo-server --test loopback --test replication
+
 echo "==> microbench smoke (quick mode, includes service/batch throughput)"
 # Running the harness=false bench binaries through `cargo test` omits the
 # --bench flag, so each microbench executes once in quick smoke mode —
@@ -267,6 +274,12 @@ stackbench_smoke() {
         ;;
     esac
 }
+
+echo "==> stack benchmark smoke (wire_hit, 4 s, output checks)"
+# The one workload that times the network core: every decision that came
+# back over the socket — hits answered on the loop thread, the warm-up's
+# misses finished by the pool — is replayed through an in-process oracle.
+stackbench_smoke wire_hit
 
 echo "==> stack benchmark smoke (embedded_corpus, 4 s, output checks)"
 # A short run of the workload that leans on the decide path: every pass must
