@@ -366,6 +366,7 @@ pub(crate) fn read_accumulators(r: &mut impl Read) -> Result<(f64, u64), Restore
 mod tests {
     use super::*;
     use crate::snapshot::{CacheSnapshot, CacheWriter, SnapshotCell};
+    use crate::spatial::KeyStream;
     use crate::testutil::fixture_template;
     use crate::OnlinePqo;
     use pqo_optimizer::engine::QueryEngine;
@@ -449,7 +450,8 @@ mod tests {
             let q = [0.03 + 0.08 * i as f64, 0.3];
             assert_eq!(bits(a.nearest(&q, 5)), bits(b.nearest(&q, 5)));
             assert_eq!(bits(a.within(&q, 1.2)), bits(b.within(&q, 1.2)));
-            let (mut qa, mut qb, mut da, mut db) = (vec![], vec![], vec![], vec![]);
+            let (mut qa, mut qb) = (vec![], vec![]);
+            let (mut da, mut db) = (KeyStream::new(), KeyStream::new());
             let accept = |d: f64, row: usize| d > 0.01 && row % 2 == 1;
             let hit_a = a.scan(&q, 1.2, &mut qa, &mut da, accept);
             let hit_b = b.scan(&q, 1.2, &mut qb, &mut db, accept);
@@ -458,8 +460,8 @@ mod tests {
                 hit_b.map(|h| (h.0.to_bits(), h.1))
             );
             assert_eq!(
-                da.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-                db.iter().map(|d| d.to_bits()).collect::<Vec<_>>()
+                da.keys().iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+                db.keys().iter().map(|d| d.to_bits()).collect::<Vec<_>>()
             );
         }
     }

@@ -15,7 +15,7 @@
 //! Every policy shares the substrate built for SCR: the prepared/delta
 //! Recost machinery ([`GetPlanScratch`]), the published
 //! [`crate::snapshot::CacheSnapshot`] read path, and the candidate search
-//! (`CacheState::find_candidates`, under the same crossover rule SCR
+//! (`CacheState::list_candidates`, under the same crossover rule SCR
 //! uses). Dispatch is a `match` on [`PolicyId`] at the
 //! two choke points in `scr.rs` — static, no `dyn` in the hot loop — and
 //! the SCR arm delegates to the *unchanged* pre-refactor code, so SCR's
@@ -175,7 +175,7 @@ fn candidate_entries(view: &CacheState, sv: &SVector, scratch: &mut GetPlanScrat
         order: CandidateOrder::GlAscending,
         k: view.config.max_recost_candidates.max(1),
     };
-    let hit = view.find_candidates(sv, search, scratch);
+    let hit = view.list_candidates(sv, search, scratch);
     debug_assert!(hit.is_none(), "no selectivity check was asked for");
     if search.log_form {
         // The log form keys by distance: G·L = e^distance.
@@ -268,7 +268,7 @@ impl PlanPolicy for LecPolicy {
             }
         }
         view.stats
-            .record_policy_recosts(recosts, t0.elapsed().as_nanos() as u64);
+            .record_recosts(recosts, t0.elapsed().as_nanos() as u64);
         let (_, fp) = best?;
         let choice = serve_entry_with_plan(view, cands, fp)?;
         view.stats.record_policy_hit();
@@ -356,7 +356,7 @@ impl PlanPolicy for PenaltyPolicy {
             matrix.push(row);
         }
         view.stats
-            .record_policy_recosts(recosts, t0.elapsed().as_nanos() as u64);
+            .record_recosts(recosts, t0.elapsed().as_nanos() as u64);
         // Frontier: pointwise minimum over the candidate plans.
         let frontier_at_sv = at_sv.iter().copied().fold(f64::INFINITY, f64::min);
         let frontier: Vec<f64> = (0..cands.len())

@@ -46,7 +46,7 @@ use pqo_optimizer::template::{QueryInstance, QueryTemplate};
 
 use crate::cache::{InstanceEntry, PlanCache};
 use crate::policy::{LecPolicy, PenaltyPolicy, PlanPolicy, PolicyId, ScrPolicy};
-use crate::spatial;
+use crate::spatial::KeyStream;
 use crate::{OnlinePqo, PlanChoice};
 
 /// Dynamic λ mapping of Appendix D: cheaper instances tolerate a larger λ.
@@ -347,10 +347,10 @@ impl ScrStatCells {
         Self::bump(&self.policy_rejects);
     }
 
-    /// Recost work done inside a non-SCR decide hook — folded into the
-    /// same tallies the SCR cost check feeds, so the overhead split and
+    /// The Recost work of one decide hook — SCR's cost check and the
+    /// non-SCR policies feed the same tallies, so the overhead split and
     /// the per-call maximum stay comparable across policies.
-    pub(crate) fn record_policy_recosts(&self, n: u64, nanos: u64) {
+    pub(crate) fn record_recosts(&self, n: u64, nanos: u64) {
         Self::add(&self.getplan_recost_calls, n);
         self.max_recosts_per_getplan.fetch_max(n, Ordering::Relaxed);
         Self::add(&self.recost_nanos, nanos);
@@ -384,8 +384,9 @@ impl ScrStatCells {
 }
 
 /// Reusable scratch for one `getPlan` caller: the candidate search's
-/// buffers (the query in log space, one distance per stored instance, the
-/// candidate list), the cost check's fingerprint→Recost memo (at most
+/// buffers (the query in log space, the candidate stream with one key per
+/// stored instance and one minimum per 16 of them, the `lec` / `penalty`
+/// neighbourhood list), the cost check's fingerprint→Recost memo (at most
 /// `max_recost_candidates` entries, probed linearly) and the arena-recost
 /// scratch ([`RecostScratch`]) whose base derivation is delta-updated across
 /// candidates and across successive calls. A caller that threads one of
@@ -405,9 +406,11 @@ pub struct GetPlanScratch {
     /// 0 (no engine's id) when fresh.
     engine_id: u64,
     q: Vec<f64>,
-    dist: Vec<f64>,
-    /// What [`CacheState::find_candidates`] leaves for the cost check:
-    /// `(key, instance index)` in the order to try.
+    /// What [`CacheState::find_candidates`] leaves for the cost check: the
+    /// candidates in the order to try, handed out one at a time.
+    stream: KeyStream,
+    /// The candidates [`CacheState::list_candidates`] drained from the
+    /// stream, as `(key, instance index)`.
     pub(crate) cands: Vec<(f64, usize)>,
     recosted: Vec<(PlanFingerprint, f64)>,
     pub(crate) recost: RecostScratch,
@@ -626,11 +629,13 @@ impl CacheState {
 
     /// The one candidate search behind SCR's decide, Appendix F's simulated
     /// `getPlan` and the `lec` / `penalty` neighbourhoods: the selectivity
-    /// check (when asked for) and the cost-check list, from one pass over
-    /// the instance list. Returns the entry the selectivity check serves
-    /// through; otherwise leaves at most `search.k` entries without an
-    /// Appendix G violation mark in `scratch.cands`, in the order to try
-    /// them, as `(key, instance index)`.
+    /// check (when asked for) and the cost check's candidates, from one pass
+    /// over the instance list. Returns the entry the selectivity check
+    /// serves through; otherwise leaves every entry's key in
+    /// `scratch.stream`, opened so that [`CacheState::next_candidate`] hands
+    /// out at most `search.k` entries without an Appendix G violation mark,
+    /// in the order to try them, as `(key, instance index)`. No candidate is
+    /// selected here: the stream finds each one when it is asked for.
     ///
     /// * **Log form** (Section 6.2): one scan of the coordinate blocks
     ///   yields every entry's `ln(G·L)`. The selectivity check serves the
@@ -639,8 +644,8 @@ impl CacheState {
     ///   unmarked entries within the violation window, keyed by distance.
     /// * **Product form**: `G`, `L` by [`SVector::g_and_l`] per entry. The
     ///   selectivity check serves the *first* entry in list order that
-    ///   passes. The candidates are the `k` smallest under `search.order`,
-    ///   ties in list order, keyed once each.
+    ///   passes. The candidates are the unmarked entries in ascending key
+    ///   under `search.order`, ties in list order, keyed once each.
     pub(crate) fn find_candidates(
         &self,
         sv: &SVector,
@@ -648,8 +653,7 @@ impl CacheState {
         scratch: &mut GetPlanScratch,
     ) -> Option<usize> {
         let entries = self.cache.instances();
-        let GetPlanScratch { q, dist, cands, .. } = scratch;
-        cands.clear();
+        let GetPlanScratch { q, stream, .. } = scratch;
         if search.log_form {
             let lambda_upper = match self.config.dynamic_lambda {
                 Some(d) => d.lambda_max,
@@ -660,9 +664,12 @@ impl CacheState {
             } else {
                 f64::NEG_INFINITY
             };
-            let hit = self.cache.coords().scan(&sv.0, radius, q, dist, |d, idx| {
-                self.passes_selectivity_check(d.exp(), &entries[idx])
-            });
+            let hit = self
+                .cache
+                .coords()
+                .scan(&sv.0, radius, q, stream, |d, idx| {
+                    self.passes_selectivity_check(d.exp(), &entries[idx])
+                });
             if let Some((_, idx)) = hit {
                 return Some(idx);
             }
@@ -672,35 +679,62 @@ impl CacheState {
                 .k
                 .saturating_mul(self.config.recost_fetch_factor)
                 .max(16);
-            let disabled = |idx: usize| entries[idx].violation_detected();
-            spatial::nearest_enabled(dist, search.k, window, disabled, cands);
+            stream.open(search.k, window);
             return None;
         }
+        stream.clear();
         for (idx, e) in entries.iter().enumerate() {
             let (g, l) = sv.g_and_l(&e.svector);
             if search.selectivity_check && self.passes_selectivity_check(g * l, e) {
                 return Some(idx);
             }
-            if !e.violation_detected() {
-                let key = match search.order {
-                    CandidateOrder::GlAscending => g * l,
-                    CandidateOrder::UsageDescending => -(e.usage() as f64),
-                    CandidateOrder::AreaDescending => -e.svector.0.iter().product::<f64>(),
-                };
-                spatial::insert_bounded(cands, search.k, key, idx);
-            }
+            stream.push(match search.order {
+                CandidateOrder::GlAscending => g * l,
+                CandidateOrder::UsageDescending => -(e.usage() as f64),
+                CandidateOrder::AreaDescending => -e.svector.0.iter().product::<f64>(),
+            });
         }
+        stream.open(search.k, usize::MAX);
         None
     }
 
+    /// The next candidate of the search [`CacheState::find_candidates`] left
+    /// in `stream`. An entry's violation mark is read when the stream
+    /// reaches the entry.
+    fn next_candidate(&self, stream: &mut KeyStream) -> Option<(f64, usize)> {
+        let entries = self.cache.instances();
+        stream.next(|idx| entries[idx].violation_detected())
+    }
+
+    /// [`CacheState::find_candidates`] with its candidates drained into
+    /// `scratch.cands`, for the policies that read the neighbourhood as a
+    /// list.
+    pub(crate) fn list_candidates(
+        &self,
+        sv: &SVector,
+        search: CandidateSearch,
+        scratch: &mut GetPlanScratch,
+    ) -> Option<usize> {
+        scratch.cands.clear();
+        let hit = self.find_candidates(sv, search, scratch);
+        if hit.is_none() {
+            while let Some(c) = self.next_candidate(&mut scratch.stream) {
+                scratch.cands.push(c);
+            }
+        }
+        hit
+    }
+
     /// Cost check over the candidates [`CacheState::find_candidates`] left
-    /// in `scratch`: replace the `G` bound by the exact Recost ratio `R`,
-    /// re-costing each distinct plan at most once. `G` and `L` are derived
-    /// per candidate *reached*. Each Recost runs over the plan's
+    /// in `scratch`, pulled one at a time up to the hit: replace the `G`
+    /// bound by the exact Recost ratio `R`, re-costing each distinct plan at
+    /// most once. `G` and `L` are derived per candidate *reached*. Each
+    /// Recost runs over the plan's
     /// [`CachedPlan`](crate::cache::CachedPlan) prepared form — a linear
     /// arena pass whose base derivation lives in `scratch` and is shared
     /// across candidates (and delta-updated across calls), so the loop
-    /// performs no allocation and no tree walk.
+    /// performs no allocation and no tree walk. The clock is read twice,
+    /// around the whole loop, and not at all when there is no candidate.
     fn cost_check(
         &self,
         sv: &SVector,
@@ -708,27 +742,19 @@ impl CacheState {
         scratch: &mut GetPlanScratch,
     ) -> Option<PlanChoice> {
         let GetPlanScratch {
-            cands,
+            stream,
             recosted,
             recost,
             ..
         } = scratch;
-        if cands.is_empty() {
-            return None;
-        }
+        let mut next = Some(self.next_candidate(stream)?);
         recosted.clear();
-        let mut recosts_this_call = 0u64;
         let t0 = Instant::now();
-        let flush_recost_tally = |n: u64| {
-            self.stats
-                .getplan_recost_calls
-                .fetch_add(n, Ordering::Relaxed);
-            self.stats
-                .max_recosts_per_getplan
-                .fetch_max(n, Ordering::Relaxed);
-            ScrStatCells::add(&self.stats.recost_nanos, t0.elapsed().as_nanos() as u64);
-        };
-        for &(_, idx) in cands.iter() {
+        let mut hit = None;
+        // A violation mark set in this loop is set on the entry just pulled,
+        // which the stream never returns again: the candidates of one
+        // decision are those of the list as it stood when the search ran.
+        while let Some((_, idx)) = next {
             let e = &self.cache.instances()[idx];
             let (fp, c, s, lambda_e) = (
                 e.plan,
@@ -740,8 +766,7 @@ impl CacheState {
                 Some(&(_, c)) => c,
                 None => {
                     let cached = self.cache.cached(fp).expect("live plan");
-                    let c = engine.recost_prepared(cached.prepared(engine), sv, recost);
-                    recosts_this_call += 1;
+                    let c = engine.recost_prepared_untracked(cached.prepared(engine), sv, recost);
                     recosted.push((fp, c));
                     c
                 }
@@ -750,23 +775,27 @@ impl CacheState {
             let r = new_cost / c;
             // Appendix G: Cost(P, qe) = S·C, so BCG demands
             // S·C/L ≤ Cost(P, qc) ≤ G·S·C. Outside → violation at qe.
-            if self.config.violation_handling {
+            let violation = self.config.violation_handling && {
                 let upper = g * s * c;
                 let lower = s * c / l;
-                if new_cost > upper * (1.0 + 1e-9) || new_cost < lower * (1.0 - 1e-9) {
-                    e.mark_violation();
-                    ScrStatCells::bump(&self.stats.violations_detected);
-                    continue;
-                }
-            }
-            if r * l <= lambda_e / s {
+                new_cost > upper * (1.0 + 1e-9) || new_cost < lower * (1.0 - 1e-9)
+            };
+            if violation {
+                e.mark_violation();
+                ScrStatCells::bump(&self.stats.violations_detected);
+            } else if r * l <= lambda_e / s {
                 ScrStatCells::bump(&self.stats.cost_hits);
-                flush_recost_tally(recosts_this_call);
-                return Some(self.serve(idx));
+                hit = Some(idx);
+                break;
             }
+            next = self.next_candidate(stream);
         }
-        flush_recost_tally(recosts_this_call);
-        None
+        // One Recost per memo entry.
+        let (recosts, elapsed) = (recosted.len() as u64, t0.elapsed());
+        engine.record_recosts(recosts, elapsed);
+        self.stats
+            .record_recosts(recosts, elapsed.as_nanos() as u64);
+        hit.map(|idx| self.serve(idx))
     }
 
     /// Mirror the coordinate store's cumulative copy counters (plain `u64`s
@@ -846,13 +875,16 @@ impl CacheState {
                 .cache
                 .cached_plans()
                 .map(|c| {
-                    let cost = engine.recost_prepared(c.prepared(engine), sv, &mut scratch.recost);
+                    let prepared = c.prepared(engine);
+                    let cost = engine.recost_prepared_untracked(prepared, sv, &mut scratch.recost);
                     (c.fingerprint(), cost)
                 })
                 // An exact cost tie goes to the smaller fingerprint.
                 .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
                 .expect("non-empty plan list");
-            ScrStatCells::add(&self.stats.recost_nanos, t0.elapsed().as_nanos() as u64);
+            let elapsed = t0.elapsed();
+            engine.record_recosts(self.cache.num_plans() as u64, elapsed);
+            ScrStatCells::add(&self.stats.recost_nanos, elapsed.as_nanos() as u64);
             let s_min = (min_cost / opt.cost).max(1.0);
             if s_min <= self.config.lambda_r {
                 ScrStatCells::bump(&self.stats.redundant_plans_discarded);
@@ -953,7 +985,7 @@ impl CacheState {
             k: self.config.max_recost_candidates,
         };
         let hit = self.find_candidates(sv, search, scratch);
-        let GetPlanScratch { cands, recost, .. } = scratch;
+        let GetPlanScratch { stream, recost, .. } = scratch;
         let mut recost = |fp: PlanFingerprint| -> f64 {
             let cached = self.cache.cached(fp).expect("live plan");
             engine.recost_prepared(cached.prepared(engine), sv, recost)
@@ -962,7 +994,7 @@ impl CacheState {
             let e = &self.cache.instances()[idx];
             return Some((e.plan, (recost(e.plan) / opt_cost).max(1.0)));
         }
-        for &(_, idx) in cands.iter() {
+        while let Some((_, idx)) = self.next_candidate(stream) {
             let e = &self.cache.instances()[idx];
             let (_, l) = sv.g_and_l(&e.svector);
             let new_cost = recost(e.plan);

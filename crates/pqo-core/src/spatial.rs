@@ -1,5 +1,6 @@
 //! The block store of the instance list: its rows, and "smaller G·L first"
-//! (paper Section 6.2) by one scan over their ln-selectivities.
+//! (paper Section 6.2) by one scan over their ln-selectivities and a stream
+//! that finds the next-smallest row when it is asked for.
 //!
 //! *"...the overheads can also be improved by exploiting [the] idea of
 //! checking instances with smaller GL values first. This can be achieved by
@@ -32,6 +33,16 @@
 //! per-instance array to keep in step with it ([`CoordBlocks::rows`] is the
 //! list view). The payload type is a parameter; `CoordBlocks<()>` is the
 //! plain coordinate store the oracle tests drive.
+//!
+//! **Candidates.** The scan leaves one key per row and one minimum per tile
+//! of 16 rows in a [`KeyStream`], which hands rows out nearest first, one per
+//! call, in `n/16 + 16` steps each — the cost check stops at its hit, which
+//! is usually its first candidate, and pays for no candidate it does not
+//! reach. The product form's keys (G·L, −usage, −area) go through the same
+//! stream, so both forms share one order: `(key, row)` under
+//! [`f64::total_cmp`], which is total over every `f64` a hostile
+//! selectivity can produce and which on distances (never NaN, never `-0.0`)
+//! is plain `<`.
 //!
 //! **Bit-identity.** A row's distance is `Σi |ci − qi|` with the terms added
 //! in dimension order from zero — the same operations in the same order as
@@ -70,62 +81,144 @@ fn ln_clamped(s: f64) -> f64 {
     s.max(f64::MIN_POSITIVE).min(f64::MAX).ln()
 }
 
-/// Insert `(key, item)` into `top` — ascending by key, at most `k` long —
-/// *after* every entry whose key is not greater, dropping the last entry when
-/// that makes `k + 1`. Feeding items in list order thus yields exactly what a
-/// stable sort by key followed by `truncate(k)` would, and for distances fed
-/// in row order the canonical `(distance, row)` order.
-pub(crate) fn insert_bounded(top: &mut Vec<(f64, usize)>, k: usize, key: f64, item: usize) {
-    if top.len() == k {
-        match top.last() {
-            Some(last) if key.total_cmp(&last.0).is_lt() => {
-                top.pop();
-            }
-            _ => return,
-        }
-    }
-    let at = top.partition_point(|e| e.0.total_cmp(&key).is_le());
-    top.insert(at, (key, item));
-}
+/// Rows per tile: what the kernel sums in registers at a time, and the unit
+/// a [`KeyStream`] keeps one minimum for. Divides [`BLOCK_ROWS`].
+const TILE: usize = 16;
+// One bit per row of a tile in a `u16`; tiles never straddle blocks.
+const _: () = assert!(TILE == u16::BITS as usize && BLOCK_ROWS.is_multiple_of(TILE));
 
-/// The `k` smallest of `dist` as `(distance, row)`, ascending, into `top`.
-fn select_nearest(dist: &[f64], k: usize, top: &mut Vec<(f64, usize)>) {
-    top.clear();
-    if k == 0 {
-        return;
-    }
-    // Distances are never NaN, so `<` against the current worst is the
-    // canonical order's "strictly before": a tie loses to the earlier row.
-    let mut worst = f64::INFINITY;
-    for (row, &d) in dist.iter().enumerate() {
-        if top.len() < k || d < worst {
-            insert_bounded(top, k, d, row);
-            if top.len() == k {
-                worst = top.last().map_or(f64::INFINITY, |e| e.0);
-            }
-        }
+/// The smaller of two keys that are not NaN: one `min` instruction, no branch.
+fn min_lt(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
+    } else {
+        b
     }
 }
 
-/// The cost-check list over the distances of one [`CoordBlocks::scan`]: the
-/// first `want` rows, nearest first, that are not `disabled`, looking no
-/// further than the `window` nearest rows. The selection starts with
-/// `k = want` and widens to `window` only when a disabled row sits among the
-/// `want` nearest — both are prefixes of the same `(distance, row)` order, so
-/// the result is exactly "the first `want` enabled of the `window` nearest".
-pub fn nearest_enabled(
-    dist: &[f64],
+/// [`f64::total_cmp`]'s order as an integer's: `ord(a) < ord(b)` exactly when
+/// `a.total_cmp(&b).is_lt()`. Its own inverse. A running minimum kept in
+/// this form is compared without being mapped again.
+fn ord(key: f64) -> i64 {
+    let bits = key.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// Candidates on demand: one key per row of a list, handed out in ascending
+/// `(key, row)` order under [`f64::total_cmp`] — what a stable sort of the
+/// rows by key would list — one row per call, without sorting or selecting
+/// ahead of the caller. The cost check usually stops at its first candidate
+/// (0.89 Recosts per decision on the paper's evaluation), so nothing is done
+/// for the candidates it never reaches.
+///
+/// The stream keeps the minimum key of every tile of 16 rows among the rows
+/// it has not handed out yet. A pull picks the smallest tile minimum (the
+/// lower tile on a tie), finds the first such row of that tile with that key
+/// and re-derives that one tile's minimum: `n/16 + 16` steps per candidate.
+/// Which rows a tile has handed out is a bit mask beside its minimum, so
+/// every `f64` — `+∞`, NaN, either zero — is an ordinary key.
+///
+/// Use: [`KeyStream::clear`], one [`KeyStream::push`] per row (or one
+/// [`CoordBlocks::scan`], which writes the rows' distances and their tile
+/// minima as it computes them), [`KeyStream::open`], then [`KeyStream::next`]
+/// until it returns `None`.
+#[derive(Debug, Default)]
+pub struct KeyStream {
+    keys: Vec<f64>,
+    /// Per tile, the smallest key among its rows not handed out yet, as
+    /// [`ord`] maps it; meaningless once every row of the tile is.
+    tile_min: Vec<i64>,
+    /// Per tile, bit `r` set: row `r` of the tile is handed out or lies past
+    /// the end of the list. All set: the tile is exhausted.
+    tile_done: Vec<u16>,
+    /// Rows [`KeyStream::next`] may still return.
     want: usize,
+    /// Ranks [`KeyStream::next`] may still look at.
     window: usize,
-    disabled: impl Fn(usize) -> bool,
-    top: &mut Vec<(f64, usize)>,
-) {
-    let want = want.min(window);
-    select_nearest(dist, want, top);
-    if top.iter().any(|&(_, row)| disabled(row)) {
-        select_nearest(dist, window, top);
-        top.retain(|&(_, row)| !disabled(row));
-        top.truncate(want);
+}
+
+impl KeyStream {
+    /// An empty stream.
+    pub fn new() -> Self {
+        KeyStream::default()
+    }
+
+    /// The keys in row order.
+    pub fn keys(&self) -> &[f64] {
+        &self.keys
+    }
+
+    /// Forget every key; [`KeyStream::next`] returns `None` until the next
+    /// [`KeyStream::open`].
+    pub fn clear(&mut self) {
+        self.keys.clear();
+        self.tile_min.clear();
+        self.tile_done.clear();
+        (self.want, self.window) = (0, 0);
+    }
+
+    /// Append the key of the next row.
+    pub fn push(&mut self, key: f64) {
+        self.keys.push(key);
+    }
+
+    /// Start handing out rows: at most `want` of them, looking no further
+    /// than the `window` smallest — [`KeyStream::next`] returns "the first
+    /// `want` enabled of the `window` nearest", in order. Takes the minimum
+    /// of every tile a scan has not already left one for.
+    pub fn open(&mut self, want: usize, window: usize) {
+        debug_assert!(self.tile_done.is_empty(), "opened once per fill");
+        for tile in self.keys.chunks(TILE).skip(self.tile_min.len()) {
+            let min = tile.iter().map(|&k| ord(k)).min();
+            self.tile_min.push(min.expect("chunks are not empty"));
+        }
+        self.tile_done.resize(self.tile_min.len(), 0);
+        let tail = self.keys.len() % TILE;
+        if tail != 0 {
+            *self.tile_done.last_mut().expect("a partial tile exists") = !0 << tail;
+        }
+        (self.want, self.window) = (want, window);
+    }
+
+    /// The next row that is not `disabled`, as `(key, row)`, while fewer than
+    /// `want` rows have been returned and fewer than `window` looked at.
+    /// `disabled` is asked about a row when the row is reached.
+    pub fn next(&mut self, disabled: impl Fn(usize) -> bool) -> Option<(f64, usize)> {
+        while self.want > 0 && self.window > 0 {
+            let (key, row) = self.pull()?;
+            self.window -= 1;
+            if !disabled(row) {
+                self.want -= 1;
+                return Some((key, row));
+            }
+        }
+        None
+    }
+
+    /// The smallest `(key, row)` not handed out yet.
+    fn pull(&mut self) -> Option<(f64, usize)> {
+        let mut best: Option<(i64, usize)> = None;
+        for (t, (&min, &done)) in self.tile_min.iter().zip(&self.tile_done).enumerate() {
+            // Strictly smaller only: equal keys go to the lower tile.
+            if done != u16::MAX && best.is_none_or(|(b, _)| min < b) {
+                best = Some((min, t));
+            }
+        }
+        let (min, t) = best?;
+        let base = t * TILE;
+        let tile = &self.keys[base..self.keys.len().min(base + TILE)];
+        let live = |done: u16, r: usize| done & (1 << r) == 0;
+        let done = self.tile_done[t];
+        let r = (0..tile.len())
+            .find(|&r| live(done, r) && ord(tile[r]) == min)
+            .expect("a live tile's minimum is the key of one of its rows");
+        let done = done | 1 << r;
+        self.tile_done[t] = done;
+        let left = (0..tile.len()).filter(|&r| live(done, r));
+        if let Some(next) = left.map(|r| ord(tile[r])).min() {
+            self.tile_min[t] = next;
+        }
+        Some((tile[r], base + r))
     }
 }
 
@@ -254,14 +347,20 @@ impl<T> CoordBlocks<T> {
     }
 
     /// The kernel: each block's distances from `q`, column by column, handed
-    /// to `visit` with the index of the block's first row. Rows are summed a
-    /// tile at a time so that a tile's accumulators stay in registers (eight
-    /// 2-lane registers on baseline x86-64) across the dimensions.
-    fn for_each_block(&self, q: &[f64], mut visit: impl FnMut(usize, &[f64])) {
-        const TILE: usize = 16;
+    /// to `visit` with the index of the block's first row and the minimum of
+    /// each tile of 16 rows. Rows are summed a tile at a time so that a
+    /// tile's accumulators stay in registers (eight 2-lane registers on
+    /// baseline x86-64) across the dimensions, and its minimum is taken
+    /// before they leave. Distances are sums of absolute values from zero —
+    /// never NaN, never `-0.0` — so `<` orders them as `total_cmp` does.
+    fn for_each_block(&self, q: &[f64], mut visit: impl FnMut(usize, &[f64], &[f64])) {
         let mut dist = [0.0f64; BLOCK_ROWS];
+        let mut mins = [0.0f64; BLOCK_ROWS / TILE];
         for (b, block) in self.blocks.iter().enumerate() {
-            for (t, out) in dist.chunks_exact_mut(TILE).enumerate() {
+            let base = b * BLOCK_ROWS;
+            let rows = (self.len - base).min(BLOCK_ROWS);
+            let tiles = rows.div_ceil(TILE);
+            for (t, out) in dist.chunks_exact_mut(TILE).take(tiles).enumerate() {
                 let mut acc = [0.0f64; TILE];
                 for (col, &qd) in block.coords.chunks_exact(BLOCK_ROWS).zip(q) {
                     for (a, &c) in acc.iter_mut().zip(&col[t * TILE..(t + 1) * TILE]) {
@@ -269,77 +368,82 @@ impl<T> CoordBlocks<T> {
                     }
                 }
                 out.copy_from_slice(&acc);
+                let filled = (rows - t * TILE).min(TILE);
+                mins[t] = acc[..filled].iter().copied().fold(f64::INFINITY, min_lt);
             }
-            let base = b * BLOCK_ROWS;
-            visit(base, &dist[..(self.len - base).min(BLOCK_ROWS)]);
+            visit(base, &dist[..rows], &mins[..tiles]);
         }
     }
 
-    /// One pass for both of `getPlan`'s steps. Writes every row's L1
-    /// distance from `query` (mapped to log space into `q`) to `dist`, and
-    /// returns the minimum `(distance, row)` among the rows within `radius`
-    /// that `accept` — what walking the ball in ascending order and stopping
-    /// at the first accepted row would find, without materialising or
-    /// sorting the ball. `accept` is called only for rows that would become
-    /// the new minimum.
+    /// One pass for both of `getPlan`'s steps. Leaves every row's L1
+    /// distance from `query` (mapped to log space into `q`) in `keys`, ready
+    /// to [`KeyStream::open`], and returns the minimum `(distance, row)`
+    /// among the rows within `radius` that `accept` — what walking the ball
+    /// in ascending order and stopping at the first accepted row would find,
+    /// without materialising or sorting the ball. `accept` is called only
+    /// for rows that would become the new minimum.
     pub fn scan(
         &self,
         query: &[f64],
         radius: f64,
         q: &mut Vec<f64>,
-        dist: &mut Vec<f64>,
+        keys: &mut KeyStream,
         mut accept: impl FnMut(f64, usize) -> bool,
     ) -> Option<(f64, usize)> {
         q.clear();
         q.extend(query.iter().map(|&s| ln_clamped(s)));
-        dist.clear();
+        keys.clear();
         let mut best: Option<(f64, usize)> = None;
         if self.len > 0 {
             assert_eq!(q.len(), self.dims, "dimension mismatch");
         }
-        self.for_each_block(q, |base, rows| {
-            dist.extend_from_slice(rows);
-            // Rows come in index order, so only a strictly smaller
-            // distance displaces the best so far.
-            let limit = best.map_or(radius, |b| b.0);
-            if rows.iter().filter(|&&d| d <= limit).count() == 0 {
-                return;
-            }
-            for (r, &d) in rows.iter().enumerate() {
-                let closer = match best {
-                    Some((b, _)) => d < b,
-                    None => d <= radius,
-                };
-                if closer && accept(d, base + r) {
-                    best = Some((d, base + r));
+        self.for_each_block(q, |base, rows, mins| {
+            keys.keys.extend_from_slice(rows);
+            keys.tile_min.extend(mins.iter().map(|&m| ord(m)));
+            for (t, (tile, &min)) in rows.chunks(TILE).zip(mins).enumerate() {
+                // Rows come in index order, so only a strictly smaller
+                // distance displaces the best so far; a tile whose minimum
+                // is out of reach holds no such row.
+                if min <= best.map_or(radius, |b| b.0) {
+                    let first = base + t * TILE;
+                    for (r, &d) in tile.iter().enumerate() {
+                        let closer = match best {
+                            Some((b, _)) => d < b,
+                            None => d <= radius,
+                        };
+                        if closer && accept(d, first + r) {
+                            best = Some((d, first + r));
+                        }
+                    }
                 }
             }
         });
         best
     }
 
+    /// Every row's distance from `query`, opened to hand out the `k`
+    /// nearest.
+    fn ranked(&self, query: &[f64], k: usize) -> KeyStream {
+        let (mut q, mut keys) = (Vec::new(), KeyStream::new());
+        self.scan(query, f64::NEG_INFINITY, &mut q, &mut keys, |_, _| false);
+        keys.open(k, k);
+        keys
+    }
+
     /// Every row within L1 distance `radius` of `query`, as
     /// `(distance, row)` ascending by `(distance, row)`.
     pub fn within(&self, query: &[f64], radius: f64) -> Vec<(f64, usize)> {
-        let (mut q, mut dist) = (Vec::new(), Vec::new());
-        self.scan(query, radius, &mut q, &mut dist, |_, _| false);
-        let mut out: Vec<(f64, usize)> = dist
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d <= radius)
-            .map(|(row, &d)| (d, row))
-            .collect();
-        out.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        out
+        let mut keys = self.ranked(query, self.len);
+        std::iter::from_fn(|| keys.next(|_| false))
+            .take_while(|&(d, _)| d <= radius)
+            .collect()
     }
 
     /// The `k` rows nearest to `query`, as `(distance, row)` ascending by
     /// `(distance, row)`.
     pub fn nearest(&self, query: &[f64], k: usize) -> Vec<(f64, usize)> {
-        let (mut q, mut dist, mut top) = (Vec::new(), Vec::new(), Vec::new());
-        self.scan(query, f64::NEG_INFINITY, &mut q, &mut dist, |_, _| false);
-        select_nearest(&dist, k, &mut top);
-        top
+        let mut keys = self.ranked(query, k);
+        std::iter::from_fn(|| keys.next(|_| false)).collect()
     }
 }
 
@@ -540,24 +644,6 @@ mod tests {
         let one = store(&[[0.1, 0.1]]);
         assert!(one.nearest(&[0.1, 0.1], 0).is_empty());
         assert_eq!(one.nearest(&[0.1, 0.1], 3), vec![(0.0, 0)]);
-    }
-
-    #[test]
-    fn bounded_insert_is_a_stable_sort_then_truncate() {
-        let keys = [3.0, 1.0, 2.0, 1.0, f64::NAN, 0.5, 2.0, -0.0, 0.0, 1.0];
-        for k in 0..=keys.len() {
-            let mut top = Vec::new();
-            for (i, &key) in keys.iter().enumerate() {
-                insert_bounded(&mut top, k, key, i);
-            }
-            let mut want: Vec<(f64, usize)> = keys.iter().copied().zip(0..).collect();
-            want.sort_by(|a, b| a.0.total_cmp(&b.0));
-            want.truncate(k);
-            let bits = |v: &[(f64, usize)]| -> Vec<(u64, usize)> {
-                v.iter().map(|&(d, i)| (d.to_bits(), i)).collect()
-            };
-            assert_eq!(bits(&top), bits(&want), "k = {k}");
-        }
     }
 
     #[test]

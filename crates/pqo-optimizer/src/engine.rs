@@ -7,12 +7,13 @@
 //! 2. *Recost plan* — [`QueryEngine::recost`].
 //!
 //! [`QueryEngine`] bundles those with the optimizer call, counts every
-//! invocation and accumulates wall-clock time per API, which is what the
-//! overhead experiments (Sections 7.3, Table 3) report. It also interns
-//! plans by structural fingerprint so that repeated optimizations returning
-//! the same plan share one allocation — mirroring a real plan cache's
-//! handle semantics — and keeps what the optimizer call can reuse between
-//! calls: the template's search space, laid out by the first one.
+//! invocation and accumulates the wall-clock time of optimizer calls and
+//! Recosts, which is what the overhead experiments (Sections 7.3, Table 3)
+//! report. It also interns plans by structural fingerprint so that repeated
+//! optimizations returning the same plan share one allocation — mirroring a
+//! real plan cache's handle semantics — and keeps what the optimizer call
+//! can reuse between calls: the template's search space, laid out by the
+//! first one.
 //!
 //! Every entry point takes `&self`: the counters are atomics and the intern
 //! table sits behind a `Mutex`, so a shared engine can serve concurrent
@@ -31,7 +32,8 @@ use crate::recost::{self, BaseConsts, PreparedRecost, RecostScratch};
 use crate::svector::{self, SVector};
 use crate::template::{QueryInstance, QueryTemplate};
 
-/// Call counters and accumulated latencies for the three engine APIs.
+/// Call counters for the three engine APIs, and accumulated latencies for
+/// the optimizer call and Recost.
 ///
 /// This is a point-in-time *snapshot*, returned by value from
 /// [`QueryEngine::stats`]; the live counters inside the engine are atomics.
@@ -45,10 +47,12 @@ pub struct EngineStats {
     pub svector_calls: u64,
     /// Total wall time spent in the optimizer.
     pub optimize_time: Duration,
-    /// Total wall time spent re-costing.
+    /// Total wall time spent re-costing: per call for
+    /// [`QueryEngine::recost`] and [`QueryEngine::recost_prepared`]; for a
+    /// loop reported through [`QueryEngine::record_recosts`] (SCR's cost
+    /// check and redundancy check) the loop's one bracket, which also holds
+    /// what the loop does between its Recosts.
     pub recost_time: Duration,
-    /// Total wall time spent computing selectivity vectors.
-    pub svector_time: Duration,
 }
 
 impl EngineStats {
@@ -76,7 +80,12 @@ struct ApiCounter {
 
 impl ApiCounter {
     fn record(&self, elapsed: Duration) {
-        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.record_calls(1, elapsed);
+    }
+
+    /// `calls` calls that took `elapsed` together.
+    fn record_calls(&self, calls: u64, elapsed: Duration) {
+        self.calls.fetch_add(calls, Ordering::Relaxed);
         self.nanos
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
@@ -120,7 +129,7 @@ pub struct QueryEngine {
     prepared: OnceLock<Box<PreparedOptimize>>,
     optimize_stat: ApiCounter,
     recost_stat: ApiCounter,
-    svector_stat: ApiCounter,
+    svector_calls: AtomicU64,
     interned: Mutex<HashMap<PlanFingerprint, Arc<Plan>>>,
 }
 
@@ -143,7 +152,7 @@ impl QueryEngine {
             cost_model,
             optimize_stat: ApiCounter::default(),
             recost_stat: ApiCounter::default(),
-            svector_stat: ApiCounter::default(),
+            svector_calls: AtomicU64::new(0),
             interned: Mutex::new(HashMap::new()),
         }
     }
@@ -173,14 +182,12 @@ impl QueryEngine {
     pub fn stats(&self) -> EngineStats {
         let (optimize_calls, optimize_time) = self.optimize_stat.snapshot();
         let (recost_calls, recost_time) = self.recost_stat.snapshot();
-        let (svector_calls, svector_time) = self.svector_stat.snapshot();
         EngineStats {
             optimize_calls,
             recost_calls,
-            svector_calls,
+            svector_calls: self.svector_calls.load(Ordering::Relaxed),
             optimize_time,
             recost_time,
-            svector_time,
         }
     }
 
@@ -188,15 +195,14 @@ impl QueryEngine {
     pub fn reset_stats(&self) {
         self.optimize_stat.reset();
         self.recost_stat.reset();
-        self.svector_stat.reset();
+        self.svector_calls.store(0, Ordering::Relaxed);
     }
 
     /// API 1 (Section 4.2): compute the selectivity vector of an instance.
+    /// Counted, not timed: two clock reads would be a fifth of the lookup.
     pub fn compute_svector(&self, instance: &QueryInstance) -> SVector {
-        let start = Instant::now();
-        let sv = svector::compute_svector(&self.template, instance);
-        self.svector_stat.record(start.elapsed());
-        sv
+        self.svector_calls.fetch_add(1, Ordering::Relaxed);
+        svector::compute_svector(&self.template, instance)
     }
 
     /// The traditional optimizer call: optimal plan + cost for `sv`.
@@ -265,7 +271,9 @@ impl QueryEngine {
         cost
     }
 
-    /// Prepared re-cost without touching the counters (benchmarks).
+    /// Prepared re-cost without touching the counters: benchmarks, and loops
+    /// that time themselves once and report through
+    /// [`QueryEngine::record_recosts`].
     pub fn recost_prepared_untracked(
         &self,
         prepared: &PreparedRecost,
@@ -273,6 +281,13 @@ impl QueryEngine {
         scratch: &mut RecostScratch,
     ) -> f64 {
         recost::recost_prepared(&self.base_consts, &self.cost_model, prepared, sv, scratch)
+    }
+
+    /// Count `calls` Recosts a caller issued through
+    /// [`QueryEngine::recost_prepared_untracked`] inside one `elapsed`
+    /// bracket of its own: one clock pair per loop instead of one per call.
+    pub fn record_recosts(&self, calls: u64, elapsed: Duration) {
+        self.recost_stat.record_calls(calls, elapsed);
     }
 
     /// Optimize without touching the counters (ground-truth oracle).
@@ -368,6 +383,13 @@ mod tests {
             assert_eq!(fast.to_bits(), slow.to_bits());
         }
         assert_eq!(e.stats().recost_calls, 3);
+        // A loop that timed itself reports its untracked calls in one go.
+        let before = e.stats().recost_time;
+        let _ = e.recost_prepared_untracked(&prepared, &sv2, &mut scratch);
+        assert_eq!(e.stats().recost_calls, 3);
+        e.record_recosts(2, Duration::from_nanos(40));
+        assert_eq!(e.stats().recost_calls, 5);
+        assert_eq!(e.stats().recost_time, before + Duration::from_nanos(40));
     }
 
     #[test]

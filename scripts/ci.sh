@@ -52,17 +52,19 @@ cargo test -q --offline --workspace
 echo "==> candidate search oracle + decision, optimizer and publication goldens + per-thread scratch"
 # The serving path's invariants, run (optimized, as served) as their own
 # stage so a divergence is named in CI output: every answer of the
-# coordinate block store is bitwise identical to a brute-force scan; the
-# decision streams hash to tests/fixtures/decision_stream.golden, the
-# optimizer's results to tests/fixtures/optimizer_plans.golden and the bytes
-# a cache is saved and replicated as to
-# tests/fixtures/publication_bytes.golden; a warm optimizer call allocates
-# only its plan and a publication nothing that grows with the instance list;
-# one thread's scratch serves same-arity templates through dropped and
-# rebuilt services.
-cargo test -q --offline --release --test spatial_oracle --test decision_golden \
-    --test optimizer_golden --test optimize_alloc --test scratch_identity \
-    --test publication_golden --test publish_alloc
+# coordinate block store is bitwise identical to a brute-force scan, and its
+# candidate stream hands out, row for row, a stable sort by key and the
+# eager top-k it replaced; the cached path allocates nothing with a warm
+# scratch; the decision streams hash to
+# tests/fixtures/decision_stream.golden, the optimizer's results to
+# tests/fixtures/optimizer_plans.golden and the bytes a cache is saved and
+# replicated as to tests/fixtures/publication_bytes.golden; a warm optimizer
+# call allocates only its plan and a publication nothing that grows with the
+# instance list; one thread's scratch serves same-arity templates through
+# dropped and rebuilt services.
+cargo test -q --offline --release --test spatial_oracle --test decide_alloc \
+    --test decision_golden --test optimizer_golden --test optimize_alloc \
+    --test scratch_identity --test publication_golden --test publish_alloc
 
 echo "==> server suites, optimized (loopback + replication, release)"
 # The wire path as it is served: the loopback oracle storm, the split

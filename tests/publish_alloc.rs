@@ -20,7 +20,7 @@ use pqo::core::cache::{InstanceEntry, PlanCache};
 use pqo::core::engine::QueryEngine;
 use pqo::core::replication::{apply_generation, encode_generation, ReplicationError};
 use pqo::core::scr::{Scr, ScrConfig};
-use pqo::core::spatial::BLOCK_ROWS;
+use pqo::core::spatial::{KeyStream, BLOCK_ROWS};
 use pqo::core::{persist, CacheSnapshot, CacheWriter, SnapshotCell};
 use pqo::optimizer::svector::SVector;
 use pqo::workload::corpus::{corpus, TemplateSpec};
@@ -271,11 +271,11 @@ fn two_clones_appended_to_independently_stay_correct() {
         }
         for probe in stream.iter().step_by(7) {
             let scan = |cache: &PlanCache| {
-                let (mut q, mut dist) = (Vec::new(), Vec::new());
+                let (mut q, mut dist) = (Vec::new(), KeyStream::new());
                 let hit = cache
                     .coords()
                     .scan(&probe.0, 0.4, &mut q, &mut dist, |_, row| row % 3 != 0);
-                let bits: Vec<u64> = dist.iter().map(|d| d.to_bits()).collect();
+                let bits: Vec<u64> = dist.keys().iter().map(|d| d.to_bits()).collect();
                 (hit.map(|(d, row)| (d.to_bits(), row)), bits)
             };
             assert_eq!(scan(fork), scan(&rebuilt));
