@@ -78,14 +78,9 @@ impl Histogram {
         if v >= self.max() {
             return 1.0;
         }
-        // Find the bucket containing v: bounds is sorted.
-        let i = match self
-            .bounds
-            .binary_search_by(|probe| probe.partial_cmp(&v).unwrap())
-        {
-            Ok(i) => i,
-            Err(i) => i - 1, // v lies in bucket (i-1): bounds[i-1] < v < bounds[i]
-        };
+        // The bucket containing v: the last bound ≤ v (bounds is sorted, and
+        // bounds[0] < v), so v equal to a run of bounds takes the run's last.
+        let i = self.bounds.partition_point(|&b| b <= v).saturating_sub(1);
         let i = i.min(self.buckets() - 1);
         let lo = self.bounds[i];
         let hi = self.bounds[i + 1];
@@ -190,6 +185,22 @@ mod tests {
     #[should_panic(expected = "at least one sample")]
     fn empty_samples_panic() {
         let _ = Histogram::from_samples(vec![], 4);
+    }
+
+    #[test]
+    fn a_value_on_duplicate_bounds_takes_the_last_of_them() {
+        // Buckets 2 and 3 are empty: bounds 2, 3 and 4 are all 2.0.
+        let h = Histogram {
+            bounds: vec![0.0, 1.0, 2.0, 2.0, 2.0, 3.0, 4.0],
+        };
+        // Bucket 4 = [2, 3), entered at its low bound: 4 of 6 buckets below.
+        assert_eq!(h.selectivity_le(2.0), 4.0 / 6.0);
+        assert_eq!(h.selectivity_le(2.5), 4.5 / 6.0);
+        assert_eq!(h.selectivity_le(1.5), 1.5 / 6.0);
+        assert!(
+            h.selectivity_le(f64::NAN).is_nan(),
+            "a NaN is no bucket, and no panic"
+        );
     }
 
     #[test]

@@ -412,6 +412,8 @@ pub struct GetPlanScratch {
     /// The candidates [`CacheState::list_candidates`] drained from the
     /// stream, as `(key, instance index)`.
     pub(crate) cands: Vec<(f64, usize)>,
+    /// The last decision's cost check: each plan it re-costed, once, with
+    /// its cost at the instance. Emptied by every decision.
     recosted: Vec<(PlanFingerprint, f64)>,
     pub(crate) recost: RecostScratch,
 }
@@ -420,6 +422,17 @@ impl GetPlanScratch {
     /// An empty scratch (equivalent to `Default::default()`).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The bound a miss hands [`QueryEngine::optimize_within`]: the last
+    /// decision's cheapest Recost — a cached plan's cost at the instance,
+    /// which the optimal plan's cannot exceed; `+∞` when it re-costed
+    /// nothing — widened by the relative tolerance the optimizer grants its
+    /// own cost against Recost, so that a bound equal to the optimum never
+    /// prunes it through rounding.
+    pub(crate) fn optimize_bound(&self) -> f64 {
+        let cheapest = self.recosted.iter().map(|&(_, c)| c);
+        cheapest.fold(f64::INFINITY, f64::min) * (1.0 + 1e-6)
     }
 
     /// Make the scratch `engine`'s: whatever it memoized against another
@@ -574,6 +587,7 @@ impl CacheState {
         scratch: &mut GetPlanScratch,
     ) -> Option<PlanChoice> {
         scratch.bind(engine);
+        scratch.recosted.clear();
         match self.config.policy {
             PolicyId::Scr => ScrPolicy::decide(self, sv, engine, scratch),
             PolicyId::Lec => LecPolicy::decide(self, sv, engine, scratch),
@@ -735,6 +749,7 @@ impl CacheState {
     /// across candidates (and delta-updated across calls), so the loop
     /// performs no allocation and no tree walk. The clock is read twice,
     /// around the whole loop, and not at all when there is no candidate.
+    /// The Recosts paid stay in `scratch` for a miss's optimizer call.
     fn cost_check(
         &self,
         sv: &SVector,
@@ -748,7 +763,6 @@ impl CacheState {
             ..
         } = scratch;
         let mut next = Some(self.next_candidate(stream)?);
-        recosted.clear();
         let t0 = Instant::now();
         let mut hit = None;
         // A violation mark set in this loop is set on the entry just pulled,
@@ -1152,9 +1166,9 @@ impl OnlinePqo for Scr {
     }
 
     /// `getPlan` (Algorithm 1): selectivity check, then cost check, then an
-    /// optimizer call followed by `manageCache`. Reuses the technique's
-    /// owned [`GetPlanScratch`] so back-to-back calls allocate nothing on
-    /// the cache-hit path.
+    /// optimizer call bounded by the cost check's cheapest Recost, followed
+    /// by `manageCache`. Reuses the technique's owned [`GetPlanScratch`] so
+    /// back-to-back calls allocate nothing on the cache-hit path.
     fn get_plan(
         &mut self,
         _instance: &QueryInstance,
@@ -1168,7 +1182,7 @@ impl OnlinePqo for Scr {
             return choice;
         }
         let t0 = Instant::now();
-        let opt = engine.optimize(sv);
+        let opt = engine.optimize_within(sv, self.scratch.optimize_bound());
         self.record_optimize_nanos(t0.elapsed().as_nanos() as u64);
         let plan = Arc::clone(&opt.plan);
         self.manage_cache_entry(sv, opt, engine);

@@ -111,9 +111,15 @@ impl Shard {
         Ok(self.engine.compute_svector(instance))
     }
 
-    /// The cached `getPlan` path against `snapshot`, in the thread's scratch.
-    fn try_cached_plan(&self, snapshot: &CacheSnapshot, sv: &SVector) -> Option<PlanChoice> {
-        SCRATCH.with_borrow_mut(|scratch| snapshot.try_cached_plan_with(sv, &self.engine, scratch))
+    /// The cached `getPlan` path against `snapshot`, in the thread's
+    /// scratch: the cached plan, or on a miss the bound its cost check
+    /// leaves for the optimizer call.
+    fn try_cached_plan(&self, snapshot: &CacheSnapshot, sv: &SVector) -> Result<PlanChoice, f64> {
+        SCRATCH.with_borrow_mut(|scratch| {
+            snapshot
+                .try_cached_plan_with(sv, &self.engine, scratch)
+                .ok_or_else(|| scratch.optimize_bound())
+        })
     }
 }
 
@@ -170,13 +176,15 @@ pub enum Cached {
 }
 
 /// A confirmed cache miss in transit to the thread that may call the
-/// optimizer: the shard, the checked selectivity vector and the generation
-/// the miss was decided against, so that nothing is looked up, validated or
-/// decided a second time.
+/// optimizer: the shard, the checked selectivity vector, the generation the
+/// miss was decided against and the bound its cost check found for the
+/// optimizer call, so that nothing is looked up, validated or decided a
+/// second time.
 pub struct MissTicket {
     shard: Arc<Shard>,
     sv: SVector,
     generation: u64,
+    bound: f64,
 }
 
 impl PqoService {
@@ -382,11 +390,12 @@ impl PqoService {
         let snapshot = shard.published.load();
         let generation = snapshot.generation();
         Ok(match shard.try_cached_plan(&snapshot, &sv) {
-            Some(choice) => Cached::Hit { choice, generation },
-            None => Cached::Miss(MissTicket {
+            Ok(choice) => Cached::Hit { choice, generation },
+            Err(bound) => Cached::Miss(MissTicket {
                 shard,
                 sv,
                 generation,
+                bound,
             }),
         })
     }
@@ -403,14 +412,16 @@ impl PqoService {
             shard,
             sv,
             generation,
+            mut bound,
         } = ticket;
         let snapshot = shard.published.load();
         if snapshot.generation() != generation {
-            if let Some(choice) = shard.try_cached_plan(&snapshot, &sv) {
-                return (choice, snapshot.generation());
+            match shard.try_cached_plan(&snapshot, &sv) {
+                Ok(choice) => return (choice, snapshot.generation()),
+                Err(decided_again) => bound = decided_again,
             }
         }
-        self.optimize_and_commit(&shard, &sv)
+        self.optimize_and_commit(&shard, &sv, bound)
     }
 
     /// Serve a batch of instances of the named template, amortizing the
@@ -456,26 +467,28 @@ impl PqoService {
         snapshot.stats.record_batch(instances.len() as u64);
         let mut out = Vec::with_capacity(instances.len());
         for sv in &svs {
-            if let Some(choice) = shard.try_cached_plan(&snapshot, sv) {
-                out.push(choice);
-                continue;
+            match shard.try_cached_plan(&snapshot, sv) {
+                Ok(choice) => out.push(choice),
+                Err(bound) => {
+                    out.push(self.optimize_and_commit(&shard, sv, bound).0);
+                    snapshot = shard.published.load();
+                    snapshot.stats.record_snapshot_reload();
+                }
             }
-            out.push(self.optimize_and_commit(&shard, sv).0);
-            snapshot = shard.published.load();
-            snapshot.stats.record_snapshot_reload();
         }
         Ok((out, snapshot.generation()))
     }
 
     /// The miss arm of per-instance and batched serving alike: the
-    /// optimizer call runs with no lock held; `manageCache` + publication
-    /// and the exact-delta plan accounting run under the shard's writer
-    /// lock; global-budget enforcement follows. The optimizer's wall time is
-    /// attributed to the technique's overhead split. Returns the choice and
-    /// the generation the commit published.
-    fn optimize_and_commit(&self, shard: &Shard, sv: &SVector) -> (PlanChoice, u64) {
+    /// optimizer call, bounded by the miss's cheapest Recost
+    /// ([`QueryEngine::optimize_within`]), runs with no lock held;
+    /// `manageCache` + publication and the exact-delta plan accounting run
+    /// under the shard's writer lock; global-budget enforcement follows. The
+    /// optimizer's wall time is attributed to the technique's overhead
+    /// split. Returns the choice and the generation the commit published.
+    fn optimize_and_commit(&self, shard: &Shard, sv: &SVector, bound: f64) -> (PlanChoice, u64) {
         let t0 = Instant::now();
-        let opt = shard.engine.optimize(sv);
+        let opt = shard.engine.optimize_within(sv, bound);
         let opt_nanos = t0.elapsed().as_nanos() as u64;
         let plan = Arc::clone(&opt.plan);
         let generation = {

@@ -9,16 +9,17 @@
 //! [`QueryEngine`] bundles those with the optimizer call, counts every
 //! invocation and accumulates the wall-clock time of optimizer calls and
 //! Recosts, which is what the overhead experiments (Sections 7.3, Table 3)
-//! report. It also interns plans by structural fingerprint so that repeated
-//! optimizations returning the same plan share one allocation — mirroring a
-//! real plan cache's handle semantics — and keeps what the optimizer call
-//! can reuse between calls: the template's search space, laid out by the
-//! first one.
+//! report. It keeps what the optimizer call can reuse between calls: the
+//! template's search space, laid out by the first one, and every winner it
+//! has built, keyed by the choice path that led to it. A call whose winner
+//! is known returns the stored `Arc` without building, hashing or
+//! flattening a tree; equal plans share one allocation — mirroring a real
+//! plan cache's handle semantics.
 //!
-//! Every entry point takes `&self`: the counters are atomics and the intern
-//! table sits behind a `Mutex`, so a shared engine can serve concurrent
-//! `get_plan` callers (the serving-layer requirement) and observers can read
-//! [`QueryEngine::stats`] without blocking servers.
+//! Every entry point takes `&self`: the counters are atomics and the
+//! known-winner table sits behind a `Mutex`, so a shared engine can serve
+//! concurrent `get_plan` callers (the serving-layer requirement) and
+//! observers can read [`QueryEngine::stats`] without blocking servers.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,8 +27,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::cost::CostModel;
-use crate::optimizer::{OptimizeResult, PreparedOptimize};
-use crate::plan::{Plan, PlanFingerprint};
+use crate::optimizer::PreparedOptimize;
+use crate::plan::Plan;
 use crate::recost::{self, BaseConsts, PreparedRecost, RecostScratch};
 use crate::svector::{self, SVector};
 use crate::template::{QueryInstance, QueryTemplate};
@@ -58,13 +59,20 @@ pub struct EngineStats {
 impl EngineStats {
     /// Mean optimizer-call latency, if any call was made.
     pub fn mean_optimize(&self) -> Option<Duration> {
-        (self.optimize_calls > 0).then(|| self.optimize_time / self.optimize_calls as u32)
+        mean(self.optimize_time, self.optimize_calls)
     }
 
     /// Mean Recost latency, if any call was made.
     pub fn mean_recost(&self) -> Option<Duration> {
-        (self.recost_calls > 0).then(|| self.recost_time / self.recost_calls as u32)
+        mean(self.recost_time, self.recost_calls)
     }
+}
+
+/// `total / calls`, in nanoseconds wide enough for any count (`Duration`'s
+/// own division takes a `u32`).
+fn mean(total: Duration, calls: u64) -> Option<Duration> {
+    let nanos = total.as_nanos().checked_div(u128::from(calls))?;
+    Some(Duration::from_nanos(nanos as u64))
 }
 
 /// Lock-free accumulator pair: call count + total elapsed nanoseconds.
@@ -130,7 +138,8 @@ pub struct QueryEngine {
     optimize_stat: ApiCounter,
     recost_stat: ApiCounter,
     svector_calls: AtomicU64,
-    interned: Mutex<HashMap<PlanFingerprint, Arc<Plan>>>,
+    /// Choice path → the plan built the first time that path won.
+    known: Mutex<HashMap<Box<[u64]>, Arc<Plan>>>,
 }
 
 impl QueryEngine {
@@ -153,7 +162,7 @@ impl QueryEngine {
             optimize_stat: ApiCounter::default(),
             recost_stat: ApiCounter::default(),
             svector_calls: AtomicU64::new(0),
-            interned: Mutex::new(HashMap::new()),
+            known: Mutex::default(),
         }
     }
 
@@ -207,15 +216,27 @@ impl QueryEngine {
 
     /// The traditional optimizer call: optimal plan + cost for `sv`.
     pub fn optimize(&self, sv: &SVector) -> OptimizedPlan {
+        self.optimize_within(sv, f64::INFINITY)
+    }
+
+    /// The optimizer call from a caller that knows some plan costs `bound`
+    /// at `sv` — a cost check's cheapest Recost. The join search skips what
+    /// cannot be part of a plan that cheap, and searches again unbounded if
+    /// the bound turns out below the optimum. The result is
+    /// [`QueryEngine::optimize`]'s bit for bit whatever `bound` is: one
+    /// below the optimum (stale, negative, a crafted plan's) costs only the
+    /// second search, and NaN prunes nothing. Counted and timed as
+    /// [`QueryEngine::optimize`].
+    pub fn optimize_within(&self, sv: &SVector, bound: f64) -> OptimizedPlan {
         let start = Instant::now();
-        let result = self.run_optimizer(sv);
+        let opt = self.run_optimizer(sv, bound);
         self.optimize_stat.record(start.elapsed());
-        self.interned(result)
+        opt
     }
 
     /// The one way into the optimizer: lay the search space out if this is
     /// the engine's first call, then search it.
-    fn run_optimizer(&self, sv: &SVector) -> OptimizeResult {
+    fn run_optimizer(&self, sv: &SVector, bound: f64) -> OptimizedPlan {
         let prepared = self.prepared.get_or_init(|| {
             Box::new(PreparedOptimize::new(
                 &self.template,
@@ -223,7 +244,33 @@ impl QueryEngine {
                 &self.base_consts,
             ))
         });
-        prepared.run(&self.template, &self.cost_model, &self.base_consts, sv)
+        let (plan, cost) = prepared.run_within(
+            &self.template,
+            &self.cost_model,
+            &self.base_consts,
+            sv,
+            bound,
+            |path, build| self.known_winner(path, build),
+        );
+        OptimizedPlan { plan, cost }
+    }
+
+    /// The plan the choice path `path` names: the one stored when the path
+    /// first won, or else `build()`'s — stored under the path, and shared
+    /// with a structurally equal plan another path already stored.
+    fn known_winner(&self, path: &[u64], build: &dyn Fn() -> Plan) -> Arc<Plan> {
+        let mut known = self.known.lock().expect("known-winner table poisoned");
+        if let Some(plan) = known.get(path) {
+            return Arc::clone(plan);
+        }
+        let plan = build();
+        let fp = plan.fingerprint();
+        let plan = match known.values().find(|p| p.fingerprint() == fp) {
+            Some(equal) => Arc::clone(equal),
+            None => Arc::new(plan),
+        };
+        known.insert(path.into(), Arc::clone(&plan));
+        plan
     }
 
     /// API 2 (Section 4.2): re-cost a frozen plan at new selectivities.
@@ -292,17 +339,7 @@ impl QueryEngine {
 
     /// Optimize without touching the counters (ground-truth oracle).
     pub fn optimize_untracked(&self, sv: &SVector) -> OptimizedPlan {
-        self.interned(self.run_optimizer(sv))
-    }
-
-    fn interned(&self, OptimizeResult { plan, cost, .. }: OptimizeResult) -> OptimizedPlan {
-        let mut interned = self.interned.lock().expect("plan intern table poisoned");
-        let plan = Arc::clone(
-            interned
-                .entry(plan.fingerprint())
-                .or_insert_with(|| Arc::new(plan)),
-        );
-        OptimizedPlan { plan, cost }
+        self.run_optimizer(sv, f64::INFINITY)
     }
 }
 
@@ -324,6 +361,21 @@ mod tests {
         assert_eq!(e.stats().optimize_calls, 1);
         assert_eq!(e.stats().recost_calls, 1);
         assert!(e.stats().mean_optimize().is_some());
+    }
+
+    #[test]
+    fn means_hold_past_u32_calls() {
+        let calls = 1u64 << 32;
+        let stats = EngineStats {
+            optimize_calls: calls,
+            recost_calls: 3 * calls,
+            optimize_time: Duration::from_nanos(5 * calls),
+            recost_time: Duration::from_nanos(6 * calls),
+            ..EngineStats::default()
+        };
+        assert_eq!(stats.mean_optimize(), Some(Duration::from_nanos(5)));
+        assert_eq!(stats.mean_recost(), Some(Duration::from_nanos(2)));
+        assert_eq!(EngineStats::default().mean_optimize(), None);
     }
 
     #[test]
@@ -356,6 +408,21 @@ mod tests {
                 "same fingerprint must share the Arc"
             );
         }
+    }
+
+    #[test]
+    fn a_known_winner_comes_back_as_the_stored_plan_at_any_bound() {
+        let t = test_fixtures::three_dim();
+        let e = QueryEngine::new(t.clone());
+        let sv = svector::compute_svector(&t, &instance_for_target(&t, &[0.2, 0.1, 0.05]));
+        let first = e.optimize(&sv);
+        for bound in [first.cost, 0.0, f64::NAN, f64::INFINITY] {
+            let again = e.optimize_within(&sv, bound);
+            assert!(Arc::ptr_eq(&first.plan, &again.plan), "bound {bound}");
+            assert_eq!(first.cost.to_bits(), again.cost.to_bits(), "bound {bound}");
+        }
+        assert_eq!(e.stats().optimize_calls, 5);
+        assert_eq!(e.known.lock().unwrap().len(), 1);
     }
 
     #[test]

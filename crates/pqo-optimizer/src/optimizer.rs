@@ -23,6 +23,7 @@
 //! `optimize(q).cost == recost(plan, q)` holds exactly — the invariant that
 //! makes the paper's sub-optimality accounting consistent.
 
+use std::borrow::Borrow;
 use std::cell::RefCell;
 
 use crate::cost::CostModel;
@@ -205,14 +206,16 @@ fn offer(slot: &mut Slot, cost: f64, at: usize, alt: u32) {
 }
 
 /// What one run writes: the base derivation (also the final Recost's), one
-/// cardinality per subset and the memo, `memo[id · nprops + prop]`. One per
-/// thread, grown to the largest template the thread has optimized; nothing
-/// in it outlives a run, so engines share it freely.
+/// cardinality per subset, the memo, `memo[id · nprops + prop]`, and the
+/// winner's choice path. One per thread, grown to the largest template the
+/// thread has optimized; nothing in it outlives a run, so engines share it
+/// freely.
 #[derive(Debug, Default)]
 struct OptimizeScratch {
     base: RecostScratch,
     rows: Vec<f64>,
     memo: Vec<Slot>,
+    path: Vec<u64>,
 }
 
 thread_local! {
@@ -445,20 +448,66 @@ impl PreparedOptimize {
         consts: &BaseConsts,
         sv: &SVector,
     ) -> OptimizeResult {
-        SCRATCH.with_borrow_mut(|scratch| self.run_in(template, model, consts, sv, scratch))
+        let (plan, cost) =
+            self.run_within(template, model, consts, sv, f64::INFINITY, |_, build| {
+                build()
+            });
+        self.result(plan, cost)
     }
 
-    fn run_in(
+    /// [`PreparedOptimize::run`] for a caller that knows some plan costs
+    /// `bound` at `sv`: the search skips what cannot be part of a plan that
+    /// cheap, and reruns unbounded if the bound was too low. Plan and cost
+    /// are [`PreparedOptimize::run`]'s, bit for bit, whatever `bound` is
+    /// (DESIGN.md §5d). `plan_for` turns the winner's choice path — the same
+    /// words exactly when the plan is the same — into the plan returned,
+    /// calling the builder it is handed only for a path it does not know.
+    pub(crate) fn run_within<P: Borrow<Plan>>(
         &self,
         template: &QueryTemplate,
         model: &CostModel,
         consts: &BaseConsts,
         sv: &SVector,
-        scratch: &mut OptimizeScratch,
-    ) -> OptimizeResult {
+        bound: f64,
+        plan_for: impl FnOnce(&[u64], &dyn Fn() -> Plan) -> P,
+    ) -> (P, f64) {
         debug_assert_eq!(template.num_relations() + 1, self.scan_start.len());
         debug_assert_eq!(template.dimensions(), consts.dimensions());
-        let OptimizeScratch { base, rows, memo } = scratch;
+        SCRATCH.with_borrow_mut(|scratch| {
+            let within = self.run_in(model, consts, sv, bound, scratch)
+                || self.run_in(model, consts, sv, f64::INFINITY, scratch);
+            debug_assert!(within, "an unbounded search always has a winner");
+            self.winner(template, model, sv, scratch, plan_for)
+        })
+    }
+
+    fn result(&self, plan: Plan, cost: f64) -> OptimizeResult {
+        OptimizeResult {
+            plan,
+            cost,
+            groups_explored: (self.subsets.len() - 1) * self.nprops(),
+            alternatives_costed: self.alternatives,
+        }
+    }
+
+    /// The join DP at `sv` under the upper bound `bound`, into `scratch`'s
+    /// memo; whether the full join's winner costs at most `bound`. An
+    /// alternative whose inputs alone cost more than `bound` is not priced,
+    /// and neither are the Sort enforcers over an unordered winner that
+    /// does: every cost term is non-negative, so none of them can be on the
+    /// way to a plan within the bound. A NaN bound prunes nothing.
+    fn run_in(
+        &self,
+        model: &CostModel,
+        consts: &BaseConsts,
+        sv: &SVector,
+        bound: f64,
+        scratch: &mut OptimizeScratch,
+    ) -> bool {
+        let bound = if bound.is_nan() { f64::INFINITY } else { bound };
+        let OptimizeScratch {
+            base, rows, memo, ..
+        } = scratch;
         let base_rows = consts.derive_fresh(sv, base);
         let nprops = self.nprops();
         let nsubsets = self.subsets.len() - 1;
@@ -511,92 +560,185 @@ impl PreparedOptimize {
                 let left = &done[l * nprops..][..nprops];
                 let right = &done[r * nprops..][..nprops];
                 let (c1, c2) = (left[0].cost, right[0].cost);
+                let cross = self.cross_of(s);
 
-                // Hash join, both build sides.
-                let build_left = c1 + c2 + model.hash_join(r1, r2, out);
-                offer(&mut group[0], build_left, s, HASH_BUILD_LEFT);
-                let build_right = c1 + c2 + model.hash_join(r2, r1, out);
-                offer(&mut group[0], build_right, s, HASH_BUILD_RIGHT);
+                // Every hash and merge join of the split costs at least
+                // `c1 + c2` (a sorted input costs no less than the unordered
+                // winner).
+                if c1 + c2 <= bound {
+                    // Hash join, both build sides.
+                    let build_left = c1 + c2 + model.hash_join(r1, r2, out);
+                    offer(&mut group[0], build_left, s, HASH_BUILD_LEFT);
+                    let build_right = c1 + c2 + model.hash_join(r2, r1, out);
+                    offer(&mut group[0], build_right, s, HASH_BUILD_RIGHT);
 
-                // Merge join per crossing edge, consuming sorted children
-                // (sorted scans or enforcers); the output carries both
-                // (equal) join keys' orders.
-                let merge = model.merge_join(r1, r2, out);
-                let mut alt = FIRST_MERGE;
-                for x in self.cross_of(s) {
-                    let (lp, rp) = (x.left_prop as usize, x.right_prop as usize);
-                    let cost = left[lp].cost + right[rp].cost + merge;
-                    offer(&mut group[0], cost, s, alt);
-                    offer(&mut group[lp], cost, s, alt);
-                    offer(&mut group[rp], cost, s, alt);
-                    alt += 1;
+                    // Merge join per crossing edge, consuming sorted children
+                    // (sorted scans or enforcers); the output carries both
+                    // (equal) join keys' orders.
+                    let merge = model.merge_join(r1, r2, out);
+                    for (alt, x) in (FIRST_MERGE..).zip(cross) {
+                        let (lp, rp) = (x.left_prop as usize, x.right_prop as usize);
+                        let cost = left[lp].cost + right[rp].cost + merge;
+                        offer(&mut group[0], cost, s, alt);
+                        offer(&mut group[lp], cost, s, alt);
+                        offer(&mut group[rp], cost, s, alt);
+                    }
                 }
 
                 // Index nested-loops with a single-relation inner side.
-                for j in self.nljs_of(s) {
+                let nljs = self.nljs_of(s);
+                for (alt, j) in (FIRST_MERGE + cross.len() as u32..).zip(nljs) {
                     let (outer_cost, outer_rows) = if j.outer_left { (c1, r1) } else { (c2, r2) };
-                    let cost = outer_cost + model.index_nlj_folded(outer_rows, j.per_outer, out);
-                    offer(&mut group[0], cost, s, alt);
-                    alt += 1;
+                    if outer_cost <= bound {
+                        let cost =
+                            outer_cost + model.index_nlj_folded(outer_rows, j.per_outer, out);
+                        offer(&mut group[0], cost, s, alt);
+                    }
                 }
             }
             // Close the group under the Sort enforcer: any required order
             // can be produced by sorting the unordered winner.
-            let enforced = group[0].cost + model.sort(out);
-            for slot in &mut group[1..] {
-                offer(slot, enforced, 0, ENFORCE);
+            if group[0].cost <= bound {
+                let enforced = group[0].cost + model.sort(out);
+                for slot in &mut group[1..] {
+                    offer(slot, enforced, 0, ENFORCE);
+                }
             }
         }
         debug_assert!(
-            memo.iter().all(|slot| slot.cost < f64::INFINITY),
+            bound < f64::INFINITY || memo.iter().all(|slot| slot.cost < f64::INFINITY),
             "every group of a connected subset has a winner"
         );
+        memo[(nsubsets - 1) * nprops].cost <= bound
+    }
 
-        // Assemble the full plan: join tree, then aggregate, then final sort.
-        let top = nsubsets - 1;
+    /// The winner of the search `scratch` holds: its choice path recorded in
+    /// `scratch.path`, handed with a builder to `plan_for`, and what that
+    /// returns priced by Recost, which is the cost returned.
+    fn winner<P: Borrow<Plan>>(
+        &self,
+        template: &QueryTemplate,
+        model: &CostModel,
+        sv: &SVector,
+        scratch: &mut OptimizeScratch,
+        plan_for: impl FnOnce(&[u64], &dyn Fn() -> Plan) -> P,
+    ) -> (P, f64) {
+        let OptimizeScratch {
+            base,
+            rows,
+            memo,
+            path,
+        } = scratch;
+        // The full plan: join tree, then aggregate, then final sort.
+        let top = self.subsets.len() - 2;
         let in_rows = rows[top];
-        let mut dp_cost = memo[top * nprops].cost;
-        let mut root = self.extract(memo, top, 0);
+        let mut dp_cost = memo[top * self.nprops()].cost;
+        path.clear();
+        self.record(memo, top, 0, path);
         let mut out_rows = in_rows;
+        let mut aggregate = None;
         if let Some(groups) = self.agg_groups {
             out_rows = groups.min(in_rows);
             let hash = model.hash_aggregate(in_rows, out_rows);
             let stream = model.stream_aggregate(in_rows, out_rows);
-            if hash <= stream {
-                root = PlanNode::internal(PlanOp::HashAggregate, vec![root]);
-                dp_cost += hash;
-            } else {
-                root = PlanNode::internal(PlanOp::StreamAggregate, vec![root]);
-                dp_cost += stream;
-            }
+            let hash_wins = hash <= stream;
+            aggregate = Some(hash_wins);
+            dp_cost += if hash_wins { hash } else { stream };
         }
         if self.order_by {
-            root = PlanNode::internal(PlanOp::Sort { key: None }, vec![root]);
             dp_cost += model.sort(out_rows);
         }
+        path.push(match aggregate {
+            None => 0,
+            Some(true) => 1,
+            Some(false) => 2,
+        });
 
-        let plan = Plan::new(root);
+        let build = || {
+            let mut root = self.extract(memo, top, 0);
+            if let Some(hash) = aggregate {
+                let op = if hash {
+                    PlanOp::HashAggregate
+                } else {
+                    PlanOp::StreamAggregate
+                };
+                root = PlanNode::internal(op, vec![root]);
+            }
+            if self.order_by {
+                root = PlanNode::internal(PlanOp::Sort { key: None }, vec![root]);
+            }
+            Plan::new(root)
+        };
+        let plan = plan_for(path, &build);
         // Final cost goes through the Recost path so the two agree exactly.
-        let cost = recost::recost_derived(template, model, &plan, sv, base);
+        let cost = recost::recost_derived(template, model, plan.borrow(), sv, base);
         debug_assert!(
             (cost - dp_cost).abs() <= 1e-6 * dp_cost.abs().max(1.0),
             "DP cost {dp_cost} disagrees with recost {cost} for `{}`",
             template.name
         );
-        OptimizeResult {
-            plan,
-            cost,
-            groups_explored: nsubsets * nprops,
-            alternatives_costed: self.alternatives,
+        (plan, cost)
+    }
+
+    /// Append the choice path of group `(id, prop)`'s winner to `path`: its
+    /// split and alternative, then its inputs' paths in plan order. The
+    /// group's subset and property need no word, since its parent's choice
+    /// fixed them; from the top group down, the path therefore names one
+    /// plan tree.
+    fn record(&self, memo: &[Slot], id: usize, prop: usize, path: &mut Vec<u64>) {
+        let slot = memo[id * self.nprops() + prop];
+        path.push(u64::from(slot.at) << 32 | u64::from(slot.alt));
+        for (input, input_prop) in self.inputs(id, slot).into_iter().flatten() {
+            self.record(memo, input, input_prop, path);
+        }
+    }
+
+    /// The groups `(id, prop)` the winner `slot` of a group of subset `id`
+    /// reads, in plan order.
+    fn inputs(&self, id: usize, slot: Slot) -> [Option<(usize, usize)>; 2] {
+        if slot.alt == ENFORCE {
+            return [Some((id, 0)), None];
+        }
+        if self.members(id).len() == 1 {
+            return [None, None];
+        }
+        let at = slot.at as usize;
+        let split = &self.splits[at];
+        let (l, r) = (split.left as usize, split.right as usize);
+        match slot.alt {
+            // Canonical form: the build side is always the left child, so
+            // structurally identical joins fingerprint identically.
+            HASH_BUILD_LEFT => [Some((l, 0)), Some((r, 0))],
+            HASH_BUILD_RIGHT => [Some((r, 0)), Some((l, 0))],
+            alt => {
+                let k = (alt - FIRST_MERGE) as usize;
+                let cross = self.cross_of(at);
+                match cross.get(k) {
+                    Some(x) => [
+                        Some((l, x.left_prop as usize)),
+                        Some((r, x.right_prop as usize)),
+                    ],
+                    None => {
+                        let j = &self.nljs_of(at)[k - cross.len()];
+                        [Some((if j.outer_left { l } else { r }, 0)), None]
+                    }
+                }
+            }
         }
     }
 
     /// The winning physical expression of group `(id, prop)` as a plan tree.
     fn extract(&self, memo: &[Slot], id: usize, prop: usize) -> PlanNode {
-        let Slot { at, alt, .. } = memo[id * self.nprops() + prop];
+        let slot @ Slot { at, alt, .. } = memo[id * self.nprops() + prop];
+        let children = self
+            .inputs(id, slot)
+            .into_iter()
+            .flatten()
+            .map(|(input, input_prop)| self.extract(memo, input, input_prop))
+            .collect();
         if alt == ENFORCE {
             let key = Some(self.keys[prop - 1]);
-            return PlanNode::internal(PlanOp::Sort { key }, vec![self.extract(memo, id, 0)]);
+            return PlanNode::internal(PlanOp::Sort { key }, children);
         }
         if let [rel] = *self.members(id) {
             let relation = rel as usize;
@@ -612,45 +754,29 @@ impl PreparedOptimize {
                 },
             });
         }
-        let split = &self.splits[at as usize];
-        let (l, r) = (split.left as usize, split.right as usize);
         let cross = self.cross_of(at as usize);
         let edges: Vec<usize> = cross.iter().map(|x| x.edge as usize).collect();
-        if alt < FIRST_MERGE {
-            // Canonical form: the build side is always the left child, so
-            // structurally identical joins fingerprint identically.
-            let (build, probe) = if alt == HASH_BUILD_LEFT {
-                (l, r)
-            } else {
-                (r, l)
-            };
-            let op = PlanOp::HashJoin {
+        let op = match alt.checked_sub(FIRST_MERGE).map(|k| k as usize) {
+            None => PlanOp::HashJoin {
                 build_left: true,
                 edges,
-            };
-            let children = vec![self.extract(memo, build, 0), self.extract(memo, probe, 0)];
-            return PlanNode::internal(op, children);
-        }
-        let k = (alt - FIRST_MERGE) as usize;
-        if let Some(x) = cross.get(k) {
-            let op = PlanOp::MergeJoin {
-                merge_edge: x.edge as usize,
-                edges,
-            };
-            let children = vec![
-                self.extract(memo, l, x.left_prop as usize),
-                self.extract(memo, r, x.right_prop as usize),
-            ];
-            return PlanNode::internal(op, children);
-        }
-        let j = &self.nljs_of(at as usize)[k - cross.len()];
-        let op = PlanOp::IndexNlj {
-            inner: j.inner as usize,
-            seek_edge: j.seek_edge as usize,
-            edges,
+            },
+            Some(k) => match cross.get(k) {
+                Some(x) => PlanOp::MergeJoin {
+                    merge_edge: x.edge as usize,
+                    edges,
+                },
+                None => {
+                    let j = &self.nljs_of(at as usize)[k - cross.len()];
+                    PlanOp::IndexNlj {
+                        inner: j.inner as usize,
+                        seek_edge: j.seek_edge as usize,
+                        edges,
+                    }
+                }
+            },
         };
-        let outer = if j.outer_left { l } else { r };
-        PlanNode::internal(op, vec![self.extract(memo, outer, 0)])
+        PlanNode::internal(op, children)
     }
 }
 
@@ -1310,6 +1436,88 @@ mod fuzz {
         ] {
             assert_bit_identical(&t, &svectors(&mut rng, t.dimensions()));
         }
+    }
+
+    /// At every bound, one bounded search either reports the bound too low —
+    /// only when it is below the unbounded search's optimal join — or finds
+    /// the unbounded winner: plan, cost bits, both counters. A bound of the
+    /// optimum's own cost with the callers' margin is never too low, and the
+    /// rerunning search always finds the winner. Returns how many bounds
+    /// were too low.
+    fn assert_any_bound_is_safe(template: &QueryTemplate, svs: &[SVector]) -> usize {
+        let model = CostModel::default();
+        let consts = BaseConsts::new(template);
+        let prepared = PreparedOptimize::new(template, &model, &consts);
+        let build = |_: &[u64], build: &dyn Fn() -> Plan| build();
+        let key = |(plan, cost): (Plan, f64)| {
+            let r = prepared.result(plan, cost);
+            let counters = (r.groups_explored, r.alternatives_costed);
+            (r.plan.fingerprint(), r.cost.to_bits(), counters)
+        };
+        let top = (prepared.subsets.len() - 2) * prepared.nprops();
+        let mut too_low = 0;
+        for (i, sv) in svs.iter().enumerate() {
+            let want = prepared.run(template, &model, &consts, sv);
+            let optimum = SCRATCH.with_borrow_mut(|s| {
+                assert!(prepared.run_in(&model, &consts, sv, f64::INFINITY, s));
+                s.memo[top].cost
+            });
+            let other = &svs[(i + 1) % svs.len()];
+            let other_plan = prepared.run(template, &model, &consts, other).plan;
+            let c = want.cost;
+            let want = key((want.plan, c));
+            let margin = c * (1.0 + 1e-6);
+            for bound in [
+                f64::INFINITY,
+                margin,
+                c,
+                c / 2.0,
+                0.0,
+                -1.0,
+                f64::NAN,
+                recost::recost(template, &model, &other_plan, sv),
+            ] {
+                let at = format!("`{}` at {:?} under {bound}", template.name, sv.0);
+                let once = SCRATCH.with_borrow_mut(|s| {
+                    let within = prepared.run_in(&model, &consts, sv, bound, s);
+                    within.then(|| prepared.winner(template, &model, sv, s, build))
+                });
+                match once {
+                    Some(got) => assert_eq!(key(got), want, "{at}"),
+                    None => {
+                        assert!(bound < optimum, "{at}: the optimum costs {optimum}");
+                        assert!(bound != margin, "{at}: the margin was too small");
+                        too_low += 1;
+                    }
+                }
+                let got = prepared.run_within(template, &model, &consts, sv, bound, build);
+                assert_eq!(key(got), want, "{at}");
+            }
+        }
+        too_low
+    }
+
+    #[test]
+    fn any_bound_gives_the_unbounded_winner() {
+        let tables: Vec<Arc<TableDef>> = schemas::tpch_skew().tables().cloned().collect();
+        let mut too_low = 0;
+        for seed in 0..160u64 {
+            let mut rng = StdRng::seed_from_u64(0x0b0_0d00 ^ seed);
+            let template = random_template(&mut rng, &tables, seed);
+            too_low +=
+                assert_any_bound_is_safe(&template, &svectors(&mut rng, template.dimensions()));
+        }
+        let mut rng = StdRng::seed_from_u64(0x0f1_7035);
+        for t in [
+            test_fixtures::one_rel(),
+            test_fixtures::two_dim(),
+            test_fixtures::three_dim(),
+        ] {
+            too_low += assert_any_bound_is_safe(&t, &svectors(&mut rng, t.dimensions()));
+        }
+        // 0 and −1 are too low at every sVector; the fuzz must reach the
+        // rerun.
+        assert!(too_low >= 2 * 163 * 6, "{too_low} bounds too low");
     }
 }
 

@@ -57,14 +57,19 @@ echo "==> candidate search oracle + decision, optimizer and publication goldens 
 # eager top-k it replaced; the cached path allocates nothing with a warm
 # scratch; the decision streams hash to
 # tests/fixtures/decision_stream.golden, the optimizer's results to
-# tests/fixtures/optimizer_plans.golden and the bytes a cache is saved and
-# replicated as to tests/fixtures/publication_bytes.golden; a warm optimizer
-# call allocates only its plan and a publication nothing that grows with the
-# instance list; one thread's scratch serves same-arity templates through
-# dropped and rebuilt services.
+# tests/fixtures/optimizer_plans.golden (also through the bounded optimizer
+# call, under the bounds a cost check hands it) and the bytes a cache is
+# saved and replicated as to tests/fixtures/publication_bytes.golden; a warm
+# optimizer call allocates nothing when its winner is known, only its plan
+# when it is new, and a publication nothing that grows with the instance
+# list; one thread's scratch serves same-arity templates through dropped and
+# rebuilt services. Then the optimizer's own oracles, optimized as served:
+# the prepared search against the reference loop, and the bounded search
+# against the unbounded one at every kind of bound.
 cargo test -q --offline --release --test spatial_oracle --test decide_alloc \
     --test decision_golden --test optimizer_golden --test optimize_alloc \
     --test scratch_identity --test publication_golden --test publish_alloc
+cargo test -q --offline --release -p pqo-optimizer --lib
 
 echo "==> server suites, optimized (loopback + replication, release)"
 # The wire path as it is served: the loopback oracle storm, the split

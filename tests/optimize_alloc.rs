@@ -1,9 +1,11 @@
-//! What one optimizer call allocates once its thread is warm: the winning
-//! plan (its tree, its arena, the edge lists of its joins) and nothing that
-//! grows with the search space — no table per relation subset, no list per
-//! split, nothing per alternative. Counted with an allocator that tallies
-//! per thread, in a test binary of its own so no other test shares the
-//! allocator.
+//! What one optimizer call allocates once its thread is warm. A call whose
+//! winner the engine already built allocates nothing: the stored plan comes
+//! back by its choice path. A new winner allocates only its plan (its tree,
+//! its arena, the edge lists of its joins) and its entry in the engine's
+//! table — nothing that grows with the search space: no table per relation
+//! subset, no list per split, nothing per alternative. Counted with an
+//! allocator that tallies per thread, in a test binary of its own so no
+//! other test shares the allocator.
 
 // The goldens' helpers come with it; only the templates are used here.
 #[allow(dead_code)]
@@ -21,26 +23,24 @@ use pqo::workload::regions;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
 struct Counting;
 
 impl Counting {
-    fn count(size: usize) {
+    fn count() {
         // `try_with`: the allocator also runs while a thread is torn down.
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
     }
 }
 
 // SAFETY: every request is passed unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the only addition is an update of two
-// const-initialised thread-local `Cell`s, which have no destructor, never
-// allocate and cannot unwind.
+// `GlobalAlloc` contract; the only addition is an update of a
+// const-initialised thread-local `Cell`, which has no destructor, never
+// allocates and cannot unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::count(layout.size());
+        Self::count();
         // SAFETY: the caller's obligations are `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
@@ -51,7 +51,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::count(new_size);
+        Self::count();
         // SAFETY: as `dealloc`, and the caller's obligations are
         // `System.realloc`'s.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -61,30 +61,34 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// The most allocations any one warm `optimize_untracked` call on `template`
-/// makes over 60 seeded sVectors, and the largest single request.
-fn warm_call(template: &Arc<QueryTemplate>) -> (u64, usize) {
+/// How many allocations `f` makes on this thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Over 60 seeded sVectors on one engine of `template`, once its search
+/// space is laid out and the thread's memo grown: the most allocations of a
+/// probe's first call (a new winner, or one an earlier probe built), how many
+/// first calls allocated at all, and the most allocations of a probe's second
+/// call, whose winner is known.
+fn warm_calls(template: &Arc<QueryTemplate>) -> (u64, usize, u64) {
     let engine = QueryEngine::new(Arc::clone(template));
     let probes: Vec<SVector> = regions::generate(template, 60, 11)
         .iter()
         .map(|q| engine.compute_svector(q))
         .collect();
-    // Warm: the search space laid out, the thread's memo grown, every plan
-    // these probes produce interned.
+    engine.optimize_untracked(&probes[0]);
+    let (mut first, mut new, mut repeat) = (0, 0, 0);
     for sv in &probes {
-        engine.optimize_untracked(sv);
+        let n = allocations(|| drop(std::hint::black_box(engine.optimize_untracked(sv))));
+        first = first.max(n);
+        new += usize::from(n > 0);
+        let n = allocations(|| drop(std::hint::black_box(engine.optimize_untracked(sv))));
+        repeat = repeat.max(n);
     }
-    LARGEST.with(|l| l.set(0));
-    let most = probes
-        .iter()
-        .map(|sv| {
-            let before = ALLOCATIONS.with(Cell::get);
-            std::hint::black_box(engine.optimize_untracked(sv));
-            ALLOCATIONS.with(Cell::get) - before
-        })
-        .max()
-        .expect("probes");
-    (most, LARGEST.with(Cell::get))
+    (first, new, repeat)
 }
 
 #[test]
@@ -101,10 +105,14 @@ fn a_warm_optimizer_call_allocates_only_its_plan() {
         .template;
     assert_eq!(three.num_relations(), 3);
 
-    let (big, largest) = warm_call(&eight);
-    let (small, _) = warm_call(three);
-    assert!(big < 64, "{big} allocations in one 8-relation call");
-    assert!(largest < 1024, "one allocation of {largest} bytes");
+    let (big, big_new, big_known) = warm_calls(&eight);
+    let (small, small_new, small_known) = warm_calls(three);
+    assert!(
+        big_new > 0 && small_new > 0,
+        "no new winner among the probes"
+    );
+    assert_eq!((big_known, small_known), (0, 0), "a known winner allocated");
+    assert!(big < 64, "{big} allocations for one new 8-relation winner");
     // Plan size is linear in the relation count; the search space is not.
     assert!(
         big <= 3 * small,

@@ -7,15 +7,20 @@
 //! groups_explored, alternatives_costed)` of `optimizer::optimize` at seeded
 //! sVectors — 300 for each of the paper's 90 corpus templates, 400 for each
 //! of the `bench/templates` joins — against
-//! `tests/fixtures/optimizer_plans.golden`.
+//! `tests/fixtures/optimizer_plans.golden`. Every probe is also optimized
+//! through `QueryEngine::optimize_within` under the two bounds a cost check
+//! hands it — the optimum's own cost with the serving path's margin, and the
+//! previous probe's plan re-costed here — and must come back the same.
 
 // The other goldens' helpers come with it.
 #[allow(dead_code)]
 mod common;
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use common::{bigjoin_templates, fnv1a, FNV_OFFSET};
+use pqo::core::engine::QueryEngine;
 use pqo::optimizer::cost::CostModel;
 use pqo::optimizer::optimizer::optimize;
 use pqo::optimizer::svector::compute_svector;
@@ -23,11 +28,14 @@ use pqo::optimizer::template::{QueryInstance, QueryTemplate};
 use pqo::workload::corpus::corpus;
 use pqo::workload::regions;
 
-fn line(label: &str, template: &QueryTemplate, instances: &[QueryInstance]) -> String {
+fn line(label: &str, template: &Arc<QueryTemplate>, instances: &[QueryInstance]) -> String {
     let model = CostModel::default();
+    let engine = QueryEngine::new(Arc::clone(template));
     let mut hash = FNV_OFFSET;
+    let mut previous = None;
     for q in instances {
-        let r = optimize(template, &model, &compute_svector(template, q));
+        let sv = compute_svector(template, q);
+        let r = optimize(template, &model, &sv);
         for word in [
             r.plan.fingerprint().0,
             r.cost.to_bits(),
@@ -36,6 +44,18 @@ fn line(label: &str, template: &QueryTemplate, instances: &[QueryInstance]) -> S
         ] {
             fnv1a(&mut hash, word.to_le_bytes());
         }
+        let margin = r.cost * (1.0 + 1e-6);
+        let elsewhere = previous.map(|p| engine.recost_untracked(&p, &sv));
+        for bound in std::iter::once(margin).chain(elsewhere) {
+            let bounded = engine.optimize_within(&sv, bound);
+            assert_eq!(
+                (bounded.plan.fingerprint(), bounded.cost.to_bits()),
+                (r.plan.fingerprint(), r.cost.to_bits()),
+                "{label} at {:?} under {bound}",
+                sv.0
+            );
+        }
+        previous = Some(r.plan);
     }
     format!("{label} {hash:016x}")
 }
