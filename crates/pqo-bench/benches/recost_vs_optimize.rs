@@ -4,7 +4,6 @@
 //! measures all three engine APIs (optimize, recost, sVector) on templates
 //! of increasing size, plus the arena/prepared Recost variants:
 //!
-//! * `recost_tree` — the legacy recursive tree walk (reference).
 //! * `recost` — the arena stack machine (one linear pass, fresh base
 //!   derivation per call).
 //! * `recost_prepared` — prepared constants + caller scratch, alternating
@@ -54,19 +53,6 @@ fn main() {
             black_box(compute_svector(&spec.template, black_box(&inst)))
         });
 
-        // Legacy recursive tree walk over the rebuilt PlanNode tree — the
-        // pre-arena representation's Recost cost.
-        let model = engine.cost_model().clone();
-        let root = plan.to_tree();
-        runner.bench(&format!("engine_api/recost_tree/{id}"), || {
-            black_box(pqo_optimizer::recost::recost_tree(
-                &spec.template,
-                &model,
-                black_box(&root),
-                black_box(&sv),
-            ))
-        });
-
         // Prepared variants: selectivity-independent constants are folded
         // once; each call is a base-derivation update plus one linear pass.
         let prepared = engine.prepare_recost(&plan);
@@ -98,6 +84,7 @@ fn main() {
         // Appendix B trade-off: the compact byte-encoded plan re-costs via
         // a stack machine — less memory per cached plan, more time per call.
         let compact = pqo_optimizer::compact::CompactPlan::encode(&plan);
+        let model = engine.cost_model().clone();
         runner.bench(&format!("engine_api/recost_compact/{id}"), || {
             black_box(pqo_optimizer::compact::recost_compact(
                 &spec.template,

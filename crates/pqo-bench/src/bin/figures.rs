@@ -2,7 +2,7 @@
 //! (Section 7 + Appendices D, E, H).
 //!
 //! Usage:
-//!   cargo run --release -p pqo-bench --bin figures -- <exp> [<exp>...] [--quick]
+//!   cargo run --release -p pqo-bench --bin figures -- EXP [EXP...] [--quick]
 //!
 //! Experiments: fig1 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14
 //!              fig15 fig16 fig17 fig18 fig19 fig20 fig21 tab3 appd appe

@@ -35,7 +35,7 @@ pub enum TechSpec {
     Density,
     /// Ranges heuristic with a near-selectivity margin.
     Ranges { margin: f64 },
-    /// Single-plan re-optimize-on-drift baseline (related work [25]).
+    /// Single-plan re-optimize-on-drift baseline (related work \[25\]).
     ReoptBind { threshold: f64 },
     /// Heuristics augmented with the Recost redundancy check (H.6).
     EllipseRedundant { delta: f64, lambda_r: f64 },

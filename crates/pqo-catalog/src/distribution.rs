@@ -12,7 +12,7 @@ use pqo_rand::{Rng, SeedableRng};
 ///
 /// All variants produce values in `[min, max]` (clamped where the underlying
 /// law is unbounded). The skewed variants (`Zipf`, `Exponential`) model the
-/// "TPC-H with skew" data generator the paper uses (reference [23]).
+/// "TPC-H with skew" data generator the paper uses (reference \[23\]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Distribution {
     /// Uniform over `[min, max]`.

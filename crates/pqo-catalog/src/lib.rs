@@ -9,7 +9,7 @@
 //!
 //! Two operations matter downstream:
 //!
-//! * [`Histogram::selectivity`] — given a one-sided range predicate value,
+//! * [`Histogram::selectivity_le`] / [`Histogram::selectivity_ge`] — given a one-sided range predicate value,
 //!   estimate the fraction of rows that satisfy it. This backs the engine's
 //!   `sVector` API (Section 4.2 of the paper).
 //! * [`Histogram::quantile`] — the inverse: given a target selectivity,

@@ -63,7 +63,7 @@ fn keyed(name: &str, rows: u64) -> TableBuilder {
 }
 
 /// TPC-H at scale factor 1 with skewed value distributions (the paper uses
-/// the skewed dbgen of reference [23]).
+/// the skewed dbgen of reference \[23\]).
 pub fn tpch_skew() -> Catalog {
     let mut c = Catalog::new("tpch_skew");
     c.add_table(keyed("region", 5).build());

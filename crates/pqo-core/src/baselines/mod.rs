@@ -8,7 +8,7 @@
 //! | [`Ellipse`]        | PPQO heuristic: elliptical neighbourhoods (Δ = 0.9) |
 //! | [`Density`]        | density-based clustering (radius 0.1, confidence 0.5) |
 //! | [`Ranges`]         | cursor-sharing style MBRs (± 0.01 selectivity) |
-//! | [`ReoptBind`]      | single plan, re-optimized on selectivity drift (related work [25]) |
+//! | [`ReoptBind`]      | single plan, re-optimized on selectivity drift (related work \[25\]) |
 //!
 //! Every heuristic can optionally be augmented with SCR's Recost-based
 //! redundancy check (Appendix H.6 / Figure 21) via `with_redundancy`: when

@@ -437,10 +437,10 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pqo_optimizer::plan::{PlanNode, PlanOp};
+    use pqo_optimizer::plan::PlanOp;
 
     fn plan(r: usize) -> Arc<Plan> {
-        Arc::new(Plan::new(PlanNode::leaf(PlanOp::SeqScan { relation: r })))
+        Arc::new(Plan::from_postorder(vec![PlanOp::SeqScan { relation: r }]).unwrap())
     }
 
     fn entry(fp: PlanFingerprint, usage: u64) -> InstanceEntry {

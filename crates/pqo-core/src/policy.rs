@@ -1,14 +1,14 @@
 //! The plan-selection policy layer (DESIGN.md §8).
 //!
 //! PRs 1–8 hard-wired the serving stack to SCR. This module carves the
-//! *decision* out of the substrate: a [`PlanPolicy`] is the pair of hooks
+//! *decision* out of the substrate: a `PlanPolicy` is the pair of hooks
 //! the serving core calls —
 //!
-//! * **decide-on-hit** ([`PlanPolicy::decide`]): given the published cache
+//! * **decide-on-hit** (`PlanPolicy::decide`): given the published cache
 //!   view and an incoming instance, serve a cached plan or return `None`
 //!   to route the instance to the optimizer. Runs on the lock-free read
 //!   path (`&CacheState`), so it may only touch atomics.
-//! * **admit-on-miss** ([`PlanPolicy::admit`]): after an optimizer call,
+//! * **admit-on-miss** (`PlanPolicy::admit`): after an optimizer call,
 //!   mutate the cache (store/discard the new plan, evict for budget).
 //!   Runs under the writer lock (`&mut CacheState`).
 //!
@@ -22,7 +22,7 @@
 //! decision stream is byte-identical by construction (the equivalence
 //! oracles in `tests/` run unmodified).
 //!
-//! Policy identity travels with the cache: [`ScrConfig::policy`] at
+//! Policy identity travels with the cache: [`ScrConfig::policy`](crate::scr::ScrConfig::policy) at
 //! construction, a tag byte in the persist header (v3) so a warm restart
 //! refuses a mismatched policy, and a tag byte in every replication record
 //! so replicas reject cross-policy generation streams with a typed error.
@@ -50,7 +50,7 @@ use crate::cache::InstanceEntry;
 use crate::scr::{CacheState, CandidateOrder, CandidateSearch, GetPlanScratch};
 use crate::PlanChoice;
 
-/// Identity of a serving policy — threaded through [`ScrConfig`], the
+/// Identity of a serving policy — threaded through [`ScrConfig`](crate::scr::ScrConfig), the
 /// persist header, replication records, wire STATS and the CLI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PolicyId {

@@ -36,7 +36,7 @@
 //! Applying rides on the same sharing. A delta that keeps every plan and
 //! every entry of its base where it was (the common publication: rows
 //! appended, perhaps a plan added) is applied as
-//! [`Scr::from_base`] — a shallow clone of the replica's current generation
+//! `Scr::from_base` — a shallow clone of the replica's current generation
 //! plus the inline rows. Any other delta, and every full record, rebuilds an
 //! [`Scr`] via [`Scr::from_parts`] — the same re-insertion path as a
 //! persist restore, whose decision equivalence with the writer's

@@ -1008,8 +1008,8 @@ mod tests {
     /// A one-plan cache whose plan scans `relation` and whose single entry
     /// has `arity` dimensions — well-formed as bytes, whatever the template.
     fn crafted_scr(relation: usize, arity: usize) -> Scr {
-        use pqo_optimizer::plan::{Plan, PlanNode, PlanOp};
-        let plan = Arc::new(Plan::new(PlanNode::leaf(PlanOp::SeqScan { relation })));
+        use pqo_optimizer::plan::{Plan, PlanOp};
+        let plan = Arc::new(Plan::from_postorder(vec![PlanOp::SeqScan { relation }]).unwrap());
         let entry = crate::cache::InstanceEntry::restored(
             SVector(vec![0.5; arity]),
             plan.fingerprint(),

@@ -2,7 +2,7 @@
 //! (paper Section 6.2) by one scan over their ln-selectivities and a stream
 //! that finds the next-smallest row when it is asked for.
 //!
-//! *"...the overheads can also be improved by exploiting [the] idea of
+//! *"...the overheads can also be improved by exploiting \[the\] idea of
 //! checking instances with smaller GL values first. This can be achieved by
 //! using a spatial index that can provide such instances without scanning
 //! the entire list."*

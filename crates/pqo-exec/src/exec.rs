@@ -1,7 +1,7 @@
 //! Operator-at-a-time plan execution.
 //!
 //! A tuple of a join subtree is the combination of one row id per base
-//! relation the subtree covers ([`Tuples`] stores them flattened). Every
+//! relation the subtree covers (`Tuples` stores them flattened). Every
 //! physical operator the optimizer emits is implemented: filters are
 //! applied at scans, joins match on the template's equi-join edges, sorts
 //! order by their recorded key, and aggregates bucket rows into the
@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use pqo_optimizer::plan::{Plan, PlanNode, PlanOp};
+use pqo_optimizer::plan::{Plan, PlanOp};
 use pqo_optimizer::template::{QueryInstance, QueryTemplate, RangeOp};
 
 use crate::data::{Database, ScaledTable};
@@ -165,19 +165,32 @@ pub fn execute(
             .map(|r| db.table(&r.table.name))
             .collect(),
     };
-    // The executor walks the boxed tree form; rebuilding it from the arena
-    // is negligible next to actually running the operators.
-    let root = plan.to_tree();
+    // A stack machine over the postorder arena: each operator pops its
+    // inputs' streams and pushes its own.
     let start = Instant::now();
-    let out = eval(&ctx, &root);
+    let mut stack = Vec::new();
+    for node in plan.nodes() {
+        let out = eval(&ctx, &node.op, &mut stack);
+        stack.push(out);
+    }
+    let out = stack.pop().expect("plan is non-empty");
     ExecResult {
         rows: out.rows(),
         wall: start.elapsed(),
     }
 }
 
-fn eval(ctx: &Ctx<'_>, node: &PlanNode) -> Stream {
-    match &node.op {
+/// Pop an input that must still be join tuples.
+fn pop_tuples(stack: &mut Vec<Stream>, what: &str) -> Tuples {
+    match stack.pop().expect("operator input") {
+        Stream::Tuples(t) => t,
+        Stream::Groups(_) => panic!("{what}"),
+    }
+}
+
+/// Run `op` over its inputs, the top `op.arity()` streams of `stack`.
+fn eval(ctx: &Ctx<'_>, op: &PlanOp, stack: &mut Vec<Stream>) -> Stream {
+    match op {
         PlanOp::SeqScan { relation } => {
             let mut t = Tuples::new(vec![*relation]);
             for row in 0..ctx.tables[*relation].rows as u32 {
@@ -216,12 +229,8 @@ fn eval(ctx: &Ctx<'_>, node: &PlanNode) -> Stream {
             Stream::Tuples(t)
         }
         PlanOp::HashJoin { build_left, edges } => {
-            let Stream::Tuples(l) = eval(ctx, &node.children[0]) else {
-                panic!("join over groups")
-            };
-            let Stream::Tuples(r) = eval(ctx, &node.children[1]) else {
-                panic!("join over groups")
-            };
+            let r = pop_tuples(stack, "join over groups");
+            let l = pop_tuples(stack, "join over groups");
             let (build, probe) = if *build_left { (&l, &r) } else { (&r, &l) };
             let mut map: HashMap<Vec<u64>, Vec<usize>> = HashMap::new();
             for tup in 0..build.len() {
@@ -249,12 +258,8 @@ fn eval(ctx: &Ctx<'_>, node: &PlanNode) -> Stream {
             Stream::Tuples(out)
         }
         PlanOp::MergeJoin { merge_edge, edges } => {
-            let Stream::Tuples(l) = eval(ctx, &node.children[0]) else {
-                panic!("join over groups")
-            };
-            let Stream::Tuples(r) = eval(ctx, &node.children[1]) else {
-                panic!("join over groups")
-            };
+            let r = pop_tuples(stack, "join over groups");
+            let l = pop_tuples(stack, "join over groups");
             // Children deliver rows sorted by the merge key (sorted scans,
             // Sort enforcers or lower merge joins on the same key); we sort
             // key references defensively cheaply via extracted key arrays.
@@ -301,9 +306,7 @@ fn eval(ctx: &Ctx<'_>, node: &PlanNode) -> Stream {
             seek_edge,
             edges,
         } => {
-            let Stream::Tuples(outer) = eval(ctx, &node.children[0]) else {
-                panic!("join over groups")
-            };
+            let outer = pop_tuples(stack, "join over groups");
             let inner_col = ctx.edge_col(*seek_edge, *inner);
             let residual: Vec<usize> = edges.iter().copied().filter(|e| e != seek_edge).collect();
             let mut out = Tuples::new([outer.rels.clone(), vec![*inner]].concat());
@@ -327,25 +330,21 @@ fn eval(ctx: &Ctx<'_>, node: &PlanNode) -> Stream {
             Stream::Tuples(out)
         }
         PlanOp::HashAggregate => {
-            let Stream::Tuples(input) = eval(ctx, &node.children[0]) else {
-                panic!("nested aggregate")
-            };
+            let input = pop_tuples(stack, "nested aggregate");
             let mut groups: Vec<u64> = (0..input.len()).map(|t| group_of(ctx, &input, t)).collect();
             groups.sort_unstable();
             groups.dedup();
             Stream::Groups(groups)
         }
         PlanOp::StreamAggregate => {
-            let Stream::Tuples(input) = eval(ctx, &node.children[0]) else {
-                panic!("nested aggregate")
-            };
+            let input = pop_tuples(stack, "nested aggregate");
             // Sort-based grouping: sort group keys, then a linear pass.
             let mut keys: Vec<u64> = (0..input.len()).map(|t| group_of(ctx, &input, t)).collect();
             keys.sort_unstable();
             keys.dedup();
             Stream::Groups(keys)
         }
-        PlanOp::Sort { key } => match eval(ctx, &node.children[0]) {
+        PlanOp::Sort { key } => match stack.pop().expect("sort input") {
             Stream::Groups(mut g) => {
                 g.sort_unstable();
                 Stream::Groups(g)
@@ -414,6 +413,50 @@ mod tests {
         (t, db)
     }
 
+    fn plan(ops: Vec<PlanOp>) -> Plan {
+        Plan::from_postorder(ops).unwrap()
+    }
+
+    fn scan(relation: usize) -> PlanOp {
+        PlanOp::SeqScan { relation }
+    }
+
+    fn sorted(relation: usize, column: usize) -> PlanOp {
+        PlanOp::SortedIndexScan { relation, column }
+    }
+
+    /// The three join algorithms over orders ⨝ lineitem: hash, index-NL,
+    /// and merge over sorted index scans on the edge columns (orders_pk is
+    /// column 0 of orders; orders_fk is column 1 of lineitem).
+    fn three_joins() -> [Plan; 3] {
+        [
+            plan(vec![
+                scan(0),
+                scan(1),
+                PlanOp::HashJoin {
+                    build_left: true,
+                    edges: vec![0],
+                },
+            ]),
+            plan(vec![
+                scan(0),
+                PlanOp::IndexNlj {
+                    inner: 1,
+                    seek_edge: 0,
+                    edges: vec![0],
+                },
+            ]),
+            plan(vec![
+                sorted(0, 0),
+                sorted(1, 1),
+                PlanOp::MergeJoin {
+                    merge_edge: 0,
+                    edges: vec![0],
+                },
+            ]),
+        ]
+    }
+
     fn plan_for(t: &QueryTemplate, target: &[f64]) -> Plan {
         let sv = compute_svector(t, &instance_for_target(t, target));
         optimize(t, &CostModel::default(), &sv).plan
@@ -423,7 +466,7 @@ mod tests {
     fn scan_filters_by_selectivity() {
         let (t, db) = fixture();
         let inst = instance_for_target(&t, &[0.5, 1.0]);
-        let scan = Plan::new(PlanNode::leaf(PlanOp::SeqScan { relation: 0 }));
+        let scan = plan(vec![scan(0)]);
         let r = execute(&db, &t, &scan, &inst);
         let frac = r.rows as f64 / db.table("orders").rows as f64;
         assert!((frac - 0.5).abs() < 0.08, "selectivity 0.5, got {frac}");
@@ -433,11 +476,11 @@ mod tests {
     fn index_seek_equals_seq_scan_output() {
         let (t, db) = fixture();
         let inst = instance_for_target(&t, &[0.3, 1.0]);
-        let scan = Plan::new(PlanNode::leaf(PlanOp::SeqScan { relation: 0 }));
-        let seek = Plan::new(PlanNode::leaf(PlanOp::IndexSeek {
+        let scan = plan(vec![scan(0)]);
+        let seek = plan(vec![PlanOp::IndexSeek {
             relation: 0,
             seek_pred: 0,
-        }));
+        }]);
         assert_eq!(
             execute(&db, &t, &scan, &inst).rows,
             execute(&db, &t, &seek, &inst).rows
@@ -448,37 +491,7 @@ mod tests {
     fn all_join_algorithms_agree_on_cardinality() {
         let (t, db) = fixture();
         let inst = instance_for_target(&t, &[0.4, 0.4]);
-        let scan = |r: usize| PlanNode::leaf(PlanOp::SeqScan { relation: r });
-        let sorted = |r: usize, c: usize| {
-            PlanNode::leaf(PlanOp::SortedIndexScan {
-                relation: r,
-                column: c,
-            })
-        };
-        let hash = Plan::new(PlanNode::internal(
-            PlanOp::HashJoin {
-                build_left: true,
-                edges: vec![0],
-            },
-            vec![scan(0), scan(1)],
-        ));
-        let nlj = Plan::new(PlanNode::internal(
-            PlanOp::IndexNlj {
-                inner: 1,
-                seek_edge: 0,
-                edges: vec![0],
-            },
-            vec![scan(0)],
-        ));
-        // Merge join over sorted index scans on the edge columns:
-        // orders_pk is column 0 of orders; orders_fk is column 1 of lineitem.
-        let merge = Plan::new(PlanNode::internal(
-            PlanOp::MergeJoin {
-                merge_edge: 0,
-                edges: vec![0],
-            },
-            vec![sorted(0, 0), sorted(1, 1)],
-        ));
+        let [hash, nlj, merge] = three_joins();
         let a = execute(&db, &t, &hash, &inst).rows;
         let b = execute(&db, &t, &nlj, &inst).rows;
         let c = execute(&db, &t, &merge, &inst).rows;
@@ -491,32 +504,17 @@ mod tests {
     fn sort_enforcer_feeds_merge_join() {
         let (t, db) = fixture();
         let inst = instance_for_target(&t, &[0.4, 0.4]);
-        let merge_with_sorts = Plan::new(PlanNode::internal(
+        let merge_with_sorts = plan(vec![
+            scan(0),
+            PlanOp::Sort { key: Some((0, 0)) },
+            scan(1),
+            PlanOp::Sort { key: Some((1, 1)) },
             PlanOp::MergeJoin {
                 merge_edge: 0,
                 edges: vec![0],
             },
-            vec![
-                PlanNode::internal(
-                    PlanOp::Sort { key: Some((0, 0)) },
-                    vec![PlanNode::leaf(PlanOp::SeqScan { relation: 0 })],
-                ),
-                PlanNode::internal(
-                    PlanOp::Sort { key: Some((1, 1)) },
-                    vec![PlanNode::leaf(PlanOp::SeqScan { relation: 1 })],
-                ),
-            ],
-        ));
-        let hash = Plan::new(PlanNode::internal(
-            PlanOp::HashJoin {
-                build_left: true,
-                edges: vec![0],
-            },
-            vec![
-                PlanNode::leaf(PlanOp::SeqScan { relation: 0 }),
-                PlanNode::leaf(PlanOp::SeqScan { relation: 1 }),
-            ],
-        ));
+        ]);
+        let [hash, _, _] = three_joins();
         assert_eq!(
             execute(&db, &t, &merge_with_sorts, &inst).rows,
             execute(&db, &t, &hash, &inst).rows
@@ -555,11 +553,8 @@ mod tests {
         let t = b.build();
         let db = Database::build(&cat, 1000, 3);
         let inst = instance_for_target(&t, &[0.9]);
-        let plan = Plan::new(PlanNode::internal(
-            PlanOp::HashAggregate,
-            vec![PlanNode::leaf(PlanOp::SeqScan { relation: 0 })],
-        ));
-        let r = execute(&db, &t, &plan, &inst);
+        let agg = plan(vec![scan(0), PlanOp::HashAggregate]);
+        let r = execute(&db, &t, &agg, &inst);
         assert!(r.rows <= 16);
         assert!(r.rows > 1);
     }
@@ -591,38 +586,7 @@ mod tests {
                 let s1 = rng.gen_range(0.01..1.0);
                 let s2 = rng.gen_range(0.01..1.0);
                 let inst = instance_for_target(t, &[s1, s2]);
-                let scan = |r: usize| PlanNode::leaf(PlanOp::SeqScan { relation: r });
-                let hash = Plan::new(PlanNode::internal(
-                    PlanOp::HashJoin {
-                        build_left: true,
-                        edges: vec![0],
-                    },
-                    vec![scan(0), scan(1)],
-                ));
-                let nlj = Plan::new(PlanNode::internal(
-                    PlanOp::IndexNlj {
-                        inner: 1,
-                        seek_edge: 0,
-                        edges: vec![0],
-                    },
-                    vec![scan(0)],
-                ));
-                let merge = Plan::new(PlanNode::internal(
-                    PlanOp::MergeJoin {
-                        merge_edge: 0,
-                        edges: vec![0],
-                    },
-                    vec![
-                        PlanNode::leaf(PlanOp::SortedIndexScan {
-                            relation: 0,
-                            column: 0,
-                        }),
-                        PlanNode::leaf(PlanOp::SortedIndexScan {
-                            relation: 1,
-                            column: 1,
-                        }),
-                    ],
-                ));
+                let [hash, nlj, merge] = three_joins();
                 let a = execute(db, t, &hash, &inst).rows;
                 let b = execute(db, t, &nlj, &inst).rows;
                 let c = execute(db, t, &merge, &inst).rows;
@@ -638,7 +602,7 @@ mod tests {
             for _ in 0..32 {
                 let target = rng.gen_range(0.05..0.95);
                 let inst = instance_for_target(t, &[target, 1.0]);
-                let scan = Plan::new(PlanNode::leaf(PlanOp::SeqScan { relation: 0 }));
+                let scan = plan(vec![scan(0)]);
                 let frac =
                     execute(db, t, &scan, &inst).rows as f64 / db.table("orders").rows as f64;
                 assert!((frac - target).abs() < 0.1, "target {target} frac {frac}");
@@ -652,16 +616,13 @@ mod tests {
             for _ in 0..32 {
                 let target = rng.gen_range(0.02..0.98);
                 let inst = instance_for_target(t, &[target, 1.0]);
-                let scan = Plan::new(PlanNode::leaf(PlanOp::SeqScan { relation: 0 }));
-                let seek = Plan::new(PlanNode::leaf(PlanOp::IndexSeek {
+                let scan = plan(vec![scan(0)]);
+                let seek = plan(vec![PlanOp::IndexSeek {
                     relation: 0,
                     seek_pred: 0,
-                }));
+                }]);
                 // orders_pk (col 0) is indexed: ordered full scan.
-                let sorted = Plan::new(PlanNode::leaf(PlanOp::SortedIndexScan {
-                    relation: 0,
-                    column: 0,
-                }));
+                let sorted = plan(vec![sorted(0, 0)]);
                 let a = execute(db, t, &scan, &inst).rows;
                 assert_eq!(execute(db, t, &seek, &inst).rows, a);
                 assert_eq!(execute(db, t, &sorted, &inst).rows, a);

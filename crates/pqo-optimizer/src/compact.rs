@@ -4,17 +4,17 @@
 //! notes: *"there can be alternative implementations of Recost that require
 //! lesser memory overheads at the cost of increased time overheads for each
 //! Recost call."* This module is that alternative: a postfix byte encoding
-//! of the plan tree (a few bytes per operator instead of a pointer-rich
-//! tree) that can be re-costed by a single stack-machine pass over the
-//! bytes, or decoded back into a [`Plan`] when the executor needs it.
+//! of the plan's postorder arena (a few bytes per operator) that can be
+//! re-costed by a single stack-machine pass over the bytes, or decoded back
+//! into a [`Plan`] — which is how persistence and replication read plans.
 //!
 //! Invariant (tested across the corpus):
-//! `recost_compact(encode(P), q) == recost(P, q)` exactly, and
-//! `decode(encode(P)) == P` including the fingerprint.
+//! `recost_compact(encode(P), q) == recost(P, q)` to the bit, and
+//! `checked_decode(encode(P)) == P` including the fingerprint.
 
 use crate::cost::CostModel;
-use crate::plan::{Plan, PlanNode, PlanOp};
-use crate::recost::BaseDerivation;
+use crate::plan::{Plan, PlanOp};
+use crate::recost::{BaseDerivation, MIN_ROWS};
 use crate::svector::SVector;
 use crate::template::QueryTemplate;
 
@@ -32,8 +32,8 @@ mod tag {
 }
 
 /// A plan serialized as postfix bytes. A handful of bytes per operator —
-/// compare [`Plan`]'s boxed tree (see [`CompactPlan::bytes_len`] vs
-/// [`estimated_tree_bytes`]).
+/// compare [`Plan`]'s arena (see [`CompactPlan::bytes_len`] vs
+/// [`estimated_plan_bytes`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompactPlan {
     bytes: Box<[u8]>,
@@ -74,16 +74,6 @@ impl CompactPlan {
         self.bytes.len()
     }
 
-    /// Decode back into a full [`Plan`] (identical fingerprint).
-    ///
-    /// # Panics
-    /// Panics on a corrupt encoding (see [`CompactPlan::checked_decode`]
-    /// for the fallible variant used by persistence).
-    pub fn decode(&self) -> Plan {
-        self.checked_decode()
-            .unwrap_or_else(|e| panic!("corrupt compact plan: {e}"))
-    }
-
     /// Raw encoded bytes (persistence writes these verbatim).
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
@@ -94,115 +84,69 @@ impl CompactPlan {
         CompactPlan { bytes }
     }
 
-    /// Fallible decode: every read is bounds-checked and arity-checked, so
-    /// corrupt or truncated input produces an error instead of a panic.
+    /// Decode back into a [`Plan`] (identical fingerprint). Every read is
+    /// bounds-checked and [`Plan::from_postorder`] checks the arity, so
+    /// corrupt or truncated input produces an error instead of a panic, and
+    /// no step recurses on the depth of the plan the bytes describe.
+    ///
+    /// # Errors
+    /// A truncated operand, an unknown tag, or operators that do not form
+    /// exactly one tree.
     pub fn checked_decode(&self) -> Result<Plan, String> {
         let b = &self.bytes;
-        let mut stack: Vec<PlanNode> = Vec::new();
+        let mut ops = Vec::new();
         let mut i = 0usize;
-        fn byte(b: &[u8], i: &mut usize) -> Result<u8, String> {
-            let v = *b
-                .get(*i)
-                .ok_or_else(|| format!("truncated at offset {i}", i = *i))?;
-            *i += 1;
+        let mut byte = || -> Result<u8, String> {
+            let v = *b.get(i).ok_or_else(|| format!("truncated at offset {i}"))?;
+            i += 1;
             Ok(v)
-        }
-        fn edges(b: &[u8], i: &mut usize) -> Result<Vec<usize>, String> {
-            let n = byte(b, i)? as usize;
-            let mut out = Vec::with_capacity(n);
-            for _ in 0..n {
-                out.push(byte(b, i)? as usize);
-            }
-            Ok(out)
-        }
-        fn pop(stack: &mut Vec<PlanNode>, what: &str) -> Result<PlanNode, String> {
-            stack.pop().ok_or_else(|| format!("missing {what} operand"))
-        }
-        while i < b.len() {
-            let t = byte(b, &mut i)?;
-            match t {
-                tag::SEQ_SCAN => {
-                    let rel = byte(b, &mut i)? as usize;
-                    stack.push(PlanNode::leaf(PlanOp::SeqScan { relation: rel }));
-                }
-                tag::INDEX_SEEK => {
-                    let rel = byte(b, &mut i)? as usize;
-                    let pred = byte(b, &mut i)? as usize;
-                    stack.push(PlanNode::leaf(PlanOp::IndexSeek {
-                        relation: rel,
-                        seek_pred: pred,
-                    }));
-                }
-                tag::SORTED_INDEX_SCAN => {
-                    let rel = byte(b, &mut i)? as usize;
-                    let col = byte(b, &mut i)? as usize;
-                    stack.push(PlanNode::leaf(PlanOp::SortedIndexScan {
-                        relation: rel,
-                        column: col,
-                    }));
-                }
-                tag::HASH_JOIN => {
-                    let build_left = byte(b, &mut i)? != 0;
-                    let edges = edges(b, &mut i)?;
-                    let r = pop(&mut stack, "hash-join rhs")?;
-                    let l = pop(&mut stack, "hash-join lhs")?;
-                    stack.push(PlanNode::internal(
-                        PlanOp::HashJoin { build_left, edges },
-                        vec![l, r],
-                    ));
-                }
-                tag::MERGE_JOIN => {
-                    let merge_edge = byte(b, &mut i)? as usize;
-                    let edges = edges(b, &mut i)?;
-                    let r = pop(&mut stack, "merge-join rhs")?;
-                    let l = pop(&mut stack, "merge-join lhs")?;
-                    stack.push(PlanNode::internal(
-                        PlanOp::MergeJoin { merge_edge, edges },
-                        vec![l, r],
-                    ));
-                }
-                tag::INDEX_NLJ => {
-                    let inner = byte(b, &mut i)? as usize;
-                    let seek_edge = byte(b, &mut i)? as usize;
-                    let edges = edges(b, &mut i)?;
-                    let outer = pop(&mut stack, "index-nlj outer")?;
-                    stack.push(PlanNode::internal(
-                        PlanOp::IndexNlj {
-                            inner,
-                            seek_edge,
-                            edges,
-                        },
-                        vec![outer],
-                    ));
-                }
-                tag::HASH_AGG | tag::STREAM_AGG => {
-                    let child = pop(&mut stack, "aggregate input")?;
-                    let op = if t == tag::HASH_AGG {
-                        PlanOp::HashAggregate
-                    } else {
-                        PlanOp::StreamAggregate
-                    };
-                    stack.push(PlanNode::internal(op, vec![child]));
-                }
-                tag::SORT => {
-                    let key = if byte(b, &mut i)? != 0 {
-                        let r = byte(b, &mut i)? as usize;
-                        let c = byte(b, &mut i)? as usize;
-                        Some((r, c))
-                    } else {
-                        None
-                    };
-                    let child = pop(&mut stack, "sort input")?;
-                    stack.push(PlanNode::internal(PlanOp::Sort { key }, vec![child]));
-                }
+        };
+        // Each pass starts on a tag, so the first failing read is the end.
+        while let Ok(t) = byte() {
+            let mut index = || byte().map(usize::from);
+            let op = match t {
+                tag::SEQ_SCAN => PlanOp::SeqScan { relation: index()? },
+                tag::INDEX_SEEK => PlanOp::IndexSeek {
+                    relation: index()?,
+                    seek_pred: index()?,
+                },
+                tag::SORTED_INDEX_SCAN => PlanOp::SortedIndexScan {
+                    relation: index()?,
+                    column: index()?,
+                },
+                tag::HASH_JOIN => PlanOp::HashJoin {
+                    build_left: index()? != 0,
+                    edges: edges(&mut index)?,
+                },
+                tag::MERGE_JOIN => PlanOp::MergeJoin {
+                    merge_edge: index()?,
+                    edges: edges(&mut index)?,
+                },
+                tag::INDEX_NLJ => PlanOp::IndexNlj {
+                    inner: index()?,
+                    seek_edge: index()?,
+                    edges: edges(&mut index)?,
+                },
+                tag::HASH_AGG => PlanOp::HashAggregate,
+                tag::STREAM_AGG => PlanOp::StreamAggregate,
+                tag::SORT => PlanOp::Sort {
+                    key: match index()? {
+                        0 => None,
+                        _ => Some((index()?, index()?)),
+                    },
+                },
                 other => return Err(format!("unknown tag {other}")),
-            }
+            };
+            ops.push(op);
         }
-        if stack.len() != 1 {
-            return Err(format!("{} roots after decode", stack.len()));
-        }
-        Ok(Plan::new(stack.pop().unwrap()))
+        Plan::from_postorder(ops)
     }
+}
+
+/// A length-prefixed edge list, each length and index one byte.
+fn edges(index: &mut impl FnMut() -> Result<usize, String>) -> Result<Vec<usize>, String> {
+    let n = index()?;
+    (0..n).map(|_| index()).collect()
 }
 
 fn encode_op(op: &PlanOp, out: &mut Vec<u8>) {
@@ -310,7 +254,7 @@ pub fn recost_compact(
                 let (rel, pred) = (b[i] as usize, b[i + 1] as usize);
                 i += 2;
                 let tb = &template.relations[rel].table;
-                let fetch = (tb.row_count as f64 * sv.get(pred)).max(1e-9);
+                let fetch = (tb.row_count as f64 * sv.get(pred)).max(MIN_ROWS);
                 stack.push((
                     base.base_rows[rel],
                     model.index_seek(
@@ -412,12 +356,14 @@ mod tests {
         for target in [[0.01, 0.01, 0.01], [0.6, 0.6, 0.6], [0.9, 0.01, 0.4]] {
             let (plan, _) = plan_at(&t, &target);
             let compact = CompactPlan::encode(&plan);
-            assert_eq!(compact.decode().fingerprint(), plan.fingerprint());
+            let back = compact.checked_decode().unwrap();
+            assert_eq!(back.fingerprint(), plan.fingerprint());
+            assert_eq!(back.nodes(), plan.nodes());
         }
     }
 
     #[test]
-    fn recost_compact_matches_tree_recost() {
+    fn recost_compact_matches_arena_recost_to_the_bit() {
         let t = test_fixtures::three_dim();
         let m = CostModel::default();
         let (plan, _) = plan_at(&t, &[0.1, 0.2, 0.05]);
@@ -426,7 +372,7 @@ mod tests {
             let sv = compute_svector(&t, &instance_for_target(&t, &target));
             let a = recost(&t, &m, &plan, &sv);
             let b = recost_compact(&t, &m, &compact, &sv);
-            assert!((a - b).abs() <= 1e-9 * a.max(1.0), "{a} vs {b}");
+            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
     }
 
@@ -450,7 +396,8 @@ mod tests {
         for target in [[0.001], [0.9]] {
             let (plan, sv) = plan_at(&t, &target);
             let compact = CompactPlan::encode(&plan);
-            assert_eq!(compact.decode().fingerprint(), plan.fingerprint());
+            let back = compact.checked_decode().unwrap();
+            assert_eq!(back.fingerprint(), plan.fingerprint());
             let m = CostModel::default();
             assert_eq!(
                 recost(&t, &m, &plan, &sv),
@@ -460,11 +407,38 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "corrupt compact plan")]
-    fn corrupt_bytes_panic() {
-        let cp = CompactPlan {
-            bytes: vec![99u8].into_boxed_slice(),
-        };
-        let _ = cp.decode();
+    fn corrupt_bytes_are_an_error() {
+        let decode = |bytes: &[u8]| CompactPlan::from_bytes(bytes.into()).checked_decode();
+        assert_eq!(decode(&[99]).unwrap_err(), "unknown tag 99");
+        // A lone hash join (build left, one edge): no operands.
+        let err = decode(&[tag::HASH_JOIN, 1, 1, 0]).unwrap_err();
+        assert!(err.contains("missing an operand"), "{err}");
+        // Truncations of a sorted two-scan join.
+        let plan = Plan::from_postorder(vec![
+            PlanOp::SeqScan { relation: 0 },
+            PlanOp::SortedIndexScan {
+                relation: 1,
+                column: 2,
+            },
+            PlanOp::HashJoin {
+                build_left: true,
+                edges: vec![0, 1],
+            },
+            PlanOp::Sort { key: Some((1, 2)) },
+        ])
+        .unwrap();
+        let bytes = CompactPlan::encode(&plan).as_bytes().to_vec();
+        assert_eq!(decode(&bytes).unwrap(), plan);
+        for len in 0..bytes.len() {
+            let got = decode(&bytes[..len]);
+            match len {
+                // Cut after an operator that closes one tree: the first
+                // scan, the join.
+                2 | 10 => assert!(got.is_ok()),
+                0 => assert_eq!(got.unwrap_err(), "0 roots"),
+                5 => assert_eq!(got.unwrap_err(), "2 roots"),
+                _ => assert_eq!(got.unwrap_err(), format!("truncated at offset {len}")),
+            }
+        }
     }
 }

@@ -1,9 +1,9 @@
 //! Plan diagrams (Reddy & Haritsa, "Analyzing plan diagrams of database
-//! query optimizers" — the paper's reference [18]).
+//! query optimizers" — the paper's reference \[18\]).
 //!
 //! A plan diagram is the partition of the selectivity space into regions by
 //! optimal plan choice. The PQO literature leans on its structure: the
-//! paper cites [18] for the observation that *"low cost regions typically
+//! paper cites \[18\] for the observation that *"low cost regions typically
 //! have small selectivity regions and high plan density"* (the motivation
 //! for dynamic λ, Appendix D). This module computes diagrams over a grid —
 //! as an analysis/visualization tool and to quantify plan density for
@@ -103,7 +103,7 @@ impl PlanDiagram {
 
     /// Plan density per cost decile: for each of the 10 cost bands (by
     /// cell-cost quantile), the number of distinct plans whose region
-    /// intersects the band. Reference [18]'s observation predicts density
+    /// intersects the band. Reference \[18\]'s observation predicts density
     /// skewed towards the low-cost bands.
     pub fn density_by_cost_decile(&self) -> Vec<usize> {
         let mut sorted = self.costs.clone();

@@ -14,8 +14,8 @@
 //! * [`cost`] — the cost model: per-operator formulas with I/O + CPU terms
 //!   and memory-spill discontinuities (the realistic wrinkle behind the rare
 //!   BCG violations of Section 7.2).
-//! * [`plan`] — physical plan trees with structural fingerprints (plan
-//!   identity across instances).
+//! * [`plan`] — physical plans as postorder arenas with structural
+//!   fingerprints (plan identity across instances).
 //! * [`optimizer`] — dynamic programming over connected join subsets with
 //!   physical alternatives per group (the memo); returns the optimal plan.
 //! * [`recost`] — the Recost API: re-derive cardinalities and cost of a
@@ -25,7 +25,7 @@
 //!   representation re-costed by a stack machine (less memory, more time
 //!   per Recost call).
 //! * [`diagram`] — plan diagrams over the selectivity space (reference
-//!   [18]), used to analyze plan density.
+//!   \[18\]), used to analyze plan density.
 //! * [`engine`] — [`engine::QueryEngine`], the façade every PQO technique
 //!   talks to, with call counters and latency accounting.
 //! * [`error`] — [`error::PqoError`], the typed error returned by public
@@ -44,6 +44,6 @@ pub mod template;
 
 pub use engine::{EngineStats, QueryEngine};
 pub use error::PqoError;
-pub use plan::{Plan, PlanFingerprint, PlanNode, PlanOp};
+pub use plan::{Plan, PlanFingerprint, PlanOp};
 pub use svector::SVector;
 pub use template::{QueryInstance, QueryTemplate};

@@ -27,7 +27,7 @@ use std::borrow::Borrow;
 use std::cell::RefCell;
 
 use crate::cost::CostModel;
-use crate::plan::{Plan, PlanNode, PlanOp};
+use crate::plan::{Plan, PlanOp};
 use crate::recost::{self, BaseConsts, RecostScratch};
 use crate::svector::SVector;
 use crate::template::QueryTemplate;
@@ -655,19 +655,19 @@ impl PreparedOptimize {
         });
 
         let build = || {
-            let mut root = self.extract(memo, top, 0);
+            let mut ops = Vec::new();
+            self.extract(memo, top, 0, &mut ops);
             if let Some(hash) = aggregate {
-                let op = if hash {
+                ops.push(if hash {
                     PlanOp::HashAggregate
                 } else {
                     PlanOp::StreamAggregate
-                };
-                root = PlanNode::internal(op, vec![root]);
+                });
             }
             if self.order_by {
-                root = PlanNode::internal(PlanOp::Sort { key: None }, vec![root]);
+                ops.push(PlanOp::Sort { key: None });
             }
-            Plan::new(root)
+            Plan::from_postorder(ops).expect("the winner's operators form one tree")
         };
         let plan = plan_for(path, &build);
         // Final cost goes through the Recost path so the two agree exactly.
@@ -727,22 +727,20 @@ impl PreparedOptimize {
         }
     }
 
-    /// The winning physical expression of group `(id, prop)` as a plan tree.
-    fn extract(&self, memo: &[Slot], id: usize, prop: usize) -> PlanNode {
+    /// Append the winning physical expression of group `(id, prop)` to
+    /// `ops` in postorder: its inputs' operators, then its own.
+    fn extract(&self, memo: &[Slot], id: usize, prop: usize, ops: &mut Vec<PlanOp>) {
         let slot @ Slot { at, alt, .. } = memo[id * self.nprops() + prop];
-        let children = self
-            .inputs(id, slot)
-            .into_iter()
-            .flatten()
-            .map(|(input, input_prop)| self.extract(memo, input, input_prop))
-            .collect();
+        for (input, input_prop) in self.inputs(id, slot).into_iter().flatten() {
+            self.extract(memo, input, input_prop, ops);
+        }
         if alt == ENFORCE {
             let key = Some(self.keys[prop - 1]);
-            return PlanNode::internal(PlanOp::Sort { key }, children);
+            return ops.push(PlanOp::Sort { key });
         }
         if let [rel] = *self.members(id) {
             let relation = rel as usize;
-            return PlanNode::leaf(match self.scans_of(rel)[alt as usize] {
+            return ops.push(match self.scans_of(rel)[alt as usize] {
                 ScanAlt::Seq { .. } => PlanOp::SeqScan { relation },
                 ScanAlt::Seek { dim, .. } => PlanOp::IndexSeek {
                     relation,
@@ -756,7 +754,7 @@ impl PreparedOptimize {
         }
         let cross = self.cross_of(at as usize);
         let edges: Vec<usize> = cross.iter().map(|x| x.edge as usize).collect();
-        let op = match alt.checked_sub(FIRST_MERGE).map(|k| k as usize) {
+        ops.push(match alt.checked_sub(FIRST_MERGE).map(|k| k as usize) {
             None => PlanOp::HashJoin {
                 build_left: true,
                 edges,
@@ -775,8 +773,7 @@ impl PreparedOptimize {
                     }
                 }
             },
-        };
-        PlanNode::internal(op, children)
+        });
     }
 }
 
@@ -1134,7 +1131,8 @@ mod reference {
 
         // Assemble the full plan: join tree, then aggregate, then final sort.
         let mut dp_cost = join_group.cost;
-        let mut root = extract(&search, full, 0);
+        let mut ops = Vec::new();
+        extract(&search, full, 0, &mut ops);
         if let Some(agg) = &template.aggregate {
             let in_rows = rows[full as usize];
             let g = agg.groups.min(in_rows);
@@ -1142,10 +1140,10 @@ mod reference {
             let stream = model.stream_aggregate(in_rows, g);
             alternatives += 2;
             if hash <= stream {
-                root = PlanNode::internal(PlanOp::HashAggregate, vec![root]);
+                ops.push(PlanOp::HashAggregate);
                 dp_cost += hash;
             } else {
-                root = PlanNode::internal(PlanOp::StreamAggregate, vec![root]);
+                ops.push(PlanOp::StreamAggregate);
                 dp_cost += stream;
             }
         }
@@ -1155,12 +1153,12 @@ mod reference {
                 .as_ref()
                 .map(|a| a.groups.min(rows[full as usize]))
                 .unwrap_or(rows[full as usize]);
-            root = PlanNode::internal(PlanOp::Sort { key: None }, vec![root]);
+            ops.push(PlanOp::Sort { key: None });
             dp_cost += model.sort(out_rows);
             alternatives += 1;
         }
 
-        let plan = Plan::new(root);
+        let plan = Plan::from_postorder(ops).unwrap();
         // Final cost goes through the Recost path so the two agree exactly.
         let cost = recost::recost(template, model, &plan, sv);
         debug_assert!(
@@ -1201,31 +1199,30 @@ mod reference {
         }
     }
 
-    fn extract(search: &Search, mask: u32, prop: Prop) -> PlanNode {
+    fn extract(search: &Search, mask: u32, prop: Prop, ops: &mut Vec<PlanOp>) {
         let g = search.groups[mask as usize][prop]
             .as_ref()
             .expect("group must exist during extraction");
-        match &g.choice {
-            Choice::SeqScan { relation } => PlanNode::leaf(PlanOp::SeqScan {
+        let op = match &g.choice {
+            Choice::SeqScan { relation } => PlanOp::SeqScan {
                 relation: *relation,
-            }),
+            },
             Choice::IndexSeek {
                 relation,
                 seek_pred,
-            } => PlanNode::leaf(PlanOp::IndexSeek {
+            } => PlanOp::IndexSeek {
                 relation: *relation,
                 seek_pred: *seek_pred,
-            }),
-            Choice::SortedIndexScan { relation, column } => {
-                PlanNode::leaf(PlanOp::SortedIndexScan {
-                    relation: *relation,
-                    column: *column,
-                })
-            }
+            },
+            Choice::SortedIndexScan { relation, column } => PlanOp::SortedIndexScan {
+                relation: *relation,
+                column: *column,
+            },
             Choice::Enforce => {
-                let input = extract(search, mask, 0);
-                let (r, c) = search.keys[prop - 1];
-                PlanNode::internal(PlanOp::Sort { key: Some((r, c)) }, vec![input])
+                extract(search, mask, 0, ops);
+                PlanOp::Sort {
+                    key: Some(search.keys[prop - 1]),
+                }
             }
             Choice::HashJoin {
                 left,
@@ -1235,16 +1232,17 @@ mod reference {
             } => {
                 // Canonical form: the build side is always the left child, so
                 // structurally identical joins fingerprint identically.
-                let l = extract(search, *left, 0);
-                let r = extract(search, *right, 0);
-                let (build, probe) = if *build_left { (l, r) } else { (r, l) };
-                PlanNode::internal(
-                    PlanOp::HashJoin {
-                        build_left: true,
-                        edges: edges.clone(),
-                    },
-                    vec![build, probe],
-                )
+                let (build, probe) = if *build_left {
+                    (left, right)
+                } else {
+                    (right, left)
+                };
+                extract(search, *build, 0, ops);
+                extract(search, *probe, 0, ops);
+                PlanOp::HashJoin {
+                    build_left: true,
+                    edges: edges.clone(),
+                }
             }
             Choice::MergeJoin {
                 left,
@@ -1254,15 +1252,12 @@ mod reference {
                 merge_edge,
                 edges,
             } => {
-                let l = extract(search, *left, *left_prop);
-                let r = extract(search, *right, *right_prop);
-                PlanNode::internal(
-                    PlanOp::MergeJoin {
-                        merge_edge: *merge_edge,
-                        edges: edges.clone(),
-                    },
-                    vec![l, r],
-                )
+                extract(search, *left, *left_prop, ops);
+                extract(search, *right, *right_prop, ops);
+                PlanOp::MergeJoin {
+                    merge_edge: *merge_edge,
+                    edges: edges.clone(),
+                }
             }
             Choice::IndexNlj {
                 outer,
@@ -1270,17 +1265,15 @@ mod reference {
                 seek_edge,
                 edges,
             } => {
-                let o = extract(search, *outer, 0);
-                PlanNode::internal(
-                    PlanOp::IndexNlj {
-                        inner: *inner,
-                        seek_edge: *seek_edge,
-                        edges: edges.clone(),
-                    },
-                    vec![o],
-                )
+                extract(search, *outer, 0, ops);
+                PlanOp::IndexNlj {
+                    inner: *inner,
+                    seek_edge: *seek_edge,
+                    edges: edges.clone(),
+                }
             }
-        }
+        };
+        ops.push(op);
     }
 }
 
@@ -1524,6 +1517,7 @@ mod fuzz {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::arena_children;
     use crate::recost::recost;
     use crate::svector::{compute_svector, instance_for_target};
     use crate::template::test_fixtures;
@@ -1623,10 +1617,11 @@ mod tests {
         let mut saw_merge = false;
         for s in [[0.9, 0.9], [1.0, 1.0], [0.7, 0.9]] {
             let r = optimize(&t, &m, &sv_for(&t, &s));
-            fn has_merge(n: &PlanNode) -> bool {
-                matches!(n.op, PlanOp::MergeJoin { .. }) || n.children.iter().any(has_merge)
-            }
-            saw_merge |= has_merge(&r.plan.to_tree());
+            saw_merge |= r
+                .plan
+                .nodes()
+                .iter()
+                .any(|n| matches!(n.op, PlanOp::MergeJoin { .. }));
         }
         assert!(saw_merge, "expected a merge join in the unselective region");
     }
@@ -1641,24 +1636,23 @@ mod tests {
             for j in 0..6 {
                 let sv = sv_for(&t, &[0.15 * (i + 1) as f64, 0.15 * (j + 1) as f64, 0.5]);
                 let r = optimize(&t, &m, &sv.clone());
-                fn check(n: &PlanNode) {
+                let nodes = r.plan.nodes();
+                for (i, n) in nodes.iter().enumerate() {
                     if let PlanOp::MergeJoin { .. } = n.op {
-                        for c in &n.children {
+                        for c in arena_children(nodes, i) {
                             assert!(
                                 matches!(
-                                    c.op,
+                                    nodes[c].op,
                                     PlanOp::SortedIndexScan { .. }
                                         | PlanOp::Sort { .. }
                                         | PlanOp::MergeJoin { .. }
                                 ),
                                 "merge-join child {:?} cannot deliver order",
-                                c.op
+                                nodes[c].op
                             );
                         }
                     }
-                    n.children.iter().for_each(check);
                 }
-                check(&r.plan.to_tree());
             }
         }
     }
@@ -1684,16 +1678,14 @@ mod tests {
         let t = test_fixtures::three_dim();
         let m = CostModel::default();
         let r = optimize(&t, &m, &sv_for(&t, &[0.2, 0.2, 0.2]));
-        fn no_empty_edges(n: &PlanNode) {
+        for n in r.plan.nodes() {
             match &n.op {
                 PlanOp::HashJoin { edges, .. }
                 | PlanOp::MergeJoin { edges, .. }
                 | PlanOp::IndexNlj { edges, .. } => assert!(!edges.is_empty()),
                 _ => {}
             }
-            n.children.iter().for_each(no_empty_edges);
         }
-        no_empty_edges(&r.plan.to_tree());
         assert_eq!(r.plan.relation_set(), t.full_relation_set());
     }
 

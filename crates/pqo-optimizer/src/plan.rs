@@ -7,15 +7,18 @@
 //! plan carries a [`PlanFingerprint`] — a structural hash over operators,
 //! relation indices and join order, ignoring per-instance cardinalities.
 //!
-//! Plans are *built* as [`PlanNode`] trees (the optimizer's extract step and
-//! tests construct those naturally) but *stored* in flat arena form: a
-//! postorder `Vec<ArenaNode>` whose children are index ranges. Recost — the
-//! hot path — is then one linear pass over a contiguous slice instead of a
-//! pointer chase through heap-boxed children. Each operator carries the
-//! logical annotations the Recost API needs (which relations it covers,
-//! which join edges it applies), mirroring the paper's `shrunkenMemo`: just
-//! enough of the memo to re-derive cardinality and cost bottom-up, with the
-//! search space pruned away.
+//! A plan has one form, built, stored and walked alike: a postorder arena
+//! (`Vec<ArenaNode>`) whose subtrees are contiguous index ranges, made by
+//! [`Plan::from_postorder`] from the operators in postorder. Recost — the
+//! hot path — is then one linear pass over a contiguous slice. Each operator
+//! carries the logical annotations the Recost API needs (which relations it
+//! covers, which join edges it applies), mirroring the paper's
+//! `shrunkenMemo`: just enough of the memo to re-derive cardinality and cost
+//! bottom-up, with the search space pruned away.
+//!
+//! A plan decoded from bytes may be as deep as its encoding is long, so
+//! nothing here recurses on a plan's depth: consumers walk the arena with an
+//! explicit stack.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -104,52 +107,6 @@ impl PlanOp {
     }
 }
 
-/// A node of a physical plan tree.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PlanNode {
-    /// The operator.
-    pub op: PlanOp,
-    /// Child plans (0 for scans, 1 for IndexNLJ/Sort/aggregates, 2 for
-    /// hash/merge joins).
-    pub children: Vec<PlanNode>,
-}
-
-impl PlanNode {
-    /// Leaf constructor.
-    pub fn leaf(op: PlanOp) -> Self {
-        PlanNode {
-            op,
-            children: Vec::new(),
-        }
-    }
-
-    /// Internal-node constructor.
-    pub fn internal(op: PlanOp, children: Vec<PlanNode>) -> Self {
-        PlanNode { op, children }
-    }
-
-    /// Total number of operators in the subtree.
-    pub fn size(&self) -> usize {
-        1 + self.children.iter().map(PlanNode::size).sum::<usize>()
-    }
-
-    /// Bitmask of relations covered by this subtree.
-    pub fn relation_set(&self) -> u32 {
-        let own = match self.op {
-            PlanOp::SeqScan { relation }
-            | PlanOp::IndexSeek { relation, .. }
-            | PlanOp::SortedIndexScan { relation, .. } => 1u32 << relation,
-            PlanOp::IndexNlj { inner, .. } => 1u32 << inner,
-            _ => 0,
-        };
-        own | self
-            .children
-            .iter()
-            .map(PlanNode::relation_set)
-            .fold(0, |a, b| a | b)
-    }
-}
-
 /// One operator in a [`Plan`]'s flat arena.
 ///
 /// Nodes are stored in postorder: every node's children precede it, and the
@@ -164,19 +121,19 @@ pub struct ArenaNode {
     pub subtree_start: u32,
 }
 
-/// Indices of the direct children of arena node `i`, in left-to-right order.
-/// At most 2 entries; empty for leaves.
-pub fn arena_children(nodes: &[ArenaNode], i: usize) -> Vec<usize> {
+/// Indices of the direct children of arena node `i`, rightmost first (each
+/// child's subtree ends where the next one to its right starts). At most 2;
+/// none for leaves.
+pub fn arena_children(nodes: &[ArenaNode], i: usize) -> impl Iterator<Item = usize> + '_ {
     let start = nodes[i].subtree_start as usize;
-    let mut kids = Vec::with_capacity(nodes[i].op.arity());
-    let mut end = i; // exclusive end of the remaining children region
-    while end > start {
-        let child = end - 1; // root of the rightmost remaining child subtree
-        kids.push(child);
-        end = nodes[child].subtree_start as usize;
-    }
-    kids.reverse();
-    kids
+    let mut end = i;
+    std::iter::from_fn(move || {
+        (end > start).then(|| {
+            let child = end - 1;
+            end = nodes[child].subtree_start as usize;
+            child
+        })
+    })
 }
 
 /// An immutable physical plan with a structural fingerprint, stored as a
@@ -188,18 +145,35 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Flatten a plan tree into arena form, computing its fingerprint.
+    /// Build a plan from its operators in postorder (children before their
+    /// parent, left child first), computing each subtree's start and the
+    /// fingerprint. The only constructor.
     ///
-    /// The fingerprint hashes the *tree* (exactly as previous versions did),
-    /// so plan identity — and the on-disk persist format — is unchanged by
-    /// the arena representation.
-    pub fn new(root: PlanNode) -> Self {
-        let mut h = Fnv64::new();
-        root.hash(&mut h);
-        let fingerprint = PlanFingerprint(h.finish());
-        let mut nodes = Vec::with_capacity(root.size());
-        flatten(root, &mut nodes);
-        Plan { nodes, fingerprint }
+    /// # Errors
+    /// An operator short of operands, an empty list, or operators that do
+    /// not reduce to exactly one root.
+    pub fn from_postorder(ops: Vec<PlanOp>) -> Result<Plan, String> {
+        let mut nodes = Vec::with_capacity(ops.len());
+        // Subtree starts of the operands not yet consumed by a parent.
+        let mut open: Vec<u32> = Vec::new();
+        for op in ops {
+            let at = u32::try_from(nodes.len()).map_err(|_| "too many operators")?;
+            let Some(first) = open.len().checked_sub(op.arity()) else {
+                return Err(format!(
+                    "{} at operator {at} is missing an operand",
+                    op.name()
+                ));
+            };
+            let subtree_start = open.get(first).copied().unwrap_or(at);
+            open.truncate(first);
+            open.push(subtree_start);
+            nodes.push(ArenaNode { op, subtree_start });
+        }
+        if open.len() != 1 {
+            return Err(format!("{} roots", open.len()));
+        }
+        let fingerprint = fingerprint(&nodes, open);
+        Ok(Plan { nodes, fingerprint })
     }
 
     /// The postorder operator arena. The root is the last node.
@@ -212,26 +186,10 @@ impl Plan {
         &self.nodes.last().expect("plan is non-empty").op
     }
 
-    /// Reconstruct the boxed tree form (for the executor and for callers
-    /// that want recursive traversal; the arena stays the stored form).
-    pub fn to_tree(&self) -> PlanNode {
-        let mut stack: Vec<PlanNode> = Vec::new();
-        for n in &self.nodes {
-            let children = stack.split_off(stack.len() - n.op.arity());
-            stack.push(PlanNode {
-                op: n.op.clone(),
-                children,
-            });
-        }
-        debug_assert_eq!(stack.len(), 1, "arena must encode exactly one tree");
-        stack.pop().expect("plan is non-empty")
-    }
-
     /// Structural fingerprint.
     pub fn fingerprint(&self) -> PlanFingerprint {
         self.fingerprint
     }
-
     /// Number of operators.
     pub fn size(&self) -> usize {
         self.nodes.len()
@@ -324,18 +282,6 @@ impl Plan {
     }
 }
 
-/// Postorder flatten by move: children first, then the node itself.
-fn flatten(node: PlanNode, out: &mut Vec<ArenaNode>) {
-    let start = out.len() as u32;
-    for c in node.children {
-        flatten(c, out);
-    }
-    out.push(ArenaNode {
-        op: node.op,
-        subtree_start: start,
-    });
-}
-
 impl PartialEq for Plan {
     fn eq(&self, other: &Self) -> bool {
         self.fingerprint == other.fingerprint
@@ -351,15 +297,15 @@ pub struct PlanDisplay<'a> {
 
 impl fmt::Display for PlanDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fn walk(
-            nodes: &[ArenaNode],
-            i: usize,
-            template: &QueryTemplate,
-            depth: usize,
-            f: &mut fmt::Formatter<'_>,
-        ) -> fmt::Result {
-            let pad = "  ".repeat(depth);
-            let alias = |r: usize| template.relations[r].alias.clone();
+        writeln!(f, "plan {}:", self.plan.fingerprint())?;
+        let template = self.template;
+        let alias = |r: usize| &template.relations[r].alias;
+        let nodes = self.plan.nodes();
+        // Preorder with an explicit stack: a node, then its children left
+        // to right, each one level deeper.
+        let mut todo = vec![(nodes.len() - 1, 1usize)];
+        while let Some((i, depth)) = todo.pop() {
+            let pad = &INDENT[..2 * depth.min(INDENT.len() / 2)];
             match &nodes[i].op {
                 PlanOp::SeqScan { relation } => writeln!(f, "{pad}SeqScan({})", alias(*relation))?,
                 PlanOp::IndexSeek {
@@ -382,11 +328,7 @@ impl fmt::Display for PlanDisplay<'_> {
                 PlanOp::MergeJoin { merge_edge, .. } => {
                     let e = &template.join_edges[*merge_edge];
                     let col = &template.relations[e.left.0].table.columns[e.left.1].name;
-                    writeln!(
-                        f,
-                        "{pad}MergeJoin(on {}.{})",
-                        template.relations[e.left.0].alias, col
-                    )?;
+                    writeln!(f, "{pad}MergeJoin(on {}.{})", alias(e.left.0), col)?;
                 }
                 PlanOp::IndexNlj { inner, .. } => {
                     writeln!(f, "{pad}IndexNLJ(inner={})", alias(*inner))?
@@ -399,15 +341,38 @@ impl fmt::Display for PlanDisplay<'_> {
                     writeln!(f, "{pad}Sort({}.{})", alias(*r), col)?;
                 }
             }
-            for c in arena_children(nodes, i) {
-                walk(nodes, c, template, depth + 1, f)?;
-            }
-            Ok(())
+            todo.extend(arena_children(nodes, i).map(|c| (c, depth + 1)));
         }
-        writeln!(f, "plan {}:", self.plan.fingerprint())?;
-        let nodes = self.plan.nodes();
-        walk(nodes, nodes.len() - 1, self.template, 1, f)
+        Ok(())
     }
+}
+
+/// Indentation of [`PlanDisplay`]: two spaces a level, growing no further
+/// than 64 levels — deeper than any plan the optimizer builds, so only a
+/// crafted plan is affected, and it renders in size linear in its length.
+const INDENT: &str = concat!(
+    "                                                                ",
+    "                                                                "
+);
+
+/// The fingerprint of a postorder arena: FNV-1a over its nodes in preorder,
+/// each node's [`PlanOp`] then its arity as a `usize` — the bytes the
+/// derived `Hash` of a boxed `{ op, children: Vec<_> }` tree feeds, which
+/// is what the fingerprints in existing cache files and replication streams
+/// were computed with (`tests::fingerprints_are_pinned` holds them). `todo`
+/// is any spare stack; it is cleared first.
+fn fingerprint(nodes: &[ArenaNode], mut todo: Vec<u32>) -> PlanFingerprint {
+    let mut h = Fnv64::new();
+    todo.clear();
+    todo.push(nodes.len() as u32 - 1);
+    while let Some(i) = todo.pop() {
+        let op = &nodes[i as usize].op;
+        op.hash(&mut h);
+        h.write_usize(op.arity());
+        // Rightmost child pushed first, so the leftmost is hashed next.
+        todo.extend(arena_children(nodes, i as usize).map(|c| c as u32));
+    }
+    PlanFingerprint(h.finish())
 }
 
 /// Minimal FNV-1a hasher, so fingerprints are stable across runs and
@@ -436,225 +401,209 @@ impl Hasher for Fnv64 {
 mod tests {
     use super::*;
 
-    fn scan(r: usize) -> PlanNode {
-        PlanNode::leaf(PlanOp::SeqScan { relation: r })
+    fn plan(ops: Vec<PlanOp>) -> Plan {
+        Plan::from_postorder(ops).unwrap()
+    }
+
+    fn scan(relation: usize) -> PlanOp {
+        PlanOp::SeqScan { relation }
+    }
+
+    fn hash(build_left: bool, edges: Vec<usize>) -> PlanOp {
+        PlanOp::HashJoin { build_left, edges }
+    }
+
+    #[test]
+    fn from_postorder_rejects_what_is_not_one_tree() {
+        for (ops, what) in [
+            (vec![], "0 roots"),
+            (vec![scan(0), scan(1)], "2 roots"),
+            (
+                vec![scan(0), hash(true, vec![0])],
+                "HashJoin at operator 1 is missing",
+            ),
+            (
+                vec![PlanOp::Sort { key: None }],
+                "Sort at operator 0 is missing",
+            ),
+        ] {
+            let err = Plan::from_postorder(ops).unwrap_err();
+            assert!(err.starts_with(what), "{err}");
+        }
     }
 
     #[test]
     fn check_template_names_the_out_of_range_index() {
         // two_dim(): 2 relations, 1 join edge, 2 parameterized predicates.
         let t = crate::template::test_fixtures::two_dim();
-        let join = |edges| PlanOp::HashJoin {
-            build_left: true,
-            edges,
-        };
-        let ok = Plan::new(PlanNode::internal(join(vec![0]), vec![scan(0), scan(1)]));
+        let ok = plan(vec![scan(0), scan(1), hash(true, vec![0])]);
         assert_eq!(ok.check_template(&t), Ok(()));
-        let seek = |relation, seek_pred| {
-            PlanNode::leaf(PlanOp::IndexSeek {
-                relation,
-                seek_pred,
-            })
-        };
-        let sorted =
-            |relation, column| PlanNode::leaf(PlanOp::SortedIndexScan { relation, column });
-        for (root, what) in [
-            (scan(2), "relation 2 of 2"),
-            (seek(0, 2), "seek predicate 2 of 2"),
-            (sorted(1, 999), "column 999 of"),
+        for (ops, what) in [
+            (vec![scan(2)], "relation 2 of 2"),
             (
-                PlanNode::internal(join(vec![0, 1]), vec![scan(0), scan(1)]),
+                vec![PlanOp::IndexSeek {
+                    relation: 0,
+                    seek_pred: 2,
+                }],
+                "seek predicate 2 of 2",
+            ),
+            (
+                vec![PlanOp::SortedIndexScan {
+                    relation: 1,
+                    column: 999,
+                }],
+                "column 999 of",
+            ),
+            (
+                vec![scan(0), scan(1), hash(true, vec![0, 1])],
                 "join edge 1 of 1",
             ),
             (
-                PlanNode::internal(PlanOp::Sort { key: Some((5, 0)) }, vec![scan(0)]),
+                vec![scan(0), PlanOp::Sort { key: Some((5, 0)) }],
                 "relation 5 of 2",
             ),
         ] {
-            let err = Plan::new(root).check_template(&t).unwrap_err();
+            let err = plan(ops).check_template(&t).unwrap_err();
             assert!(err.starts_with(what), "{err}");
         }
     }
 
     #[test]
     fn identical_structures_share_fingerprints() {
-        let a = Plan::new(PlanNode::internal(
-            PlanOp::HashJoin {
-                build_left: true,
-                edges: vec![0],
-            },
-            vec![scan(0), scan(1)],
-        ));
-        let b = Plan::new(PlanNode::internal(
-            PlanOp::HashJoin {
-                build_left: true,
-                edges: vec![0],
-            },
-            vec![scan(0), scan(1)],
-        ));
+        let a = plan(vec![scan(0), scan(1), hash(true, vec![0])]);
+        let b = plan(vec![scan(0), scan(1), hash(true, vec![0])]);
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a, b);
     }
 
     #[test]
     fn different_structures_differ() {
-        let a = Plan::new(PlanNode::internal(
-            PlanOp::HashJoin {
-                build_left: true,
-                edges: vec![0],
-            },
-            vec![scan(0), scan(1)],
-        ));
-        let b = Plan::new(PlanNode::internal(
-            PlanOp::HashJoin {
-                build_left: false,
-                edges: vec![0],
-            },
-            vec![scan(0), scan(1)],
-        ));
-        let c = Plan::new(PlanNode::internal(
-            PlanOp::HashJoin {
-                build_left: true,
-                edges: vec![0],
-            },
-            vec![scan(1), scan(0)],
-        ));
+        let a = plan(vec![scan(0), scan(1), hash(true, vec![0])]);
+        let b = plan(vec![scan(0), scan(1), hash(false, vec![0])]);
+        let c = plan(vec![scan(1), scan(0), hash(true, vec![0])]);
         assert_ne!(a.fingerprint(), b.fingerprint());
         assert_ne!(a.fingerprint(), c.fingerprint());
     }
 
     #[test]
     fn scan_choice_changes_fingerprint() {
-        let a = Plan::new(scan(0));
-        let b = Plan::new(PlanNode::leaf(PlanOp::IndexSeek {
+        let a = plan(vec![scan(0)]);
+        let b = plan(vec![PlanOp::IndexSeek {
             relation: 0,
             seek_pred: 0,
-        }));
+        }]);
         assert_ne!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]
-    fn size_and_relation_set() {
-        let p = PlanNode::internal(
-            PlanOp::IndexNlj {
-                inner: 2,
-                seek_edge: 1,
-                edges: vec![1],
-            },
-            vec![PlanNode::internal(
-                PlanOp::HashJoin {
-                    build_left: true,
-                    edges: vec![0],
-                },
-                vec![scan(0), scan(1)],
-            )],
-        );
-        assert_eq!(p.size(), 4);
-        assert_eq!(p.relation_set(), 0b111);
-    }
-
-    #[test]
-    fn fingerprint_is_stable() {
-        // Guards against accidental changes to the hash: the fingerprint of
-        // this fixed tree must never change across runs or refactors that
-        // do not intend to change plan identity.
-        let p = Plan::new(PlanNode::internal(
-            PlanOp::MergeJoin {
-                merge_edge: 0,
-                edges: vec![0, 1],
-            },
-            vec![scan(0), scan(3)],
-        ));
-        let again = Plan::new(PlanNode::internal(
-            PlanOp::MergeJoin {
-                merge_edge: 0,
-                edges: vec![0, 1],
-            },
-            vec![scan(0), scan(3)],
-        ));
-        assert_eq!(p.fingerprint(), again.fingerprint());
+    fn fingerprints_are_pinned() {
+        let scan = |relation| PlanOp::SeqScan { relation };
+        let seek = |relation, seek_pred| PlanOp::IndexSeek {
+            relation,
+            seek_pred,
+        };
+        let sorted = |relation, column| PlanOp::SortedIndexScan { relation, column };
+        let hash = |build_left, edges| PlanOp::HashJoin { build_left, edges };
+        let nlj = |inner, seek_edge, edges| PlanOp::IndexNlj {
+            inner,
+            seek_edge,
+            edges,
+        };
+        let plans = [
+            (vec![scan(0)], 0x81d2_3fd7_003c_2305),
+            (vec![seek(1, 2)], 0xcbcd_325d_8e28_d007),
+            (vec![sorted(0, 3)], 0x2a39_34ed_5a38_2de4),
+            (
+                vec![scan(0), scan(1), hash(true, vec![0])],
+                0xd2dd_f04f_2b98_4c07,
+            ),
+            (
+                vec![scan(1), seek(0, 0), hash(false, vec![])],
+                0xf5c8_e3db_c51b_1650,
+            ),
+            (
+                vec![
+                    scan(0),
+                    PlanOp::Sort { key: Some((0, 1)) },
+                    sorted(1, 1),
+                    PlanOp::MergeJoin {
+                        merge_edge: 1,
+                        edges: vec![1, 2, 0],
+                    },
+                ],
+                0x8008_e9cb_784d_dd49,
+            ),
+            (
+                vec![
+                    scan(0),
+                    nlj(2, 1, vec![1, 3]),
+                    PlanOp::StreamAggregate,
+                    PlanOp::Sort { key: None },
+                ],
+                0x7734_9ecf_4595_872d,
+            ),
+            (
+                vec![
+                    seek(0, 1),
+                    nlj(1, 0, vec![0]),
+                    scan(3),
+                    hash(true, vec![2, 4]),
+                    PlanOp::HashAggregate,
+                ],
+                0x8f11_133a_44e5_84c1,
+            ),
+        ];
+        for (ops, want) in plans {
+            assert_eq!(plan(ops.clone()).fingerprint().0, want, "{ops:?}");
+        }
     }
 
     #[test]
     fn arena_is_postorder_with_contiguous_subtrees() {
-        let tree = PlanNode::internal(
+        let p = plan(vec![
+            scan(0),
+            scan(1),
+            hash(true, vec![0]),
             PlanOp::IndexNlj {
                 inner: 2,
                 seek_edge: 1,
                 edges: vec![1],
             },
-            vec![PlanNode::internal(
-                PlanOp::HashJoin {
-                    build_left: true,
-                    edges: vec![0],
-                },
-                vec![scan(0), scan(1)],
-            )],
-        );
-        let p = Plan::new(tree);
+        ]);
         let nodes = p.nodes();
-        // Postorder: scan(0), scan(1), HashJoin, IndexNlj.
-        assert_eq!(nodes.len(), 4);
-        assert!(matches!(nodes[0].op, PlanOp::SeqScan { relation: 0 }));
-        assert!(matches!(nodes[1].op, PlanOp::SeqScan { relation: 1 }));
-        assert!(matches!(nodes[2].op, PlanOp::HashJoin { .. }));
-        assert!(matches!(nodes[3].op, PlanOp::IndexNlj { .. }));
         // Subtree ranges: leaves start at themselves; internal nodes cover
         // their children.
-        assert_eq!(nodes[0].subtree_start, 0);
-        assert_eq!(nodes[1].subtree_start, 1);
-        assert_eq!(nodes[2].subtree_start, 0);
-        assert_eq!(nodes[3].subtree_start, 0);
-        // Child recovery walks the ranges backwards and reverses.
-        assert_eq!(arena_children(nodes, 3), vec![2]);
-        assert_eq!(arena_children(nodes, 2), vec![0, 1]);
-        assert_eq!(arena_children(nodes, 0), Vec::<usize>::new());
+        let starts: Vec<u32> = nodes.iter().map(|n| n.subtree_start).collect();
+        assert_eq!(starts, [0, 1, 0, 0]);
+        // Child recovery walks the ranges backwards, rightmost first.
+        let kids = |i| arena_children(nodes, i).collect::<Vec<_>>();
+        assert_eq!(kids(3), [2]);
+        assert_eq!(kids(2), [1, 0]);
+        assert_eq!(kids(0), []);
         assert_eq!(p.relation_set(), 0b111);
         assert_eq!(p.size(), 4);
-    }
-
-    #[test]
-    fn to_tree_round_trips() {
-        let tree = PlanNode::internal(
-            PlanOp::HashAggregate,
-            vec![PlanNode::internal(
-                PlanOp::MergeJoin {
-                    merge_edge: 0,
-                    edges: vec![0, 1],
-                },
-                vec![
-                    PlanNode::internal(PlanOp::Sort { key: Some((0, 1)) }, vec![scan(0)]),
-                    PlanNode::leaf(PlanOp::SortedIndexScan {
-                        relation: 1,
-                        column: 1,
-                    }),
-                ],
-            )],
-        );
-        let p = Plan::new(tree.clone());
-        let back = p.to_tree();
-        assert_eq!(back, tree);
-        // Re-flattening the reconstructed tree preserves identity.
-        assert_eq!(Plan::new(back).fingerprint(), p.fingerprint());
     }
 
     #[test]
     fn display_renders_tree() {
         use crate::template::test_fixtures;
         let t = test_fixtures::two_dim();
-        let p = Plan::new(PlanNode::internal(
+        let p = plan(vec![
+            scan(0),
+            scan(1),
+            hash(true, vec![0]),
             PlanOp::HashAggregate,
-            vec![PlanNode::internal(
-                PlanOp::HashJoin {
-                    build_left: true,
-                    edges: vec![0],
-                },
-                vec![scan(0), scan(1)],
-            )],
-        ));
+        ]);
         let s = format!("{}", p.display(&t));
-        assert!(s.contains("HashAgg"));
-        assert!(s.contains("SeqScan(o)"));
-        assert!(s.contains("SeqScan(l)"));
+        let body: Vec<&str> = s.lines().skip(1).collect();
+        assert_eq!(
+            body,
+            [
+                "  HashAgg",
+                "    HashJoin(build=left)",
+                "      SeqScan(o)",
+                "      SeqScan(l)"
+            ]
+        );
     }
 }

@@ -12,9 +12,8 @@
 //!
 //! * [`recost`] — linear stack-machine pass over the plan's postorder arena
 //!   (see [`crate::plan`]); allocates one value stack per call.
-//! * [`recost_tree`] / [`derive_node`] — the legacy recursive walk over a
-//!   boxed [`PlanNode`] tree, kept as the reference implementation for
-//!   equivalence tests.
+//! * [`crate::compact::recost_compact`] — the same pass over Appendix B's
+//!   byte encoding.
 //! * [`recost_prepared`] — evaluates a [`PreparedRecost`], which caches
 //!   every selectivity-*independent* quantity (scan costs, B-tree descent
 //!   constants, join-edge selectivity products, static predicate counts) at
@@ -26,14 +25,16 @@
 //! folded with exactly the arithmetic (and associativity) the cost model
 //! uses, so `recost(P, q) == Cost(P, q)` holds *by construction* whenever
 //! `P` was produced for `q` — an invariant the integration tests rely on.
+//! None recurses, so a plan of any depth is priced on any stack; the tests
+//! keep a recursive walk as the reference all three are checked against.
 
 use crate::cost::CostModel;
-use crate::plan::{ArenaNode, Plan, PlanNode, PlanOp};
+use crate::plan::{ArenaNode, Plan, PlanOp};
 use crate::svector::SVector;
 use crate::template::QueryTemplate;
 
 /// Floor for derived cardinalities, guarding logs and divisions.
-const MIN_ROWS: f64 = 1e-9;
+pub(crate) const MIN_ROWS: f64 = 1e-9;
 
 /// Per-relation derived quantities for one selectivity vector.
 #[derive(Debug, Clone, Default)]
@@ -73,92 +74,6 @@ impl BaseDerivation {
     }
 }
 
-/// Re-derive `(output_rows, cost)` of `node` for the selectivities captured
-/// in `base` / `sv`.
-pub fn derive_node(
-    template: &QueryTemplate,
-    model: &CostModel,
-    base: &BaseDerivation,
-    sv: &SVector,
-    node: &PlanNode,
-) -> (f64, f64) {
-    match &node.op {
-        PlanOp::SeqScan { relation } => {
-            let t = &template.relations[*relation].table;
-            let cost = model.seq_scan(
-                t.page_count as f64,
-                t.row_count as f64,
-                base.pred_count[*relation],
-            );
-            (base.base_rows[*relation], cost)
-        }
-        PlanOp::IndexSeek {
-            relation,
-            seek_pred,
-        } => {
-            let t = &template.relations[*relation].table;
-            let fetch = (t.row_count as f64 * sv.get(*seek_pred)).max(MIN_ROWS);
-            let residual = base.pred_count[*relation].saturating_sub(1);
-            let cost = model.index_seek(t.row_count as f64, fetch, residual);
-            (base.base_rows[*relation], cost)
-        }
-        PlanOp::SortedIndexScan { relation, .. } => {
-            let t = &template.relations[*relation].table;
-            let cost = model.sorted_index_scan(
-                t.page_count as f64,
-                t.row_count as f64,
-                base.pred_count[*relation],
-            );
-            (base.base_rows[*relation], cost)
-        }
-        PlanOp::HashJoin { build_left, edges } => {
-            let (lr, lc) = derive_node(template, model, base, sv, &node.children[0]);
-            let (rr, rc) = derive_node(template, model, base, sv, &node.children[1]);
-            let out = join_out_rows(template, lr, rr, edges);
-            let (b, p) = if *build_left { (lr, rr) } else { (rr, lr) };
-            (out, lc + rc + model.hash_join(b, p, out))
-        }
-        PlanOp::MergeJoin { edges, .. } => {
-            let (lr, lc) = derive_node(template, model, base, sv, &node.children[0]);
-            let (rr, rc) = derive_node(template, model, base, sv, &node.children[1]);
-            let out = join_out_rows(template, lr, rr, edges);
-            (out, lc + rc + model.merge_join(lr, rr, out))
-        }
-        PlanOp::IndexNlj {
-            inner,
-            seek_edge,
-            edges,
-        } => {
-            let (or, oc) = derive_node(template, model, base, sv, &node.children[0]);
-            let t = &template.relations[*inner].table;
-            let n_inner = t.row_count as f64;
-            let lookup = n_inner * template.join_edges[*seek_edge].selectivity;
-            // Residuals: the inner relation's own predicates plus any
-            // crossing edges other than the seek edge.
-            let residual = base.pred_count[*inner] + edges.len().saturating_sub(1);
-            let out = join_out_rows(template, or, base.base_rows[*inner], edges);
-            (
-                out,
-                oc + model.index_nlj(or, n_inner, lookup, residual, out),
-            )
-        }
-        PlanOp::HashAggregate => {
-            let (ir, ic) = derive_node(template, model, base, sv, &node.children[0]);
-            let groups = agg_groups(template, ir);
-            (groups, ic + model.hash_aggregate(ir, groups))
-        }
-        PlanOp::StreamAggregate => {
-            let (ir, ic) = derive_node(template, model, base, sv, &node.children[0]);
-            let groups = agg_groups(template, ir);
-            (groups, ic + model.stream_aggregate(ir, groups))
-        }
-        PlanOp::Sort { .. } => {
-            let (ir, ic) = derive_node(template, model, base, sv, &node.children[0]);
-            (ir, ic + model.sort(ir))
-        }
-    }
-}
-
 // Note: join and aggregate cardinalities are *not* floored — they must stay
 // pure products so that the optimizer's subset cardinalities factorize
 // identically over every join split (only base relations are floored).
@@ -177,9 +92,7 @@ fn agg_groups(template: &QueryTemplate, in_rows: f64) -> f64 {
 
 /// The Recost API: cost of the frozen `plan` at the selectivities `sv`.
 ///
-/// One linear pass over the plan's postorder arena. Performs the same
-/// arithmetic in the same order as the recursive [`derive_node`] walk, so
-/// the result is bit-identical to [`recost_tree`].
+/// One linear pass over the plan's postorder arena.
 pub fn recost(template: &QueryTemplate, model: &CostModel, plan: &Plan, sv: &SVector) -> f64 {
     let base = BaseDerivation::new(template, sv);
     let mut stack: Vec<(f64, f64)> = Vec::with_capacity(plan.size());
@@ -207,21 +120,8 @@ pub(crate) fn recost_derived(
     )
 }
 
-/// Legacy reference: cost of a boxed plan tree at `sv`, via the recursive
-/// walk. Kept for equivalence testing and benchmarking against [`recost`].
-pub fn recost_tree(
-    template: &QueryTemplate,
-    model: &CostModel,
-    root: &PlanNode,
-    sv: &SVector,
-) -> f64 {
-    let base = BaseDerivation::new(template, sv);
-    derive_node(template, model, &base, sv, root).1
-}
-
 /// Stack-machine evaluation of a postorder arena. Each node pops its
-/// children's `(rows, cost)` pairs and pushes its own; the formulas (and
-/// therefore the float results) are exactly those of [`derive_node`].
+/// children's `(rows, cost)` pairs and pushes its own.
 fn recost_arena(
     template: &QueryTemplate,
     model: &CostModel,
@@ -642,7 +542,7 @@ impl PreparedRecost {
 /// relations filtered by sVector dimensions whose value actually changed
 /// since the last call are re-derived (the delta-recost path — free when
 /// consecutive calls share the sVector, as in the cost check's candidate
-/// loop). Results are bit-identical to [`recost`] and [`recost_tree`].
+/// loop). Results are bit-identical to [`recost`].
 pub fn recost_prepared(
     consts: &BaseConsts,
     model: &CostModel,
@@ -717,9 +617,125 @@ pub fn recost_prepared(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{Plan, PlanNode, PlanOp};
+    use crate::compact::{recost_compact, CompactPlan};
+    use crate::plan::arena_children;
     use crate::svector::{compute_svector, instance_for_target};
     use crate::template::test_fixtures;
+
+    /// Reference: `(output_rows, cost)` of the subtree rooted at arena node
+    /// `i`, by recursion on its children — the definition the three
+    /// stack-machine paths must reproduce to the bit.
+    fn derive_node(
+        template: &QueryTemplate,
+        model: &CostModel,
+        base: &BaseDerivation,
+        sv: &SVector,
+        nodes: &[ArenaNode],
+        i: usize,
+    ) -> (f64, f64) {
+        let mut kids: Vec<usize> = arena_children(nodes, i).collect();
+        kids.reverse();
+        let child = |k: usize| derive_node(template, model, base, sv, nodes, kids[k]);
+        match &nodes[i].op {
+            PlanOp::SeqScan { relation } => {
+                let t = &template.relations[*relation].table;
+                let cost = model.seq_scan(
+                    t.page_count as f64,
+                    t.row_count as f64,
+                    base.pred_count[*relation],
+                );
+                (base.base_rows[*relation], cost)
+            }
+            PlanOp::IndexSeek {
+                relation,
+                seek_pred,
+            } => {
+                let t = &template.relations[*relation].table;
+                let fetch = (t.row_count as f64 * sv.get(*seek_pred)).max(MIN_ROWS);
+                let residual = base.pred_count[*relation].saturating_sub(1);
+                let cost = model.index_seek(t.row_count as f64, fetch, residual);
+                (base.base_rows[*relation], cost)
+            }
+            PlanOp::SortedIndexScan { relation, .. } => {
+                let t = &template.relations[*relation].table;
+                let cost = model.sorted_index_scan(
+                    t.page_count as f64,
+                    t.row_count as f64,
+                    base.pred_count[*relation],
+                );
+                (base.base_rows[*relation], cost)
+            }
+            PlanOp::HashJoin { build_left, edges } => {
+                let ((lr, lc), (rr, rc)) = (child(0), child(1));
+                let out = join_out_rows(template, lr, rr, edges);
+                let (b, p) = if *build_left { (lr, rr) } else { (rr, lr) };
+                (out, lc + rc + model.hash_join(b, p, out))
+            }
+            PlanOp::MergeJoin { edges, .. } => {
+                let ((lr, lc), (rr, rc)) = (child(0), child(1));
+                let out = join_out_rows(template, lr, rr, edges);
+                (out, lc + rc + model.merge_join(lr, rr, out))
+            }
+            PlanOp::IndexNlj {
+                inner,
+                seek_edge,
+                edges,
+            } => {
+                let (or, oc) = child(0);
+                let t = &template.relations[*inner].table;
+                let n_inner = t.row_count as f64;
+                let lookup = n_inner * template.join_edges[*seek_edge].selectivity;
+                // Residuals: the inner relation's own predicates plus any
+                // crossing edges other than the seek edge.
+                let residual = base.pred_count[*inner] + edges.len().saturating_sub(1);
+                let out = join_out_rows(template, or, base.base_rows[*inner], edges);
+                (
+                    out,
+                    oc + model.index_nlj(or, n_inner, lookup, residual, out),
+                )
+            }
+            PlanOp::HashAggregate => {
+                let (ir, ic) = child(0);
+                let groups = agg_groups(template, ir);
+                (groups, ic + model.hash_aggregate(ir, groups))
+            }
+            PlanOp::StreamAggregate => {
+                let (ir, ic) = child(0);
+                let groups = agg_groups(template, ir);
+                (groups, ic + model.stream_aggregate(ir, groups))
+            }
+            PlanOp::Sort { .. } => {
+                let (ir, ic) = child(0);
+                (ir, ic + model.sort(ir))
+            }
+        }
+    }
+
+    /// `(output_rows, cost)` of `plan`'s root by the reference walk.
+    fn derive(
+        template: &QueryTemplate,
+        model: &CostModel,
+        plan: &Plan,
+        sv: &SVector,
+    ) -> (f64, f64) {
+        let base = BaseDerivation::new(template, sv);
+        derive_node(template, model, &base, sv, plan.nodes(), plan.size() - 1)
+    }
+
+    fn plan(ops: Vec<PlanOp>) -> Plan {
+        Plan::from_postorder(ops).unwrap()
+    }
+
+    fn scan(relation: usize) -> PlanOp {
+        PlanOp::SeqScan { relation }
+    }
+
+    fn hash_join_0() -> PlanOp {
+        PlanOp::HashJoin {
+            build_left: true,
+            edges: vec![0],
+        }
+    }
 
     fn sv_for(template: &QueryTemplate, target: &[f64]) -> SVector {
         compute_svector(template, &instance_for_target(template, target))
@@ -740,7 +756,7 @@ mod tests {
     fn seq_scan_cost_is_selectivity_independent_but_rows_are_not() {
         let t = test_fixtures::one_rel();
         let model = CostModel::default();
-        let plan = Plan::new(PlanNode::leaf(PlanOp::SeqScan { relation: 0 }));
+        let plan = plan(vec![scan(0)]);
         let lo = recost(&t, &model, &plan, &SVector(vec![0.01]));
         let hi = recost(&t, &model, &plan, &SVector(vec![0.9]));
         assert_eq!(lo, hi, "scan reads the whole table either way");
@@ -753,10 +769,10 @@ mod tests {
     fn index_seek_cost_grows_linearly_with_seek_selectivity() {
         let t = test_fixtures::one_rel();
         let model = CostModel::default();
-        let plan = Plan::new(PlanNode::leaf(PlanOp::IndexSeek {
+        let plan = plan(vec![PlanOp::IndexSeek {
             relation: 0,
             seek_pred: 0,
-        }));
+        }]);
         let c1 = recost(&t, &model, &plan, &SVector(vec![0.01]));
         let c2 = recost(&t, &model, &plan, &SVector(vec![0.02]));
         let c4 = recost(&t, &model, &plan, &SVector(vec![0.04]));
@@ -769,17 +785,7 @@ mod tests {
     fn hash_join_plan_recosts_consistently() {
         let t = test_fixtures::two_dim();
         let model = CostModel::default();
-        let join = PlanNode::internal(
-            PlanOp::HashJoin {
-                build_left: true,
-                edges: vec![0],
-            },
-            vec![
-                PlanNode::leaf(PlanOp::SeqScan { relation: 0 }),
-                PlanNode::leaf(PlanOp::SeqScan { relation: 1 }),
-            ],
-        );
-        let plan = Plan::new(PlanNode::internal(PlanOp::HashAggregate, vec![join]));
+        let plan = plan(vec![scan(0), scan(1), hash_join_0(), PlanOp::HashAggregate]);
         let sv = sv_for(&t, &[0.1, 0.1]);
         let c = recost(&t, &model, &plan, &sv);
         assert!(c.is_finite() && c > 0.0);
@@ -794,27 +800,17 @@ mod tests {
         let t = test_fixtures::two_dim();
         let model = CostModel::default();
         let sv = sv_for(&t, &[0.05, 0.2]);
-        let base = BaseDerivation::new(&t, &sv);
-        let hj = PlanNode::internal(
-            PlanOp::HashJoin {
-                build_left: true,
-                edges: vec![0],
-            },
-            vec![
-                PlanNode::leaf(PlanOp::SeqScan { relation: 0 }),
-                PlanNode::leaf(PlanOp::SeqScan { relation: 1 }),
-            ],
-        );
-        let nlj = PlanNode::internal(
+        let hj = plan(vec![scan(0), scan(1), hash_join_0()]);
+        let nlj = plan(vec![
+            scan(0),
             PlanOp::IndexNlj {
                 inner: 1,
                 seek_edge: 0,
                 edges: vec![0],
             },
-            vec![PlanNode::leaf(PlanOp::SeqScan { relation: 0 })],
-        );
-        let (hj_rows, _) = derive_node(&t, &model, &base, &sv, &hj);
-        let (nlj_rows, _) = derive_node(&t, &model, &base, &sv, &nlj);
+        ]);
+        let (hj_rows, _) = derive(&t, &model, &hj, &sv);
+        let (nlj_rows, _) = derive(&t, &model, &nlj, &sv);
         assert!((hj_rows - nlj_rows).abs() / hj_rows < 1e-9);
     }
 
@@ -823,20 +819,10 @@ mod tests {
         let t = test_fixtures::two_dim(); // groups = 100
         let model = CostModel::default();
         let tiny = SVector(vec![1e-6, 1e-6]);
-        let base = BaseDerivation::new(&t, &tiny);
-        let join = PlanNode::internal(
-            PlanOp::HashJoin {
-                build_left: true,
-                edges: vec![0],
-            },
-            vec![
-                PlanNode::leaf(PlanOp::SeqScan { relation: 0 }),
-                PlanNode::leaf(PlanOp::SeqScan { relation: 1 }),
-            ],
-        );
-        let (join_rows, _) = derive_node(&t, &model, &base, &tiny, &join);
-        let agg = PlanNode::internal(PlanOp::HashAggregate, vec![join]);
-        let (agg_rows, _) = derive_node(&t, &model, &base, &tiny, &agg);
+        let join = vec![scan(0), scan(1), hash_join_0()];
+        let (join_rows, _) = derive(&t, &model, &plan(join.clone()), &tiny);
+        let agg = plan([join, vec![PlanOp::HashAggregate]].concat());
+        let (agg_rows, _) = derive(&t, &model, &agg, &tiny);
         assert!(agg_rows <= join_rows.max(MIN_ROWS) + 1e-12);
         assert!(agg_rows <= 100.0);
     }
@@ -846,11 +832,9 @@ mod tests {
         let t = test_fixtures::one_rel();
         let model = CostModel::default();
         let sv = SVector(vec![0.3]);
-        let base = BaseDerivation::new(&t, &sv);
-        let scan = PlanNode::leaf(PlanOp::SeqScan { relation: 0 });
-        let (scan_rows, scan_cost) = derive_node(&t, &model, &base, &sv, &scan);
-        let sorted = PlanNode::internal(PlanOp::Sort { key: None }, vec![scan]);
-        let (rows, cost) = derive_node(&t, &model, &base, &sv, &sorted);
+        let (scan_rows, scan_cost) = derive(&t, &model, &plan(vec![scan(0)]), &sv);
+        let sorted = plan(vec![scan(0), PlanOp::Sort { key: None }]);
+        let (rows, cost) = derive(&t, &model, &sorted, &sv);
         assert_eq!(rows, scan_rows);
         assert!(cost > scan_cost);
     }
@@ -864,63 +848,52 @@ mod tests {
 
     /// Plans exercising every operator over the two-dim fixture.
     fn fixture_plans() -> Vec<Plan> {
-        let scan = |r: usize| PlanNode::leaf(PlanOp::SeqScan { relation: r });
-        let seek = PlanNode::leaf(PlanOp::IndexSeek {
+        let seek = PlanOp::IndexSeek {
             relation: 1,
             seek_pred: 1,
-        });
-        let sorted = |r: usize, c: usize| {
-            PlanNode::leaf(PlanOp::SortedIndexScan {
-                relation: r,
-                column: c,
-            })
         };
+        let sorted = |relation, column| PlanOp::SortedIndexScan { relation, column };
         vec![
-            Plan::new(PlanNode::internal(
-                PlanOp::HashAggregate,
-                vec![PlanNode::internal(
-                    PlanOp::HashJoin {
-                        build_left: true,
-                        edges: vec![0],
-                    },
-                    vec![scan(0), seek.clone()],
-                )],
-            )),
-            Plan::new(PlanNode::internal(
+            plan(vec![scan(0), seek, hash_join_0(), PlanOp::HashAggregate]),
+            plan(vec![
+                sorted(0, 0),
+                sorted(1, 1),
+                PlanOp::MergeJoin {
+                    merge_edge: 0,
+                    edges: vec![0],
+                },
                 PlanOp::StreamAggregate,
-                vec![PlanNode::internal(
-                    PlanOp::MergeJoin {
-                        merge_edge: 0,
-                        edges: vec![0],
-                    },
-                    vec![sorted(0, 0), sorted(1, 1)],
-                )],
-            )),
-            Plan::new(PlanNode::internal(
+            ]),
+            plan(vec![
+                scan(0),
+                PlanOp::IndexNlj {
+                    inner: 1,
+                    seek_edge: 0,
+                    edges: vec![0],
+                },
                 PlanOp::Sort { key: None },
-                vec![PlanNode::internal(
-                    PlanOp::IndexNlj {
-                        inner: 1,
-                        seek_edge: 0,
-                        edges: vec![0],
-                    },
-                    vec![scan(0)],
-                )],
-            )),
+            ]),
         ]
     }
 
     #[test]
-    fn arena_recost_is_bit_identical_to_tree_walk() {
+    fn every_recost_path_is_bit_identical_to_the_recursive_reference() {
         let t = test_fixtures::two_dim();
         let model = CostModel::default();
+        let consts = BaseConsts::new(&t);
+        let mut scratch = RecostScratch::new();
         for plan in fixture_plans() {
-            let tree = plan.to_tree();
+            let prepared = PreparedRecost::new(&t, &model, &consts, &plan);
+            let compact = CompactPlan::encode(&plan);
             for target in [[0.01, 0.9], [0.5, 0.5], [0.9, 0.02]] {
                 let sv = sv_for(&t, &target);
+                let want = derive(&t, &model, &plan, &sv).1.to_bits();
                 let arena = recost(&t, &model, &plan, &sv);
-                let legacy = recost_tree(&t, &model, &tree, &sv);
-                assert_eq!(arena.to_bits(), legacy.to_bits());
+                let fast = recost_prepared(&consts, &model, &prepared, &sv, &mut scratch);
+                let bytes = recost_compact(&t, &model, &compact, &sv);
+                assert_eq!(arena.to_bits(), want, "arena at {target:?}");
+                assert_eq!(fast.to_bits(), want, "prepared at {target:?}");
+                assert_eq!(bytes.to_bits(), want, "compact at {target:?}");
             }
         }
     }
@@ -966,25 +939,19 @@ mod tests {
         let a = recost_prepared(&c2, &model, &prepared2, &sv2, &mut scratch);
         // Different template, different arity: scratch re-derives fully.
         let c3 = BaseConsts::new(&t3);
-        let plan3 = Plan::new(PlanNode::internal(
+        let plan3 = plan(vec![
+            scan(0),
+            scan(1),
+            PlanOp::HashJoin {
+                build_left: false,
+                edges: vec![0],
+            },
+            scan(2),
             PlanOp::HashJoin {
                 build_left: true,
                 edges: vec![1],
             },
-            vec![
-                PlanNode::internal(
-                    PlanOp::HashJoin {
-                        build_left: false,
-                        edges: vec![0],
-                    },
-                    vec![
-                        PlanNode::leaf(PlanOp::SeqScan { relation: 0 }),
-                        PlanNode::leaf(PlanOp::SeqScan { relation: 1 }),
-                    ],
-                ),
-                PlanNode::leaf(PlanOp::SeqScan { relation: 2 }),
-            ],
-        ));
+        ]);
         let prepared3 = PreparedRecost::new(&t3, &model, &c3, &plan3);
         let sv3 = sv_for(&t3, &[0.2, 0.5, 0.8]);
         scratch.invalidate();

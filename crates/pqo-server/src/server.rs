@@ -1,6 +1,6 @@
 //! The TCP server: configuration, counters, public handles and the serving
 //! layer over a shared [`PqoService`] — `GET_PLAN` in its two halves
-//! ([`serve_local`], [`serve_remote`]), everything else in `dispatch`. The
+//! (`serve_local`, `serve_remote`), everything else in `dispatch`. The
 //! concurrency substrate lives in the crate-private `event_loop` module.
 //!
 //! # Concurrency model

@@ -125,25 +125,25 @@ pub mod code {
     /// slow-loris) and is being closed.
     pub const TIMEOUT: u16 = 5;
 
-    /// [`PqoError::UnknownTemplate`].
+    /// [`PqoError::UnknownTemplate`](super::PqoError::UnknownTemplate).
     pub const UNKNOWN_TEMPLATE: u16 = 16;
-    /// [`PqoError::DuplicateTemplate`].
+    /// [`PqoError::DuplicateTemplate`](super::PqoError::DuplicateTemplate).
     pub const DUPLICATE_TEMPLATE: u16 = 17;
-    /// [`PqoError::InvalidLambda`].
+    /// [`PqoError::InvalidLambda`](super::PqoError::InvalidLambda).
     pub const INVALID_LAMBDA: u16 = 18;
-    /// [`PqoError::InvalidBudget`].
+    /// [`PqoError::InvalidBudget`](super::PqoError::InvalidBudget).
     pub const INVALID_BUDGET: u16 = 19;
-    /// [`PqoError::InvalidTemplate`].
+    /// [`PqoError::InvalidTemplate`](super::PqoError::InvalidTemplate).
     pub const INVALID_TEMPLATE: u16 = 20;
-    /// [`PqoError::Persist`].
+    /// [`PqoError::Persist`](super::PqoError::Persist).
     pub const PERSIST: u16 = 21;
     /// A replica could not forward a cache miss to its primary (or timed
     /// out waiting for the resulting generation to replicate).
     pub const PRIMARY_UNREACHABLE: u16 = 22;
-    /// [`PqoError::PolicyMismatch`]: a snapshot or replication stream was
+    /// [`PqoError::PolicyMismatch`](super::PqoError::PolicyMismatch): a snapshot or replication stream was
     /// produced under a different serving policy than this service runs.
     pub const POLICY_MISMATCH: u16 = 23;
-    /// A [`PqoError`] variant this protocol version does not know
+    /// A [`PqoError`](super::PqoError) variant this protocol version does not know
     /// (`PqoError` is `#[non_exhaustive]`).
     pub const INTERNAL: u16 = 31;
 }

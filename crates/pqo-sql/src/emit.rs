@@ -8,7 +8,7 @@
 //! expressions, grouping columns) are surfaced as comments rather than
 //! invented.
 
-use pqo_optimizer::plan::{Plan, PlanNode, PlanOp};
+use pqo_optimizer::plan::{Plan, PlanOp};
 use pqo_optimizer::template::QueryTemplate;
 
 use crate::dialect::DialectKind;
@@ -23,17 +23,16 @@ pub fn render(
     values: Option<&[f64]>,
 ) -> String {
     let mut out = String::new();
-    let tree = plan.to_tree();
 
     out.push_str(&format!("-- template: {}\n", template.name));
     out.push_str(&format!("-- dialect: {}\n", dialect.name()));
     out.push_str(&format!("-- plan: {}\n", plan.fingerprint()));
-    out.push_str(&format!("-- join order: {}\n", join_order(&tree, template)));
+    out.push_str(&format!("-- join order: {}\n", join_order(plan, template)));
     for (i, r) in template.relations.iter().enumerate() {
         out.push_str(&format!(
             "-- access {}: {}\n",
             r.alias,
-            access_path(&tree, i, template)
+            access_path(plan, i, template)
         ));
     }
     for f in &template.fixed_preds {
@@ -152,8 +151,9 @@ pub fn render(
     out
 }
 
-/// The plan's join order as a nested `(a ⨝ b)` expression over aliases.
-fn join_order(node: &PlanNode, template: &QueryTemplate) -> String {
+/// The plan's join order as a nested `(a ⨝ b)` expression over aliases,
+/// built bottom-up on a stack of strings over the postorder arena.
+fn join_order(plan: &Plan, template: &QueryTemplate) -> String {
     let alias = |rel: usize| {
         template
             .relations
@@ -161,81 +161,63 @@ fn join_order(node: &PlanNode, template: &QueryTemplate) -> String {
             .map(|r| r.alias.clone())
             .unwrap_or_else(|| format!("r{rel}"))
     };
-    match &node.op {
-        PlanOp::SeqScan { relation }
-        | PlanOp::IndexSeek { relation, .. }
-        | PlanOp::SortedIndexScan {
-            relation,
-            column: _,
-        } => alias(*relation),
-        PlanOp::HashJoin { .. } | PlanOp::MergeJoin { .. } => {
-            let l = node
-                .children
-                .first()
-                .map(|c| join_order(c, template))
-                .unwrap_or_default();
-            let r = node
-                .children
-                .get(1)
-                .map(|c| join_order(c, template))
-                .unwrap_or_default();
-            format!("({l} ⨝ {r})")
-        }
-        PlanOp::IndexNlj { inner, .. } => {
-            let l = node
-                .children
-                .first()
-                .map(|c| join_order(c, template))
-                .unwrap_or_default();
-            format!("({l} ⨝ {})", alias(*inner))
-        }
-        PlanOp::HashAggregate | PlanOp::StreamAggregate | PlanOp::Sort { .. } => node
-            .children
-            .first()
-            .map(|c| join_order(c, template))
-            .unwrap_or_default(),
+    let mut stack: Vec<String> = Vec::new();
+    for node in plan.nodes() {
+        let expr = match &node.op {
+            PlanOp::SeqScan { relation }
+            | PlanOp::IndexSeek { relation, .. }
+            | PlanOp::SortedIndexScan { relation, .. } => alias(*relation),
+            PlanOp::HashJoin { .. } | PlanOp::MergeJoin { .. } => {
+                let r = stack.pop().unwrap_or_default();
+                let l = stack.pop().unwrap_or_default();
+                format!("({l} ⨝ {r})")
+            }
+            PlanOp::IndexNlj { inner, .. } => {
+                let l = stack.pop().unwrap_or_default();
+                format!("({l} ⨝ {})", alias(*inner))
+            }
+            // Order and aggregation leave the join order as it is.
+            PlanOp::HashAggregate | PlanOp::StreamAggregate | PlanOp::Sort { .. } => continue,
+        };
+        stack.push(expr);
     }
+    stack.pop().unwrap_or_default()
 }
 
-/// Describe how the plan reaches relation `rel`.
-fn access_path(node: &PlanNode, rel: usize, template: &QueryTemplate) -> String {
-    match &node.op {
-        PlanOp::SeqScan { relation } if *relation == rel => return "seq scan".into(),
-        PlanOp::IndexSeek {
-            relation,
-            seek_pred,
-        } if *relation == rel => {
-            let col = template
-                .param_preds
-                .get(*seek_pred)
-                .and_then(|p| template.relations[p.relation].table.columns.get(p.column))
-                .map(|c| c.name.clone())
-                .unwrap_or_else(|| format!("pred {seek_pred}"));
-            return format!("index seek on {col}");
-        }
-        PlanOp::SortedIndexScan { relation, column } if *relation == rel => {
-            let col = template
-                .relations
-                .get(*relation)
-                .and_then(|r| r.table.columns.get(*column))
-                .map(|c| c.name.clone())
-                .unwrap_or_else(|| format!("col {column}"));
-            return format!("sorted index scan on {col}");
-        }
-        PlanOp::IndexNlj {
-            inner, seek_edge, ..
-        } if *inner == rel => {
-            return format!("index lookup via join edge {seek_edge}");
-        }
-        _ => {}
-    }
-    for c in &node.children {
-        let s = access_path(c, rel, template);
-        if s != "?" {
-            return s;
-        }
-    }
-    "?".into()
+/// Describe how the plan reaches relation `rel`: the first operator in the
+/// arena that reads it.
+fn access_path(plan: &Plan, rel: usize, template: &QueryTemplate) -> String {
+    plan.nodes()
+        .iter()
+        .find_map(|node| match &node.op {
+            PlanOp::SeqScan { relation } if *relation == rel => Some("seq scan".into()),
+            PlanOp::IndexSeek {
+                relation,
+                seek_pred,
+            } if *relation == rel => {
+                let col = template
+                    .param_preds
+                    .get(*seek_pred)
+                    .and_then(|p| template.relations[p.relation].table.columns.get(p.column))
+                    .map(|c| c.name.clone())
+                    .unwrap_or_else(|| format!("pred {seek_pred}"));
+                Some(format!("index seek on {col}"))
+            }
+            PlanOp::SortedIndexScan { relation, column } if *relation == rel => {
+                let col = template
+                    .relations
+                    .get(*relation)
+                    .and_then(|r| r.table.columns.get(*column))
+                    .map(|c| c.name.clone())
+                    .unwrap_or_else(|| format!("col {column}"));
+                Some(format!("sorted index scan on {col}"))
+            }
+            PlanOp::IndexNlj {
+                inner, seek_edge, ..
+            } if *inner == rel => Some(format!("index lookup via join edge {seek_edge}")),
+            _ => None,
+        })
+        .unwrap_or_else(|| "?".into())
 }
 
 #[cfg(test)]

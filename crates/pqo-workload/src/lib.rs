@@ -4,7 +4,7 @@
 //!   `Region0` (all parameterized predicates selective), `Region1` (all
 //!   non-selective) and one `Region_di` per dimension (only dimension `i`
 //!   non-selective), with `m/(d+2)` instances per region.
-//! * [`corpus`] — the 90-template corpus over the four catalogs, with
+//! * [`mod@corpus`] — the 90-template corpus over the four catalogs, with
 //!   dimensions 1..=10 (a third of the templates have `d ≥ 4`; `d ≥ 5` only
 //!   on RD2, mirroring the paper).
 //! * [`orderings`] — the five sequence orderings: random, decreasing

@@ -311,6 +311,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "==> stack benchmark passes its own tests (bench/)"
 # Last, because one of them is expected to fail until ROADMAP item 7 (0)
 # lands and every other stage should still report:

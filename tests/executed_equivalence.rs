@@ -111,9 +111,9 @@ fn executed_selectivity_tracks_estimates_on_base_scans() {
     for target in [0.1, 0.3, 0.7] {
         let inst = instance_for_target(template, &[target]);
         let sv = compute_svector(template, &inst);
-        let scan = Plan::new(pqo::optimizer::plan::PlanNode::leaf(
-            pqo::optimizer::plan::PlanOp::SeqScan { relation: 0 },
-        ));
+        let scan =
+            Plan::from_postorder(vec![pqo::optimizer::plan::PlanOp::SeqScan { relation: 0 }])
+                .unwrap();
         let executed =
             pqo_exec::execute(&db, template, &scan, &inst).rows as f64 / table.rows as f64;
         assert!(

@@ -1,9 +1,10 @@
 //! Recost-path equivalence (the arena/prepared refactor's core invariant):
-//! for every bundled corpus template and seeded random sVectors, the legacy
-//! recursive tree walk, the arena stack machine, and the prepared/delta
-//! path over a shared scratch must agree to ≤ 1 ulp — and therefore SCR's
+//! for every bundled corpus template and seeded random sVectors, the arena
+//! stack machine, the prepared/delta path over a shared scratch and the
+//! Appendix B byte encoding must agree to the bit — and therefore SCR's
 //! reuse/optimize decisions, which consume only these numbers, must be
-//! identical whichever path serves them.
+//! identical whichever path serves them. (The recursive reference walk all
+//! three are checked against lives in `pqo-optimizer`'s `recost` tests.)
 
 use std::sync::Arc;
 
@@ -13,26 +14,17 @@ use pqo_rand::{Rng, SeedableRng};
 use pqo::core::engine::QueryEngine;
 use pqo::core::scr::Scr;
 use pqo::core::{OnlinePqo, PlanChoice};
-use pqo::optimizer::recost::{recost_tree, RecostScratch};
+use pqo::optimizer::compact::{recost_compact, CompactPlan};
+use pqo::optimizer::recost::RecostScratch;
 use pqo::optimizer::svector::{compute_svector, instance_for_target, SVector};
 use pqo::workload::corpus::corpus;
-
-/// Ulp distance between two positive finite floats (bit-pattern distance —
-/// monotonic for same-sign finite values).
-fn ulp_diff(a: f64, b: f64) -> u64 {
-    assert!(
-        a.is_finite() && b.is_finite() && a > 0.0 && b > 0.0,
-        "costs must be positive finite: {a} vs {b}"
-    );
-    a.to_bits().abs_diff(b.to_bits())
-}
 
 fn random_sv(rng: &mut StdRng, dims: usize) -> SVector {
     SVector((0..dims).map(|_| rng.gen_range(1e-4..1.0f64)).collect())
 }
 
 #[test]
-fn all_templates_recost_paths_agree_within_one_ulp() {
+fn all_templates_recost_paths_agree_to_the_bit() {
     let mut rng = StdRng::seed_from_u64(0xa2e7_0001);
     for spec in corpus() {
         let engine = QueryEngine::new(Arc::clone(&spec.template));
@@ -56,23 +48,30 @@ fn all_templates_recost_paths_agree_within_one_ulp() {
         let mut scratch = RecostScratch::new();
         for plan in &plans {
             let prepared = engine.prepare_recost(plan);
-            let tree = plan.to_tree();
+            let compact = CompactPlan::encode(plan);
             for probe in 0..12 {
                 let sv = random_sv(&mut rng, dims);
-                let c_tree = recost_tree(&spec.template, &model, &tree, &sv);
                 let c_arena = engine.recost_untracked(plan, &sv);
                 let c_prep = engine.recost_prepared_untracked(&prepared, &sv, &mut scratch);
                 // Repeat with the same sVector: zero dirty dimensions, the
                 // base derivation is reused outright.
                 let c_rep = engine.recost_prepared_untracked(&prepared, &sv, &mut scratch);
+                let c_compact = recost_compact(&spec.template, &model, &compact, &sv);
                 assert!(
-                    ulp_diff(c_tree, c_arena) <= 1,
-                    "{}: arena diverged from tree walk at probe {probe}: {c_tree} vs {c_arena}",
+                    c_arena.is_finite() && c_arena > 0.0,
+                    "{}: cost {c_arena} at probe {probe}",
                     spec.id
                 );
-                assert!(
-                    ulp_diff(c_tree, c_prep) <= 1,
-                    "{}: prepared diverged from tree walk at probe {probe}: {c_tree} vs {c_prep}",
+                assert_eq!(
+                    c_arena.to_bits(),
+                    c_prep.to_bits(),
+                    "{}: prepared diverged from arena at probe {probe}: {c_arena} vs {c_prep}",
+                    spec.id
+                );
+                assert_eq!(
+                    c_arena.to_bits(),
+                    c_compact.to_bits(),
+                    "{}: compact diverged from arena at probe {probe}: {c_arena} vs {c_compact}",
                     spec.id
                 );
                 assert_eq!(

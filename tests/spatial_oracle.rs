@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use pqo::core::cache::{InstanceEntry, PlanCache};
 use pqo::core::spatial::{CoordBlocks, KeyStream};
-use pqo::optimizer::plan::{Plan, PlanNode, PlanOp};
+use pqo::optimizer::plan::{Plan, PlanOp};
 use pqo::optimizer::svector::SVector;
 use pqo_rand::rngs::StdRng;
 use pqo_rand::{Rng, SeedableRng};
@@ -429,7 +429,7 @@ fn plan_cache_rows_follow_interleaved_plan_drops() {
     // speaks in compacted instance indices.
     let mut rng = StdRng::seed_from_u64(0x5eed_d209);
     let plans: Vec<Arc<Plan>> = (0..5)
-        .map(|r| Arc::new(Plan::new(PlanNode::leaf(PlanOp::SeqScan { relation: r }))))
+        .map(|r| Arc::new(Plan::from_postorder(vec![PlanOp::SeqScan { relation: r }]).unwrap()))
         .collect();
     let mut cache = PlanCache::new();
     for p in &plans {
