@@ -5,13 +5,10 @@
 //! pqo explain  --template ID --sel S1,S2,...
 //! pqo recost   --template ID --plan-at S1,... --at S1,...
 //! pqo run      --template ID [--tech scr|pcm|ellipse|density|ranges|once]
-//!              [--lambda X] [--m N] [--seed N] [--spatial-threshold N]
-//!              [--recost-fetch-factor N]
+//!              [--lambda X] [--m N] [--seed N]
 //!              [--save-cache FILE] [--load-cache FILE]   (scr only)
-//! pqo cache    --template ID [--lambda X] [--m N] [--spatial-threshold N]
-//!              [--recost-fetch-factor N]
+//! pqo cache    --template ID [--lambda X] [--m N]
 //! pqo serve    --template ID [--lambda X] [--m N] [--seed N] [--batch N]
-//!              [--spatial-threshold N] [--recost-fetch-factor N]
 //! pqo serve    --listen ADDR --template ID[,ID...] [--templates-dir DIR]
 //!              [--lambda X] [--policy scr|lec|penalty] [--snapshot-dir DIR]
 //!              [--max-conns N] [--workers N]
@@ -79,10 +76,9 @@ fn usage() {
         "usage:\n  pqo templates [--catalog NAME]\n  pqo explain --template ID --sel S1,S2,...\n  \
          pqo recost --template ID --plan-at S1,... --at S1,...\n  \
          pqo run --template ID [--tech scr|pcm|ellipse|density|ranges|once] [--lambda X] [--m N] [--seed N]\n  \
-                 [--spatial-threshold N] [--recost-fetch-factor N] [--save-cache FILE] [--load-cache FILE]\n  \
-         pqo cache --template ID [--lambda X] [--m N] [--spatial-threshold N] [--recost-fetch-factor N]\n  \
-         pqo serve --template ID [--lambda X] [--m N] [--seed N] [--batch N] [--spatial-threshold N]\n  \
-                 [--recost-fetch-factor N]\n  \
+                 [--save-cache FILE] [--load-cache FILE]\n  \
+         pqo cache --template ID [--lambda X] [--m N]\n  \
+         pqo serve --template ID [--lambda X] [--m N] [--seed N] [--batch N]\n  \
          pqo serve --listen ADDR --template ID[,ID...] [--templates-dir DIR] [--lambda X] [--policy scr|lec|penalty]\n  \
                  [--snapshot-dir DIR] [--max-conns N] [--workers N] [--primary | --replica-of ADDR]\n  \
          pqo client --connect ADDR [--op plan|run|stats|explain|follow-lag|shutdown|idle]\n  \
@@ -121,12 +117,7 @@ pub(crate) fn sels(args: &Args, key: &str, d: usize) -> Result<Vec<f64>, String>
 }
 
 /// SCR configuration from CLI flags: λ plus the optional
-/// `--policy scr|lec|penalty` serving-policy selector, the optional
-/// `--spatial-threshold N` crossover knob (instance-list length from which
-/// the candidate search decides nearest-first in log space: `0` = always,
-/// large values = list-order product form only) and the optional
-/// `--recost-fetch-factor N` multiplier sizing the nearest-first cost
-/// check's violation window.
+/// `--policy scr|lec|penalty` serving-policy selector.
 pub(crate) fn scr_config(args: &Args, lambda: f64) -> Result<pqo_core::scr::ScrConfig, String> {
     let mut cfg = pqo_core::scr::ScrConfig::new(lambda).map_err(|e| e.to_string())?;
     if let Some(raw) = args.opt("policy") {
@@ -134,9 +125,6 @@ pub(crate) fn scr_config(args: &Args, lambda: f64) -> Result<pqo_core::scr::ScrC
             .ok_or_else(|| format!("--policy: unknown policy `{raw}` (scr|lec|penalty)"))?;
         cfg = cfg.with_policy(policy);
     }
-    cfg.spatial_index_threshold =
-        args.parse_or("spatial-threshold", cfg.spatial_index_threshold)?;
-    cfg.recost_fetch_factor = args.parse_or("recost-fetch-factor", cfg.recost_fetch_factor)?;
     Ok(cfg)
 }
 

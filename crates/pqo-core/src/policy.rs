@@ -1,26 +1,23 @@
 //! The plan-selection policy layer (DESIGN.md §8).
 //!
-//! PRs 1–8 hard-wired the serving stack to SCR. This module carves the
-//! *decision* out of the substrate: a `PlanPolicy` is the pair of hooks
-//! the serving core calls —
+//! A policy is two functions the serving core calls —
 //!
-//! * **decide-on-hit** (`PlanPolicy::decide`): given the published cache
-//!   view and an incoming instance, serve a cached plan or return `None`
-//!   to route the instance to the optimizer. Runs on the lock-free read
-//!   path (`&CacheState`), so it may only touch atomics.
-//! * **admit-on-miss** (`PlanPolicy::admit`): after an optimizer call,
-//!   mutate the cache (store/discard the new plan, evict for budget).
-//!   Runs under the writer lock (`&mut CacheState`).
+//! * **decide-on-hit**: given the published cache view and an incoming
+//!   instance, serve a cached plan or return `None` to route the instance
+//!   to the optimizer. Runs on the lock-free read path (`&CacheState`), so
+//!   it may only touch atomics.
+//! * **admit-on-miss**: after an optimizer call, mutate the cache
+//!   (store/discard the new plan, evict for budget). Runs under the writer
+//!   lock (`&mut CacheState`).
 //!
 //! Every policy shares the substrate built for SCR: the prepared/delta
 //! Recost machinery ([`GetPlanScratch`]), the published
 //! [`crate::snapshot::CacheSnapshot`] read path, and the candidate search
 //! (`CacheState::list_candidates`, under the same crossover rule SCR
-//! uses). Dispatch is a `match` on [`PolicyId`] at the
-//! two choke points in `scr.rs` — static, no `dyn` in the hot loop — and
-//! the SCR arm delegates to the *unchanged* pre-refactor code, so SCR's
-//! decision stream is byte-identical by construction (the equivalence
-//! oracles in `tests/` run unmodified).
+//! uses). Dispatch is a `match` on [`PolicyId`] at the two choke points in
+//! `scr.rs` (`try_cached_plan_with` and `admit`): SCR's arms call
+//! `scr_decide` / `scr_admit`, the others call this module's `lec_decide`,
+//! `lec_admit` and `penalty_decide`. Static, no `dyn` in the hot loop.
 //!
 //! Policy identity travels with the cache: [`ScrConfig::policy`](crate::scr::ScrConfig::policy) at
 //! construction, a tag byte in the persist header (v3) so a warm restart
@@ -112,57 +109,6 @@ impl std::fmt::Display for PolicyId {
     }
 }
 
-/// The two hooks a serving policy implements. Static dispatch only: the
-/// serving core `match`es on [`PolicyId`] and calls these as associated
-/// functions, so the hot path never goes through a vtable.
-pub(crate) trait PlanPolicy {
-    /// Decide-on-hit: serve from the published cache view, or `None` to
-    /// optimize. Read path — shared view, atomics only.
-    fn decide(
-        view: &CacheState,
-        sv: &SVector,
-        engine: &QueryEngine,
-        scratch: &mut GetPlanScratch,
-    ) -> Option<PlanChoice>;
-
-    /// Admit-on-miss: fold a fresh optimization into the cache. Write path
-    /// — runs under the writer lock. The caller (`Scr::manage_cache_entry`)
-    /// has already bumped `optimizer_calls` and the dynamic-λ accumulators.
-    fn admit(
-        state: &mut CacheState,
-        sv: &SVector,
-        opt: OptimizedPlan,
-        engine: &QueryEngine,
-        scratch: &mut GetPlanScratch,
-    );
-}
-
-/// SCR as a policy: both hooks delegate to the pre-refactor code paths in
-/// `scr.rs`, unchanged — byte-identity with the pre-trait decision stream
-/// is by construction, not by test luck (the oracle suites then pin it).
-pub(crate) struct ScrPolicy;
-
-impl PlanPolicy for ScrPolicy {
-    fn decide(
-        view: &CacheState,
-        sv: &SVector,
-        engine: &QueryEngine,
-        scratch: &mut GetPlanScratch,
-    ) -> Option<PlanChoice> {
-        view.scr_decide(sv, engine, scratch)
-    }
-
-    fn admit(
-        state: &mut CacheState,
-        sv: &SVector,
-        opt: OptimizedPlan,
-        engine: &QueryEngine,
-        scratch: &mut GetPlanScratch,
-    ) {
-        state.scr_admit(sv, opt, engine, scratch);
-    }
-}
-
 /// The candidate neighbourhood both non-SCR policies decide over: the
 /// nearest (smallest G·L) non-violation-disabled entries, at most
 /// `max_recost_candidates`, gathered by the search SCR uses under the same
@@ -229,79 +175,74 @@ fn within_decision_radius(view: &CacheState, cands: &[(f64, usize)]) -> bool {
 /// query point (weight 1) and at every neighbour entry (weight = usage),
 /// and the plan with minimum expected cost serves. At most
 /// `(K+1)·K` prepared Recosts per decision, K = `max_recost_candidates`.
-pub(crate) struct LecPolicy;
-
-impl PlanPolicy for LecPolicy {
-    fn decide(
-        view: &CacheState,
-        sv: &SVector,
-        engine: &QueryEngine,
-        scratch: &mut GetPlanScratch,
-    ) -> Option<PlanChoice> {
-        candidate_entries(view, sv, scratch);
-        let GetPlanScratch { cands, recost, .. } = scratch;
-        if cands.is_empty() {
-            return None; // cold cache: nothing to decide over
-        }
-        if !within_decision_radius(view, cands) {
-            view.stats.record_policy_reject();
-            return None;
-        }
-        let t0 = Instant::now();
-        let mut recosts = 0u64;
-        let mut best: Option<(f64, PlanFingerprint)> = None;
-        for fp in candidate_plans(view, cands) {
-            let cached = view
-                .cache
-                .cached(fp)
-                .expect("candidate points to live plan");
-            let prepared = cached.prepared(engine);
-            let mut expected = engine.recost_prepared(prepared, sv, recost);
-            recosts += 1;
-            for &(_, idx) in cands.iter() {
-                let e = &view.cache.instances()[idx];
-                expected += e.usage() as f64 * engine.recost_prepared(prepared, &e.svector, recost);
-                recosts += 1;
-            }
-            if best.is_none_or(|(c, _)| expected < c) {
-                best = Some((expected, fp));
-            }
-        }
-        view.stats
-            .record_recosts(recosts, t0.elapsed().as_nanos() as u64);
-        let (_, fp) = best?;
-        let choice = serve_entry_with_plan(view, cands, fp)?;
-        view.stats.record_policy_hit();
-        Some(choice)
+pub(crate) fn lec_decide(
+    view: &CacheState,
+    sv: &SVector,
+    engine: &QueryEngine,
+    scratch: &mut GetPlanScratch,
+) -> Option<PlanChoice> {
+    candidate_entries(view, sv, scratch);
+    let GetPlanScratch { cands, recost, .. } = scratch;
+    if cands.is_empty() {
+        return None; // cold cache: nothing to decide over
     }
+    if !within_decision_radius(view, cands) {
+        view.stats.record_policy_reject();
+        return None;
+    }
+    let t0 = Instant::now();
+    let mut recosts = 0u64;
+    let mut best: Option<(f64, PlanFingerprint)> = None;
+    for fp in candidate_plans(view, cands) {
+        let cached = view
+            .cache
+            .cached(fp)
+            .expect("candidate points to live plan");
+        let prepared = cached.prepared(engine);
+        let mut expected = engine.recost_prepared(prepared, sv, recost);
+        recosts += 1;
+        for &(_, idx) in cands.iter() {
+            let e = &view.cache.instances()[idx];
+            expected += e.usage() as f64 * engine.recost_prepared(prepared, &e.svector, recost);
+            recosts += 1;
+        }
+        if best.is_none_or(|(c, _)| expected < c) {
+            best = Some((expected, fp));
+        }
+    }
+    view.stats
+        .record_recosts(recosts, t0.elapsed().as_nanos() as u64);
+    let (_, fp) = best?;
+    let choice = serve_entry_with_plan(view, cands, fp)?;
+    view.stats.record_policy_hit();
+    Some(choice)
+}
 
-    /// LEC keeps every optimized plan (no redundancy check — expected-cost
-    /// selection wants the full frontier to choose from), enforcing only
-    /// the plan budget.
-    fn admit(
-        state: &mut CacheState,
-        sv: &SVector,
-        opt: OptimizedPlan,
-        engine: &QueryEngine,
-        _scratch: &mut GetPlanScratch,
-    ) {
-        let fp = opt.plan.fingerprint();
-        if state.cache.contains_plan(fp) {
-            state
-                .cache
-                .push_instance(InstanceEntry::new(sv.clone(), fp, opt.cost, 1.0, 1));
-            return;
-        }
-        state.enforce_plan_budget();
-        state.cache.insert_plan(opt.plan);
-        if let Some(c) = state.cache.cached(fp) {
-            let _ = c.prepared(engine);
-        }
+/// LEC's admission keeps every optimized plan (no redundancy check —
+/// expected-cost selection wants the full frontier to choose from),
+/// enforcing only the plan budget.
+pub(crate) fn lec_admit(
+    state: &mut CacheState,
+    sv: &SVector,
+    opt: OptimizedPlan,
+    engine: &QueryEngine,
+) {
+    let fp = opt.plan.fingerprint();
+    if state.cache.contains_plan(fp) {
         state
             .cache
             .push_instance(InstanceEntry::new(sv.clone(), fp, opt.cost, 1.0, 1));
-        debug_assert!(state.cache.check_invariants().is_ok());
+        return;
     }
+    state.enforce_plan_budget();
+    state.cache.insert_plan(opt.plan);
+    if let Some(c) = state.cache.cached(fp) {
+        let _ = c.prepared(engine);
+    }
+    state
+        .cache
+        .push_instance(InstanceEntry::new(sv.clone(), fp, opt.cost, 1.0, 1));
+    debug_assert!(state.cache.check_invariants().is_ok());
 }
 
 /// Penalty-aware (PARQO-flavored) robust selection: each candidate plan is
@@ -312,93 +253,79 @@ impl PlanPolicy for LecPolicy {
 /// the instance optimizes. Admission reuses SCR's `manageCache`
 /// (redundancy check, budget eviction), so the cached frontier stays
 /// non-redundant. At most `K·(K+1)` prepared Recosts per decision.
-pub(crate) struct PenaltyPolicy;
-
-impl PlanPolicy for PenaltyPolicy {
-    fn decide(
-        view: &CacheState,
-        sv: &SVector,
-        engine: &QueryEngine,
-        scratch: &mut GetPlanScratch,
-    ) -> Option<PlanChoice> {
-        candidate_entries(view, sv, scratch);
-        let GetPlanScratch { cands, recost, .. } = scratch;
-        if cands.is_empty() {
-            return None;
-        }
-        if !within_decision_radius(view, cands) {
-            view.stats.record_policy_reject();
-            return None;
-        }
-        let t0 = Instant::now();
-        let mut recosts = 0u64;
-        let plans = candidate_plans(view, cands);
-        // Cost matrix: each plan recosted at the query point and at every
-        // candidate entry's sVector.
-        let mut at_sv: Vec<f64> = Vec::with_capacity(plans.len());
-        let mut matrix: Vec<Vec<f64>> = Vec::with_capacity(plans.len());
-        for &fp in &plans {
-            let cached = view
-                .cache
-                .cached(fp)
-                .expect("candidate points to live plan");
-            let prepared = cached.prepared(engine);
-            at_sv.push(engine.recost_prepared(prepared, sv, recost));
-            recosts += 1;
-            let row: Vec<f64> = cands
-                .iter()
-                .map(|&(_, idx)| {
-                    recosts += 1;
-                    let e = &view.cache.instances()[idx];
-                    engine.recost_prepared(prepared, &e.svector, recost)
-                })
-                .collect();
-            matrix.push(row);
-        }
-        view.stats
-            .record_recosts(recosts, t0.elapsed().as_nanos() as u64);
-        // Frontier: pointwise minimum over the candidate plans.
-        let frontier_at_sv = at_sv.iter().copied().fold(f64::INFINITY, f64::min);
-        let frontier: Vec<f64> = (0..cands.len())
-            .map(|j| {
-                matrix
-                    .iter()
-                    .map(|row| row[j])
-                    .fold(f64::INFINITY, f64::min)
+pub(crate) fn penalty_decide(
+    view: &CacheState,
+    sv: &SVector,
+    engine: &QueryEngine,
+    scratch: &mut GetPlanScratch,
+) -> Option<PlanChoice> {
+    candidate_entries(view, sv, scratch);
+    let GetPlanScratch { cands, recost, .. } = scratch;
+    if cands.is_empty() {
+        return None;
+    }
+    if !within_decision_radius(view, cands) {
+        view.stats.record_policy_reject();
+        return None;
+    }
+    let t0 = Instant::now();
+    let mut recosts = 0u64;
+    let plans = candidate_plans(view, cands);
+    // Cost matrix: each plan recosted at the query point and at every
+    // candidate entry's sVector.
+    let mut at_sv: Vec<f64> = Vec::with_capacity(plans.len());
+    let mut matrix: Vec<Vec<f64>> = Vec::with_capacity(plans.len());
+    for &fp in &plans {
+        let cached = view
+            .cache
+            .cached(fp)
+            .expect("candidate points to live plan");
+        let prepared = cached.prepared(engine);
+        at_sv.push(engine.recost_prepared(prepared, sv, recost));
+        recosts += 1;
+        let row: Vec<f64> = cands
+            .iter()
+            .map(|&(_, idx)| {
+                recosts += 1;
+                let e = &view.cache.instances()[idx];
+                engine.recost_prepared(prepared, &e.svector, recost)
             })
             .collect();
-        // Minimax recosted regret, including the query point.
-        let mut best: Option<(f64, usize)> = None;
-        for i in 0..plans.len() {
-            let mut regret = at_sv[i] - frontier_at_sv;
-            for (j, m) in frontier.iter().enumerate() {
-                regret = regret.max(matrix[i][j] - m);
-            }
-            if best.is_none_or(|(r, _)| regret < r) {
-                best = Some((regret, i));
-            }
-        }
-        let (_, i) = best?;
-        // λ-gate at the query point: serving a robust-but-bad plan here
-        // would trade the current instance for hypothetical future ones.
-        if at_sv[i] > view.config.lambda * frontier_at_sv {
-            view.stats.record_policy_reject();
-            return None;
-        }
-        let choice = serve_entry_with_plan(view, cands, plans[i])?;
-        view.stats.record_policy_hit();
-        Some(choice)
+        matrix.push(row);
     }
-
-    fn admit(
-        state: &mut CacheState,
-        sv: &SVector,
-        opt: OptimizedPlan,
-        engine: &QueryEngine,
-        scratch: &mut GetPlanScratch,
-    ) {
-        state.scr_admit(sv, opt, engine, scratch);
+    view.stats
+        .record_recosts(recosts, t0.elapsed().as_nanos() as u64);
+    // Frontier: pointwise minimum over the candidate plans.
+    let frontier_at_sv = at_sv.iter().copied().fold(f64::INFINITY, f64::min);
+    let frontier: Vec<f64> = (0..cands.len())
+        .map(|j| {
+            matrix
+                .iter()
+                .map(|row| row[j])
+                .fold(f64::INFINITY, f64::min)
+        })
+        .collect();
+    // Minimax recosted regret, including the query point.
+    let mut best: Option<(f64, usize)> = None;
+    for i in 0..plans.len() {
+        let mut regret = at_sv[i] - frontier_at_sv;
+        for (j, m) in frontier.iter().enumerate() {
+            regret = regret.max(matrix[i][j] - m);
+        }
+        if best.is_none_or(|(r, _)| regret < r) {
+            best = Some((regret, i));
+        }
     }
+    let (_, i) = best?;
+    // λ-gate at the query point: serving a robust-but-bad plan here
+    // would trade the current instance for hypothetical future ones.
+    if at_sv[i] > view.config.lambda * frontier_at_sv {
+        view.stats.record_policy_reject();
+        return None;
+    }
+    let choice = serve_entry_with_plan(view, cands, plans[i])?;
+    view.stats.record_policy_hit();
+    Some(choice)
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ use pqo_optimizer::svector::SVector;
 use pqo_optimizer::template::{QueryInstance, QueryTemplate};
 
 use crate::cache::{InstanceEntry, PlanCache};
-use crate::policy::{LecPolicy, PenaltyPolicy, PlanPolicy, PolicyId, ScrPolicy};
+use crate::policy::{lec_admit, lec_decide, penalty_decide, PolicyId};
 use crate::spatial::KeyStream;
 use crate::{OnlinePqo, PlanChoice};
 
@@ -71,6 +71,12 @@ pub enum CandidateOrder {
     /// with larger inference regions first.
     AreaDescending,
 }
+
+/// Violation window of the log form's cost check: candidates are the first
+/// `max_recost_candidates` entries without an Appendix G violation mark
+/// among the `max_recost_candidates × 4` nearest (never fewer than 16), so
+/// disabled entries do not starve the list.
+const RECOST_FETCH_FACTOR: usize = 4;
 
 /// SCR configuration.
 #[derive(Debug, Clone)]
@@ -111,12 +117,6 @@ pub struct ScrConfig {
     /// Cost-check candidate ordering under the product form (the log form
     /// is G·L-ascending by construction).
     pub candidate_order: CandidateOrder,
-    /// Violation window of the log form's cost check: candidates are the
-    /// first `max_recost_candidates` entries without an Appendix G
-    /// violation mark among the `max_recost_candidates × recost_fetch_factor`
-    /// nearest (never fewer than 16), so disabled entries do not starve the
-    /// list. Larger values keep more candidates under heavy disabling.
-    pub recost_fetch_factor: usize,
     /// Which serving policy decides reuse/admission over this cache
     /// (DESIGN.md §8). Part of the cache's identity: persisted in the
     /// snapshot header and carried on every replication record, so a warm
@@ -145,7 +145,6 @@ impl ScrConfig {
             existing_plan_redundancy: false,
             spatial_index_threshold: 64,
             candidate_order: CandidateOrder::GlAscending,
-            recost_fetch_factor: 4,
             policy: PolicyId::Scr,
         })
     }
@@ -155,19 +154,6 @@ impl ScrConfig {
     #[must_use]
     pub fn with_policy(mut self, policy: PolicyId) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Override the instance-list size at which `getPlan` switches from
-    /// the list-order product form to the nearest-first log form (see
-    /// [`ScrConfig::spatial_index_threshold`]). `usize::MAX` never
-    /// switches; `0` always uses the log form. Deployment layers
-    /// ([`crate::service::PqoService::register`], the CLI's
-    /// `--spatial-threshold`) expose this knob so the crossover can be
-    /// tuned per workload instead of relying on the default of 64.
-    #[must_use]
-    pub fn with_spatial_index_threshold(mut self, threshold: usize) -> Self {
-        self.spatial_index_threshold = threshold;
         self
     }
 
@@ -589,9 +575,9 @@ impl CacheState {
         scratch.bind(engine);
         scratch.recosted.clear();
         match self.config.policy {
-            PolicyId::Scr => ScrPolicy::decide(self, sv, engine, scratch),
-            PolicyId::Lec => LecPolicy::decide(self, sv, engine, scratch),
-            PolicyId::Penalty => PenaltyPolicy::decide(self, sv, engine, scratch),
+            PolicyId::Scr => self.scr_decide(sv, engine, scratch),
+            PolicyId::Lec => lec_decide(self, sv, engine, scratch),
+            PolicyId::Penalty => penalty_decide(self, sv, engine, scratch),
         }
     }
 
@@ -689,10 +675,7 @@ impl CacheState {
             }
             // Look past the `k` nearest only as far as violation-disabled
             // entries could starve the list.
-            let window = search
-                .k
-                .saturating_mul(self.config.recost_fetch_factor)
-                .max(16);
+            let window = search.k.saturating_mul(RECOST_FETCH_FACTOR).max(16);
             stream.open(search.k, window);
             return None;
         }
@@ -841,9 +824,9 @@ impl CacheState {
         self.log_cost_sum += opt.cost.max(f64::MIN_POSITIVE).ln();
         self.opt_count += 1;
         match self.config.policy {
-            PolicyId::Scr => ScrPolicy::admit(self, sv, opt, engine, scratch),
-            PolicyId::Lec => LecPolicy::admit(self, sv, opt, engine, scratch),
-            PolicyId::Penalty => PenaltyPolicy::admit(self, sv, opt, engine, scratch),
+            // Penalty admits as SCR does: redundancy check, then budget.
+            PolicyId::Scr | PolicyId::Penalty => self.scr_admit(sv, opt, engine, scratch),
+            PolicyId::Lec => lec_admit(self, sv, opt, engine),
         }
         self.sync_block_stats();
     }

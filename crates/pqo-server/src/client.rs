@@ -7,8 +7,8 @@
 //! [`PqoClient::poll_push`] therefore looks for in the buffer before it
 //! waits on the socket.
 //!
-//! Used by `pqo-cli client`, the `net_throughput` bench and the loopback
-//! stress tests; it is also the reference implementation for writing a
+//! Used by `pqo-cli client`, the stack benchmark (`bench/`) and the
+//! loopback stress tests; it is also the reference implementation for writing a
 //! client in another language.
 
 use std::collections::VecDeque;

@@ -12,8 +12,9 @@
 //! * [`server`] — [`server::PqoServer`]: public API, dispatch layer,
 //!   connection/frame limits with `BUSY`/`MALFORMED` error frames,
 //!   deadlines with `TIMEOUT` frames, graceful drain + snapshot flush.
-//! * [`poller`] — the readiness-set abstraction (`epoll(7)` on Linux,
-//!   portable `poll(2)` elsewhere) plus the self-pipe waker.
+//! * `poller` — the readiness set, chosen by the platform (`epoll(7)` on
+//!   Linux, `poll(2)` on other unix), plus the self-pipe waker. Both
+//!   backends answer to one readiness contract test.
 //! * [`conn`] — pure per-connection state machines (frame reassembly from
 //!   fragmented reads, buffered writeback under short writes).
 //! * `event_loop` — the single-threaded readiness loop, which answers
@@ -50,7 +51,7 @@
 pub mod client;
 pub mod conn;
 mod event_loop;
-pub mod poller;
+mod poller;
 mod replica;
 pub mod server;
 pub mod wire;

@@ -1,19 +1,29 @@
-//! Readiness polling behind a small internal abstraction: `epoll(7)` on
-//! Linux, portable `poll(2)` elsewhere (or when `PQO_FORCE_POLL=1` asks
-//! for it), plus the self-pipe waker the event loop uses to interrupt a
-//! blocked wait from worker threads.
+//! Readiness polling: `epoll(7)` on Linux and portable `poll(2)` on other
+//! unix, picked by the platform at compile time, plus the self-pipe waker
+//! the event loop uses to interrupt a blocked wait from worker threads.
+//!
+//! Both backends answer to one readiness contract, the test at the bottom
+//! of this file, which runs the same body against each. On Linux the
+//! `poll(2)` backend is compiled for that test only.
 //!
 //! The crate stays std-only: the handful of libc entry points used here
 //! are declared directly (std already links the platform libc), no
 //! external crate is added. Everything is `#[cfg(unix)]`; a non-unix
-//! build gets a stub whose constructor returns
+//! build gets a stub whose constructors return
 //! [`std::io::ErrorKind::Unsupported`].
 
-use std::io;
-use std::time::Duration;
-
 #[cfg(unix)]
-use std::os::unix::io::RawFd;
+pub use sys::{raise_nofile_limit, wake_pair, WakeReader, Waker};
+#[cfg(not(unix))]
+pub use sys_stub::{raise_nofile_limit, wake_pair, Poller, WakeReader, Waker};
+
+/// The readiness set the event loop runs on.
+#[cfg(target_os = "linux")]
+pub use sys::Epoll as Poller;
+/// The readiness set the event loop runs on.
+#[cfg(all(unix, not(target_os = "linux")))]
+pub use sys::PollSet as Poller;
+
 #[cfg(not(unix))]
 type RawFd = i32;
 
@@ -32,22 +42,17 @@ impl Interest {
         readable: true,
         writable: false,
     };
-    /// Write-only interest.
-    pub const WRITE: Interest = Interest {
-        readable: false,
-        writable: true,
-    };
 }
 
-/// One readiness event out of [`Poller::wait`].
+/// One readiness event out of `Poller::wait`. An event that is neither
+/// readable nor a hangup is write readiness: the loop flushes whatever a
+/// connection has buffered on any of its events.
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
     /// The token the fd was registered with.
     pub token: usize,
     /// Bytes (or EOF) are readable.
     pub readable: bool,
-    /// The fd can accept writes.
-    pub writable: bool,
     /// Peer hangup / error; the owner should read to completion and close.
     pub hangup: bool,
 }
@@ -56,25 +61,11 @@ pub struct Event {
 mod sys {
     use super::{Event, Interest};
     use std::io;
-    use std::os::raw::{c_int, c_ulong};
+    use std::os::raw::c_int;
     use std::os::unix::io::RawFd;
     use std::time::Duration;
 
-    #[repr(C)]
-    struct PollFd {
-        fd: c_int,
-        events: i16,
-        revents: i16,
-    }
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-    const POLLNVAL: i16 = 0x020;
-
     extern "C" {
-        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
         fn pipe(fds: *mut c_int) -> c_int;
         fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
         fn close(fd: c_int) -> c_int;
@@ -105,100 +96,148 @@ mod sys {
         }
     }
 
-    /// Portable `poll(2)` backend: the registration list is mirrored in a
-    /// `Vec` and rebuilt into a `pollfd` array per wait (O(n) per wakeup,
-    /// fine into the tens of thousands of fds this server targets).
-    pub struct PollSet {
-        regs: Vec<(RawFd, usize, Interest)>,
-        scratch: Vec<PollFd>,
+    /// A wait's return count: `EINTR` is a wait with no events.
+    fn wait_result(n: c_int) -> io::Result<usize> {
+        match cvt(n) {
+            Ok(n) => Ok(n as usize),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(0),
+            Err(e) => Err(e),
+        }
     }
 
-    impl PollSet {
-        pub fn new() -> PollSet {
-            PollSet {
-                regs: Vec::new(),
-                scratch: Vec::new(),
+    #[cfg(any(test, not(target_os = "linux")))]
+    pub use portable::PollSet;
+
+    #[cfg(any(test, not(target_os = "linux")))]
+    mod portable {
+        use super::*;
+        use std::os::raw::c_ulong;
+
+        #[repr(C)]
+        struct PollFd {
+            fd: c_int,
+            events: i16,
+            revents: i16,
+        }
+
+        const POLLIN: i16 = 0x001;
+        const POLLOUT: i16 = 0x004;
+        const POLLERR: i16 = 0x008;
+        const POLLHUP: i16 = 0x010;
+        const POLLNVAL: i16 = 0x020;
+
+        extern "C" {
+            fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+        }
+
+        /// Portable `poll(2)` backend: the registration list is mirrored in
+        /// a `Vec` and rebuilt into a `pollfd` array per wait (O(n) per
+        /// wakeup, fine into the tens of thousands of fds this server
+        /// targets).
+        pub struct PollSet {
+            regs: Vec<(RawFd, usize, Interest)>,
+            scratch: Vec<PollFd>,
+        }
+
+        impl PollSet {
+            /// An empty registration list; never fails.
+            pub fn new() -> io::Result<PollSet> {
+                Ok(PollSet {
+                    regs: Vec::new(),
+                    scratch: Vec::new(),
+                })
             }
-        }
 
-        fn position(&self, fd: RawFd) -> io::Result<usize> {
-            self.regs
-                .iter()
-                .position(|(f, _, _)| *f == fd)
-                .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
-        }
-
-        pub fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-            if self.position(fd).is_ok() {
-                return Err(io::Error::new(
-                    io::ErrorKind::AlreadyExists,
-                    "fd already registered",
-                ));
+            fn position(&self, fd: RawFd) -> io::Result<usize> {
+                self.regs
+                    .iter()
+                    .position(|(f, _, _)| *f == fd)
+                    .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
             }
-            self.regs.push((fd, token, interest));
-            Ok(())
-        }
 
-        pub fn modify(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-            let i = self.position(fd)?;
-            self.regs[i] = (fd, token, interest);
-            Ok(())
-        }
-
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-            let i = self.position(fd)?;
-            self.regs.swap_remove(i);
-            Ok(())
-        }
-
-        pub fn wait(
-            &mut self,
-            events: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<()> {
-            events.clear();
-            self.scratch.clear();
-            for &(fd, _, interest) in &self.regs {
-                let mut ev = 0i16;
-                if interest.readable {
-                    ev |= POLLIN;
+            /// Add `fd` to the readiness set.
+            pub fn register(
+                &mut self,
+                fd: RawFd,
+                token: usize,
+                interest: Interest,
+            ) -> io::Result<()> {
+                if self.position(fd).is_ok() {
+                    return Err(io::Error::new(
+                        io::ErrorKind::AlreadyExists,
+                        "fd already registered",
+                    ));
                 }
-                if interest.writable {
-                    ev |= POLLOUT;
-                }
-                self.scratch.push(PollFd {
-                    fd,
-                    events: ev,
-                    revents: 0,
-                });
+                self.regs.push((fd, token, interest));
+                Ok(())
             }
-            let n = unsafe {
-                poll(
-                    self.scratch.as_mut_ptr(),
-                    self.scratch.len() as c_ulong,
-                    timeout_ms(timeout),
-                )
-            };
-            if n < 0 {
-                let err = io::Error::last_os_error();
-                if err.kind() == io::ErrorKind::Interrupted {
+
+            /// Change an existing registration's interest.
+            pub fn modify(
+                &mut self,
+                fd: RawFd,
+                token: usize,
+                interest: Interest,
+            ) -> io::Result<()> {
+                let i = self.position(fd)?;
+                self.regs[i] = (fd, token, interest);
+                Ok(())
+            }
+
+            /// Remove `fd` from the readiness set.
+            pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+                let i = self.position(fd)?;
+                self.regs.swap_remove(i);
+                Ok(())
+            }
+
+            /// Block until at least one fd is ready or `timeout` elapses,
+            /// filling `events`. `EINTR` returns cleanly with zero events.
+            pub fn wait(
+                &mut self,
+                events: &mut Vec<Event>,
+                timeout: Option<Duration>,
+            ) -> io::Result<()> {
+                events.clear();
+                self.scratch.clear();
+                for &(fd, _, interest) in &self.regs {
+                    let mut ev = 0i16;
+                    if interest.readable {
+                        ev |= POLLIN;
+                    }
+                    if interest.writable {
+                        ev |= POLLOUT;
+                    }
+                    self.scratch.push(PollFd {
+                        fd,
+                        events: ev,
+                        revents: 0,
+                    });
+                }
+                // SAFETY: `scratch` holds `scratch.len()` initialized
+                // `pollfd`s; the kernel writes only their `revents`.
+                let n = unsafe {
+                    poll(
+                        self.scratch.as_mut_ptr(),
+                        self.scratch.len() as c_ulong,
+                        timeout_ms(timeout),
+                    )
+                };
+                if wait_result(n)? == 0 {
                     return Ok(());
                 }
-                return Err(err);
-            }
-            for (i, pfd) in self.scratch.iter().enumerate() {
-                if pfd.revents == 0 {
-                    continue;
+                for (pfd, &(_, token, _)) in self.scratch.iter().zip(&self.regs) {
+                    if pfd.revents == 0 {
+                        continue;
+                    }
+                    events.push(Event {
+                        token,
+                        readable: pfd.revents & (POLLIN | POLLHUP) != 0,
+                        hangup: pfd.revents & (POLLHUP | POLLERR | POLLNVAL) != 0,
+                    });
                 }
-                let (_, token, _) = self.regs[i];
-                events.push(Event {
-                    token,
-                    readable: pfd.revents & (POLLIN | POLLHUP) != 0,
-                    writable: pfd.revents & POLLOUT != 0,
-                    hangup: pfd.revents & (POLLHUP | POLLERR | POLLNVAL) != 0,
-                });
+                Ok(())
             }
-            Ok(())
         }
     }
 
@@ -247,6 +286,7 @@ mod sys {
         }
 
         impl Epoll {
+            /// A fresh epoll instance.
             pub fn new() -> io::Result<Epoll> {
                 let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
                 Ok(Epoll {
@@ -278,6 +318,7 @@ mod sys {
                 cvt(unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) }).map(|_| ())
             }
 
+            /// Add `fd` to the readiness set.
             pub fn register(
                 &mut self,
                 fd: RawFd,
@@ -287,6 +328,7 @@ mod sys {
                 self.ctl(EPOLL_CTL_ADD, fd, token, interest)
             }
 
+            /// Change an existing registration's interest.
             pub fn modify(
                 &mut self,
                 fd: RawFd,
@@ -296,11 +338,14 @@ mod sys {
                 self.ctl(EPOLL_CTL_MOD, fd, token, interest)
             }
 
+            /// Remove `fd` from the readiness set.
             pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
                 let mut ev = EpollEvent { events: 0, data: 0 };
                 cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) }).map(|_| ())
             }
 
+            /// Block until at least one fd is ready or `timeout` elapses,
+            /// filling `events`. `EINTR` returns cleanly with zero events.
             pub fn wait(
                 &mut self,
                 events: &mut Vec<Event>,
@@ -309,6 +354,8 @@ mod sys {
                 events.clear();
                 self.scratch.clear();
                 self.scratch.reserve(1024);
+                // SAFETY: `reserve(1024)` above leaves room for the at most
+                // 1024 events the kernel writes.
                 let n = unsafe {
                     epoll_wait(
                         self.epfd,
@@ -317,21 +364,14 @@ mod sys {
                         timeout_ms(timeout),
                     )
                 };
-                if n < 0 {
-                    let err = io::Error::last_os_error();
-                    if err.kind() == io::ErrorKind::Interrupted {
-                        return Ok(());
-                    }
-                    return Err(err);
-                }
+                let n = wait_result(n)?;
                 // SAFETY: the kernel initialized the first `n` entries.
-                unsafe { self.scratch.set_len(n as usize) };
+                unsafe { self.scratch.set_len(n) };
                 for e in &self.scratch {
                     let bits = e.events;
                     events.push(Event {
                         token: e.data as usize,
                         readable: bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0,
-                        writable: bits & EPOLLOUT != 0,
                         hangup: bits & (EPOLLHUP | EPOLLERR) != 0,
                     });
                 }
@@ -353,7 +393,7 @@ mod sys {
 
     /// The write end of the self-pipe; lives in the server's shared state
     /// so worker threads (and `ServerHandle::shutdown`) can interrupt a
-    /// blocked [`super::Poller::wait`].
+    /// blocked `Poller::wait`.
     pub struct Waker {
         fd: RawFd,
     }
@@ -463,12 +503,33 @@ mod sys {
     }
 }
 
-#[cfg(unix)]
-pub use sys::{raise_nofile_limit, wake_pair, WakeReader, Waker};
-
 #[cfg(not(unix))]
 mod sys_stub {
+    use super::Event;
     use std::io;
+    use std::time::Duration;
+
+    fn unsupported() -> io::Error {
+        io::Error::new(
+            io::ErrorKind::Unsupported,
+            "event-driven server core requires a unix poll(2)/epoll(7) backend",
+        )
+    }
+
+    /// Uninhabited off unix: [`Poller::new`] always fails.
+    pub enum Poller {}
+
+    impl Poller {
+        /// Always [`io::ErrorKind::Unsupported`] off unix.
+        pub fn new() -> io::Result<Poller> {
+            Err(unsupported())
+        }
+
+        /// Unreachable: no `Poller` exists off unix.
+        pub fn wait(&mut self, _: &mut Vec<Event>, _: Option<Duration>) -> io::Result<()> {
+            match *self {}
+        }
+    }
 
     /// Stub waker for platforms without the unix backend.
     pub struct Waker;
@@ -493,10 +554,7 @@ mod sys_stub {
 
     /// Always [`io::ErrorKind::Unsupported`] off unix.
     pub fn wake_pair() -> io::Result<(Waker, WakeReader)> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "event-driven server core requires a unix poll(2)/epoll(7) backend",
-        ))
+        Err(unsupported())
     }
 
     /// No rlimit handling off Linux.
@@ -505,129 +563,108 @@ mod sys_stub {
     }
 }
 
-#[cfg(not(unix))]
-pub use sys_stub::{raise_nofile_limit, wake_pair, WakeReader, Waker};
+#[cfg(all(test, unix))]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::os::unix::io::AsRawFd;
+    use std::time::{Duration, Instant};
 
-/// The readiness set: register fds with a token + interest, wait for
-/// events. Backend chosen at construction.
-pub enum Poller {
-    /// Linux `epoll(7)`.
-    #[cfg(target_os = "linux")]
-    Epoll(sys::Epoll),
-    /// Portable POSIX `poll(2)`.
-    #[cfg(unix)]
-    Poll(sys::PollSet),
-    /// Unsupported platform placeholder (constructor never yields this
-    /// without erroring first).
-    #[cfg(not(unix))]
-    Unsupported,
-}
+    /// A connected loopback pair: the client end, and the accepted end in
+    /// nonblocking mode, as the event loop holds its sockets.
+    fn tcp_pair(listener: &TcpListener) -> (TcpStream, TcpStream) {
+        let client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        server.set_nonblocking(true).expect("nonblocking");
+        (client, server)
+    }
 
-impl Poller {
-    /// Pick the best available backend: epoll on Linux (unless
-    /// `PQO_FORCE_POLL=1` requests the portable backend, which CI uses to
-    /// cover both), `poll(2)` on other unix.
-    pub fn new() -> io::Result<Poller> {
+    const NONE: [(usize, bool, bool); 0] = [];
+
+    /// One readiness contract, one test per backend: the event loop relies
+    /// on exactly these answers from whichever backend the platform picks.
+    macro_rules! readiness_contract {
+        ($($(#[$cfg:meta])* $test:ident: $backend:ty,)*) => {$(
+            $(#[$cfg])*
+            #[test]
+            fn $test() {
+                let mut p = <$backend>::new().expect("backend");
+                // `(token, readable, hangup)` of each event of one wait.
+                let wait = |p: &mut $backend, ms: u64| {
+                    let mut events = Vec::new();
+                    p.wait(&mut events, Some(Duration::from_millis(ms))).expect("wait");
+                    events
+                        .iter()
+                        .map(|e| (e.token, e.readable, e.hangup))
+                        .collect::<Vec<_>>()
+                };
+                let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+                let (mut a1, mut b1) = tcp_pair(&listener);
+                let (mut a2, b2) = tcp_pair(&listener);
+                let (fd1, fd2) = (b1.as_raw_fd(), b2.as_raw_fd());
+                p.register(fd1, 1, Interest::READ).expect("register 1");
+                p.register(fd2, 2, Interest::READ).expect("register 2");
+
+                // Idle: the wait times out with no event.
+                let t0 = Instant::now();
+                assert_eq!(wait(&mut p, 30), NONE);
+                assert!(t0.elapsed() < Duration::from_secs(5), "the timeout did not return");
+
+                // Peer bytes: readable, under the registered token, and
+                // again on the next wait while they stay unread.
+                a1.write_all(b"ping").unwrap();
+                assert_eq!(wait(&mut p, 1000), [(1, true, false)]);
+                assert_eq!(wait(&mut p, 1000), [(1, true, false)], "not level-triggered");
+                let mut buf = [0u8; 16];
+                assert_eq!(b1.read(&mut buf).unwrap(), 4);
+                assert_eq!(wait(&mut p, 30), NONE);
+
+                // Write-only interest: an event that is write readiness,
+                // not readable although bytes are pending.
+                a1.write_all(b"x").unwrap();
+                let write_only = Interest { readable: false, writable: true };
+                p.modify(fd1, 1, write_only).expect("modify");
+                assert_eq!(wait(&mut p, 1000), [(1, false, false)]);
+
+                // Peer FIN: readable, and the read after the pending byte
+                // returns 0.
+                p.modify(fd1, 1, Interest::READ).expect("modify back");
+                drop(a1);
+                assert_eq!(wait(&mut p, 1000), [(1, true, false)]);
+                assert_eq!(b1.read(&mut buf).unwrap(), 1);
+                assert_eq!(b1.read(&mut buf).unwrap(), 0, "EOF after the FIN");
+
+                // Deregistered: no event although bytes are pending.
+                p.deregister(fd1).expect("deregister 1");
+                a2.write_all(b"zz").unwrap();
+                assert_eq!(wait(&mut p, 1000), [(2, true, false)]);
+                p.deregister(fd2).expect("deregister 2");
+                assert_eq!(wait(&mut p, 30), NONE);
+
+                // Double registration, and a change to an unknown fd, fail.
+                p.register(fd2, 2, Interest::READ).expect("re-register");
+                assert!(p.register(fd2, 2, Interest::READ).is_err(), "double register");
+                assert!(p.modify(fd1, 1, Interest::READ).is_err(), "modify unknown fd");
+                assert!(p.deregister(fd1).is_err(), "deregister unknown fd");
+                p.deregister(fd2).expect("deregister 2 again");
+
+                // The waker: its fd turns readable, and `drain` clears it.
+                let (waker, reader) = wake_pair().expect("self-pipe");
+                p.register(reader.fd(), 9, Interest::READ).expect("register waker");
+                assert_eq!(wait(&mut p, 30), NONE);
+                waker.wake();
+                waker.wake();
+                assert_eq!(wait(&mut p, 1000), [(9, true, false)]);
+                reader.drain();
+                assert_eq!(wait(&mut p, 30), NONE);
+            }
+        )*};
+    }
+
+    readiness_contract! {
         #[cfg(target_os = "linux")]
-        {
-            if std::env::var_os("PQO_FORCE_POLL").is_none_or(|v| v != "1") {
-                return Ok(Poller::Epoll(sys::Epoll::new()?));
-            }
-        }
-        #[cfg(unix)]
-        {
-            Ok(Poller::Poll(sys::PollSet::new()))
-        }
-        #[cfg(not(unix))]
-        {
-            Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "event-driven server core requires a unix poll(2)/epoll(7) backend",
-            ))
-        }
+        epoll_meets_the_readiness_contract: sys::Epoll,
+        poll_meets_the_readiness_contract: sys::PollSet,
     }
-
-    /// The backend's name, for logs and the serve banner.
-    pub fn backend(&self) -> &'static str {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(_) => "epoll",
-            #[cfg(unix)]
-            Poller::Poll(_) => "poll",
-            #[cfg(not(unix))]
-            Poller::Unsupported => "unsupported",
-        }
-    }
-
-    /// Add `fd` to the readiness set.
-    ///
-    /// # Errors
-    /// Propagates the backend's registration failure.
-    pub fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.register(fd, token, interest),
-            #[cfg(unix)]
-            Poller::Poll(p) => p.register(fd, token, interest),
-            #[cfg(not(unix))]
-            Poller::Unsupported => unsupported(),
-        }
-    }
-
-    /// Change an existing registration's interest.
-    ///
-    /// # Errors
-    /// Propagates the backend's failure (e.g. the fd is not registered).
-    pub fn modify(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.modify(fd, token, interest),
-            #[cfg(unix)]
-            Poller::Poll(p) => p.modify(fd, token, interest),
-            #[cfg(not(unix))]
-            Poller::Unsupported => unsupported(),
-        }
-    }
-
-    /// Remove `fd` from the readiness set.
-    ///
-    /// # Errors
-    /// Propagates the backend's failure (e.g. the fd is not registered).
-    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.deregister(fd),
-            #[cfg(unix)]
-            Poller::Poll(p) => p.deregister(fd),
-            #[cfg(not(unix))]
-            Poller::Unsupported => unsupported(),
-        }
-    }
-
-    /// Block until at least one fd is ready or `timeout` elapses, filling
-    /// `events`. `EINTR` returns cleanly with zero events.
-    ///
-    /// # Errors
-    /// Hard backend failures only.
-    pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.wait(events, timeout),
-            #[cfg(unix)]
-            Poller::Poll(p) => p.wait(events, timeout),
-            #[cfg(not(unix))]
-            Poller::Unsupported => {
-                let _ = (events, timeout);
-                unsupported()
-            }
-        }
-    }
-}
-
-#[cfg(not(unix))]
-fn unsupported() -> io::Result<()> {
-    Err(io::Error::new(
-        io::ErrorKind::Unsupported,
-        "event-driven server core requires a unix poll(2)/epoll(7) backend",
-    ))
 }

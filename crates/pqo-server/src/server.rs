@@ -6,8 +6,9 @@
 //! # Concurrency model
 //!
 //! One event-loop thread owns the nonblocking listener and every accepted
-//! socket, registered in a readiness set ([`crate::poller`]: `epoll` on
-//! Linux, `poll(2)` elsewhere). Per-connection state machines
+//! socket, registered in a readiness set (the crate-private `poller`:
+//! `epoll` on Linux, `poll(2)` on other unix, picked by the platform).
+//! Per-connection state machines
 //! ([`crate::conn`]) reassemble frames from whatever fragments the socket
 //! yields and buffer writebacks. A `GET_PLAN` that the published generation
 //! answers — the paper's common case — is served on that thread, where it

@@ -11,14 +11,13 @@
 //! The split `GET_PLAN` path — hits answered on the event-loop thread,
 //! misses finished by the pool — is held to the same oracle under
 //! pipelining, counted (no hit reaches the pool, a miss is decided once),
-//! and shown not to stall behind a blocked worker, on both poller backends;
-//! the codec's one-call-per-frame contract and the client's buffered reads
+//! and shown not to stall behind a blocked worker; the codec's one-call-per-frame contract and the client's buffered reads
 //! are driven against hand-scripted peers.
 
 use std::io::{IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -70,23 +69,6 @@ fn service_at(ids: &[&str], lambda: f64) -> Arc<PqoService> {
             .expect("fresh template registers");
     }
     service
-}
-
-/// Run `scenario` once per poller backend. The backend is chosen by the
-/// process-global `PQO_FORCE_POLL` when a server's loop thread starts, so
-/// the scenarios that flip it are serialized and each holds its setting
-/// until its servers have been joined.
-fn on_both_backends(scenario: impl Fn()) {
-    static ENV: Mutex<()> = Mutex::new(());
-    for force_poll in [false, true] {
-        let _env = ENV.lock().unwrap_or_else(|e| e.into_inner());
-        if force_poll {
-            std::env::set_var("PQO_FORCE_POLL", "1");
-        } else {
-            std::env::remove_var("PQO_FORCE_POLL");
-        }
-        scenario();
-    }
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -530,107 +512,103 @@ fn get_plan_frame(out: &mut Vec<u8>, id: &str, q: &QueryInstance) {
 /// stream answers.
 #[test]
 fn pipelined_hits_and_misses_keep_order_and_generations() {
-    on_both_backends(|| {
-        let id = "tpcds_G_d3";
-        let server = PqoServer::bind(fresh_service(&[id]), "127.0.0.1:0", ServerConfig::default())
-            .expect("bind loopback");
-        let oracle = fresh_service(&[id]);
+    let id = "tpcds_G_d3";
+    let server = PqoServer::bind(fresh_service(&[id]), "127.0.0.1:0", ServerConfig::default())
+        .expect("bind loopback");
+    let oracle = fresh_service(&[id]);
 
-        // Three instances that each miss a cache holding the ones before.
-        let probe = fresh_service(&[id]);
-        let misses: Vec<QueryInstance> = spec_for(id)
-            .generate(400, 4242)
-            .into_iter()
-            .filter(|q| probe.get_plan(id, q).expect("probe serves").optimized)
-            .take(3)
-            .collect();
-        let [warm, m1, m2] = &misses[..] else {
-            panic!("the stream holds fewer than three misses");
-        };
+    // Three instances that each miss a cache holding the ones before.
+    let probe = fresh_service(&[id]);
+    let misses: Vec<QueryInstance> = spec_for(id)
+        .generate(400, 4242)
+        .into_iter()
+        .filter(|q| probe.get_plan(id, q).expect("probe serves").optimized)
+        .take(3)
+        .collect();
+    let [warm, m1, m2] = &misses[..] else {
+        panic!("the stream holds fewer than three misses");
+    };
 
-        let mut stream = TcpStream::connect(server.local_addr()).expect("connects");
-        stream.set_nodelay(true).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let mut frame = Vec::new();
-        let mut exchange = |burst: &[&QueryInstance], optimized: &[bool]| {
-            let mut segment = Vec::new();
-            for q in burst {
-                get_plan_frame(&mut segment, id, q);
-            }
-            stream.write_all(&segment).expect("burst written");
-            for (i, (q, &optimized)) in burst.iter().zip(optimized).enumerate() {
-                assert!(
-                    wire::read_frame(&mut stream, wire::DEFAULT_MAX_FRAME_BYTES, &mut frame)
-                        .expect("response arrives")
-                );
-                let Response::Plan(got) = decode_response(&frame).expect("decodes") else {
-                    panic!("request {i} was not answered with PLAN");
-                };
-                let (want, generation) = oracle
-                    .get_plan_with_generation(id, q)
-                    .expect("oracle serves");
-                assert_eq!(
-                    got.optimized, optimized,
-                    "request {i}: not the case under test"
-                );
-                assert_eq!(
-                    (got.fingerprint, got.optimized, got.generation),
-                    (want.plan.fingerprint().0, want.optimized, generation),
-                    "request {i} diverged from the in-process stream"
-                );
-            }
-        };
-        exchange(&[warm], &[true]);
-        exchange(&[warm, m1, m1, warm], &[false, true, false, false]);
-        exchange(&[m2, m2, warm, m1], &[true, false, false, false]);
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connects");
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut frame = Vec::new();
+    let mut exchange = |burst: &[&QueryInstance], optimized: &[bool]| {
+        let mut segment = Vec::new();
+        for q in burst {
+            get_plan_frame(&mut segment, id, q);
+        }
+        stream.write_all(&segment).expect("burst written");
+        for (i, (q, &optimized)) in burst.iter().zip(optimized).enumerate() {
+            assert!(
+                wire::read_frame(&mut stream, wire::DEFAULT_MAX_FRAME_BYTES, &mut frame)
+                    .expect("response arrives")
+            );
+            let Response::Plan(got) = decode_response(&frame).expect("decodes") else {
+                panic!("request {i} was not answered with PLAN");
+            };
+            let (want, generation) = oracle
+                .get_plan_with_generation(id, q)
+                .expect("oracle serves");
+            assert_eq!(
+                got.optimized, optimized,
+                "request {i}: not the case under test"
+            );
+            assert_eq!(
+                (got.fingerprint, got.optimized, got.generation),
+                (want.plan.fingerprint().0, want.optimized, generation),
+                "request {i} diverged from the in-process stream"
+            );
+        }
+    };
+    exchange(&[warm], &[true]);
+    exchange(&[warm, m1, m1, warm], &[false, true, false, false]);
+    exchange(&[m2, m2, warm, m1], &[true, false, false, false]);
 
-        server.shutdown();
-        server.join();
-    });
+    server.shutdown();
+    server.join();
 }
 
 /// No hit reaches the pool, and each costs the loop one wake-up.
 #[test]
 fn hits_are_answered_without_the_pool() {
-    on_both_backends(|| {
-        let id = "tpch_skew_A_d2";
-        let config = ServerConfig::default();
-        let poll_interval = config.poll_interval;
-        let server =
-            PqoServer::bind(fresh_service(&[id]), "127.0.0.1:0", config).expect("bind loopback");
-        let mut client = PqoClient::connect(server.local_addr()).expect("connects");
-        let warm = spec_for(id).generate(24, 77);
-        for q in &warm {
-            client.get_plan(id, &q.values).expect("warm-up served");
-        }
+    let id = "tpch_skew_A_d2";
+    let config = ServerConfig::default();
+    let poll_interval = config.poll_interval;
+    let server =
+        PqoServer::bind(fresh_service(&[id]), "127.0.0.1:0", config).expect("bind loopback");
+    let mut client = PqoClient::connect(server.local_addr()).expect("connects");
+    let warm = spec_for(id).generate(24, 77);
+    for q in &warm {
+        client.get_plan(id, &q.values).expect("warm-up served");
+    }
 
-        let before = server.stats();
-        let start = Instant::now();
-        for i in 0..2000 {
-            let choice = client
-                .get_plan(id, &warm[i % warm.len()].values)
-                .expect("hit served");
-            assert!(!choice.optimized, "request {i} is a repeat");
-        }
-        let ticks = (start.elapsed().as_nanos() / poll_interval.as_nanos()) as u64;
-        let after = server.stats();
-        assert_eq!(after.frames_served - before.frames_served, 2000);
-        assert_eq!(after.plans_served - before.plans_served, 2000);
-        assert_eq!(
-            after.pool_frames, before.pool_frames,
-            "a cache hit was handed to the worker pool"
-        );
-        let wakeups = after.poll_wakeups - before.poll_wakeups;
-        assert!(
-            wakeups <= 2000 + 16 + ticks,
-            "{wakeups} wake-ups for 2000 frames ({ticks} idle ticks)"
-        );
+    let before = server.stats();
+    let start = Instant::now();
+    for i in 0..2000 {
+        let choice = client
+            .get_plan(id, &warm[i % warm.len()].values)
+            .expect("hit served");
+        assert!(!choice.optimized, "request {i} is a repeat");
+    }
+    let ticks = (start.elapsed().as_nanos() / poll_interval.as_nanos()) as u64;
+    let after = server.stats();
+    assert_eq!(after.frames_served - before.frames_served, 2000);
+    assert_eq!(after.plans_served - before.plans_served, 2000);
+    assert_eq!(
+        after.pool_frames, before.pool_frames,
+        "a cache hit was handed to the worker pool"
+    );
+    let wakeups = after.poll_wakeups - before.poll_wakeups;
+    assert!(
+        wakeups <= 2000 + 16 + ticks,
+        "{wakeups} wake-ups for 2000 frames ({ticks} idle ticks)"
+    );
 
-        server.shutdown();
-        server.join();
-    });
+    server.shutdown();
+    server.join();
 }
 
 /// A miss is decided once: the loop's decide is carried to the worker, not
@@ -638,50 +616,48 @@ fn hits_are_answered_without_the_pool() {
 /// sequential [`Scr`], which has no halves to decide twice in.
 #[test]
 fn a_miss_heavy_stream_is_decided_once_per_instance() {
-    on_both_backends(|| {
-        let id = "tpcds_G_d3";
-        let lambda = 1.05;
-        let server = PqoServer::bind(
-            service_at(&[id], lambda),
-            "127.0.0.1:0",
-            ServerConfig::default(),
-        )
-        .expect("bind loopback");
-        let engine = QueryEngine::new(Arc::clone(&spec_for(id).template));
-        let mut oracle = Scr::with_config(ScrConfig::new(lambda).unwrap()).unwrap();
-        let mut client = PqoClient::connect(server.local_addr()).expect("connects");
-        for q in spec_for(id).generate(300, 5150) {
-            let got = client.get_plan(id, &q.values).expect("served");
-            let want = oracle.get_plan(&q, &engine.compute_svector(&q), &engine);
-            assert_eq!(got.optimized, want.optimized);
-        }
-        let got = client.stats(id).expect("stats served");
-        let want = oracle.stats();
-        assert!(
-            want.optimizer_calls >= 100,
-            "not miss-heavy: {} optimizer calls",
-            want.optimizer_calls
-        );
-        assert_eq!(
-            (
-                got.selectivity_hits,
-                got.cost_hits,
-                got.optimizer_calls,
-                got.getplan_recost_calls
-            ),
-            (
-                want.selectivity_hits,
-                want.cost_hits,
-                want.optimizer_calls,
-                want.getplan_recost_calls
-            ),
-            "the wire path did not decide what the sequential technique decides"
-        );
+    let id = "tpcds_G_d3";
+    let lambda = 1.05;
+    let server = PqoServer::bind(
+        service_at(&[id], lambda),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .expect("bind loopback");
+    let engine = QueryEngine::new(Arc::clone(&spec_for(id).template));
+    let mut oracle = Scr::with_config(ScrConfig::new(lambda).unwrap()).unwrap();
+    let mut client = PqoClient::connect(server.local_addr()).expect("connects");
+    for q in spec_for(id).generate(300, 5150) {
+        let got = client.get_plan(id, &q.values).expect("served");
+        let want = oracle.get_plan(&q, &engine.compute_svector(&q), &engine);
+        assert_eq!(got.optimized, want.optimized);
+    }
+    let got = client.stats(id).expect("stats served");
+    let want = oracle.stats();
+    assert!(
+        want.optimizer_calls >= 100,
+        "not miss-heavy: {} optimizer calls",
+        want.optimizer_calls
+    );
+    assert_eq!(
+        (
+            got.selectivity_hits,
+            got.cost_hits,
+            got.optimizer_calls,
+            got.getplan_recost_calls
+        ),
+        (
+            want.selectivity_hits,
+            want.cost_hits,
+            want.optimizer_calls,
+            want.getplan_recost_calls
+        ),
+        "the wire path did not decide what the sequential technique decides"
+    );
 
-        drop(client);
-        server.shutdown();
-        server.join();
-    });
+    drop(client);
+    server.shutdown();
+    server.join();
 }
 
 /// A replica whose primary accepts connections and never answers: a miss
@@ -689,67 +665,65 @@ fn a_miss_heavy_stream_is_decided_once_per_instance() {
 /// hit on another connection is answered by the loop thread.
 #[test]
 fn hits_are_served_while_a_miss_waits_on_a_dead_primary() {
-    on_both_backends(|| {
-        let id = "tpch_skew_A_d2";
-        let silent_primary = TcpListener::bind("127.0.0.1:0").expect("bind silent primary");
-        let service = fresh_service(&[id]);
-        let stream = spec_for(id).generate(200, 31337);
-        let (warm, rest) = stream.split_at(40);
-        for q in warm {
-            service.get_plan(id, q).expect("warmed in process");
+    let id = "tpch_skew_A_d2";
+    let silent_primary = TcpListener::bind("127.0.0.1:0").expect("bind silent primary");
+    let service = fresh_service(&[id]);
+    let stream = spec_for(id).generate(200, 31337);
+    let (warm, rest) = stream.split_at(40);
+    for q in warm {
+        service.get_plan(id, q).expect("warmed in process");
+    }
+    let cold = rest
+        .iter()
+        .find(|q| matches!(service.serve_cached(id, q), Ok(Cached::Miss(_))))
+        .expect("the stream leaves the warm region somewhere");
+    let replica = PqoServer::bind(
+        service,
+        "127.0.0.1:0",
+        ServerConfig {
+            replica_of: Some(silent_primary.local_addr().unwrap().to_string()),
+            read_timeout: Duration::from_millis(1500),
+            poll_interval: Duration::from_millis(10),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind replica");
+    let addr = replica.local_addr();
+
+    std::thread::scope(|scope| {
+        let mut a = PqoClient::connect(addr).expect("A connects");
+        let miss = scope.spawn(move || a.get_plan(id, &cold.values));
+        // Let the miss reach its worker before B starts.
+        while replica.stats().pool_frames < 2 {
+            std::thread::sleep(Duration::from_millis(1));
         }
-        let cold = rest
-            .iter()
-            .find(|q| matches!(service.serve_cached(id, q), Ok(Cached::Miss(_))))
-            .expect("the stream leaves the warm region somewhere");
-        let replica = PqoServer::bind(
-            service,
-            "127.0.0.1:0",
-            ServerConfig {
-                replica_of: Some(silent_primary.local_addr().unwrap().to_string()),
-                read_timeout: Duration::from_millis(1500),
-                poll_interval: Duration::from_millis(10),
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind replica");
-        let addr = replica.local_addr();
-
-        std::thread::scope(|scope| {
-            let mut a = PqoClient::connect(addr).expect("A connects");
-            let miss = scope.spawn(move || a.get_plan(id, &cold.values));
-            // Let the miss reach its worker before B starts.
-            while replica.stats().pool_frames < 2 {
-                std::thread::sleep(Duration::from_millis(1));
+        let mut b = PqoClient::connect(addr).expect("B connects");
+        for i in 0..500 {
+            let t0 = Instant::now();
+            let choice = b
+                .get_plan(id, &warm[i % warm.len()].values)
+                .expect("hit served while the miss waits");
+            assert!(!choice.optimized);
+            assert!(
+                t0.elapsed() < Duration::from_millis(50),
+                "hit {i} took {:?} beside a blocked worker",
+                t0.elapsed()
+            );
+        }
+        assert!(!miss.is_finished(), "the miss did not wait on the primary");
+        match miss.join().expect("A's thread") {
+            Err(ClientError::Server { code: c, .. }) => {
+                assert_eq!(c, code::PRIMARY_UNREACHABLE)
             }
-            let mut b = PqoClient::connect(addr).expect("B connects");
-            for i in 0..500 {
-                let t0 = Instant::now();
-                let choice = b
-                    .get_plan(id, &warm[i % warm.len()].values)
-                    .expect("hit served while the miss waits");
-                assert!(!choice.optimized);
-                assert!(
-                    t0.elapsed() < Duration::from_millis(50),
-                    "hit {i} took {:?} beside a blocked worker",
-                    t0.elapsed()
-                );
-            }
-            assert!(!miss.is_finished(), "the miss did not wait on the primary");
-            match miss.join().expect("A's thread") {
-                Err(ClientError::Server { code: c, .. }) => {
-                    assert_eq!(c, code::PRIMARY_UNREACHABLE)
-                }
-                other => panic!("a miss with no primary yielded {other:?}"),
-            }
-        });
-
-        // Resets the subscriber's pending handshake, so join does not wait
-        // for its timeout.
-        drop(silent_primary);
-        replica.shutdown();
-        replica.join();
+            other => panic!("a miss with no primary yielded {other:?}"),
+        }
     });
+
+    // Resets the subscriber's pending handshake, so join does not wait
+    // for its timeout.
+    drop(silent_primary);
+    replica.shutdown();
+    replica.join();
 }
 
 /// A `Write` that counts calls and accepts at most `limit` bytes per call.

@@ -9,11 +9,10 @@
 //! byte-identical to a fresh sequential in-process [`PqoService`] oracle,
 //! at a generation lag of at most one. The same guarantee must survive a
 //! replica restart (warm from its flushed snapshot, catching up over the
-//! subscription), and must hold on both poller backends (`epoll` and the
-//! portable `poll(2)` fallback behind `PQO_FORCE_POLL=1`).
+//! subscription).
 
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pqo_core::scr::ScrConfig;
@@ -48,19 +47,6 @@ fn scratch_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
-}
-
-/// The poller backend is selected via the `PQO_FORCE_POLL` environment
-/// variable, which is process-global — serialize the tests that flip it.
-fn backend_guard(force_poll: bool) -> MutexGuard<'static, ()> {
-    static ENV: Mutex<()> = Mutex::new(());
-    let guard = ENV.lock().unwrap_or_else(|e| e.into_inner());
-    if force_poll {
-        std::env::set_var("PQO_FORCE_POLL", "1");
-    } else {
-        std::env::remove_var("PQO_FORCE_POLL");
-    }
-    guard
 }
 
 fn replica_config(primary: std::net::SocketAddr) -> ServerConfig {
@@ -149,7 +135,8 @@ fn await_caught_up(client: &mut PqoClient, id: &str) -> pqo_server::WireStats {
     }
 }
 
-fn fleet_round(per_template: usize, seed: u64) {
+#[test]
+fn replica_fleet_matches_oracle() {
     let ids = ["tpch_skew_A_d2", "tpch_skew_B_d2", "tpcds_G_d3"];
     let primary = PqoServer::bind(
         fresh_service(&ids),
@@ -169,7 +156,7 @@ fn fleet_round(per_template: usize, seed: u64) {
     let workloads: Vec<Vec<pqo_optimizer::template::QueryInstance>> = ids
         .iter()
         .enumerate()
-        .map(|(k, id)| spec_for(id).generate(per_template, seed + k as u64))
+        .map(|(k, id)| spec_for(id).generate(90, 9100 + k as u64))
         .collect();
 
     // Each template's sequential stream flows through one replica (the
@@ -219,25 +206,12 @@ fn fleet_round(per_template: usize, seed: u64) {
     }
 }
 
-#[test]
-fn replica_fleet_matches_oracle() {
-    let _env = backend_guard(false);
-    fleet_round(90, 9100);
-}
-
-#[test]
-fn replica_fleet_matches_oracle_on_poll_backend() {
-    let _env = backend_guard(true);
-    fleet_round(60, 9200);
-}
-
 /// A replica restart mid-stream: the first half of the workload is served,
 /// the replica shuts down gracefully (flushing its applied generation),
 /// restarts warm from that snapshot, catches up over the subscription, and
 /// the second half continues the *same* oracle stream.
 #[test]
 fn replica_restart_preserves_the_stream() {
-    let _env = backend_guard(false);
     let id = "tpch_skew_C_d2";
     let dir = scratch_dir("restart");
     let primary = PqoServer::bind(fresh_service(&[id]), "127.0.0.1:0", ServerConfig::default())

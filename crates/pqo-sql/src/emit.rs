@@ -8,7 +8,9 @@
 //! expressions, grouping columns) are surfaced as comments rather than
 //! invented.
 
-use pqo_optimizer::plan::{Plan, PlanOp};
+use std::fmt::Write as _;
+
+use pqo_optimizer::plan::{arena_children, Plan, PlanOp};
 use pqo_optimizer::template::QueryTemplate;
 
 use crate::dialect::DialectKind;
@@ -27,7 +29,9 @@ pub fn render(
     out.push_str(&format!("-- template: {}\n", template.name));
     out.push_str(&format!("-- dialect: {}\n", dialect.name()));
     out.push_str(&format!("-- plan: {}\n", plan.fingerprint()));
-    out.push_str(&format!("-- join order: {}\n", join_order(plan, template)));
+    out.push_str("-- join order: ");
+    join_order(plan, template, &mut out);
+    out.push('\n');
     for (i, r) in template.relations.iter().enumerate() {
         out.push_str(&format!(
             "-- access {}: {}\n",
@@ -151,37 +155,62 @@ pub fn render(
     out
 }
 
-/// The plan's join order as a nested `(a ⨝ b)` expression over aliases,
-/// built bottom-up on a stack of strings over the postorder arena.
-fn join_order(plan: &Plan, template: &QueryTemplate) -> String {
-    let alias = |rel: usize| {
-        template
-            .relations
-            .get(rel)
-            .map(|r| r.alias.clone())
-            .unwrap_or_else(|| format!("r{rel}"))
+/// One step of [`join_order`]'s preorder walk over the arena.
+enum Step {
+    /// Write node `i`'s subtree.
+    Enter(u32),
+    /// Between join `i`'s outer and its inner: write ` ⨝ ` and the inner.
+    Inner(u32),
+    /// Close a binary join's parenthesis.
+    Close,
+}
+
+/// Append the plan's join order as a nested `(a ⨝ b)` expression over
+/// aliases to `out`, in preorder with an explicit stack: linear in the
+/// plan's size and the output's length, and no recursion however deep the
+/// plan.
+fn join_order(plan: &Plan, template: &QueryTemplate, out: &mut String) {
+    let nodes = plan.nodes();
+    let alias = |rel: usize, out: &mut String| match template.relations.get(rel) {
+        Some(r) => out.push_str(&r.alias),
+        None => {
+            let _ = write!(out, "r{rel}");
+        }
     };
-    let mut stack: Vec<String> = Vec::new();
-    for node in plan.nodes() {
-        let expr = match &node.op {
-            PlanOp::SeqScan { relation }
-            | PlanOp::IndexSeek { relation, .. }
-            | PlanOp::SortedIndexScan { relation, .. } => alias(*relation),
-            PlanOp::HashJoin { .. } | PlanOp::MergeJoin { .. } => {
-                let r = stack.pop().unwrap_or_default();
-                let l = stack.pop().unwrap_or_default();
-                format!("({l} ⨝ {r})")
+    let mut stack = vec![Step::Enter(nodes.len() as u32 - 1)];
+    while let Some(step) = stack.pop() {
+        match step {
+            Step::Enter(i) => match &nodes[i as usize].op {
+                PlanOp::SeqScan { relation }
+                | PlanOp::IndexSeek { relation, .. }
+                | PlanOp::SortedIndexScan { relation, .. } => alias(*relation, out),
+                // The outer is the first child: the last one listed.
+                PlanOp::HashJoin { .. } | PlanOp::MergeJoin { .. } | PlanOp::IndexNlj { .. } => {
+                    out.push('(');
+                    stack.push(Step::Inner(i));
+                    let outer = arena_children(nodes, i as usize).last();
+                    stack.extend(outer.map(|c| Step::Enter(c as u32)));
+                }
+                // Order and aggregation leave the join order as it is.
+                PlanOp::HashAggregate | PlanOp::StreamAggregate | PlanOp::Sort { .. } => {
+                    let child = arena_children(nodes, i as usize).next();
+                    stack.extend(child.map(|c| Step::Enter(c as u32)));
+                }
+            },
+            Step::Inner(i) => {
+                out.push_str(" ⨝ ");
+                if let PlanOp::IndexNlj { inner, .. } = &nodes[i as usize].op {
+                    alias(*inner, out);
+                    out.push(')');
+                } else {
+                    stack.push(Step::Close);
+                    let inner = arena_children(nodes, i as usize).next();
+                    stack.extend(inner.map(|c| Step::Enter(c as u32)));
+                }
             }
-            PlanOp::IndexNlj { inner, .. } => {
-                let l = stack.pop().unwrap_or_default();
-                format!("({l} ⨝ {})", alias(*inner))
-            }
-            // Order and aggregation leave the join order as it is.
-            PlanOp::HashAggregate | PlanOp::StreamAggregate | PlanOp::Sort { .. } => continue,
-        };
-        stack.push(expr);
+            Step::Close => out.push(')'),
+        }
     }
-    stack.pop().unwrap_or_default()
 }
 
 /// Describe how the plan reaches relation `rel`: the first operator in the

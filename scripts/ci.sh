@@ -71,18 +71,20 @@ cargo test -q --offline --release --test spatial_oracle --test decide_alloc \
     --test scratch_identity --test publication_golden --test publish_alloc
 cargo test -q --offline --release -p pqo-optimizer --lib
 
-echo "==> server suites, optimized (loopback + replication, release)"
-# The wire path as it is served: the loopback oracle storm, the split
-# GET_PLAN path's ordering / pool-count / decide-once / dead-primary tests
-# and the replica fleet, under --release, where a timing-dependent
-# interleaving differs most from the debug run above.
-cargo test -q --offline --release -p pqo-server --test loopback --test replication
+echo "==> server suites, optimized (poller contract + loopback + replication, release)"
+# The wire path as it is served: the readiness contract both pollers answer
+# to (epoll, and poll(2), which on Linux is compiled for this test only),
+# the loopback oracle storm, the split GET_PLAN path's ordering /
+# pool-count / decide-once / dead-primary tests and the replica fleet,
+# under --release, where a timing-dependent interleaving differs most from
+# the debug run above.
+cargo test -q --offline --release -p pqo-server --lib --test loopback --test replication
 
-echo "==> microbench smoke (quick mode, includes service/batch throughput)"
-# Running the harness=false bench binaries through `cargo test` omits the
-# --bench flag, so each microbench executes once in quick smoke mode —
-# catching bench bit-rot (and serving-layer wedges like a reader blocking
-# behind the writer lock) without paying for full measurement.
+echo "==> microbench smoke (quick mode: the paper microbenches)"
+# Running the harness=false bench binaries (getplan_checks,
+# recost_vs_optimize, optimizer_scaling, technique_throughput) through
+# `cargo test` omits the --bench flag, so each executes once in quick smoke
+# mode — catching bench bit-rot without paying for full measurement.
 cargo test -q --offline -p pqo-bench --benches
 
 echo "==> network serving smoke (loopback server + client oracle diff)"

@@ -65,9 +65,8 @@ fn cached_path_allocates_nothing_with_a_warm_scratch() {
     // The log form from the first instance on, and the product form always.
     for threshold in [0, usize::MAX] {
         let engine = QueryEngine::new(Arc::clone(&spec.template));
-        let config = ScrConfig::new(1.2)
-            .unwrap()
-            .with_spatial_index_threshold(threshold);
+        let mut config = ScrConfig::new(1.2).unwrap();
+        config.spatial_index_threshold = threshold;
         let mut scr = Scr::with_config(config).unwrap();
         for q in spec.generate(1500, 1) {
             let sv = engine.compute_svector(&q);

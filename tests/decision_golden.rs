@@ -128,10 +128,8 @@ fn jobs() -> Vec<Job> {
             });
         }),
         ("budget-4", 2000, |c| c.plan_budget = Some(4)),
-        ("fetch-1", 2000, |c| {
-            c.max_recost_candidates = 2;
-            c.recost_fetch_factor = 1;
-        }),
+        // Two candidates, in the violation window's floor of 16 rows.
+        ("fetch-1", 2000, |c| c.max_recost_candidates = 2),
         ("no-appendix-g", 2000, |c| c.violation_handling = false),
     ];
     for (name, len, tweak) in variants {

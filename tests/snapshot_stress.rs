@@ -41,11 +41,10 @@ fn snapshot_readers_always_observe_consistent_cache() {
     let service = Arc::new(PqoService::with_global_budget(10).expect("non-zero budget"));
     for id in IDS {
         let spec = spec_for(id);
-        let cfg = ScrConfig::new(LAMBDA)
-            .expect("λ > 1")
-            // Small crossover so the storm exercises the spatial-index read
-            // path, not just the linear scan.
-            .with_spatial_index_threshold(8);
+        let mut cfg = ScrConfig::new(LAMBDA).expect("λ > 1");
+        // Small crossover so the storm exercises the spatial-index read
+        // path, not just the linear scan.
+        cfg.spatial_index_threshold = 8;
         service
             .register(Arc::clone(&spec.template), cfg)
             .expect("fresh template registers");
