@@ -7,7 +7,6 @@
 //! Experiments: fig1 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14
 //!              fig15 fig16 fig17 fig18 fig19 fig20 fig21 tab3 appd appe
 //!              sec73 all — plus extensions appf sec62 sec61 tab3x drift
-//!              policies
 //!
 //! `--quick` runs a reduced corpus (every 6th template) with short
 //! sequences — a smoke mode for CI. Full mode reproduces the paper's scale:
@@ -1171,35 +1170,6 @@ fn drift(h: &Harness) {
 }
 
 // ---------------------------------------------------------------------------
-// Extension: serving-policy comparison — LEC and penalty-aware selection
-// over the SCR substrate against SCR itself and the closest baselines.
-// ---------------------------------------------------------------------------
-fn policies(h: &Harness) {
-    println!("\n=== policies: serving policies over the shared cache substrate (λ = 2) ===");
-    let specs = vec![
-        TechSpec::Scr {
-            lambda: 2.0,
-            budget: None,
-        },
-        TechSpec::Pcm { lambda: 2.0 },
-        TechSpec::Ellipse { delta: 0.9 },
-        TechSpec::Lec { lambda: 2.0 },
-        TechSpec::Penalty { lambda: 2.0 },
-    ];
-    let t = Instant::now();
-    let rows = h.plan(specs).run();
-    eprintln!("[policy run in {:?}]", t.elapsed());
-    let aggs = aggregate_by_technique(&rows);
-    print_aggregates(
-        "policies: MSO / TotalCostRatio / numOpt% by serving policy",
-        &aggs,
-    );
-    h.save("policies", &rows);
-    println!("(extension: SCR keeps the λ guarantee; LEC trades bound tightness for expected");
-    println!(" cost; the penalty policy limits regret against the cached-plan frontier)");
-}
-
-// ---------------------------------------------------------------------------
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -1210,7 +1180,7 @@ fn main() {
         .map(String::as_str)
         .collect();
     if exps.is_empty() {
-        eprintln!("usage: figures [--quick] <fig1|fig6..fig21|tab3|tab3x|appd|appe|sec73|appf|sec62|sec61|drift|policies|all> ...");
+        eprintln!("usage: figures [--quick] <fig1|fig6..fig21|tab3|tab3x|appd|appe|sec73|appf|sec62|sec61|drift|all> ...");
         std::process::exit(2);
     }
     let h = Harness::new(quick);
@@ -1218,7 +1188,7 @@ fn main() {
     let all = [
         "fig1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
         "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "tab3", "appd", "appe",
-        "sec73", "appf", "sec62", "sec61", "tab3x", "drift", "policies",
+        "sec73", "appf", "sec62", "sec61", "tab3x", "drift",
     ];
     let run_list: Vec<&str> = if exps.contains(&"all") {
         all.to_vec()
@@ -1251,7 +1221,6 @@ fn main() {
             "appf" => appf(&h),
             "tab3x" => tab3x(&h),
             "drift" => drift(&h),
-            "policies" => policies(&h),
             "sec62" => sec62(&h),
             "sec61" => sec61(&h),
             other => eprintln!("unknown experiment `{other}` (skipped)"),

@@ -6,7 +6,7 @@
 
 use pqo_core::baselines::{Density, Ellipse, OptimizeAlways, OptimizeOnce, Pcm, Ranges, ReoptBind};
 use pqo_core::scr::{DynamicLambda, Scr, ScrConfig};
-use pqo_core::{OnlinePqo, PolicyId};
+use pqo_core::OnlinePqo;
 
 /// A buildable technique description (cheap to clone; `build` produces a
 /// fresh stateful instance per sequence).
@@ -22,11 +22,6 @@ pub enum TechSpec {
     ScrLambdaR { lambda: f64, lambda_r: f64 },
     /// SCR with the dynamic λ of Appendix D.
     ScrDynamic { lambda_min: f64, lambda_max: f64 },
-    /// Least-expected-cost serving policy over the SCR substrate.
-    Lec { lambda: f64 },
-    /// Minimax-regret (penalty-aware) serving policy over the SCR
-    /// substrate.
-    Penalty { lambda: f64 },
     /// PCM with bound λ.
     Pcm { lambda: f64 },
     /// Ellipse heuristic with threshold Δ.
@@ -99,18 +94,6 @@ impl TechSpec {
                 });
                 Box::new(Scr::with_config(cfg).expect("valid SCR spec"))
             }
-            TechSpec::Lec { lambda } => {
-                let cfg = ScrConfig::new(lambda)
-                    .expect("valid sweep λ")
-                    .with_policy(PolicyId::Lec);
-                Box::new(Scr::with_config(cfg).expect("valid LEC spec"))
-            }
-            TechSpec::Penalty { lambda } => {
-                let cfg = ScrConfig::new(lambda)
-                    .expect("valid sweep λ")
-                    .with_policy(PolicyId::Penalty);
-                Box::new(Scr::with_config(cfg).expect("valid penalty spec"))
-            }
             TechSpec::Pcm { lambda } => Box::new(Pcm::new(lambda)),
             TechSpec::Ellipse { delta } => Box::new(Ellipse::new(delta)),
             TechSpec::Density => Box::new(Density::new(0.1, 0.5)),
@@ -148,8 +131,6 @@ impl TechSpec {
             } => {
                 format!("SCR[{lambda_min},{lambda_max}]")
             }
-            TechSpec::Lec { lambda } => format!("LEC{lambda}"),
-            TechSpec::Penalty { lambda } => format!("PEN{lambda}"),
             TechSpec::Pcm { lambda } => format!("PCM{lambda}"),
             TechSpec::Ellipse { delta } => format!("Ellipse{delta}"),
             TechSpec::Density => "Density".into(),
@@ -199,8 +180,6 @@ mod tests {
                 lambda_min: 1.1,
                 lambda_max: 10.0,
             },
-            TechSpec::Lec { lambda: 2.0 },
-            TechSpec::Penalty { lambda: 2.0 },
             TechSpec::Pcm { lambda: 2.0 },
             TechSpec::Ellipse { delta: 0.7 },
             TechSpec::Density,

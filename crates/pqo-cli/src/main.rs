@@ -10,15 +10,15 @@
 //! pqo cache    --template ID [--lambda X] [--m N]
 //! pqo serve    --template ID [--lambda X] [--m N] [--seed N] [--batch N]
 //! pqo serve    --listen ADDR --template ID[,ID...] [--templates-dir DIR]
-//!              [--lambda X] [--policy scr|lec|penalty] [--snapshot-dir DIR]
+//!              [--lambda X] [--snapshot-dir DIR]
 //!              [--max-conns N] [--workers N]
 //!              [--primary | --replica-of ADDR]
 //! pqo client   --connect ADDR
 //!              [--op plan|run|stats|explain|follow-lag|shutdown|idle]
 //!              [--template ID | --sql-file PATH] [--sel S1,...]
 //!              [--dialect postgres|mysql|duckdb] [--m N] [--seed N]
-//!              [--batch N] [--check BOOL] [--policy scr|lec|penalty]
-//!              [--conns N] [--hold-ms T] [--count N] [--interval-ms T]
+//!              [--batch N] [--check BOOL] [--conns N] [--hold-ms T]
+//!              [--count N] [--interval-ms T]
 //! ```
 
 use std::process::exit;
@@ -79,11 +79,11 @@ fn usage() {
                  [--save-cache FILE] [--load-cache FILE]\n  \
          pqo cache --template ID [--lambda X] [--m N]\n  \
          pqo serve --template ID [--lambda X] [--m N] [--seed N] [--batch N]\n  \
-         pqo serve --listen ADDR --template ID[,ID...] [--templates-dir DIR] [--lambda X] [--policy scr|lec|penalty]\n  \
+         pqo serve --listen ADDR --template ID[,ID...] [--templates-dir DIR] [--lambda X]\n  \
                  [--snapshot-dir DIR] [--max-conns N] [--workers N] [--primary | --replica-of ADDR]\n  \
          pqo client --connect ADDR [--op plan|run|stats|explain|follow-lag|shutdown|idle]\n  \
                  [--template ID | --sql-file PATH] [--sel S1,...] [--dialect postgres|mysql|duckdb]\n  \
-                 [--m N] [--seed N] [--batch N] [--check BOOL] [--policy scr|lec|penalty] [--conns N] [--hold-ms T]\n  \
+                 [--m N] [--seed N] [--batch N] [--check BOOL] [--conns N] [--hold-ms T]\n  \
                  [--count N] [--interval-ms T]"
     );
 }
@@ -116,16 +116,9 @@ pub(crate) fn sels(args: &Args, key: &str, d: usize) -> Result<Vec<f64>, String>
     Ok(v)
 }
 
-/// SCR configuration from CLI flags: λ plus the optional
-/// `--policy scr|lec|penalty` serving-policy selector.
-pub(crate) fn scr_config(args: &Args, lambda: f64) -> Result<pqo_core::scr::ScrConfig, String> {
-    let mut cfg = pqo_core::scr::ScrConfig::new(lambda).map_err(|e| e.to_string())?;
-    if let Some(raw) = args.opt("policy") {
-        let policy = pqo_core::PolicyId::parse(&raw)
-            .ok_or_else(|| format!("--policy: unknown policy `{raw}` (scr|lec|penalty)"))?;
-        cfg = cfg.with_policy(policy);
-    }
-    Ok(cfg)
+/// The paper's SCR configuration for the `--lambda` given.
+pub(crate) fn scr_config(lambda: f64) -> Result<pqo_core::scr::ScrConfig, String> {
+    pqo_core::scr::ScrConfig::new(lambda).map_err(|e| e.to_string())
 }
 
 fn templates(args: &Args) -> Result<(), String> {
@@ -243,7 +236,7 @@ fn run_cmd(args: &Args) -> Result<(), String> {
     };
 
     if tech_name == "scr" {
-        let cfg = scr_config(args, lambda)?;
+        let cfg = scr_config(lambda)?;
         let mut scr = match &load_cache {
             Some(path) => {
                 let mut f = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
@@ -291,7 +284,7 @@ fn cache_cmd(args: &Args) -> Result<(), String> {
     let m: usize = args.parse_or("m", 500)?;
     let instances = spec.generate(m, 42);
     let engine = QueryEngine::new(Arc::clone(&spec.template));
-    let mut scr = Scr::with_config(scr_config(args, lambda)?).map_err(|e| e.to_string())?;
+    let mut scr = Scr::with_config(scr_config(lambda)?).map_err(|e| e.to_string())?;
     for inst in &instances {
         let sv = engine.compute_svector(inst);
         let _ = scr.get_plan(inst, &sv, &engine);
@@ -355,7 +348,7 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
 
     let service = pqo_core::PqoService::new();
     service
-        .register(Arc::clone(&spec.template), scr_config(args, lambda)?)
+        .register(Arc::clone(&spec.template), scr_config(lambda)?)
         .map_err(|e| e.to_string())?;
 
     let instances = spec.generate(m, seed);

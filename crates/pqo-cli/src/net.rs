@@ -5,10 +5,9 @@
 //! The serve side registers one plan cache per `--template` id (comma
 //! separated) and one per `.sql` file under `--templates-dir` (compiled by
 //! `pqo-sql`, named by file stem, bound against the catalog its
-//! `-- pqo:catalog` directive declares) under the serving policy selected
-//! by `--policy` (SCR by default), warm-restarts each from
+//! `-- pqo:catalog` directive declares), warm-restarts each from
 //! `--snapshot-dir` when a prior snapshot exists (refusing snapshots
-//! written under a different policy), and prints a per-template counter
+//! written under a retired serving policy), and prints a per-template counter
 //! summary after a graceful shutdown (triggered by a client's `SHUTDOWN`
 //! frame). With `--replica-of ADDR` the server runs as a read replica: it
 //! subscribes to the primary's generation stream, serves hits from the
@@ -135,7 +134,7 @@ pub fn serve_listen(args: &Args, listen: &str) -> Result<(), String> {
     let service = Arc::new(PqoService::new());
     let mut names = Vec::new();
     let mut register = |id: &str, template: &Arc<QueryTemplate>| -> Result<(), String> {
-        let cfg = scr_config(args, lambda)?;
+        let cfg = scr_config(lambda)?;
         let warm = snapshot_dir
             .as_ref()
             .map(|d| d.join(format!("{id}.pqo-cache")))
@@ -196,7 +195,6 @@ pub fn serve_listen(args: &Args, listen: &str) -> Result<(), String> {
     }
 
     let workers = config.workers;
-    let policy = scr_config(args, lambda)?.policy;
     let role = match &config.replica_of {
         Some(primary) => format!("replica of {primary}"),
         None => "primary".to_string(),
@@ -205,9 +203,8 @@ pub fn serve_listen(args: &Args, listen: &str) -> Result<(), String> {
         .map_err(|e| format!("bind {listen}: {e}"))?;
     // Smoke scripts parse this exact line to learn the ephemeral port.
     println!("listening on {}", server.local_addr());
-    // Smoke scripts also grep the `role:` prefix — keep the policy suffix
-    // after the role text.
-    println!("role: {role} (policy: {policy})");
+    // Smoke scripts also grep the `role:` prefix.
+    println!("role: {role}");
     println!(
         "serving {} template(s) at λ = {lambda} ({workers} workers); stop with `pqo client --connect {} --op shutdown`",
         names.len(),
@@ -219,7 +216,6 @@ pub fn serve_listen(args: &Args, listen: &str) -> Result<(), String> {
     let stats = server.join();
     println!();
     println!("server exit summary");
-    println!("policy              : {policy}");
     println!("connections accepted: {}", stats.connections_accepted);
     println!("rejected (busy)     : {}", stats.connections_rejected_busy);
     println!("frames served       : {}", stats.frames_served);
@@ -250,8 +246,6 @@ pub fn serve_listen(args: &Args, listen: &str) -> Result<(), String> {
         println!("selectivity hits    : {}", s.selectivity_hits);
         println!("cost-check hits     : {}", s.cost_hits);
         println!("optimizer calls     : {}", s.optimizer_calls);
-        println!("policy hits         : {}", s.policy_hits);
-        println!("policy rejects      : {}", s.policy_rejects);
         println!("batches served      : {}", s.batches_served);
         println!("batch instances     : {}", s.batch_instances);
         println!("max batch size      : {}", s.max_batch_size);
@@ -521,7 +515,7 @@ fn client_run(args: &Args, client: &mut PqoClient) -> Result<(), String> {
         let lambda: f64 = args.parse_or("lambda", 2.0)?;
         let oracle = PqoService::new();
         oracle
-            .register(Arc::clone(t.template()), scr_config(args, lambda)?)
+            .register(Arc::clone(t.template()), scr_config(lambda)?)
             .map_err(|e| e.to_string())?;
         for (i, (inst, &(fp, optimized))) in instances.iter().zip(&decisions).enumerate() {
             let expect = oracle.get_plan(t.id(), inst).map_err(|e| e.to_string())?;

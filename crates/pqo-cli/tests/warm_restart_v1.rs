@@ -6,9 +6,9 @@
 //! implied SCR policy → registered service → snapshot re-flushed as the
 //! current version on graceful shutdown.
 //!
-//! A second leg pins the policy gate at the same level: serving the v1
-//! blob under `--policy lec` must refuse startup with the typed mismatch
-//! diagnostic rather than silently adopting SCR-era cache contents.
+//! A second leg pins the policy tag at the same level: a v3 blob whose tag
+//! names the retired `lec` policy must refuse startup with the typed
+//! mismatch diagnostic rather than serving a cache that policy built.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -35,12 +35,8 @@ fn unique_dir(label: &str) -> PathBuf {
     dir
 }
 
-/// Build a v1 cache blob the way an old release would have written it:
-/// warm a cache through `pqo run --save-cache` (current format), then
-/// splice the v1 magic onto the body. The body layout is unchanged across
-/// versions — v2 added the generation stamp and v3 the policy tag, both
-/// strictly inside the header — so this reproduces genuine v1 bytes.
-fn write_v1_blob(dir: &Path) -> PathBuf {
+/// Warm a cache through `pqo run --save-cache` and return its (v3) bytes.
+fn saved_blob(dir: &Path) -> Vec<u8> {
     let current = dir.join("current.pqo-cache");
     let out = pqo()
         .args([
@@ -63,11 +59,24 @@ fn write_v1_blob(dir: &Path) -> PathBuf {
     );
     let bytes = std::fs::read(&current).expect("read saved cache");
     assert_eq!(&bytes[..8], MAGIC_V3, "save no longer writes v3");
+    bytes
+}
+
+/// The path `pqo serve --snapshot-dir dir` restores the template from.
+fn snapshot_path(dir: &Path) -> PathBuf {
+    dir.join(format!("{TEMPLATE}.pqo-cache"))
+}
+
+/// Build a v1 cache blob the way an old release would have written it:
+/// splice the v1 magic onto the body of a current blob. The body layout is
+/// unchanged across versions — v2 added the generation stamp and v3 the
+/// policy tag, both strictly inside the header — so this reproduces
+/// genuine v1 bytes.
+fn write_v1_blob(dir: &Path) {
+    let bytes = saved_blob(dir);
     let mut v1 = MAGIC_V1.to_vec();
     v1.extend_from_slice(&bytes[V3_HEADER_LEN..]);
-    let path = dir.join(format!("{TEMPLATE}.pqo-cache"));
-    std::fs::write(&path, &v1).expect("write v1 blob");
-    path
+    std::fs::write(snapshot_path(dir), &v1).expect("write v1 blob");
 }
 
 /// Spawn `pqo serve` over `dir` and wait for the startup banner, returning
@@ -138,7 +147,7 @@ fn v1_blob_warm_restarts_through_pqo_serve_and_reflushes_as_v3() {
     );
 
     // The restored cache must actually serve: a STATS round trip through a
-    // real client shows plans and the SCR policy id.
+    // real client shows plans.
     let out = pqo()
         .args(["client", "--connect", &addr, "--template", TEMPLATE])
         .output()
@@ -161,7 +170,6 @@ fn v1_blob_warm_restarts_through_pqo_serve_and_reflushes_as_v3() {
             .expect("numeric stat")
     };
     assert!(field("num_plans") > 0, "restored cache serves no plans");
-    assert_eq!(field("policy_id"), 0, "v1 blob must restore as SCR");
 
     let out = pqo()
         .args(["client", "--connect", &addr, "--op", "shutdown"])
@@ -172,14 +180,10 @@ fn v1_blob_warm_restarts_through_pqo_serve_and_reflushes_as_v3() {
     let mut summary = String::new();
     std::io::Read::read_to_string(&mut server_out, &mut summary).expect("drain exit summary");
     assert!(wait_exit(&mut child).success(), "server exited non-zero");
-    assert!(
-        summary.contains("policy              : scr"),
-        "exit summary does not name the policy:\n{summary}"
-    );
 
     // Graceful shutdown re-flushes the snapshot in the current format: the
     // v1 file on disk has been upgraded to v3 with an SCR policy tag.
-    let bytes = std::fs::read(dir.join(format!("{TEMPLATE}.pqo-cache"))).expect("flushed blob");
+    let bytes = std::fs::read(snapshot_path(&dir)).expect("flushed blob");
     assert_eq!(&bytes[..8], MAGIC_V3, "flush did not upgrade v1 to v3");
     assert_eq!(bytes[16], 0, "flushed policy tag is not SCR");
 
@@ -187,24 +191,26 @@ fn v1_blob_warm_restarts_through_pqo_serve_and_reflushes_as_v3() {
 }
 
 #[test]
-fn v1_blob_is_refused_by_a_non_scr_service() {
-    let dir = unique_dir("mismatch");
-    write_v1_blob(&dir);
+fn a_blob_tagged_with_a_retired_policy_refuses_startup() {
+    let dir = unique_dir("retired");
+    let mut bytes = saved_blob(&dir);
+    // Tag 1 named the retired `lec` policy.
+    bytes[V3_HEADER_LEN - 1] = 1;
+    std::fs::write(snapshot_path(&dir), &bytes).expect("write lec-tagged blob");
 
     let out = pqo()
         .args(["serve", "--listen", "127.0.0.1:0", "--template", TEMPLATE])
         .arg("--snapshot-dir")
         .arg(&dir)
-        .args(["--policy", "lec"])
         .output()
-        .expect("run pqo serve --policy lec");
+        .expect("run pqo serve");
     assert!(
         !out.status.success(),
-        "an LEC service must refuse an SCR-era snapshot"
+        "a cache the lec policy built must not be served"
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("policy mismatch") && stderr.contains("lec") && stderr.contains("scr"),
+        stderr.contains("policy mismatch") && stderr.contains("`lec`") && stderr.contains("`scr`"),
         "undiagnosable refusal: {stderr}"
     );
 

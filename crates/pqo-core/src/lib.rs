@@ -26,7 +26,6 @@ pub mod baselines;
 pub mod cache;
 pub mod metrics;
 pub mod persist;
-pub mod policy;
 pub mod replication;
 pub mod runner;
 pub mod scr;
@@ -34,7 +33,6 @@ pub mod service;
 pub mod snapshot;
 pub mod spatial;
 
-pub use policy::PolicyId;
 pub use pqo_optimizer::engine;
 pub use pqo_optimizer::error::PqoError;
 pub use scr::{CacheState, Scr};

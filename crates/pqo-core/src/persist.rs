@@ -21,7 +21,6 @@ use pqo_optimizer::plan::{Plan, PlanFingerprint};
 use pqo_optimizer::svector::SVector;
 
 use crate::cache::InstanceEntry;
-use crate::policy::PolicyId;
 use crate::scr::{CacheState, Scr, ScrConfig};
 
 /// Version 1 header: no generation stamp (read-compatible, written by
@@ -31,15 +30,15 @@ const MAGIC_V1: &[u8; 8] = b"PQOCACH1";
 /// restarts resume the publication lineage (and replicas can subscribe
 /// with catch-up from the generation they persisted).
 const MAGIC_V2: &[u8; 8] = b"PQOCACH2";
-/// Version 3 header: a one-byte [`PolicyId`] tag follows the generation
-/// stamp. Cache contents are policy-shaped (which plans get admitted, which
-/// entries survive the redundancy check), so a warm restart under a
-/// different policy must refuse the blob instead of silently serving from a
-/// cache another policy built.
+/// Version 3 header: a one-byte policy tag follows the generation stamp
+/// (see [`check_policy_tag`]).
 const MAGIC_V3: &[u8; 8] = b"PQOCACH3";
 /// Shared prefix of every format version; the trailing byte is the ASCII
 /// version digit.
 const MAGIC_PREFIX: &[u8; 7] = b"PQOCACH";
+
+/// The policy tag every cache is written with: SCR, the one serving policy.
+pub(crate) const SCR_TAG: u8 = 0;
 
 /// Errors raised while restoring a snapshot.
 #[derive(Debug)]
@@ -59,14 +58,12 @@ pub enum RestoreError {
     /// Structurally invalid snapshot (truncated, dangling references, or
     /// non-finite numbers).
     Corrupt(String),
-    /// The snapshot was produced under a different plan-selection policy
-    /// than the restoring configuration runs (v3 headers carry the policy
-    /// tag; v1/v2 blobs predate the policy layer and read as SCR).
+    /// The policy tag names a retired serving policy (`lec` or `penalty`):
+    /// the cache was built by that policy's admission, and this build
+    /// serves SCR only.
     PolicyMismatch {
-        /// The policy the caller's [`ScrConfig`] is configured with.
-        expected: PolicyId,
-        /// The policy tag found in the snapshot header.
-        found: PolicyId,
+        /// The retired policy the tag names.
+        found: &'static str,
     },
     /// The caller-supplied [`ScrConfig`] is itself invalid.
     Config(PqoError),
@@ -85,9 +82,9 @@ impl From<RestoreError> for PqoError {
     fn from(e: RestoreError) -> Self {
         match e {
             RestoreError::Config(inner) => inner,
-            RestoreError::PolicyMismatch { expected, found } => PqoError::PolicyMismatch {
-                expected: expected.name().to_string(),
-                found: found.name().to_string(),
+            RestoreError::PolicyMismatch { found } => PqoError::PolicyMismatch {
+                expected: "scr".to_string(),
+                found: found.to_string(),
             },
             other => PqoError::Persist {
                 message: other.to_string(),
@@ -106,9 +103,9 @@ impl std::fmt::Display for RestoreError {
                 "unsupported snapshot format version {:?} (this reader understands v1/v2/v3)",
                 char::from(*version)
             ),
-            RestoreError::PolicyMismatch { expected, found } => write!(
+            RestoreError::PolicyMismatch { found } => write!(
                 f,
-                "snapshot was produced under policy `{found}` but this configuration runs `{expected}`"
+                "snapshot was produced under policy `{found}` but this build serves `scr` only"
             ),
             RestoreError::Corrupt(m) => write!(f, "corrupt snapshot: {m}"),
             RestoreError::Config(e) => write!(f, "invalid restore configuration: {e}"),
@@ -157,14 +154,12 @@ pub(crate) fn r_f64(r: &mut impl Read) -> io::Result<f64> {
 ///
 /// The configuration itself is *not* persisted — the caller restores with
 /// an explicit [`ScrConfig`], since λ policy is an operator decision, not
-/// cache state. The plan-selection [`PolicyId`] *is* stamped into the
-/// header, because cache contents are policy-shaped: restore refuses a
-/// blob written under a different policy.
+/// cache state. The header's policy tag is always 0, SCR.
 pub fn save(state: &CacheState, generation: u64, w: &mut impl Write) -> io::Result<()> {
     let cache = &state.cache;
     w.write_all(MAGIC_V3)?;
     w_u64(w, generation)?;
-    w.write_all(&[state.config.policy.as_tag()])?;
+    w.write_all(&[SCR_TAG])?;
 
     // Plan list, in the cache's own order: ascending by fingerprint.
     w_u32(w, cache.num_plans() as u32)?;
@@ -214,29 +209,21 @@ pub fn restore_with_generation(
 ) -> Result<(Scr, u64), RestoreError> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
-    let (generation, policy) = if &magic == MAGIC_V3 {
+    // v1/v2 blobs predate the policy tag; every cache back then was
+    // SCR-built, so they read as SCR.
+    let generation = if &magic == MAGIC_V3 {
         let generation = r_u64(r)?;
-        let tag = r_u8(r)?;
-        let policy = PolicyId::from_tag(tag)
-            .ok_or_else(|| RestoreError::Corrupt(format!("unknown policy tag {tag}")))?;
-        (generation, policy)
+        check_policy_tag(r_u8(r)?)?;
+        generation
     } else if &magic == MAGIC_V2 {
-        // v1/v2 blobs predate the policy layer; every cache back then was
-        // SCR-built, so they read as SCR.
-        (r_u64(r)?, PolicyId::Scr)
+        r_u64(r)?
     } else if &magic == MAGIC_V1 {
-        (0, PolicyId::Scr)
+        0
     } else if magic[..7] == MAGIC_PREFIX[..] && magic[7].is_ascii_digit() {
         return Err(RestoreError::UnsupportedVersion { version: magic[7] });
     } else {
         return Err(RestoreError::BadHeader);
     };
-    if policy != config.policy {
-        return Err(RestoreError::PolicyMismatch {
-            expected: config.policy,
-            found: policy,
-        });
-    }
 
     let plan_count = r_u32(r)? as usize;
     if plan_count > 1_000_000 {
@@ -273,6 +260,20 @@ pub fn restore_with_generation(
     let scr = Scr::from_parts(config, plans, entries, log_cost_sum, opt_count)
         .map_err(RestoreError::Config)?;
     Ok((scr, generation))
+}
+
+/// Check the policy tag of a v3 header or a replication record: [`SCR_TAG`]
+/// passes; 1 and 2 name the retired `lec` and `penalty` policies
+/// (DESIGN.md §8), whose caches SCR must not serve; any other byte is
+/// corrupt.
+pub(crate) fn check_policy_tag(tag: u8) -> Result<(), RestoreError> {
+    let retired = match tag {
+        SCR_TAG => return Ok(()),
+        1 => "lec",
+        2 => "penalty",
+        _ => return Err(RestoreError::Corrupt(format!("unknown policy tag {tag}"))),
+    };
+    Err(RestoreError::PolicyMismatch { found: retired })
 }
 
 /// Read plan `i`: a length-prefixed Appendix B compact encoding, decoded
@@ -538,83 +539,41 @@ mod tests {
     }
 
     #[test]
-    fn cross_policy_restore_is_refused_with_typed_error() {
+    fn header_tags_of_retired_policies_are_refused_by_name() {
         let t = fixture();
         let (scr, _) = warmed(&t, 10);
         let mut buf = Vec::new();
         save(&scr, 0, &mut buf).unwrap();
-        // An SCR-built blob must not restore into an LEC-configured cache.
-        let lec = ScrConfig::new(1.5).unwrap().with_policy(PolicyId::Lec);
-        let err = restore(lec, &mut buf.as_slice()).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                RestoreError::PolicyMismatch {
-                    expected: PolicyId::Lec,
-                    found: PolicyId::Scr,
-                }
-            ),
-            "{err}"
-        );
-        // The workspace-wide error keeps the mismatch typed (not folded
-        // into Persist), naming both policies.
-        let wide: PqoError = err.into();
-        assert!(
-            matches!(
-                &wide,
-                PqoError::PolicyMismatch { expected, found }
-                    if expected == "lec" && found == "scr"
-            ),
-            "{wide}"
-        );
-
-        // A v1 blob reads as SCR, so the same LEC configuration refuses it
-        // too — while the matching SCR configuration accepts it.
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(MAGIC_V1);
-        v1.extend_from_slice(&buf[17..]);
-        let lec = ScrConfig::new(1.5).unwrap().with_policy(PolicyId::Lec);
-        let err = restore(lec, &mut v1.as_slice()).unwrap_err();
-        assert!(matches!(err, RestoreError::PolicyMismatch { .. }), "{err}");
-        assert!(restore(ScrConfig::new(1.5).unwrap(), &mut v1.as_slice()).is_ok());
-    }
-
-    #[test]
-    fn policy_tag_roundtrips_for_every_policy() {
-        for policy in [PolicyId::Scr, PolicyId::Lec, PolicyId::Penalty] {
-            let mut scr =
-                Scr::with_config(ScrConfig::new(2.0).unwrap().with_policy(policy)).unwrap();
-            let t = fixture();
-            let engine = QueryEngine::new(Arc::clone(&t));
-            for i in 0..6 {
-                let inst = instance_for_target(&t, &[0.1 + 0.1 * i as f64, 0.3]);
-                let sv = compute_svector(&t, &inst);
-                let _ = scr.get_plan(&inst, &sv, &engine);
-            }
-            let mut buf = Vec::new();
-            save(&scr, 0, &mut buf).unwrap();
-            assert_eq!(buf[16], policy.as_tag(), "header policy tag");
-            let restored = restore(
-                ScrConfig::new(2.0).unwrap().with_policy(policy),
-                &mut buf.as_slice(),
-            )
-            .unwrap();
-            assert_eq!(restored.config().policy, policy);
-            assert_eq!(restored.cache().num_plans(), scr.cache().num_plans());
+        assert_eq!(buf[16], SCR_TAG, "header policy tag");
+        let with_tag = |tag: u8| {
+            let mut blob = buf.clone();
+            blob[16] = tag;
+            restore(ScrConfig::new(1.5).unwrap(), &mut blob.as_slice())
+        };
+        assert!(with_tag(SCR_TAG).is_ok());
+        for (tag, name) in [(1, "lec"), (2, "penalty")] {
+            let err = with_tag(tag).unwrap_err();
+            assert!(
+                matches!(err, RestoreError::PolicyMismatch { found } if found == name),
+                "tag {tag}: {err}"
+            );
+            // The workspace-wide error keeps the mismatch typed (not folded
+            // into Persist), naming both policies.
+            let wide: PqoError = err.into();
+            assert!(
+                matches!(
+                    &wide,
+                    PqoError::PolicyMismatch { expected, found }
+                        if expected == "scr" && found == name
+                ),
+                "{wide}"
+            );
         }
-    }
-
-    #[test]
-    fn unknown_policy_tag_is_corrupt() {
-        let t = fixture();
-        let (scr, _) = warmed(&t, 5);
-        let mut buf = Vec::new();
-        save(&scr, 0, &mut buf).unwrap();
-        let mut evil = buf.clone();
-        evil[16] = 0xEE;
-        let err = restore(ScrConfig::new(1.5).unwrap(), &mut evil.as_slice()).unwrap_err();
-        assert!(matches!(err, RestoreError::Corrupt(_)), "{err}");
-        assert!(err.to_string().contains("policy tag"), "{err}");
+        for tag in [3, 0xEE] {
+            let err = with_tag(tag).unwrap_err();
+            assert!(matches!(err, RestoreError::Corrupt(_)), "tag {tag}: {err}");
+            assert!(err.to_string().contains("policy tag"), "{err}");
+        }
     }
 
     #[test]

@@ -9,11 +9,10 @@
 //! cache state, so a replica that replays it inherits λ-optimality for
 //! every hit it serves).
 //!
-//! Every record header carries the primary's [`PolicyId`] tag: cache
-//! contents are policy-shaped, so a replica configured with a different
-//! plan-selection policy must refuse the stream with a typed error
-//! ([`ReplicationError::PolicyMismatch`]) instead of silently serving
-//! another policy's cache.
+//! Every record header carries a policy tag byte, always 0 (SCR): a record
+//! tagged with a retired policy is refused with a typed error
+//! ([`ReplicationError::PolicyMismatch`]) instead of installing a cache that
+//! policy built.
 //!
 //! Two record kinds:
 //!
@@ -55,8 +54,7 @@ use pqo_optimizer::error::PqoError;
 use pqo_optimizer::plan::{Plan, PlanFingerprint};
 
 use crate::cache::InstanceEntry;
-use crate::persist::{self, r_u32, r_u64, r_u8, RestoreError};
-use crate::policy::PolicyId;
+use crate::persist::{self, r_u32, r_u64, r_u8, RestoreError, SCR_TAG};
 use crate::scr::{Scr, ScrConfig};
 use crate::snapshot::CacheSnapshot;
 use crate::spatial::BLOCK_ROWS;
@@ -88,14 +86,12 @@ pub enum ReplicationError {
         /// supplied no base snapshot at all).
         have: Option<u64>,
     },
-    /// The record was produced under a different plan-selection policy than
-    /// the replica runs — applying it would install a cache another policy
-    /// built, so the subscription must be refused.
+    /// The record's policy tag names a retired serving policy (`lec` or
+    /// `penalty`) — applying it would install a cache that policy built,
+    /// so the subscription must be refused.
     PolicyMismatch {
-        /// The policy this replica is configured with.
-        expected: PolicyId,
-        /// The policy tag carried by the record.
-        found: PolicyId,
+        /// The retired policy the tag names.
+        found: &'static str,
     },
     /// The embedded full snapshot failed to restore.
     Restore(RestoreError),
@@ -109,9 +105,9 @@ impl std::fmt::Display for ReplicationError {
                 f,
                 "delta base generation {record_base} does not match replica generation {have:?}"
             ),
-            ReplicationError::PolicyMismatch { expected, found } => write!(
+            ReplicationError::PolicyMismatch { found } => write!(
                 f,
-                "generation record was produced under policy `{found}` but this replica runs `{expected}`"
+                "generation record was produced under policy `{found}` but this replica serves `scr` only"
             ),
             ReplicationError::Restore(e) => write!(f, "embedded snapshot: {e}"),
         }
@@ -123,9 +119,7 @@ impl std::error::Error for ReplicationError {}
 impl From<RestoreError> for ReplicationError {
     fn from(e: RestoreError) -> Self {
         match e {
-            RestoreError::PolicyMismatch { expected, found } => {
-                ReplicationError::PolicyMismatch { expected, found }
-            }
+            RestoreError::PolicyMismatch { found } => ReplicationError::PolicyMismatch { found },
             RestoreError::Io(e) => e.into(),
             RestoreError::Corrupt(m) => ReplicationError::Corrupt(m),
             other => ReplicationError::Restore(other),
@@ -144,10 +138,9 @@ impl From<std::io::Error> for ReplicationError {
 impl From<ReplicationError> for PqoError {
     fn from(e: ReplicationError) -> Self {
         match e {
-            ReplicationError::PolicyMismatch { expected, found } => PqoError::PolicyMismatch {
-                expected: expected.name().to_string(),
-                found: found.name().to_string(),
-            },
+            ReplicationError::PolicyMismatch { found } => {
+                RestoreError::PolicyMismatch { found }.into()
+            }
             other => PqoError::Persist {
                 message: other.to_string(),
             },
@@ -163,8 +156,6 @@ pub struct RecordInfo {
     /// The base generation a delta record requires (`None` for full
     /// records).
     pub base: Option<u64>,
-    /// The plan-selection policy the producing writer runs.
-    pub policy: PolicyId,
 }
 
 /// Encode one published generation as a record.
@@ -179,14 +170,14 @@ pub fn encode_generation(snapshot: &CacheSnapshot, base: Option<&CacheSnapshot>)
     match base {
         Some(base) if base.generation() < snapshot.generation() => {
             out.push(KIND_DELTA);
-            out.push(snapshot.config().policy.as_tag());
+            out.push(SCR_TAG);
             out.extend_from_slice(&snapshot.generation().to_le_bytes());
             out.extend_from_slice(&base.generation().to_le_bytes());
             encode_delta_body(snapshot, base, &mut out);
         }
         _ => {
             out.push(KIND_FULL);
-            out.push(snapshot.config().policy.as_tag());
+            out.push(SCR_TAG);
             out.extend_from_slice(&snapshot.generation().to_le_bytes());
             persist::save(snapshot, snapshot.generation(), &mut out)
                 .expect("Vec writes are infallible");
@@ -279,9 +270,7 @@ fn read_header(r: &mut &[u8]) -> Result<RecordInfo, ReplicationError> {
         return Err(ReplicationError::Corrupt("bad record magic".into()));
     }
     let kind = r_u8(r)?;
-    let tag = r_u8(r)?;
-    let policy = PolicyId::from_tag(tag)
-        .ok_or_else(|| ReplicationError::Corrupt(format!("unknown policy tag {tag}")))?;
+    persist::check_policy_tag(r_u8(r)?)?;
     let generation = r_u64(r)?;
     let base = match kind {
         KIND_FULL => None,
@@ -292,11 +281,7 @@ fn read_header(r: &mut &[u8]) -> Result<RecordInfo, ReplicationError> {
             )))
         }
     };
-    Ok(RecordInfo {
-        generation,
-        base,
-        policy,
-    })
+    Ok(RecordInfo { generation, base })
 }
 
 /// Decode a generation record into a fresh [`Scr`], resolving delta
@@ -307,8 +292,8 @@ fn read_header(r: &mut &[u8]) -> Result<RecordInfo, ReplicationError> {
 ///
 /// # Errors
 /// [`ReplicationError::BaseMismatch`] when a delta's base generation is not
-/// the one supplied; [`ReplicationError::PolicyMismatch`] when the record
-/// carries a different policy tag than `config`; [`ReplicationError::Corrupt`]
+/// the one supplied; [`ReplicationError::PolicyMismatch`] when the record's
+/// policy tag names a retired policy; [`ReplicationError::Corrupt`]
 /// / [`ReplicationError::Restore`] on malformed bytes.
 pub fn apply_generation(
     config: ScrConfig,
@@ -317,12 +302,6 @@ pub fn apply_generation(
 ) -> Result<(Scr, u64), ReplicationError> {
     let mut body = bytes;
     let info = read_header(&mut body)?;
-    if info.policy != config.policy {
-        return Err(ReplicationError::PolicyMismatch {
-            expected: config.policy,
-            found: info.policy,
-        });
-    }
     let generation = info.generation;
     let scr = match info.base {
         None => {
@@ -778,45 +757,53 @@ mod tests {
     }
 
     #[test]
-    fn cross_policy_subscription_is_refused_with_typed_error() {
+    fn record_tags_of_retired_policies_are_refused_by_name() {
         let t = fixture_template("repl_policy");
         let engine = QueryEngine::new(Arc::clone(&t));
-        let lec_cfg = ScrConfig::new(1.5).unwrap().with_policy(PolicyId::Lec);
-        let (mut writer, first) = CacheWriter::new(Scr::with_config(lec_cfg.clone()).unwrap());
+        let cfg = ScrConfig::new(1.5).unwrap();
+        let (mut writer, first) = CacheWriter::new(Scr::with_config(cfg.clone()).unwrap());
         let cell = SnapshotCell::new(first);
         for tg in targets(10) {
             drive(&t, &engine, &mut writer, &cell, &tg);
         }
-
-        // The record header advertises the producing policy.
         let latest = writer.latest_snapshot();
-        let full = encode_generation(&latest, None);
-        assert_eq!(record_info(&full).unwrap().policy, PolicyId::Lec);
         let base = writer.logged_snapshot(writer.generation() - 1).unwrap();
+        let full = encode_generation(&latest, None);
         let delta = encode_generation(&latest, Some(&base));
-        assert_eq!(record_info(&delta).unwrap().policy, PolicyId::Lec);
-
-        // An SCR replica refuses both record kinds before touching the body.
-        let scr_cfg = ScrConfig::new(1.5).unwrap();
-        for record in [&full, &delta] {
-            let err = apply_generation(scr_cfg.clone(), Some(&base), record).unwrap_err();
+        // The full record's body is a persist blob with a tag of its own,
+        // after the record header (14 bytes) and the blob's magic and
+        // generation (16).
+        for (record, at) in [(&full, 5), (&full, 30), (&delta, 5)] {
+            assert_eq!(record[at], SCR_TAG);
+            let with_tag = |tag: u8| {
+                let mut evil = record.clone();
+                evil[at] = tag;
+                apply_generation(cfg.clone(), Some(&base), &evil).map(|_| ())
+            };
+            assert!(with_tag(SCR_TAG).is_ok());
+            for (tag, name) in [(1, "lec"), (2, "penalty")] {
+                let err = with_tag(tag).unwrap_err();
+                assert!(
+                    matches!(err, ReplicationError::PolicyMismatch { found } if found == name),
+                    "tag {tag} at {at}: {err}"
+                );
+                // The workspace-wide error stays typed.
+                let wide: PqoError = err.into();
+                assert!(
+                    matches!(
+                        &wide,
+                        PqoError::PolicyMismatch { expected, found }
+                            if expected == "scr" && found == name
+                    ),
+                    "{wide}"
+                );
+            }
+            let err = with_tag(3).unwrap_err();
             assert!(
-                matches!(
-                    err,
-                    ReplicationError::PolicyMismatch {
-                        expected: PolicyId::Scr,
-                        found: PolicyId::Lec,
-                    }
-                ),
-                "{err}"
+                matches!(&err, ReplicationError::Corrupt(m) if m.contains("policy tag")),
+                "tag 3 at {at}: {err}"
             );
-            // And the workspace-wide error stays typed.
-            let wide: PqoError = err.into();
-            assert!(matches!(wide, PqoError::PolicyMismatch { .. }), "{wide}");
         }
-
-        // A matching LEC replica applies the full record fine.
-        assert!(apply_generation(lec_cfg, None, &full).is_ok());
     }
 
     #[test]

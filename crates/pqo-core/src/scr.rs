@@ -45,7 +45,6 @@ use pqo_optimizer::svector::SVector;
 use pqo_optimizer::template::{QueryInstance, QueryTemplate};
 
 use crate::cache::{InstanceEntry, PlanCache};
-use crate::policy::{lec_admit, lec_decide, penalty_decide, PolicyId};
 use crate::spatial::KeyStream;
 use crate::{OnlinePqo, PlanChoice};
 
@@ -117,12 +116,6 @@ pub struct ScrConfig {
     /// Cost-check candidate ordering under the product form (the log form
     /// is G·L-ascending by construction).
     pub candidate_order: CandidateOrder,
-    /// Which serving policy decides reuse/admission over this cache
-    /// (DESIGN.md §8). Part of the cache's identity: persisted in the
-    /// snapshot header and carried on every replication record, so a warm
-    /// restart or a replica subscription under a different policy fails
-    /// with a typed error instead of silently mixing decision streams.
-    pub policy: PolicyId,
 }
 
 impl ScrConfig {
@@ -145,16 +138,7 @@ impl ScrConfig {
             existing_plan_redundancy: false,
             spatial_index_threshold: 64,
             candidate_order: CandidateOrder::GlAscending,
-            policy: PolicyId::Scr,
         })
-    }
-
-    /// Select the serving policy (default [`PolicyId::Scr`]). The CLI
-    /// exposes this as `pqo serve --policy scr|lec|penalty`.
-    #[must_use]
-    pub fn with_policy(mut self, policy: PolicyId) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Validate every knob (used by the `Scr` constructors, which accept
@@ -257,14 +241,6 @@ pub struct ScrStats {
     /// generations (one pointer bump per 64-row block and one for the plan
     /// list).
     pub publish_nanos: u64,
-    /// Instances served by a non-SCR policy's decide hook (LEC /
-    /// Penalty). Always 0 under [`PolicyId::Scr`], whose hits land in
-    /// `selectivity_hits` / `cost_hits`.
-    pub policy_hits: u64,
-    /// Instances a non-SCR policy examined but routed to the optimizer
-    /// (neighbourhood too distant, or the λ-gate failed). Always 0 under
-    /// [`PolicyId::Scr`].
-    pub policy_rejects: u64,
 }
 
 /// The live (atomic) form of [`ScrStats`]. Counters bumped on the read path
@@ -292,8 +268,6 @@ pub(crate) struct ScrStatCells {
     index_points_rebuilt: AtomicU64,
     publishes: AtomicU64,
     publish_nanos: AtomicU64,
-    policy_hits: AtomicU64,
-    policy_rejects: AtomicU64,
 }
 
 impl ScrStatCells {
@@ -323,20 +297,8 @@ impl ScrStatCells {
         Self::add(&self.publish_nanos, nanos);
     }
 
-    /// One instance served by a non-SCR policy's decide hook.
-    pub(crate) fn record_policy_hit(&self) {
-        Self::bump(&self.policy_hits);
-    }
-
-    /// One instance a non-SCR policy examined but routed to the optimizer.
-    pub(crate) fn record_policy_reject(&self) {
-        Self::bump(&self.policy_rejects);
-    }
-
-    /// The Recost work of one decide hook — SCR's cost check and the
-    /// non-SCR policies feed the same tallies, so the overhead split and
-    /// the per-call maximum stay comparable across policies.
-    pub(crate) fn record_recosts(&self, n: u64, nanos: u64) {
+    /// The Recost work of one cost check.
+    fn record_recosts(&self, n: u64, nanos: u64) {
         Self::add(&self.getplan_recost_calls, n);
         self.max_recosts_per_getplan.fetch_max(n, Ordering::Relaxed);
         Self::add(&self.recost_nanos, nanos);
@@ -363,19 +325,17 @@ impl ScrStatCells {
             index_points_rebuilt: self.index_points_rebuilt.load(Ordering::Relaxed),
             publishes: self.publishes.load(Ordering::Relaxed),
             publish_nanos: self.publish_nanos.load(Ordering::Relaxed),
-            policy_hits: self.policy_hits.load(Ordering::Relaxed),
-            policy_rejects: self.policy_rejects.load(Ordering::Relaxed),
         }
     }
 }
 
 /// Reusable scratch for one `getPlan` caller: the candidate search's
 /// buffers (the query in log space, the candidate stream with one key per
-/// stored instance and one minimum per 16 of them, the `lec` / `penalty`
-/// neighbourhood list), the cost check's fingerprint→Recost memo (at most
-/// `max_recost_candidates` entries, probed linearly) and the arena-recost
-/// scratch ([`RecostScratch`]) whose base derivation is delta-updated across
-/// candidates and across successive calls. A caller that threads one of
+/// stored instance and one minimum per 16 of them), the cost check's
+/// fingerprint→Recost memo (at most `max_recost_candidates` entries, probed
+/// linearly) and the arena-recost scratch ([`RecostScratch`]) whose base
+/// derivation is delta-updated across candidates and across successive
+/// calls. A caller that threads one of
 /// these through repeated [`CacheState::try_cached_plan_with`] invocations
 /// allocates nothing on the cache-hit path once the buffers have grown to
 /// the instance list's size; callers without one fall back to a fresh
@@ -395,13 +355,10 @@ pub struct GetPlanScratch {
     /// What [`CacheState::find_candidates`] leaves for the cost check: the
     /// candidates in the order to try, handed out one at a time.
     stream: KeyStream,
-    /// The candidates [`CacheState::list_candidates`] drained from the
-    /// stream, as `(key, instance index)`.
-    pub(crate) cands: Vec<(f64, usize)>,
     /// The last decision's cost check: each plan it re-costed, once, with
     /// its cost at the instance. Emptied by every decision.
     recosted: Vec<(PlanFingerprint, f64)>,
-    pub(crate) recost: RecostScratch,
+    recost: RecostScratch,
 }
 
 impl GetPlanScratch {
@@ -433,15 +390,13 @@ impl GetPlanScratch {
 
 /// What one candidate search ([`CacheState::find_candidates`]) is asked for.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct CandidateSearch {
+struct CandidateSearch {
     /// Nearest-first log form (`true`) or list-order product form.
-    pub log_form: bool,
-    /// Run the selectivity check and stop at its hit.
-    pub selectivity_check: bool,
+    log_form: bool,
     /// Order of the product form's candidates.
-    pub order: CandidateOrder,
+    order: CandidateOrder,
     /// Longest candidate list wanted.
-    pub k: usize,
+    k: usize,
 }
 
 /// Everything a reuse-or-optimize decision reads, and the only thing
@@ -536,7 +491,7 @@ impl CacheState {
     /// Effective λ for an entry with optimal cost `c` (Appendix D): static
     /// λ, or `λmin + (λmax − λmin)·exp(−c / Cref)` where `Cref` is the
     /// geometric mean of optimal costs seen so far.
-    pub(crate) fn effective_lambda(&self, c: f64) -> f64 {
+    fn effective_lambda(&self, c: f64) -> f64 {
         match self.config.dynamic_lambda {
             None => self.config.lambda,
             Some(DynamicLambda {
@@ -552,10 +507,11 @@ impl CacheState {
         }
     }
 
-    /// The cache-only part of `getPlan`: the active policy's decide hook —
-    /// never an optimizer call, never a structural cache mutation, `&self`,
-    /// so any number of threads share it. Allocates a fresh scratch per
-    /// call; hot callers should prefer [`CacheState::try_cached_plan_with`].
+    /// The cache-only part of `getPlan`: the selectivity check, then the
+    /// cost check (Algorithm 1 minus the optimizer arm) — never an optimizer
+    /// call, never a structural cache mutation, `&self`, so any number of
+    /// threads share it. Allocates a fresh scratch per call; hot callers
+    /// should prefer [`CacheState::try_cached_plan_with`].
     pub fn try_cached_plan(&self, sv: &SVector, engine: &QueryEngine) -> Option<PlanChoice> {
         self.try_cached_plan_with(sv, engine, &mut GetPlanScratch::default())
     }
@@ -564,8 +520,7 @@ impl CacheState {
     /// [`GetPlanScratch`]: the cost check's memo table and recost base
     /// derivation survive across calls (and across snapshot generations —
     /// the scratch depends only on the engine, not the cache contents), so
-    /// the hit path allocates nothing. Dispatch is a
-    /// static `match` on [`PolicyId`] (no `dyn` on the hot path).
+    /// the hit path allocates nothing.
     pub fn try_cached_plan_with(
         &self,
         sv: &SVector,
@@ -574,31 +529,8 @@ impl CacheState {
     ) -> Option<PlanChoice> {
         scratch.bind(engine);
         scratch.recosted.clear();
-        match self.config.policy {
-            PolicyId::Scr => self.scr_decide(sv, engine, scratch),
-            PolicyId::Lec => lec_decide(self, sv, engine, scratch),
-            PolicyId::Penalty => penalty_decide(self, sv, engine, scratch),
-        }
-    }
-
-    /// Whether a list of this length decides in the nearest-first log form
-    /// (see [`ScrConfig::spatial_index_threshold`]).
-    pub(crate) fn uses_log_form(&self) -> bool {
-        self.config.spatial_index_threshold != usize::MAX
-            && self.cache.num_instances() >= self.config.spatial_index_threshold
-    }
-
-    /// SCR's decide-on-hit: selectivity check then cost check (Algorithm 1
-    /// minus the optimizer arm).
-    pub(crate) fn scr_decide(
-        &self,
-        sv: &SVector,
-        engine: &QueryEngine,
-        scratch: &mut GetPlanScratch,
-    ) -> Option<PlanChoice> {
         let search = CandidateSearch {
             log_form: self.uses_log_form(),
-            selectivity_check: true,
             order: self.config.candidate_order,
             k: self.config.max_recost_candidates,
         };
@@ -609,9 +541,16 @@ impl CacheState {
         self.cost_check(sv, engine, scratch)
     }
 
+    /// Whether a list of this length decides in the nearest-first log form
+    /// (see [`ScrConfig::spatial_index_threshold`]).
+    fn uses_log_form(&self) -> bool {
+        self.config.spatial_index_threshold != usize::MAX
+            && self.cache.num_instances() >= self.config.spatial_index_threshold
+    }
+
     /// Serve an instance through cache entry `idx` without an optimizer
     /// call.
-    pub(crate) fn serve(&self, idx: usize) -> PlanChoice {
+    fn serve(&self, idx: usize) -> PlanChoice {
         let e = &self.cache.instances()[idx];
         e.record_use();
         let plan = Arc::clone(self.cache.plan(e.plan).expect("entry points to live plan"));
@@ -627,15 +566,15 @@ impl CacheState {
         gl <= self.effective_lambda(e.opt_cost) / e.sub_opt
     }
 
-    /// The one candidate search behind SCR's decide, Appendix F's simulated
-    /// `getPlan` and the `lec` / `penalty` neighbourhoods: the selectivity
-    /// check (when asked for) and the cost check's candidates, from one pass
-    /// over the instance list. Returns the entry the selectivity check
-    /// serves through; otherwise leaves every entry's key in
-    /// `scratch.stream`, opened so that [`CacheState::next_candidate`] hands
-    /// out at most `search.k` entries without an Appendix G violation mark,
-    /// in the order to try them, as `(key, instance index)`. No candidate is
-    /// selected here: the stream finds each one when it is asked for.
+    /// The one candidate search behind SCR's decide and Appendix F's
+    /// simulated `getPlan`: the selectivity check and the cost check's
+    /// candidates, from one pass over the instance list. Returns the entry
+    /// the selectivity check serves through; otherwise leaves every entry's
+    /// key in `scratch.stream`, opened so that [`CacheState::next_candidate`]
+    /// hands out at most `search.k` entries without an Appendix G violation
+    /// mark, in the order to try them, as `(key, instance index)`. No
+    /// candidate is selected here: the stream finds each one when it is
+    /// asked for.
     ///
     /// * **Log form** (Section 6.2): one scan of the coordinate blocks
     ///   yields every entry's `ln(G·L)`. The selectivity check serves the
@@ -646,7 +585,7 @@ impl CacheState {
     ///   selectivity check serves the *first* entry in list order that
     ///   passes. The candidates are the unmarked entries in ascending key
     ///   under `search.order`, ties in list order, keyed once each.
-    pub(crate) fn find_candidates(
+    fn find_candidates(
         &self,
         sv: &SVector,
         search: CandidateSearch,
@@ -659,15 +598,10 @@ impl CacheState {
                 Some(d) => d.lambda_max,
                 None => self.config.lambda,
             };
-            let radius = if search.selectivity_check {
-                lambda_upper.ln()
-            } else {
-                f64::NEG_INFINITY
-            };
             let hit = self
                 .cache
                 .coords()
-                .scan(&sv.0, radius, q, stream, |d, idx| {
+                .scan(&sv.0, lambda_upper.ln(), q, stream, |d, idx| {
                     self.passes_selectivity_check(d.exp(), &entries[idx])
                 });
             if let Some((_, idx)) = hit {
@@ -682,7 +616,7 @@ impl CacheState {
         stream.clear();
         for (idx, e) in entries.iter().enumerate() {
             let (g, l) = sv.g_and_l(&e.svector);
-            if search.selectivity_check && self.passes_selectivity_check(g * l, e) {
+            if self.passes_selectivity_check(g * l, e) {
                 return Some(idx);
             }
             stream.push(match search.order {
@@ -701,25 +635,6 @@ impl CacheState {
     fn next_candidate(&self, stream: &mut KeyStream) -> Option<(f64, usize)> {
         let entries = self.cache.instances();
         stream.next(|idx| entries[idx].violation_detected())
-    }
-
-    /// [`CacheState::find_candidates`] with its candidates drained into
-    /// `scratch.cands`, for the policies that read the neighbourhood as a
-    /// list.
-    pub(crate) fn list_candidates(
-        &self,
-        sv: &SVector,
-        search: CandidateSearch,
-        scratch: &mut GetPlanScratch,
-    ) -> Option<usize> {
-        scratch.cands.clear();
-        let hit = self.find_candidates(sv, search, scratch);
-        if hit.is_none() {
-            while let Some(c) = self.next_candidate(&mut scratch.stream) {
-                scratch.cands.push(c);
-            }
-        }
-        hit
     }
 
     /// Cost check over the candidates [`CacheState::find_candidates`] left
@@ -808,10 +723,9 @@ impl CacheState {
             .store(rows_copied, Ordering::Relaxed);
     }
 
-    /// `manageCache` for a fresh optimization — the only path that mutates
-    /// cache structure. The shared pre-amble (optimizer-call tally,
-    /// dynamic-λ accumulators) runs for every policy; the structural
-    /// admission dispatches to the active policy's admit hook.
+    /// A fresh optimization — the only path that mutates cache structure:
+    /// the optimizer-call tally and dynamic-λ accumulators, then
+    /// `manageCache`.
     fn admit(
         &mut self,
         sv: &SVector,
@@ -823,18 +737,14 @@ impl CacheState {
         ScrStatCells::bump(&self.stats.optimizer_calls);
         self.log_cost_sum += opt.cost.max(f64::MIN_POSITIVE).ln();
         self.opt_count += 1;
-        match self.config.policy {
-            // Penalty admits as SCR does: redundancy check, then budget.
-            PolicyId::Scr | PolicyId::Penalty => self.scr_admit(sv, opt, engine, scratch),
-            PolicyId::Lec => lec_admit(self, sv, opt, engine),
-        }
+        self.manage_cache(sv, opt, engine, scratch);
         self.sync_block_stats();
     }
 
     /// Enforce the plan budget before an insertion (Section 6.3.1): drop
     /// the minimum-aggregate-usage plan along with its instance entries
     /// until a slot is free.
-    pub(crate) fn enforce_plan_budget(&mut self) {
+    fn enforce_plan_budget(&mut self) {
         if let Some(k) = self.config.plan_budget {
             while self.cache.num_plans() >= k.max(1) {
                 let victim = self
@@ -847,8 +757,8 @@ impl CacheState {
         }
     }
 
-    /// SCR's admit-on-miss: `manageCache` (Algorithm 2).
-    pub(crate) fn scr_admit(
+    /// `manageCache` (Algorithm 2).
+    fn manage_cache(
         &mut self,
         sv: &SVector,
         opt: OptimizedPlan,
@@ -977,7 +887,6 @@ impl CacheState {
     ) -> Option<(PlanFingerprint, f64)> {
         let search = CandidateSearch {
             log_form: false,
-            selectivity_check: true,
             order: CandidateOrder::GlAscending,
             k: self.config.max_recost_candidates,
         };
@@ -1133,14 +1042,9 @@ impl Scr {
 
 impl OnlinePqo for Scr {
     fn name(&self) -> String {
-        let stem = match self.config.policy {
-            PolicyId::Scr => "SCR",
-            PolicyId::Lec => "LEC",
-            PolicyId::Penalty => "PEN",
-        };
-        let mut n = format!("{stem}{}", self.config.lambda);
+        let mut n = format!("SCR{}", self.config.lambda);
         if let Some(d) = self.config.dynamic_lambda {
-            n = format!("{stem}[{},{}]", d.lambda_min, d.lambda_max);
+            n = format!("SCR[{},{}]", d.lambda_min, d.lambda_max);
         }
         if let Some(k) = self.config.plan_budget {
             n.push_str(&format!("-k{k}"));

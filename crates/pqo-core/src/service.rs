@@ -541,9 +541,13 @@ impl PqoService {
     /// Encode the named template's latest published generation as a
     /// replication record (see [`replication::encode_generation`]): a delta
     /// against `since` when that base is still in the writer's generation
-    /// log, a full snapshot otherwise. The `Arc`s are grabbed under the
-    /// writer lock; the (possibly large) encode runs after it is released.
-    /// Returns the record and the generation it produces.
+    /// log, a full snapshot otherwise. A subscriber any number of
+    /// generations behind catches up with this one record: a delta spanning
+    /// the generations in between ships each plan fingerprint and each kept
+    /// entry's reference once, where a chain of per-generation deltas would
+    /// ship them once per link. The `Arc`s are grabbed under the writer
+    /// lock; the (possibly large) encode runs after it is released. Returns
+    /// the record and the generation it produces.
     ///
     /// # Errors
     /// [`PqoError::UnknownTemplate`].
@@ -563,80 +567,6 @@ impl PqoService {
             replication::encode_generation(&latest, base.as_deref()),
             generation,
         ))
-    }
-
-    /// Catch-up batch of [`PqoService::generation_record`]: every record a
-    /// subscriber at `since` needs to reach the latest published generation,
-    /// in apply order. When the whole span `since..=latest` is still in the
-    /// writer's generation log, the result is one *delta per intermediate
-    /// generation* — a resubscriber several generations behind gets the
-    /// missing deltas back-to-back in one burst instead of one full
-    /// snapshot or one round trip per generation. When any intermediate
-    /// generation has aged out of the log (or `since` is `None`), this
-    /// degrades to the single record [`PqoService::generation_record`]
-    /// would produce.
-    ///
-    /// The `Arc`s are grabbed under the writer lock; the encodes run after
-    /// it is released. Each element is `(record, generation it produces)`;
-    /// an already-caught-up subscriber gets an empty batch.
-    ///
-    /// # Errors
-    /// [`PqoError::UnknownTemplate`].
-    pub fn generation_records(
-        &self,
-        template: &str,
-        since: Option<u64>,
-    ) -> Result<Vec<(Vec<u8>, u64)>, PqoError> {
-        let shard = self.shard(template)?;
-        // Under the lock: the latest generation plus the contiguous chain of
-        // logged snapshots from `since` forward (base first).
-        let (latest, chain) = {
-            let writer = shard.writer();
-            let latest = writer.latest_snapshot();
-            let chain = since.map(|from| {
-                let mut chain = Vec::new();
-                for g in from..latest.generation() {
-                    match writer.logged_snapshot(g) {
-                        Some(s) => chain.push(s),
-                        None => {
-                            chain.clear();
-                            break;
-                        }
-                    }
-                }
-                chain
-            });
-            (latest, chain)
-        };
-        let latest_gen = latest.generation();
-        if since == Some(latest_gen) {
-            return Ok(Vec::new());
-        }
-        match chain {
-            // Contiguous span: one delta per missing generation, each
-            // encoded against its immediate predecessor.
-            Some(chain) if !chain.is_empty() => {
-                let mut records = Vec::with_capacity(chain.len());
-                for pair in chain.windows(2) {
-                    records.push((
-                        replication::encode_generation(&pair[1], Some(&pair[0])),
-                        pair[1].generation(),
-                    ));
-                }
-                let last_base = chain.last().expect("chain is non-empty");
-                records.push((
-                    replication::encode_generation(&latest, Some(last_base)),
-                    latest_gen,
-                ));
-                Ok(records)
-            }
-            // Base aged out of the log (or no base at all): a single full
-            // record re-ships the cache, exactly as `generation_record`.
-            _ => Ok(vec![(
-                replication::encode_generation(&latest, None),
-                latest_gen,
-            )]),
-        }
     }
 
     /// Apply a pushed replication record to the named template (the replica
@@ -1188,20 +1118,18 @@ mod tests {
     }
 
     #[test]
-    fn catch_up_batch_ships_consecutive_deltas() {
+    fn a_subscriber_generations_behind_catches_up_with_one_delta() {
         let t_orders = crate::testutil::fixture_template("q_orders");
         let cfg = ScrConfig::new(1.5).unwrap();
         let p = PqoService::new();
         p.register(Arc::clone(&t_orders), cfg.clone()).unwrap();
         let r = PqoService::new();
         r.register(Arc::clone(&t_orders), cfg).unwrap();
-
-        // Caught-up subscriber: empty batch.
-        let g0 = p.generation("q_orders").unwrap();
-        assert!(p
-            .generation_records("q_orders", Some(g0))
-            .unwrap()
-            .is_empty());
+        let saved = |s: &PqoService| {
+            let mut bytes = Vec::new();
+            s.save("q_orders", &mut bytes).unwrap();
+            bytes
+        };
 
         // Drive a varied sweep until several generations publish while the
         // subscriber is away, stopping before the log window (depth 8) ages
@@ -1214,49 +1142,44 @@ mod tests {
             ]
         };
         let mut i = 0usize;
-        while p.generation("q_orders").unwrap() - applied < 4 {
-            let _ = p
-                .get_plan("q_orders", &inst_at(&t_orders, &probe(i)))
-                .unwrap();
-            i += 1;
-            assert!(i < 200, "workload never published 4 generations");
-        }
+        let mut drive_until = |behind: u64, limit: usize| {
+            while p.generation("q_orders").unwrap() - applied < behind {
+                let _ = p
+                    .get_plan("q_orders", &inst_at(&t_orders, &probe(i)))
+                    .unwrap();
+                i += 1;
+                assert!(i < limit, "workload never published {behind} generations");
+            }
+        };
+        drive_until(4, 200);
         let latest = p.generation("q_orders").unwrap();
-        assert!(latest - applied >= 3, "workload must publish generations");
 
-        // The burst holds one delta per missing generation, in apply order.
-        let records = p.generation_records("q_orders", Some(applied)).unwrap();
-        assert_eq!(records.len(), (latest - applied) as usize);
-        let mut expected_base = applied;
-        let mut replica_gen = applied;
-        for (record, produced) in &records {
-            let info = replication::record_info(record).unwrap();
-            assert_eq!(
-                info.base,
-                Some(expected_base),
-                "records must chain consecutively"
-            );
-            assert_eq!(info.generation, *produced);
-            expected_base = *produced;
-            replica_gen = r.apply_generation("q_orders", record).unwrap();
-        }
-        assert_eq!(replica_gen, latest, "burst must land on the latest");
+        // One delta spans every missing generation; applied, the replica
+        // holds the primary's cache to the byte.
+        let (record, produced) = p.generation_record("q_orders", Some(applied)).unwrap();
+        let info = replication::record_info(&record).unwrap();
+        assert_eq!(
+            info.base,
+            Some(applied),
+            "the delta must span from the base"
+        );
+        assert_eq!((info.generation, produced), (latest, latest));
+        assert_eq!(r.apply_generation("q_orders", &record).unwrap(), latest);
+        assert_eq!(saved(&r), saved(&p));
         assert_eq!(r.total_plans(), p.total_plans());
 
-        // A subscriber whose base aged out of the log window degrades to a
-        // single full record.
-        while p.generation("q_orders").unwrap() - applied < 9 {
-            let _ = p
-                .get_plan("q_orders", &inst_at(&t_orders, &probe(i)))
-                .unwrap();
-            i += 1;
-            assert!(i < 400, "workload never aged the base out of the log");
-        }
-        let records = p.generation_records("q_orders", Some(applied)).unwrap();
-        assert_eq!(records.len(), 1, "aged-out base must fall back to full");
-        let info = replication::record_info(&records[0].0).unwrap();
-        assert_eq!(info.base, None, "fallback record must be full");
+        // A subscriber whose base aged out of the log window gets one full
+        // record, and lands on the same bytes.
+        let r = PqoService::new();
+        r.register(Arc::clone(&t_orders), ScrConfig::new(1.5).unwrap())
+            .unwrap();
+        drive_until(9, 400);
+        let (record, produced) = p.generation_record("q_orders", Some(applied)).unwrap();
+        let info = replication::record_info(&record).unwrap();
+        assert_eq!(info.base, None, "an aged-out base must get a full record");
         assert_eq!(info.generation, p.generation("q_orders").unwrap());
+        assert_eq!(r.apply_generation("q_orders", &record).unwrap(), produced);
+        assert_eq!(saved(&r), saved(&p));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use pqo_core::persist::{restore_with_generation, save, RestoreError};
 use pqo_core::scr::{Scr, ScrConfig};
-use pqo_core::{OnlinePqo, PolicyId};
+use pqo_core::OnlinePqo;
 use pqo_optimizer::engine::QueryEngine;
 use pqo_optimizer::svector::{compute_svector, instance_for_target};
 use pqo_optimizer::template::{QueryTemplate, RangeOp, TemplateBuilder};
@@ -115,25 +115,12 @@ fn committed_v2_fixture_keeps_loading_through_compat_path() {
     assert_eq!(scr.cache().num_plans(), v3.cache().num_plans());
     assert_eq!(scr.cache().num_instances(), v3.cache().num_instances());
 
-    // And the policy check applies to v2 blobs too: a non-SCR configuration
-    // refuses them with the typed error.
-    let err = restore_with_generation(
-        ScrConfig::new(LAMBDA)
-            .expect("valid λ")
-            .with_policy(PolicyId::Lec),
-        &mut &FIXTURE_V2[..],
-    )
-    .expect_err("an SCR-era blob must not restore into an LEC service");
-    assert!(
-        matches!(
-            err,
-            RestoreError::PolicyMismatch {
-                expected: PolicyId::Lec,
-                found: PolicyId::Scr,
-            }
-        ),
-        "{err}"
-    );
+    // It restores as SCR: re-saved, it is the v3 fixture to the byte —
+    // policy tag 0 included.
+    let mut resaved = Vec::new();
+    save(&scr, generation, &mut resaved).expect("re-save");
+    assert_eq!(resaved[16], 0, "a v2 blob must restore as SCR");
+    assert_eq!(resaved, FIXTURE_V3, "v2 fixture re-saved differs from v3");
 }
 
 #[test]

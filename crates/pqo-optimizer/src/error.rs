@@ -58,10 +58,11 @@ pub enum PqoError {
         message: String,
     },
     /// A snapshot or replication stream was produced under a different
-    /// plan-selection policy than this service runs. Policies shape cache
+    /// plan-selection policy than this service runs: a retired `lec` or
+    /// `penalty` cache, where the service runs `scr`. Policies shape cache
     /// contents (which plans are admitted, which entries survive), so
-    /// silently mixing them would poison the guarantee; the mismatch is a
-    /// typed error the operator must resolve explicitly.
+    /// serving another policy's cache would void the guarantee; the
+    /// mismatch is a typed error the operator must resolve explicitly.
     PolicyMismatch {
         /// The policy this service is configured with.
         expected: String,

@@ -514,12 +514,11 @@ impl EventLoop {
     /// published-snapshot load, so an idle fleet costs ~nothing. In steady
     /// state at most one unacknowledged push per subscription is in flight
     /// (the ≤ 1 generation-lag invariant). A resubscriber several
-    /// generations behind but still inside the writer's log window gets
-    /// every missing delta record back-to-back in one burst (see
-    /// [`pqo_core::PqoService::generation_records`]) instead of one
-    /// full-snapshot re-ship or one ack round trip per generation; its ack
-    /// of the final generation settles the whole burst. A connection over
-    /// its buffer bound is skipped until it drains.
+    /// generations behind gets one record: a delta spanning every missing
+    /// generation while its base is still in the writer's log window, a
+    /// full snapshot otherwise (see
+    /// [`pqo_core::PqoService::generation_record`]). A connection over its
+    /// buffer bound is skipped until it drains.
     fn pump_subscriptions(&mut self, now: Instant) {
         for slot in 0..self.conns.len() {
             let mut pushed = false;
@@ -544,28 +543,26 @@ impl EventLoop {
                     if current <= sub.sent {
                         continue;
                     }
-                    let Ok(records) = self
+                    let Ok((record, generation)) = self
                         .shared
                         .service
-                        .generation_records(&sub.template, Some(sub.sent))
+                        .generation_record(&sub.template, Some(sub.sent))
                     else {
                         continue;
                     };
                     let stats = &self.shared.stats;
-                    for (record, generation) in records {
-                        stats.gens_pushed.fetch_add(1, Ordering::Relaxed);
-                        stats
-                            .replication_bytes_out
-                            .fetch_add(record.len() as u64, Ordering::Relaxed);
-                        let push = Response::SnapshotPush {
-                            template: sub.template.clone(),
-                            generation,
-                            record,
-                        };
-                        conn.respond(&push, stats, now);
-                        sub.sent = generation;
-                        pushed = true;
-                    }
+                    stats.gens_pushed.fetch_add(1, Ordering::Relaxed);
+                    stats
+                        .replication_bytes_out
+                        .fetch_add(record.len() as u64, Ordering::Relaxed);
+                    let push = Response::SnapshotPush {
+                        template: sub.template.clone(),
+                        generation,
+                        record,
+                    };
+                    conn.respond(&push, stats, now);
+                    sub.sent = generation;
+                    pushed = true;
                 }
                 conn.subs = subs;
             }

@@ -98,7 +98,7 @@ fn stream_from_primary(shared: &Shared) -> Result<(), ClientError> {
             }
             Err(e) => {
                 // A record we cannot apply (base mismatch after a missed
-                // push, a cross-policy stream, corruption in transit):
+                // push, a retired policy's tag, corruption in transit):
                 // drop the connection and resubscribe from the applied
                 // generation, which yields a delta from a base both sides
                 // agree on — or a full snapshot if the primary's log no

@@ -62,7 +62,7 @@ use pqo_core::service::{Cached, MissTicket, PqoService};
 use pqo_core::{PlanChoice, PqoError};
 use pqo_optimizer::template::QueryInstance;
 
-use crate::client::PqoClient;
+use crate::client::{ClientError, PqoClient, RemoteChoice};
 use crate::event_loop;
 use crate::poller::{self, Waker};
 use crate::replica;
@@ -617,9 +617,21 @@ pub(crate) fn serve_remote(shared: &Shared, miss: PlanMiss) -> Result<WireChoice
         let (choice, generation) = shared.service.resume(ticket);
         return Ok(wire_choice(&choice, generation));
     };
-    let remote = forward_to_primary(shared, rep, &template, &inst.values)?;
-    rep.note_primary(&template, remote.generation);
-    if !rep.wait_applied(&template, remote.generation, shared.config.read_timeout) {
+    let remote = forward_to_primary(shared, rep, |c| c.get_plan(&template, &inst.values))?;
+    relay(shared, rep, &template, remote)
+}
+
+/// Hold a decision the primary made for a forwarded miss until the
+/// generation it produced has been applied here, then answer with it.
+#[allow(clippy::result_large_err)]
+fn relay(
+    shared: &Shared,
+    rep: &ReplicaState,
+    template: &str,
+    remote: RemoteChoice,
+) -> Result<WireChoice, Response> {
+    rep.note_primary(template, remote.generation);
+    if !rep.wait_applied(template, remote.generation, shared.config.read_timeout) {
         return Err(Response::Error {
             code: code::PRIMARY_UNREACHABLE,
             message: format!(
@@ -636,7 +648,7 @@ pub(crate) fn serve_remote(shared: &Shared, miss: PlanMiss) -> Result<WireChoice
 }
 
 /// Both halves on one thread: how a worker serves the instances of a
-/// replica's batch and an `EXPLAIN`.
+/// replica's batch.
 #[allow(clippy::result_large_err)]
 fn serve_one(shared: &Shared, template: &str, inst: QueryInstance) -> Result<WireChoice, Response> {
     match serve_local(shared, template, inst) {
@@ -680,10 +692,12 @@ fn serve_batch(
     Ok(choices.iter().map(|c| wire_choice(c, generation)).collect())
 }
 
-/// Serve one instance and render the chosen plan as dialect-specific
-/// hinted SQL (values inlined as literals). On a replica the decision is
-/// served through the usual forwarding path first, which guarantees the
-/// chosen plan is in the local cache by the time it is rendered.
+/// Serve one instance and render the plan it is served as
+/// dialect-specific hinted SQL (values inlined as literals). The instance
+/// is decided once: a hit renders its own plan, a primary's miss resumes
+/// and renders the plan the decision chose, and a replica's miss forwards
+/// the `EXPLAIN` itself — the primary renders the plan it decided — then
+/// holds the reply as a forwarded `GET_PLAN` is held.
 #[allow(clippy::result_large_err)]
 fn explain_one(
     shared: &Shared,
@@ -702,45 +716,40 @@ fn explain_one(
         .service
         .template(template)
         .map_err(|e| pqo_error_frame(&e))?;
-    if shared.replica.is_some() {
-        let choice = serve_one(shared, template, inst.clone())?;
-        let plan = match shared.service.serve_cached(template, &inst) {
-            Ok(Cached::Hit { choice, .. }) => choice.plan,
-            Ok(Cached::Miss(_)) => {
-                return Err(Response::Error {
-                    code: code::PRIMARY_UNREACHABLE,
-                    message: format!(
-                        "plan {:#018x} not in the local cache after forwarding",
-                        choice.fingerprint
-                    ),
-                })
-            }
-            Err(e) => return Err(pqo_error_frame(&e)),
-        };
-        let sql = pqo_sql::emit::render(&t, &plan, dialect, Some(&inst.values));
-        return Ok(Response::ExplainOk { choice, sql });
-    }
-    let (decision, generation) = shared
+    let cached = shared
         .service
-        .get_plan_with_generation(template, &inst)
+        .serve_cached(template, &inst)
         .map_err(|e| pqo_error_frame(&e))?;
-    let sql = pqo_sql::emit::render(&t, &decision.plan, dialect, Some(&inst.values));
+    let (choice, generation) = match (cached, &shared.replica) {
+        (Cached::Hit { choice, generation }, _) => (choice, generation),
+        (Cached::Miss(ticket), None) => shared.service.resume(ticket),
+        (Cached::Miss(_), Some(rep)) => {
+            let remote = forward_to_primary(shared, rep, |c| {
+                c.explain(template, &inst.values, dialect_tag)
+            })?;
+            let choice = relay(shared, rep, template, remote.choice)?;
+            return Ok(Response::ExplainOk {
+                choice,
+                sql: remote.sql,
+            });
+        }
+    };
+    let sql = pqo_sql::emit::render(&t, &choice.plan, dialect, Some(&inst.values));
     Ok(Response::ExplainOk {
-        choice: wire_choice(&decision, generation),
+        choice: wire_choice(&choice, generation),
         sql,
     })
 }
 
-/// Forward one cache miss to the primary over the replica's lazily
-/// (re)connected forwarding client. Any transport failure drops the
-/// connection so the next miss redials.
+/// Make one call to the primary over the replica's lazily (re)connected
+/// forwarding client. Any transport failure drops the connection so the
+/// next miss redials.
 #[allow(clippy::result_large_err)]
-fn forward_to_primary(
+fn forward_to_primary<T>(
     shared: &Shared,
     rep: &ReplicaState,
-    template: &str,
-    values: &[f64],
-) -> Result<crate::client::RemoteChoice, Response> {
+    call: impl FnOnce(&mut PqoClient) -> Result<T, ClientError>,
+) -> Result<T, Response> {
     let mut guard = rep.forward.lock().expect("forward lock");
     if guard.is_none() {
         match PqoClient::connect_with_timeout(&rep.primary, shared.config.read_timeout) {
@@ -754,9 +763,9 @@ fn forward_to_primary(
         }
     }
     let client = guard.as_mut().expect("connected above");
-    match client.get_plan(template, values) {
-        Ok(choice) => Ok(choice),
-        Err(crate::client::ClientError::Server { code, message }) => {
+    match call(client) {
+        Ok(answer) => Ok(answer),
+        Err(ClientError::Server { code, message }) => {
             // The primary answered; relay its typed error verbatim.
             Err(Response::Error { code, message })
         }
@@ -806,8 +815,5 @@ fn gather_stats(shared: &Shared, template: &str) -> Result<WireStats, PqoError> 
         gens_applied: srv.gens_applied.load(Ordering::Relaxed),
         replication_bytes_out: srv.replication_bytes_out.load(Ordering::Relaxed),
         replication_bytes_in: srv.replication_bytes_in.load(Ordering::Relaxed),
-        policy_id: snapshot.config().policy.as_tag() as u64,
-        policy_hits: s.policy_hits,
-        policy_rejects: s.policy_rejects,
     })
 }

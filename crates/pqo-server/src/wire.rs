@@ -46,15 +46,20 @@ use pqo_optimizer::error::PqoError;
 /// [`code::PRIMARY_UNREACHABLE`] error code was published.
 ///
 /// v5: the policy layer. `STATS_OK` grew three policy fields (the serving
-/// [`pqo_core::PolicyId`] tag plus the policy-specific hit/reject decision
-/// counters); replication records carry a policy tag (layout `PQG2`); the
+/// policy's tag plus the policy-specific hit/reject decision counters);
+/// replication records carry a policy tag (layout `PQG2`); the
 /// [`code::POLICY_MISMATCH`] error code was published.
 ///
 /// v6: the SQL frontend. `EXPLAIN`/`EXPLAIN_OK` serve one instance and
 /// return the chosen cached plan rendered as dialect-specific hinted SQL
 /// (the dialect is named by a `u8` tag: 0 = postgres, 1 = mysql,
 /// 2 = duckdb) alongside the usual plan decision.
-pub const PROTOCOL_VERSION: u16 = 6;
+///
+/// v7: SCR is the one serving policy. `STATS_OK` lost v5's three policy
+/// fields (32 → 29); records keep their policy tag byte, always 0, and
+/// [`code::POLICY_MISMATCH`] now answers a cache or record tagged with a
+/// retired policy (`lec`, `penalty`).
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// Default upper bound on one frame's body, enforced by server and client.
 pub const DEFAULT_MAX_FRAME_BYTES: u32 = 1 << 20;
@@ -140,8 +145,9 @@ pub mod code {
     /// A replica could not forward a cache miss to its primary (or timed
     /// out waiting for the resulting generation to replicate).
     pub const PRIMARY_UNREACHABLE: u16 = 22;
-    /// [`PqoError::PolicyMismatch`](super::PqoError::PolicyMismatch): a snapshot or replication stream was
-    /// produced under a different serving policy than this service runs.
+    /// [`PqoError::PolicyMismatch`](super::PqoError::PolicyMismatch): a
+    /// snapshot or replication stream is tagged with a retired serving
+    /// policy.
     pub const POLICY_MISMATCH: u16 = 23;
     /// A [`PqoError`](super::PqoError) variant this protocol version does not know
     /// (`PqoError` is `#[non_exhaustive]`).
@@ -354,13 +360,6 @@ wire_stats! {
     replication_bytes_out,
     /// Replication record bytes applied from a primary (server-wide).
     replication_bytes_in,
-    /// The [`pqo_core::PolicyId`] tag the service serves under (0 = SCR,
-    /// 1 = LEC, 2 = penalty).
-    policy_id,
-    /// Instances served by a non-SCR policy's decide step.
-    policy_hits,
-    /// Policy gate rejections that fell through to the optimizer.
-    policy_rejects,
 }
 
 /// A server → client message.
@@ -1006,7 +1005,7 @@ mod tests {
     fn stats_layout_is_pinned_to_protocol_version() {
         assert_eq!(
             (PROTOCOL_VERSION, STATS_FIELD_COUNT),
-            (6, 32),
+            (7, 29),
             "STATS_OK layout changed: bump PROTOCOL_VERSION and re-pin this pair"
         );
         let unique: std::collections::HashSet<_> = STATS_FIELD_NAMES.iter().collect();

@@ -265,3 +265,59 @@ fn replica_restart_preserves_the_stream() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A replica's `EXPLAIN` renders the plan it reports. When the redundancy
+/// check discards a miss's fresh plan, the decision names the optimal plan
+/// while the cache keeps only a λr-close one — so an `EXPLAIN` that
+/// forwarded the decision and then decided again locally rendered the
+/// cached plan under the optimal plan's fingerprint.
+#[test]
+fn replica_explain_renders_the_plan_it_reports() {
+    let id = "tpch_skew_B_d2";
+    let workload = spec_for(id).generate(400, 1);
+    // The first instance the oracle optimizes whose plan is then absent
+    // from its cache.
+    let oracle = fresh_service(&[id]);
+    let discarded = workload
+        .iter()
+        .position(|q| {
+            let choice = oracle.get_plan(id, q).expect("oracle serves");
+            let cache = oracle.snapshot(id).expect("registered");
+            choice.optimized && !cache.cache().contains_plan(choice.plan.fingerprint())
+        })
+        .expect("the redundancy check discards some optimal plan of the workload");
+
+    let primary = PqoServer::bind(fresh_service(&[id]), "127.0.0.1:0", ServerConfig::default())
+        .expect("bind primary");
+    let replica = PqoServer::bind(
+        fresh_service(&[id]),
+        "127.0.0.1:0",
+        replica_config(primary.local_addr()),
+    )
+    .expect("bind replica");
+    let mut client = PqoClient::connect(replica.local_addr()).expect("replica client connects");
+    let oracle = fresh_service(&[id]);
+    for (i, q) in workload[..=discarded].iter().enumerate() {
+        let reply = client.explain(id, &q.values, 0).expect("explain served");
+        let expect = oracle.get_plan(id, q).expect("oracle serves");
+        assert_eq!(
+            (reply.choice.fingerprint, reply.choice.optimized),
+            (expect.plan.fingerprint(), expect.optimized),
+            "instance {i}: decision diverged through the replica"
+        );
+        assert!(
+            reply
+                .sql
+                .contains(&format!("-- plan: {}", reply.choice.fingerprint)),
+            "instance {i} (discard at {discarded}): EXPLAIN rendered another plan than \
+             {} it reports:\n{}",
+            reply.choice.fingerprint,
+            reply.sql
+        );
+    }
+
+    for server in [replica, primary] {
+        server.shutdown();
+        server.join();
+    }
+}

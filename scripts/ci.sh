@@ -187,44 +187,6 @@ wait "$repl_rpid"
 grep -Eq "generations applied : [1-9]" "$repl_tmp/replica.log" \
     || { echo "replica exit summary shows no applied generations"; cat "$repl_tmp/replica.log"; exit 1; }
 
-echo "==> policy matrix smoke (scr | lec | penalty served end-to-end)"
-# Every serving policy must survive the same loopback drill: serve it,
-# replay an oracle-checked workload (the in-process oracle runs the same
-# --policy), and shut down cleanly. The server must announce the policy it
-# serves so operators can tell the deployments apart.
-pol_tmp="$tmp/pol"
-mkdir "$pol_tmp"
-pol_id="tpch_skew_B_d2"
-for pol in scr lec penalty; do
-    start_server "$pol_tmp/$pol.log" --template "$pol_id" --policy "$pol"
-    grep -q "(policy: $pol)" "$pol_tmp/$pol.log" \
-        || { echo "$pol server did not announce its policy"; cat "$pol_tmp/$pol.log"; exit 1; }
-    ./target/release/pqo client --connect "$addr" \
-        --template "$pol_id" --m 200 --batch 4 --check true --policy "$pol" \
-        | grep "oracle check        : OK" \
-        || { echo "oracle check failed under policy $pol"; exit 1; }
-    ./target/release/pqo client --connect "$addr" --op shutdown
-    wait "$server_pid"
-done
-# One non-SCR policy through the replicated stack: an LEC primary feeding
-# an LEC replica, oracle-checked through the replica.
-start_server "$pol_tmp/lec_primary.log" --template "$pol_id" --policy lec --primary
-paddr="$addr" pol_ppid="$server_pid"
-start_server "$pol_tmp/lec_replica.log" --template "$pol_id" --policy lec --replica-of "$paddr"
-raddr="$addr" pol_rpid="$server_pid"
-grep -q "role: replica of" "$pol_tmp/lec_replica.log" \
-    || { echo "lec replica did not announce its role"; cat "$pol_tmp/lec_replica.log"; exit 1; }
-./target/release/pqo client --connect "$raddr" \
-    --template "$pol_id" --m 200 --batch 4 --check true --policy lec \
-    | grep "oracle check        : OK" \
-    || { echo "oracle check through the lec replica failed"; exit 1; }
-./target/release/pqo client --connect "$raddr" --op shutdown
-wait "$pol_rpid"
-./target/release/pqo client --connect "$paddr" --op shutdown
-wait "$pol_ppid"
-grep -Eq "generations applied : [1-9]" "$pol_tmp/lec_replica.log" \
-    || { echo "lec replica exit summary shows no applied generations"; cat "$pol_tmp/lec_replica.log"; exit 1; }
-
 echo "==> sql-frontend smoke (templates-dir serving across three dialects)"
 # The SQL frontend end to end: serve every committed .sql fixture from
 # templates/ (the corpus spans postgres, mysql and duckdb), replay an
@@ -317,7 +279,7 @@ echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "==> stack benchmark passes its own tests (bench/)"
-# Last, because one of them is expected to fail until ROADMAP item 7 (0)
+# Last, because one of them is expected to fail until ROADMAP item 1 (0)
 # lands and every other stage should still report:
 # templates::optimizing_a_bench_template_dwarfs_the_corpus asserts that an
 # optimizer call on a bench/templates join costs >= 5x one on the corpus'

@@ -4,8 +4,8 @@
 //! compares one serving path with another passes just as well when a change
 //! moves *both* streams. This file pins the streams themselves: a hash of
 //! every `(fingerprint, optimized)` decision of the sequential technique over
-//! the paper's corpus, the `bench/templates` joins, the `lec` / `penalty`
-//! policies and a handful of non-default configurations, against
+//! the paper's corpus, the `bench/templates` joins and a handful of
+//! non-default configurations, against
 //! `tests/fixtures/decision_stream.golden`. A change to the candidate search,
 //! the cost check or `manageCache` that is meant to keep decisions has to
 //! leave that file byte-identical; a change that means to move them
@@ -20,7 +20,7 @@ use std::sync::Arc;
 use common::{bigjoin_templates, fnv1a, lambda, mix, on_two_threads, spec, FNV_OFFSET};
 use pqo::core::engine::QueryEngine;
 use pqo::core::scr::{CandidateOrder, DynamicLambda, Scr, ScrConfig};
-use pqo::core::{OnlinePqo, PolicyId, PqoService};
+use pqo::core::{OnlinePqo, PqoService};
 use pqo::optimizer::template::{QueryInstance, QueryTemplate};
 use pqo::workload::corpus::{corpus, TemplateSpec};
 use pqo::workload::regions;
@@ -83,19 +83,6 @@ fn jobs() -> Vec<Job> {
                 template: Arc::clone(template),
                 config: lambda(1.05),
                 instances: regions::generate(template, 1000, mix(seed, 100 + index as u64)),
-            });
-        }
-    }
-    // The two other policies share the candidate search.
-    let three = ["rd2_R_d5", "rd2_S_d6", "rd2_T_d7"];
-    for policy in [PolicyId::Lec, PolicyId::Penalty] {
-        for id in three {
-            let s = spec(id);
-            jobs.push(Job {
-                label: format!("policy={policy} seed=1 {id}"),
-                template: Arc::clone(&s.template),
-                config: lambda(2.0).with_policy(policy),
-                instances: s.generate(s.default_len(), 1),
             });
         }
     }

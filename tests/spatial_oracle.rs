@@ -4,9 +4,9 @@
 //! brute-force linear scan that sorts every row, values *and* tie order,
 //! bit for bit: across block boundaries, dimensionalities, duplicated
 //! points, compaction, and selectivities no histogram should produce. SCR's
-//! decisions (and the `lec` / `penalty` neighbourhoods) consume only these
-//! answers, so bitwise identity here is what keeps the decision stream a
-//! function of the stored instances and nothing else.
+//! decisions consume only these answers, so bitwise identity here is what
+//! keeps the decision stream a function of the stored instances and nothing
+//! else.
 //!
 //! The candidate stream hands rows out on demand; the eager formulation it
 //! replaced — a bounded, sort-maintaining top-k over all the keys — is kept
