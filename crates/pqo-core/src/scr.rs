@@ -297,10 +297,15 @@ impl ScrStatCells {
         Self::add(&self.publish_nanos, nanos);
     }
 
-    /// The Recost work of one cost check.
+    /// The Recost work of one cost check. The maximum is read first, so the
+    /// read-modify-write (a compare-and-swap loop on x86-64) runs only for a
+    /// decision that sets a new one.
+    #[inline(always)]
     fn record_recosts(&self, n: u64, nanos: u64) {
         Self::add(&self.getplan_recost_calls, n);
-        self.max_recosts_per_getplan.fetch_max(n, Ordering::Relaxed);
+        if n > self.max_recosts_per_getplan.load(Ordering::Relaxed) {
+            self.max_recosts_per_getplan.fetch_max(n, Ordering::Relaxed);
+        }
         Self::add(&self.recost_nanos, nanos);
     }
 
@@ -373,7 +378,8 @@ impl GetPlanScratch {
     /// nothing — widened by the relative tolerance the optimizer grants its
     /// own cost against Recost, so that a bound equal to the optimum never
     /// prunes it through rounding.
-    pub(crate) fn optimize_bound(&self) -> f64 {
+    #[doc(hidden)]
+    pub fn optimize_bound(&self) -> f64 {
         let cheapest = self.recosted.iter().map(|&(_, c)| c);
         cheapest.fold(f64::INFINITY, f64::min) * (1.0 + 1e-6)
     }
@@ -491,6 +497,7 @@ impl CacheState {
     /// Effective λ for an entry with optimal cost `c` (Appendix D): static
     /// λ, or `λmin + (λmax − λmin)·exp(−c / Cref)` where `Cref` is the
     /// geometric mean of optimal costs seen so far.
+    #[inline(always)]
     fn effective_lambda(&self, c: f64) -> f64 {
         match self.config.dynamic_lambda {
             None => self.config.lambda,
@@ -521,7 +528,59 @@ impl CacheState {
     /// derivation survive across calls (and across snapshot generations —
     /// the scratch depends only on the engine, not the cache contents), so
     /// the hit path allocates nothing.
+    ///
+    /// The decision is compiled twice from one source, and the CPU picks the
+    /// build: an AVX2 build where the CPU reports AVX2 (std caches the
+    /// answer), the portable build everywhere else. Target features change
+    /// instruction selection, not IEEE results — Rust never contracts to
+    /// FMA, the kernels' lanes never mix rows and distances are never NaN or
+    /// `-0.0` — so both builds return the same decision, bit for bit.
     pub fn try_cached_plan_with(
+        &self,
+        sv: &SVector,
+        engine: &QueryEngine,
+        scratch: &mut GetPlanScratch,
+    ) -> Option<PlanChoice> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `decide_avx2` enables AVX2 and nothing else, and
+            // `is_x86_feature_detected!` has just reported that this CPU
+            // supports AVX2.
+            return unsafe { self.decide_avx2(sv, engine, scratch) };
+        }
+        self.decide(sv, engine, scratch)
+    }
+
+    /// The portable build of [`CacheState::try_cached_plan_with`], whatever
+    /// the CPU: the test hook that holds the two builds equal.
+    #[doc(hidden)]
+    pub fn try_cached_plan_portable(
+        &self,
+        sv: &SVector,
+        engine: &QueryEngine,
+        scratch: &mut GetPlanScratch,
+    ) -> Option<PlanChoice> {
+        self.decide(sv, engine, scratch)
+    }
+
+    /// The AVX2 build: [`CacheState::decide`] and every helper it inlines,
+    /// compiled for 4-lane `f64` vectors.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn decide_avx2(
+        &self,
+        sv: &SVector,
+        engine: &QueryEngine,
+        scratch: &mut GetPlanScratch,
+    ) -> Option<PlanChoice> {
+        self.decide(sv, engine, scratch)
+    }
+
+    /// The cached decision itself — the candidate search, the candidate
+    /// stream and the cost check's arithmetic, inlined whole into each
+    /// build.
+    #[inline(always)]
+    fn decide(
         &self,
         sv: &SVector,
         engine: &QueryEngine,
@@ -543,6 +602,7 @@ impl CacheState {
 
     /// Whether a list of this length decides in the nearest-first log form
     /// (see [`ScrConfig::spatial_index_threshold`]).
+    #[inline(always)]
     fn uses_log_form(&self) -> bool {
         self.config.spatial_index_threshold != usize::MAX
             && self.cache.num_instances() >= self.config.spatial_index_threshold
@@ -562,6 +622,7 @@ impl CacheState {
 
     /// Whether entry `e` passes the selectivity check at `G·L = gl`
     /// (Section 5.3: `G·L ≤ λ/S`).
+    #[inline(always)]
     fn passes_selectivity_check(&self, gl: f64, e: &InstanceEntry) -> bool {
         gl <= self.effective_lambda(e.opt_cost) / e.sub_opt
     }
@@ -585,6 +646,7 @@ impl CacheState {
     ///   selectivity check serves the *first* entry in list order that
     ///   passes. The candidates are the unmarked entries in ascending key
     ///   under `search.order`, ties in list order, keyed once each.
+    #[inline(always)]
     fn find_candidates(
         &self,
         sv: &SVector,
@@ -632,6 +694,7 @@ impl CacheState {
     /// The next candidate of the search [`CacheState::find_candidates`] left
     /// in `stream`. An entry's violation mark is read when the stream
     /// reaches the entry.
+    #[inline(always)]
     fn next_candidate(&self, stream: &mut KeyStream) -> Option<(f64, usize)> {
         let entries = self.cache.instances();
         stream.next(|idx| entries[idx].violation_detected())
@@ -648,6 +711,7 @@ impl CacheState {
     /// performs no allocation and no tree walk. The clock is read twice,
     /// around the whole loop, and not at all when there is no candidate.
     /// The Recosts paid stay in `scratch` for a miss's optimizer call.
+    #[inline(always)]
     fn cost_check(
         &self,
         sv: &SVector,

@@ -81,6 +81,11 @@ thread_local! {
     /// changes): the cached path allocates nothing once it is warm, and no
     /// caller waits for, or allocates around, another's.
     static SCRATCH: RefCell<GetPlanScratch> = RefCell::default();
+
+    /// The calling thread's selectivity vector, which
+    /// [`PqoService::serve_cached`] derives in place: a hit allocates
+    /// nothing, and only a miss copies it out, into its [`MissTicket`].
+    static SELECTIVITIES: RefCell<SVector> = const { RefCell::new(SVector(Vec::new())) };
 }
 
 impl Shard {
@@ -88,11 +93,11 @@ impl Shard {
         self.writer.lock().expect("writer lock poisoned")
     }
 
-    /// The selectivity vector of `instance`, once it is known to fit the
-    /// template: instances come from outside the program, and
+    /// Whether `instance` fits the template, checked before its selectivity
+    /// vector is derived: instances come from outside the program, and
     /// `compute_svector` asserts the arity and compares values with
     /// `partial_cmp().unwrap()`.
-    fn checked_svector(&self, instance: &QueryInstance) -> Result<SVector, PqoError> {
+    fn check_instance(&self, instance: &QueryInstance) -> Result<(), PqoError> {
         let template = self.engine.template();
         let invalid = |reason: String| PqoError::InvalidInstance {
             template: template.name.clone(),
@@ -108,7 +113,7 @@ impl Shard {
         if let Some(bad) = instance.values.iter().find(|v| !v.is_finite()) {
             return Err(invalid(format!("non-finite parameter value {bad}")));
         }
-        Ok(self.engine.compute_svector(instance))
+        Ok(())
     }
 
     /// The cached `getPlan` path against `snapshot`, in the thread's
@@ -386,17 +391,20 @@ impl PqoService {
         instance: &QueryInstance,
     ) -> Result<Cached, PqoError> {
         let shard = self.shard(template)?;
-        let sv = shard.checked_svector(instance)?;
-        let snapshot = shard.published.load();
-        let generation = snapshot.generation();
-        Ok(match shard.try_cached_plan(&snapshot, &sv) {
-            Ok(choice) => Cached::Hit { choice, generation },
-            Err(bound) => Cached::Miss(MissTicket {
-                shard,
-                sv,
-                generation,
-                bound,
-            }),
+        shard.check_instance(instance)?;
+        SELECTIVITIES.with_borrow_mut(|sv| {
+            shard.engine.compute_svector_into(instance, sv);
+            let snapshot = shard.published.load();
+            let generation = snapshot.generation();
+            Ok(match shard.try_cached_plan(&snapshot, sv) {
+                Ok(choice) => Cached::Hit { choice, generation },
+                Err(bound) => Cached::Miss(MissTicket {
+                    shard,
+                    sv: sv.clone(),
+                    generation,
+                    bound,
+                }),
+            })
         })
     }
 
@@ -461,7 +469,11 @@ impl PqoService {
         // One selectivity pass over the whole batch.
         let svs = instances
             .iter()
-            .map(|q| shard.checked_svector(q))
+            .map(|q| {
+                shard
+                    .check_instance(q)
+                    .map(|()| shard.engine.compute_svector(q))
+            })
             .collect::<Result<Vec<_>, _>>()?;
         let mut snapshot = shard.published.load();
         snapshot.stats.record_batch(instances.len() as u64);

@@ -24,8 +24,10 @@
 //! columns runs at memory speed. So there is no tree: [`CoordBlocks`] keeps
 //! `ln s` for every stored instance in blocks of [`BLOCK_ROWS`] rows,
 //! dimension-major inside a block, and one kernel computes a block's
-//! distances column by column (a loop the compiler vectorises). DESIGN.md
-//! §5c has the measurements and the list size at which this stops holding.
+//! distances column by column (a loop the compiler vectorises, at the CPU's
+//! vector width: [`crate::scr::CacheState::try_cached_plan_with`] runs in an
+//! AVX2 build where the CPU has it). DESIGN.md §5c has the measurements and
+//! the list size at which this stops holding.
 //!
 //! **Rows.** A block also carries a payload per row — for
 //! [`crate::cache::PlanCache`] the `Arc<InstanceEntry>` the coordinates
@@ -36,7 +38,8 @@
 //!
 //! **Candidates.** The scan leaves one key per row and one minimum per tile
 //! of 16 rows in a [`KeyStream`], which hands rows out nearest first, one per
-//! call, in `n/16 + 16` steps each — the cost check stops at its hit, which
+//! call, in `n/16` selects and one tile's compares and `min`s each (no
+//! branch on a key) — the cost check stops at its hit, which
 //! is usually its first candidate, and pays for no candidate it does not
 //! reach. The product form's keys (G·L, −usage, −area) go through the same
 //! stream, so both forms share one order: `(key, row)` under
@@ -77,6 +80,7 @@ pub const BLOCK_ROWS: usize = 64;
 // (NaN.max(x) == x) and `min` drops +∞, so every coordinate is finite and
 // distances are never NaN.
 #[allow(clippy::manual_clamp)]
+#[inline(always)]
 fn ln_clamped(s: f64) -> f64 {
     s.max(f64::MIN_POSITIVE).min(f64::MAX).ln()
 }
@@ -88,6 +92,7 @@ const TILE: usize = 16;
 const _: () = assert!(TILE == u16::BITS as usize && BLOCK_ROWS.is_multiple_of(TILE));
 
 /// The smaller of two keys that are not NaN: one `min` instruction, no branch.
+#[inline(always)]
 fn min_lt(a: f64, b: f64) -> f64 {
     if a < b {
         a
@@ -99,9 +104,51 @@ fn min_lt(a: f64, b: f64) -> f64 {
 /// [`f64::total_cmp`]'s order as an integer's: `ord(a) < ord(b)` exactly when
 /// `a.total_cmp(&b).is_lt()`. Its own inverse. A running minimum kept in
 /// this form is compared without being mapped again.
+#[inline(always)]
 fn ord(key: f64) -> i64 {
     let bits = key.to_bits() as i64;
     bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The minimum of a tile's values by pairwise reduction: 8, 4, 2, then 1
+/// independent `min`s, where a fold is a chain of 15 dependent ones. `min`
+/// must be exact and commutative on the values given — `min_lt` on keys
+/// that are not NaN and not `-0.0` (distances), `i64::min` on [`ord`]s — so
+/// the result is the fold's, bit for bit.
+#[inline(always)]
+fn pairwise_min<T: Copy>(mut v: [T; TILE], min: impl Fn(T, T) -> T) -> T {
+    let mut half = TILE / 2;
+    while half > 0 {
+        for i in 0..half {
+            v[i] = min(v[i], v[i + half]);
+        }
+        half /= 2;
+    }
+    v[0]
+}
+
+/// The smallest key among a tile's rows whose bit in `done` is clear, as
+/// [`ord`] maps it; `i64::MAX` when every bit is set. One select per row,
+/// no branch.
+#[inline(always)]
+fn live_min(tile: &[f64; TILE], done: u16) -> i64 {
+    let mut ords = [i64::MAX; TILE];
+    for (r, (o, &key)) in ords.iter_mut().zip(tile).enumerate() {
+        if done >> r & 1 == 0 {
+            *o = ord(key);
+        }
+    }
+    pairwise_min(ords, i64::min)
+}
+
+/// Bit `r` set: row `r` of the tile holds exactly the key with these bits.
+#[inline(always)]
+fn matching(tile: &[f64; TILE], bits: u64) -> u16 {
+    let mut mask = 0u16;
+    for (r, key) in tile.iter().enumerate() {
+        mask |= u16::from(key.to_bits() == bits) << r;
+    }
+    mask
 }
 
 /// Candidates on demand: one key per row of a list, handed out in ascending
@@ -114,9 +161,11 @@ fn ord(key: f64) -> i64 {
 /// The stream keeps the minimum key of every tile of 16 rows among the rows
 /// it has not handed out yet. A pull picks the smallest tile minimum (the
 /// lower tile on a tie), finds the first such row of that tile with that key
-/// and re-derives that one tile's minimum: `n/16 + 16` steps per candidate.
-/// Which rows a tile has handed out is a bit mask beside its minimum, so
-/// every `f64` — `+∞`, NaN, either zero — is an ordinary key.
+/// (the lowest bit of a match mask) and re-derives that one tile's minimum
+/// by pairwise reduction: `n/16` selects, 16 compares and 15 `min`s per
+/// candidate, none of them a branch on the keys. Which rows a tile has
+/// handed out is a bit mask beside its minimum, so every `f64` — `+∞`, NaN,
+/// either zero — is an ordinary key.
 ///
 /// Use: [`KeyStream::clear`], one [`KeyStream::push`] per row (or one
 /// [`CoordBlocks::scan`], which writes the rows' distances and their tile
@@ -124,7 +173,11 @@ fn ord(key: f64) -> i64 {
 /// until it returns `None`.
 #[derive(Debug, Default)]
 pub struct KeyStream {
+    /// One key per row, then — once a scan wrote them or the stream is
+    /// opened — filler up to a whole tile, which no pull returns.
     keys: Vec<f64>,
+    /// Rows: the keys before the filler.
+    len: usize,
     /// Per tile, the smallest key among its rows not handed out yet, as
     /// [`ord`] maps it; meaningless once every row of the tile is.
     tile_min: Vec<i64>,
@@ -145,37 +198,51 @@ impl KeyStream {
 
     /// The keys in row order.
     pub fn keys(&self) -> &[f64] {
-        &self.keys
+        &self.keys[..self.len]
     }
 
     /// Forget every key; [`KeyStream::next`] returns `None` until the next
     /// [`KeyStream::open`].
+    #[inline(always)]
     pub fn clear(&mut self) {
         self.keys.clear();
+        self.len = 0;
         self.tile_min.clear();
         self.tile_done.clear();
         (self.want, self.window) = (0, 0);
     }
 
     /// Append the key of the next row.
+    #[inline(always)]
     pub fn push(&mut self, key: f64) {
+        debug_assert_eq!(self.keys.len(), self.len, "pushed onto a scan");
         self.keys.push(key);
+        self.len += 1;
+    }
+
+    /// The keys as whole tiles, filler included.
+    #[inline(always)]
+    fn tiles(&self) -> &[[f64; TILE]] {
+        self.keys.as_chunks().0
     }
 
     /// Start handing out rows: at most `want` of them, looking no further
     /// than the `window` smallest — [`KeyStream::next`] returns "the first
     /// `want` enabled of the `window` nearest", in order. Takes the minimum
     /// of every tile a scan has not already left one for.
+    #[inline(always)]
     pub fn open(&mut self, want: usize, window: usize) {
         debug_assert!(self.tile_done.is_empty(), "opened once per fill");
-        for tile in self.keys.chunks(TILE).skip(self.tile_min.len()) {
-            let min = tile.iter().map(|&k| ord(k)).min();
-            self.tile_min.push(min.expect("chunks are not empty"));
-        }
-        self.tile_done.resize(self.tile_min.len(), 0);
-        let tail = self.keys.len() % TILE;
+        self.keys
+            .resize(self.len.next_multiple_of(TILE), f64::INFINITY);
+        self.tile_done.resize(self.keys.len() / TILE, 0);
+        let tail = self.len % TILE;
         if tail != 0 {
             *self.tile_done.last_mut().expect("a partial tile exists") = !0 << tail;
+        }
+        for t in self.tile_min.len()..self.tile_done.len() {
+            let min = live_min(&self.tiles()[t], self.tile_done[t]);
+            self.tile_min.push(min);
         }
         (self.want, self.window) = (want, window);
     }
@@ -183,6 +250,7 @@ impl KeyStream {
     /// The next row that is not `disabled`, as `(key, row)`, while fewer than
     /// `want` rows have been returned and fewer than `window` looked at.
     /// `disabled` is asked about a row when the row is reached.
+    #[inline(always)]
     pub fn next(&mut self, disabled: impl Fn(usize) -> bool) -> Option<(f64, usize)> {
         while self.want > 0 && self.window > 0 {
             let (key, row) = self.pull()?;
@@ -196,29 +264,34 @@ impl KeyStream {
     }
 
     /// The smallest `(key, row)` not handed out yet.
+    #[inline(always)]
     fn pull(&mut self) -> Option<(f64, usize)> {
-        let mut best: Option<(i64, usize)> = None;
-        for (t, (&min, &done)) in self.tile_min.iter().zip(&self.tile_done).enumerate() {
-            // Strictly smaller only: equal keys go to the lower tile.
-            if done != u16::MAX && best.is_none_or(|(b, _)| min < b) {
-                best = Some((min, t));
-            }
+        let (mut min, mut at, mut found) = (i64::MAX, 0, false);
+        for (t, (&m, &done)) in self.tile_min.iter().zip(&self.tile_done).enumerate() {
+            // Strictly smaller only: equal keys go to the lower tile. `&` and
+            // `|`, not `&&` and `||`: selects, not branches.
+            let take = (done != u16::MAX) & (!found | (m < min));
+            (min, at) = if take { (m, t) } else { (min, at) };
+            found |= take;
         }
-        let (min, t) = best?;
-        let base = t * TILE;
-        let tile = &self.keys[base..self.keys.len().min(base + TILE)];
-        let live = |done: u16, r: usize| done & (1 << r) == 0;
-        let done = self.tile_done[t];
-        let r = (0..tile.len())
-            .find(|&r| live(done, r) && ord(tile[r]) == min)
-            .expect("a live tile's minimum is the key of one of its rows");
-        let done = done | 1 << r;
-        self.tile_done[t] = done;
-        let left = (0..tile.len()).filter(|&r| live(done, r));
-        if let Some(next) = left.map(|r| ord(tile[r])).min() {
-            self.tile_min[t] = next;
+        if !found {
+            return None;
         }
-        Some((tile[r], base + r))
+        let tile = &self.tiles()[at];
+        let done = self.tile_done[at];
+        // `ord` is its own inverse: the rows holding the minimum hold the bits
+        // it maps back to.
+        let hits = matching(tile, ord(f64::from_bits(min as u64)) as u64) & !done;
+        assert!(
+            hits != 0,
+            "a live tile's minimum is the key of one of its rows"
+        );
+        let r = hits.trailing_zeros() as usize;
+        let (key, done) = (tile[r], done | 1 << r);
+        let next = live_min(tile, done);
+        self.tile_done[at] = done;
+        self.tile_min[at] = next;
+        Some((key, at * TILE + r))
     }
 }
 
@@ -347,31 +420,38 @@ impl<T> CoordBlocks<T> {
     }
 
     /// The kernel: each block's distances from `q`, column by column, handed
-    /// to `visit` with the index of the block's first row and the minimum of
-    /// each tile of 16 rows. Rows are summed a tile at a time so that a
-    /// tile's accumulators stay in registers (eight 2-lane registers on
-    /// baseline x86-64) across the dimensions, and its minimum is taken
-    /// before they leave. Distances are sums of absolute values from zero —
-    /// never NaN, never `-0.0` — so `<` orders them as `total_cmp` does.
-    fn for_each_block(&self, q: &[f64], mut visit: impl FnMut(usize, &[f64], &[f64])) {
-        let mut dist = [0.0f64; BLOCK_ROWS];
+    /// to `visit` as whole tiles of 16 rows (rows past the block's last are
+    /// filler), with the index of the block's first row, the number of rows
+    /// and the minimum of each tile. Rows are summed a tile at a time so that
+    /// a tile's accumulators stay in registers across the dimensions (four
+    /// 4-lane registers in the AVX2 build, eight 2-lane ones in the portable
+    /// build), and its minimum is taken by pairwise reduction, filler rows
+    /// padded to `+∞`, before they leave. Distances are sums of absolute
+    /// values from zero — never NaN, never `-0.0` — so `<` orders them as
+    /// `total_cmp` does.
+    #[inline(always)]
+    fn for_each_block(&self, q: &[f64], mut visit: impl FnMut(usize, &[f64], usize, &[f64])) {
+        let mut dist = [[0.0f64; TILE]; BLOCK_ROWS / TILE];
         let mut mins = [0.0f64; BLOCK_ROWS / TILE];
         for (b, block) in self.blocks.iter().enumerate() {
             let base = b * BLOCK_ROWS;
             let rows = (self.len - base).min(BLOCK_ROWS);
             let tiles = rows.div_ceil(TILE);
-            for (t, out) in dist.chunks_exact_mut(TILE).take(tiles).enumerate() {
+            let cols = block.coords.as_chunks::<BLOCK_ROWS>().0;
+            for (t, out) in dist.iter_mut().take(tiles).enumerate() {
                 let mut acc = [0.0f64; TILE];
-                for (col, &qd) in block.coords.chunks_exact(BLOCK_ROWS).zip(q) {
-                    for (a, &c) in acc.iter_mut().zip(&col[t * TILE..(t + 1) * TILE]) {
+                for (col, &qd) in cols.iter().zip(q) {
+                    let col = &col.as_chunks::<TILE>().0[t];
+                    for (a, &c) in acc.iter_mut().zip(col) {
                         *a += (c - qd).abs();
                     }
                 }
-                out.copy_from_slice(&acc);
-                let filled = (rows - t * TILE).min(TILE);
-                mins[t] = acc[..filled].iter().copied().fold(f64::INFINITY, min_lt);
+                *out = acc;
+                let mut padded = acc;
+                padded[(rows - t * TILE).min(TILE)..].fill(f64::INFINITY);
+                mins[t] = pairwise_min(padded, min_lt);
             }
-            visit(base, &dist[..rows], &mins[..tiles]);
+            visit(base, dist[..tiles].as_flattened(), rows, &mins[..tiles]);
         }
     }
 
@@ -382,6 +462,7 @@ impl<T> CoordBlocks<T> {
     /// in ascending order and stopping at the first accepted row would find,
     /// without materialising or sorting the ball. `accept` is called only
     /// for rows that would become the new minimum.
+    #[inline(always)]
     pub fn scan(
         &self,
         query: &[f64],
@@ -397,10 +478,11 @@ impl<T> CoordBlocks<T> {
         if self.len > 0 {
             assert_eq!(q.len(), self.dims, "dimension mismatch");
         }
-        self.for_each_block(q, |base, rows, mins| {
-            keys.keys.extend_from_slice(rows);
+        self.for_each_block(q, |base, dist, rows, mins| {
+            keys.keys.extend_from_slice(dist);
+            keys.len += rows;
             keys.tile_min.extend(mins.iter().map(|&m| ord(m)));
-            for (t, (tile, &min)) in rows.chunks(TILE).zip(mins).enumerate() {
+            for (t, (tile, &min)) in dist[..rows].chunks(TILE).zip(mins).enumerate() {
                 // Rows come in index order, so only a strictly smaller
                 // distance displaces the best so far; a tile whose minimum
                 // is out of reach holds no such row.
@@ -533,6 +615,7 @@ impl<'a, T> Rows<'a, T> {
     }
 
     /// Row `i`, if there is one.
+    #[inline(always)]
     pub fn get(&self, i: usize) -> Option<&'a T> {
         self.store
             .blocks
@@ -542,6 +625,7 @@ impl<'a, T> Rows<'a, T> {
     }
 
     /// The rows in index order.
+    #[inline(always)]
     pub fn iter(&self) -> RowsIter<'a, T> {
         RowsIter {
             blocks: self.store.blocks.iter(),
@@ -553,6 +637,7 @@ impl<'a, T> Rows<'a, T> {
 impl<T> std::ops::Index<usize> for Rows<'_, T> {
     type Output = T;
 
+    #[inline(always)]
     fn index(&self, i: usize) -> &T {
         &self.store.blocks[i / BLOCK_ROWS].rows[i % BLOCK_ROWS]
     }
@@ -577,6 +662,7 @@ pub struct RowsIter<'a, T> {
 impl<'a, T> Iterator for RowsIter<'a, T> {
     type Item = &'a T;
 
+    #[inline(always)]
     fn next(&mut self) -> Option<&'a T> {
         loop {
             if let Some(row) = self.rows.next() {
@@ -590,6 +676,52 @@ impl<'a, T> Iterator for RowsIter<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pqo_rand::rngs::StdRng;
+    use pqo_rand::{Rng, SeedableRng};
+
+    #[test]
+    fn pairwise_tile_minima_equal_the_sequential_fold() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_7111);
+        // Distances: never NaN, never -0.0; duplicates and zeros frequent.
+        let pool = [0.0, 5e-324, 1e-300, 0.25, 0.25, 1.5, 700.0, 1416.0];
+        let awkward = [
+            -0.0,
+            0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for round in 0..8000 {
+            let filled = 1 + round % TILE;
+            let tile: [f64; TILE] =
+                std::array::from_fn(|r| match (r < filled, rng.gen_range(0..3u32)) {
+                    (false, _) => f64::INFINITY,
+                    (true, 0) => pool[rng.gen_range(0..pool.len())],
+                    _ => rng.gen_range(0.0..4.0),
+                });
+            let fold = tile[..filled].iter().copied().fold(f64::INFINITY, min_lt);
+            let pairwise = pairwise_min(tile, min_lt);
+            assert_eq!(
+                pairwise.to_bits(),
+                fold.to_bits(),
+                "{filled} rows: {tile:?}"
+            );
+            // The stream's minimum over the rows left, on any key at all.
+            let keys: [f64; TILE] = std::array::from_fn(|_| match rng.gen_range(0..4u32) {
+                0 => awkward[rng.gen_range(0..awkward.len())],
+                1 => pool[rng.gen_range(0..pool.len())],
+                _ => rng.gen_range(-4.0..4.0),
+            });
+            let done = (rng.gen_range(0..1u64 << TILE) | !0 << filled) as u16;
+            let left = (0..TILE).filter(|&r| done >> r & 1 == 0);
+            let expect = left.map(|r| ord(keys[r])).min().unwrap_or(i64::MAX);
+            assert_eq!(live_min(&keys, done), expect, "done {done:#06x}: {keys:?}");
+            let bits = keys[round % TILE].to_bits();
+            let hits = (0..TILE).filter(|&r| keys[r].to_bits() == bits);
+            assert_eq!(matching(&keys, bits), hits.fold(0, |m, r| m | 1 << r));
+        }
+    }
 
     fn store(points: &[[f64; 2]]) -> CoordBlocks {
         let mut s = CoordBlocks::new();

@@ -210,8 +210,17 @@ impl QueryEngine {
     /// API 1 (Section 4.2): compute the selectivity vector of an instance.
     /// Counted, not timed: two clock reads would be a fifth of the lookup.
     pub fn compute_svector(&self, instance: &QueryInstance) -> SVector {
+        let mut sv = SVector(Vec::with_capacity(instance.values.len()));
+        self.compute_svector_into(instance, &mut sv);
+        sv
+    }
+
+    /// [`QueryEngine::compute_svector`] into `out`, whose buffer is reused:
+    /// a caller that keeps one per thread derives selectivity vectors
+    /// without allocating.
+    pub fn compute_svector_into(&self, instance: &QueryInstance, out: &mut SVector) {
         self.svector_calls.fetch_add(1, Ordering::Relaxed);
-        svector::compute_svector(&self.template, instance)
+        svector::compute_svector_into(&self.template, instance, out);
     }
 
     /// The traditional optimizer call: optimal plan + cost for `sv`.

@@ -60,7 +60,9 @@ impl SVector {
     /// `x·1` and `x/1` are exact, so the results are those of skipping the
     /// factor, bit for bit, and the loop has no branch to mispredict on the
     /// data (a NaN `α` is neither above nor below 1 and touches neither).
-    #[inline]
+    /// Always inlined, so that it is compiled into whichever build of the
+    /// cached decision calls it.
+    #[inline(always)]
     pub fn g_and_l(&self, other: &SVector) -> (f64, f64) {
         let mut g = 1.0;
         let mut l = 1.0;
@@ -91,6 +93,18 @@ impl SVector {
 
 /// Compute the selectivity vector of `instance` under `template`.
 pub fn compute_svector(template: &QueryTemplate, instance: &QueryInstance) -> SVector {
+    let mut sv = SVector(Vec::with_capacity(instance.values.len()));
+    compute_svector_into(template, instance, &mut sv);
+    sv
+}
+
+/// [`compute_svector`] into `out`, whose buffer is reused: no allocation
+/// once it has held a vector of the template's arity.
+pub(crate) fn compute_svector_into(
+    template: &QueryTemplate,
+    instance: &QueryInstance,
+    out: &mut SVector,
+) {
     assert_eq!(
         instance.values.len(),
         template.dimensions(),
@@ -109,9 +123,9 @@ pub fn compute_svector(template: &QueryTemplate, instance: &QueryInstance) -> SV
                 RangeOp::Le => hist.selectivity_le(v),
                 RangeOp::Ge => hist.selectivity_ge(v),
             }
-        })
-        .collect();
-    SVector(sels)
+        });
+    out.0.clear();
+    out.0.extend(sels);
 }
 
 /// Construct an instance whose selectivity vector approximates `target`

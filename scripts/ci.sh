@@ -54,9 +54,11 @@ echo "==> candidate search oracle + decision, optimizer and publication goldens 
 # stage so a divergence is named in CI output: every answer of the
 # coordinate block store is bitwise identical to a brute-force scan, and its
 # candidate stream hands out, row for row, a stable sort by key and the
-# eager top-k it replaced; the cached path allocates nothing with a warm
-# scratch; the decision streams hash to
-# tests/fixtures/decision_stream.golden, the optimizer's results to
+# eager top-k it replaced; the two builds of the cached decision (the
+# portable one and the AVX2 one the CPU picks) decide alike at every
+# decision of the corpus and bigjoin streams; the cached path allocates
+# nothing with a warm scratch, nor does a service hit; the decision streams
+# hash to tests/fixtures/decision_stream.golden, the optimizer's results to
 # tests/fixtures/optimizer_plans.golden (also through the bounded optimizer
 # call, under the bounds a cost check hands it) and the bytes a cache is
 # saved and replicated as to tests/fixtures/publication_bytes.golden; a warm
@@ -66,8 +68,8 @@ echo "==> candidate search oracle + decision, optimizer and publication goldens 
 # rebuilt services. Then the optimizer's own oracles, optimized as served:
 # the prepared search against the reference loop, and the bounded search
 # against the unbounded one at every kind of bound.
-cargo test -q --offline --release --test spatial_oracle --test decide_alloc \
-    --test decision_golden --test optimizer_golden --test optimize_alloc \
+cargo test -q --offline --release --test spatial_oracle --test decide_builds \
+    --test decide_alloc --test decision_golden --test optimizer_golden --test optimize_alloc \
     --test scratch_identity --test publication_golden --test publish_alloc
 cargo test -q --offline --release -p pqo-optimizer --lib
 

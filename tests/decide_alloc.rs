@@ -1,7 +1,8 @@
 //! `getPlan`'s cached path — candidate search, selectivity check, cost check,
 //! serving the hit — allocates nothing once its `GetPlanScratch` is warm, in
-//! either arithmetic. Counted with an allocator that tallies per thread, in
-//! a test binary of its own so no other test shares the allocator.
+//! either arithmetic, and neither does a `PqoService` hit, selectivity
+//! vector included. Counted with an allocator that tallies per thread, in a
+//! test binary of its own so no other test shares the allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -9,8 +10,9 @@ use std::sync::Arc;
 
 use pqo::core::engine::QueryEngine;
 use pqo::core::scr::{GetPlanScratch, Scr, ScrConfig};
-use pqo::core::OnlinePqo;
-use pqo::workload::corpus::corpus;
+use pqo::core::service::Cached;
+use pqo::core::{OnlinePqo, PqoService};
+use pqo::workload::corpus::{corpus, TemplateSpec};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -56,12 +58,16 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-#[test]
-fn cached_path_allocates_nothing_with_a_warm_scratch() {
-    let spec = corpus()
+fn spec() -> &'static TemplateSpec {
+    corpus()
         .iter()
         .find(|s| s.id == "tpch_skew_U_d4")
-        .expect("corpus template");
+        .expect("corpus template")
+}
+
+#[test]
+fn cached_path_allocates_nothing_with_a_warm_scratch() {
+    let spec = spec();
     // The log form from the first instance on, and the product form always.
     for threshold in [0, usize::MAX] {
         let engine = QueryEngine::new(Arc::clone(&spec.template));
@@ -109,5 +115,35 @@ fn cached_path_allocates_nothing_with_a_warm_scratch() {
             "threshold {threshold}: allocations on the cached path"
         );
         assert!(hits_again > 0);
+    }
+}
+
+#[test]
+fn a_service_hit_allocates_nothing_once_the_thread_is_warm() {
+    let spec = spec();
+    let name = spec.template.name.clone();
+    let service = PqoService::new();
+    service
+        .register(Arc::clone(&spec.template), ScrConfig::new(1.2).unwrap())
+        .unwrap();
+    for q in spec.generate(1500, 1) {
+        service.get_plan(&name, &q).unwrap();
+    }
+    let probes = spec.generate(600, 2);
+    // The first pass grows the thread's buffers and sorts the probes into
+    // hits and misses; a miss is not resumed, so the cache stays as it is.
+    let hits: Vec<_> = probes
+        .iter()
+        .filter(|q| matches!(service.serve_cached(&name, q), Ok(Cached::Hit { .. })))
+        .collect();
+    assert!(!hits.is_empty() && hits.len() < probes.len());
+    // Both entry points, hit by hit: the selectivity vector is derived in
+    // the thread's buffer, and only a miss would copy it out.
+    for q in hits {
+        let before = allocations();
+        let cached = service.serve_cached(&name, q).unwrap();
+        let choice = service.get_plan(&name, q).unwrap();
+        assert_eq!(allocations() - before, 0, "allocations on a service hit");
+        assert!(matches!(cached, Cached::Hit { .. }) && !choice.optimized);
     }
 }
