@@ -14,22 +14,10 @@ use pqo_optimizer::svector::{compute_svector, SVector};
 use pqo_workload::corpus::corpus;
 
 fn warmed(lambda: f64, m: usize) -> (Scr, QueryEngine, Vec<SVector>) {
-    warmed_with(lambda, m, None)
-}
-
-fn warmed_with(
-    lambda: f64,
-    m: usize,
-    index_threshold: Option<usize>,
-) -> (Scr, QueryEngine, Vec<SVector>) {
     let spec = corpus().iter().find(|s| s.id == "tpcds_G_d3").unwrap();
     let instances = spec.generate(m, 77);
     let engine = QueryEngine::new(Arc::clone(&spec.template));
-    let mut cfg = pqo_core::scr::ScrConfig::new(lambda).expect("valid bench λ");
-    if let Some(t) = index_threshold {
-        cfg.spatial_index_threshold = t;
-    }
-    let mut scr = Scr::with_config(cfg).expect("valid bench config");
+    let mut scr = Scr::new(lambda).expect("valid bench λ");
     let mut svs = Vec::with_capacity(m);
     for inst in &instances {
         let sv = engine.compute_svector(inst);
@@ -43,11 +31,7 @@ fn main() {
     let runner = Runner::from_args();
     // Smoke runs (`cargo test`) shrink the warmed caches so setup stays
     // cheap; full `cargo bench` runs use the paper-scale cache sizes.
-    let (warm_m, big_m) = if runner.quick() {
-        (50, 200)
-    } else {
-        (500, 2000)
-    };
+    let warm_m = if runner.quick() { 50 } else { 500 };
 
     // Selectivity-check hit: re-presenting a seen instance always passes
     // the first check (G = L = 1).
@@ -90,11 +74,11 @@ fn main() {
     // Scratch reuse ablation: the cached `getPlan` path with a fresh
     // GetPlanScratch per call (allocates the memo table and re-derives the
     // recost base every call) vs a caller-owned scratch threaded across
-    // calls (zero-alloc hit path, delta base updates). Indexed selectivity
-    // check so the cost check's Recost work dominates; unseen instances so
-    // a realistic share of calls reach it.
+    // calls (zero-alloc hit path, delta base updates). At λ = 1.2 the cost
+    // check's Recost work dominates; unseen instances so a realistic share
+    // of calls reach it.
     {
-        let (scr, engine, _) = warmed_with(1.2, warm_m, Some(0));
+        let (scr, engine, _) = warmed(1.2, warm_m);
         let spec = corpus().iter().find(|s| s.id == "tpcds_G_d3").unwrap();
         let fresh = spec.generate(256, 9999);
         let fresh_svs: Vec<SVector> = fresh
@@ -117,27 +101,6 @@ fn main() {
                 scr.try_cached_plan_with(black_box(&fresh_svs[k]), &engine, &mut scratch)
                     .is_some(),
             )
-        });
-    }
-
-    // Section 6.2 ablation: the two arithmetics of the candidate search —
-    // list-order product form vs nearest-first log form — over a large
-    // instance list, measured on unseen instances.
-    for (label, threshold) in [
-        ("getplan/product_form", usize::MAX),
-        ("getplan/log_form", 0),
-    ] {
-        let (mut scr, engine, _) = warmed_with(1.2, big_m, Some(threshold));
-        let spec = corpus().iter().find(|s| s.id == "tpcds_G_d3").unwrap();
-        let fresh = spec.generate(256, 4321);
-        let fresh_svs: Vec<SVector> = fresh
-            .iter()
-            .map(|i| compute_svector(&spec.template, i))
-            .collect();
-        let mut k = 0usize;
-        runner.bench(label, || {
-            k = (k + 1) % fresh.len();
-            black_box(scr.get_plan(&fresh[k], &fresh_svs[k], &engine).optimized)
         });
     }
 

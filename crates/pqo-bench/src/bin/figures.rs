@@ -6,7 +6,7 @@
 //!
 //! Experiments: fig1 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14
 //!              fig15 fig16 fig17 fig18 fig19 fig20 fig21 tab3 appd appe
-//!              sec73 all — plus extensions appf sec62 sec61 tab3x drift
+//!              sec73 all — plus extensions appf sec61 tab3x drift
 //!
 //! `--quick` runs a reduced corpus (every 6th template) with short
 //! sequences — a smoke mode for CI. Full mode reproduces the paper's scale:
@@ -902,7 +902,6 @@ fn tab3x(h: &Harness) {
 // ---------------------------------------------------------------------------
 // Extension ablations (beyond the paper's figures, clearly marked):
 //  appf  — Appendix F existing-plan redundancy sweep on/off.
-//  sec62 — candidate-ordering strategies for the cost check.
 //  sec61 — plan-cache memory accounting (tree vs Appendix B compact).
 // ---------------------------------------------------------------------------
 
@@ -954,52 +953,6 @@ fn appf(h: &Harness) {
     .unwrap();
     println!("[csv] {}", p.display());
     println!("(extension: the paper describes the sweep but evaluates only new-plan redundancy)");
-}
-
-fn sec62(h: &Harness) {
-    println!("\n=== Section 6.2 (ablation): cost-check candidate orderings ===");
-    use pqo_core::scr::CandidateOrder;
-    let spec = h.spec_by_id("tpcds_G_d3");
-    let m = if h.quick { 500 } else { 2000 };
-    println!(
-        "{:<18} {:>9} {:>12} {:>10} {:>9}",
-        "order", "numOpt", "recostCalls", "costHits", "TC"
-    );
-    let mut csv = Vec::new();
-    for (label, order) in [
-        ("gl_ascending", CandidateOrder::GlAscending),
-        ("usage_descending", CandidateOrder::UsageDescending),
-        ("area_descending", CandidateOrder::AreaDescending),
-    ] {
-        let mut cfg = ScrConfig::new(1.2).expect("valid figure λ");
-        cfg.candidate_order = order;
-        cfg.spatial_index_threshold = usize::MAX; // ordering applies to the linear path
-        let (r, stats, _) = run_scr_with_stats(spec, m, cfg);
-        println!(
-            "{:<18} {:>9} {:>12} {:>10} {:>9.3}",
-            label,
-            r.num_opt,
-            r.recost_calls,
-            stats.cost_hits,
-            r.total_cost_ratio()
-        );
-        csv.push(vec![
-            label.to_string(),
-            r.num_opt.to_string(),
-            r.recost_calls.to_string(),
-            stats.cost_hits.to_string(),
-            format!("{:.4}", r.total_cost_ratio()),
-        ]);
-    }
-    let p = write_csv(
-        &h.dir,
-        "sec62",
-        &["order", "num_opt", "recost_calls", "cost_hits", "tcr"],
-        &csv,
-    )
-    .unwrap();
-    println!("[csv] {}", p.display());
-    println!("(extension: Section 6.2 lists these alternatives without evaluating them)");
 }
 
 fn sec61(h: &Harness) {
@@ -1180,7 +1133,7 @@ fn main() {
         .map(String::as_str)
         .collect();
     if exps.is_empty() {
-        eprintln!("usage: figures [--quick] <fig1|fig6..fig21|tab3|tab3x|appd|appe|sec73|appf|sec62|sec61|drift|all> ...");
+        eprintln!("usage: figures [--quick] <fig1|fig6..fig21|tab3|tab3x|appd|appe|sec73|appf|sec61|drift|all> ...");
         std::process::exit(2);
     }
     let h = Harness::new(quick);
@@ -1188,7 +1141,7 @@ fn main() {
     let all = [
         "fig1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
         "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "tab3", "appd", "appe",
-        "sec73", "appf", "sec62", "sec61", "tab3x", "drift",
+        "sec73", "appf", "sec61", "tab3x", "drift",
     ];
     let run_list: Vec<&str> = if exps.contains(&"all") {
         all.to_vec()
@@ -1221,7 +1174,6 @@ fn main() {
             "appf" => appf(&h),
             "tab3x" => tab3x(&h),
             "drift" => drift(&h),
-            "sec62" => sec62(&h),
             "sec61" => sec61(&h),
             other => eprintln!("unknown experiment `{other}` (skipped)"),
         }

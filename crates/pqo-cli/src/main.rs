@@ -254,8 +254,8 @@ fn run_cmd(args: &Args) -> Result<(), String> {
         let r = run_sequence(&mut scr, &engine, &instances, &gt);
         print_result(&r);
         if let Some(path) = save_cache {
-            let mut f = std::fs::File::create(&path).map_err(|e| format!("{path}: {e}"))?;
-            pqo_core::persist::save(&scr, 0, &mut f).map_err(|e| format!("{path}: {e}"))?;
+            pqo_core::persist::save_file(&scr, 0, path.as_ref())
+                .map_err(|e| format!("{path}: {e}"))?;
             println!(
                 "saved cache to {path}: {} plans, {} instance entries",
                 scr.cache().num_plans(),

@@ -9,6 +9,9 @@
 //! A second leg pins the policy tag at the same level: a v3 blob whose tag
 //! names the retired `lec` policy must refuse startup with the typed
 //! mismatch diagnostic rather than serving a cache that policy built.
+//!
+//! A third leg pins how a flush replaces the file: a flush that cannot write
+//! leaves the previous snapshot whole, and the next start restores from it.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -124,6 +127,22 @@ fn spawn_serve(
     (child, addr, lines, reader)
 }
 
+/// Ask the server at `addr` to shut down, drain its exit summary (so it
+/// never sees a broken pipe) and return the summary once it exited cleanly.
+fn shutdown(addr: &str, child: &mut Child, server_out: &mut impl std::io::Read) -> String {
+    let out = pqo()
+        .args(["client", "--connect", addr, "--op", "shutdown"])
+        .output()
+        .expect("run pqo client shutdown");
+    assert!(out.status.success(), "shutdown failed");
+    let mut summary = String::new();
+    server_out
+        .read_to_string(&mut summary)
+        .expect("drain exit summary");
+    assert!(wait_exit(child).success(), "server exited non-zero");
+    summary
+}
+
 fn wait_exit(child: &mut Child) -> std::process::ExitStatus {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
@@ -171,15 +190,7 @@ fn v1_blob_warm_restarts_through_pqo_serve_and_reflushes_as_v3() {
     };
     assert!(field("num_plans") > 0, "restored cache serves no plans");
 
-    let out = pqo()
-        .args(["client", "--connect", &addr, "--op", "shutdown"])
-        .output()
-        .expect("run pqo client shutdown");
-    assert!(out.status.success(), "shutdown failed");
-    // Drain the exit summary so the server never sees a broken pipe.
-    let mut summary = String::new();
-    std::io::Read::read_to_string(&mut server_out, &mut summary).expect("drain exit summary");
-    assert!(wait_exit(&mut child).success(), "server exited non-zero");
+    shutdown(&addr, &mut child, &mut server_out);
 
     // Graceful shutdown re-flushes the snapshot in the current format: the
     // v1 file on disk has been upgraded to v3 with an SCR policy tag.
@@ -213,6 +224,58 @@ fn a_blob_tagged_with_a_retired_policy_refuses_startup() {
         stderr.contains("policy mismatch") && stderr.contains("`lec`") && stderr.contains("`scr`"),
         "undiagnosable refusal: {stderr}"
     );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_flush_that_cannot_write_keeps_the_previous_snapshot() {
+    let dir = unique_dir("flush");
+    let previous = saved_blob(&dir);
+    std::fs::write(snapshot_path(&dir), &previous).expect("write snapshot");
+    // The flush writes `<file>.tmp` first; a directory there fails it.
+    let tmp = dir.join(format!("{TEMPLATE}.pqo-cache.tmp"));
+    std::fs::create_dir(&tmp).expect("create blocking dir");
+
+    let (mut child, addr, banner, mut server_out) = spawn_serve(&dir, &[]);
+    assert!(
+        banner.iter().any(|l| l.starts_with("restored ")),
+        "no restore: {banner:?}"
+    );
+    // New instances change the cache, so a flush that went through would
+    // change the file.
+    let out = pqo()
+        .args(["client", "--connect", &addr, "--template", TEMPLATE])
+        .args(["--m", "200", "--seed", "11"])
+        .output()
+        .expect("run pqo client");
+    assert!(
+        out.status.success(),
+        "client run failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let summary = shutdown(&addr, &mut child, &mut server_out);
+    assert!(
+        summary.contains("snapshots flushed   : 0"),
+        "the blocked flush was counted:\n{summary}"
+    );
+    assert!(
+        std::fs::read(snapshot_path(&dir)).expect("snapshot still there") == previous,
+        "a failed flush changed the previous snapshot"
+    );
+    assert!(
+        tmp.is_dir(),
+        "the flush removed a directory it did not make"
+    );
+
+    // The next start restores from the previous snapshot.
+    let (mut child, addr, banner, mut server_out) = spawn_serve(&dir, &[]);
+    let plans = banner
+        .iter()
+        .find_map(|l| l.strip_prefix("restored "))
+        .unwrap_or_else(|| panic!("no restore after the failed flush: {banner:?}"));
+    assert!(!plans.contains("(0 plans)"), "restored nothing: {plans}");
+    shutdown(&addr, &mut child, &mut server_out);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

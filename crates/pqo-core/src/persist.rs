@@ -12,7 +12,9 @@
 //! length-prefixed sections. Restoring validates the magic, the version and
 //! every structural invariant (entries must reference listed plans).
 
-use std::io::{self, Read, Write};
+use std::fs::{self, File};
+use std::io::{self, BufWriter, Read, Write};
+use std::path::Path;
 use std::sync::Arc;
 
 use pqo_optimizer::compact::CompactPlan;
@@ -191,6 +193,36 @@ pub fn save(state: &CacheState, generation: u64, w: &mut impl Write) -> io::Resu
     w_f64(w, state.log_cost_sum)?;
     w_u64(w, state.opt_count)?;
     Ok(())
+}
+
+/// [`save`] into the file at `path`, replacing it only once the new blob is
+/// whole: the blob goes to `<path>.tmp` in the same directory, is synced to
+/// disk and is then renamed over `path`, and the directory is synced so the
+/// rename lasts. On a failure before the rename the temp file is removed
+/// and the previous file at `path` stays as it was.
+///
+/// # Errors
+/// The first I/O error of the create, write, sync, rename or directory
+/// sync.
+pub fn save_file(state: &CacheState, generation: u64, path: &Path) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = Path::new(&tmp);
+    let written = File::create(tmp).and_then(|file| {
+        let mut w = BufWriter::new(file);
+        save(state, generation, &mut w)?;
+        w.into_inner()
+            .map_err(io::IntoInnerError::into_error)?
+            .sync_all()?;
+        fs::rename(tmp, path)
+    });
+    if written.is_err() {
+        // Not there, or not a file: nothing of ours to remove.
+        let _ = fs::remove_file(tmp);
+        return written;
+    }
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
 }
 
 /// Restore a snapshot produced by [`save`] into a fresh [`Scr`] with the

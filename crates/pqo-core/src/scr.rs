@@ -57,21 +57,7 @@ pub struct DynamicLambda {
     pub lambda_max: f64,
 }
 
-/// Order in which selectivity-check survivors are tried by the cost check
-/// (Section 6.2 discusses these alternatives).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CandidateOrder {
-    /// Increasing `G·L` — the paper's default: small G·L is most likely to
-    /// pass.
-    GlAscending,
-    /// Decreasing usage count `U`: frequently reused entries first.
-    UsageDescending,
-    /// Decreasing selectivity-region area (∝ ∏ si, Section 5.3): entries
-    /// with larger inference regions first.
-    AreaDescending,
-}
-
-/// Violation window of the log form's cost check: candidates are the first
+/// Violation window of the cost check: candidates are the first
 /// `max_recost_candidates` entries without an Appendix G violation mark
 /// among the `max_recost_candidates × 4` nearest (never fewer than 16), so
 /// disabled entries do not starve the list.
@@ -102,20 +88,6 @@ pub struct ScrConfig {
     /// became redundant and drop them. Off by default (the paper's
     /// evaluation only applies the redundancy check to new plans).
     pub existing_plan_redundancy: bool,
-    /// Instance-list size at which `getPlan` switches *arithmetic* — not
-    /// data structure; both scan the list. Below it, G and L are products
-    /// of selectivity ratios, the selectivity check serves the first entry
-    /// in list order that passes and [`ScrConfig::candidate_order`] orders
-    /// the cost check. From it on (Section 6.2's "smaller G·L first"),
-    /// G·L is `exp` of the L1 distance in log-selectivity space, the
-    /// selectivity check serves the *nearest* entry that passes and the
-    /// cost check tries the nearest entries first. The two can round a
-    /// borderline G·L differently, so this is part of the decision stream.
-    /// `usize::MAX` keeps the product form always, `0` the log form.
-    pub spatial_index_threshold: usize,
-    /// Cost-check candidate ordering under the product form (the log form
-    /// is G·L-ascending by construction).
-    pub candidate_order: CandidateOrder,
 }
 
 impl ScrConfig {
@@ -136,8 +108,6 @@ impl ScrConfig {
             dynamic_lambda: None,
             violation_handling: true,
             existing_plan_redundancy: false,
-            spatial_index_threshold: 64,
-            candidate_order: CandidateOrder::GlAscending,
         })
     }
 
@@ -394,17 +364,6 @@ impl GetPlanScratch {
     }
 }
 
-/// What one candidate search ([`CacheState::find_candidates`]) is asked for.
-#[derive(Debug, Clone, Copy)]
-struct CandidateSearch {
-    /// Nearest-first log form (`true`) or list-order product form.
-    log_form: bool,
-    /// Order of the product form's candidates.
-    order: CandidateOrder,
-    /// Longest candidate list wanted.
-    k: usize,
-}
-
 /// Everything a reuse-or-optimize decision reads, and the only thing
 /// `manageCache` writes: the knobs, the plan cache of Figure 5, the shared
 /// stat cells and the dynamic-λ accumulators.
@@ -588,24 +547,11 @@ impl CacheState {
     ) -> Option<PlanChoice> {
         scratch.bind(engine);
         scratch.recosted.clear();
-        let search = CandidateSearch {
-            log_form: self.uses_log_form(),
-            order: self.config.candidate_order,
-            k: self.config.max_recost_candidates,
-        };
-        if let Some(idx) = self.find_candidates(sv, search, scratch) {
+        if let Some(idx) = self.find_candidates(sv, scratch) {
             ScrStatCells::bump(&self.stats.selectivity_hits);
             return Some(self.serve(idx));
         }
         self.cost_check(sv, engine, scratch)
-    }
-
-    /// Whether a list of this length decides in the nearest-first log form
-    /// (see [`ScrConfig::spatial_index_threshold`]).
-    #[inline(always)]
-    fn uses_log_form(&self) -> bool {
-        self.config.spatial_index_threshold != usize::MAX
-            && self.cache.num_instances() >= self.config.spatial_index_threshold
     }
 
     /// Serve an instance through cache entry `idx` without an optimizer
@@ -628,66 +574,37 @@ impl CacheState {
     }
 
     /// The one candidate search behind SCR's decide and Appendix F's
-    /// simulated `getPlan`: the selectivity check and the cost check's
-    /// candidates, from one pass over the instance list. Returns the entry
-    /// the selectivity check serves through; otherwise leaves every entry's
-    /// key in `scratch.stream`, opened so that [`CacheState::next_candidate`]
-    /// hands out at most `search.k` entries without an Appendix G violation
-    /// mark, in the order to try them, as `(key, instance index)`. No
-    /// candidate is selected here: the stream finds each one when it is
-    /// asked for.
-    ///
-    /// * **Log form** (Section 6.2): one scan of the coordinate blocks
-    ///   yields every entry's `ln(G·L)`. The selectivity check serves the
-    ///   *nearest* entry that passes, looking only inside the `ln λ` ball
-    ///   (`exp` is taken only there). The candidates are the nearest
-    ///   unmarked entries within the violation window, keyed by distance.
-    /// * **Product form**: `G`, `L` by [`SVector::g_and_l`] per entry. The
-    ///   selectivity check serves the *first* entry in list order that
-    ///   passes. The candidates are the unmarked entries in ascending key
-    ///   under `search.order`, ties in list order, keyed once each.
+    /// simulated `getPlan`, "smaller G·L first" (Section 6.2) at every list
+    /// length: one scan of the coordinate blocks yields every entry's
+    /// `ln(G·L)`. Returns the *nearest* entry the selectivity check serves
+    /// through, looking only inside the `ln λ` ball (`exp` is taken only
+    /// there). Otherwise leaves every entry's distance in `scratch.stream`,
+    /// opened so that [`CacheState::next_candidate`] hands out, nearest
+    /// first as `(key, instance index)`, at most `max_recost_candidates`
+    /// entries without an Appendix G violation mark from the violation
+    /// window. No candidate is selected here: the stream finds each one
+    /// when it is asked for.
     #[inline(always)]
-    fn find_candidates(
-        &self,
-        sv: &SVector,
-        search: CandidateSearch,
-        scratch: &mut GetPlanScratch,
-    ) -> Option<usize> {
+    fn find_candidates(&self, sv: &SVector, scratch: &mut GetPlanScratch) -> Option<usize> {
         let entries = self.cache.instances();
         let GetPlanScratch { q, stream, .. } = scratch;
-        if search.log_form {
-            let lambda_upper = match self.config.dynamic_lambda {
-                Some(d) => d.lambda_max,
-                None => self.config.lambda,
-            };
-            let hit = self
-                .cache
-                .coords()
-                .scan(&sv.0, lambda_upper.ln(), q, stream, |d, idx| {
-                    self.passes_selectivity_check(d.exp(), &entries[idx])
-                });
-            if let Some((_, idx)) = hit {
-                return Some(idx);
-            }
-            // Look past the `k` nearest only as far as violation-disabled
-            // entries could starve the list.
-            let window = search.k.saturating_mul(RECOST_FETCH_FACTOR).max(16);
-            stream.open(search.k, window);
-            return None;
-        }
-        stream.clear();
-        for (idx, e) in entries.iter().enumerate() {
-            let (g, l) = sv.g_and_l(&e.svector);
-            if self.passes_selectivity_check(g * l, e) {
-                return Some(idx);
-            }
-            stream.push(match search.order {
-                CandidateOrder::GlAscending => g * l,
-                CandidateOrder::UsageDescending => -(e.usage() as f64),
-                CandidateOrder::AreaDescending => -e.svector.0.iter().product::<f64>(),
+        let lambda_upper = match self.config.dynamic_lambda {
+            Some(d) => d.lambda_max,
+            None => self.config.lambda,
+        };
+        let hit = self
+            .cache
+            .coords()
+            .scan(&sv.0, lambda_upper.ln(), q, stream, |d, idx| {
+                self.passes_selectivity_check(d.exp(), &entries[idx])
             });
+        if let Some((_, idx)) = hit {
+            return Some(idx);
         }
-        stream.open(search.k, usize::MAX);
+        // Look past the `k` nearest only as far as violation-disabled
+        // entries could starve the list.
+        let k = self.config.max_recost_candidates;
+        stream.open(k, k.saturating_mul(RECOST_FETCH_FACTOR).max(16));
         None
     }
 
@@ -938,10 +855,10 @@ impl CacheState {
     }
 
     /// The simulated `getPlan` of Appendix F: find an alternative λ-optimal
-    /// plan for a stored instance (selectivity check, then cost check, in
-    /// the list-order product form whatever the list's length) and return
-    /// it with its *exact* sub-optimality at that instance (one extra
-    /// Recost against the instance's stored optimal cost).
+    /// plan for a stored instance (selectivity check, then cost check, over
+    /// the one candidate search) and return it with its *exact*
+    /// sub-optimality at that instance (one extra Recost against the
+    /// instance's stored optimal cost).
     fn simulated_get_plan(
         &self,
         sv: &SVector,
@@ -949,12 +866,7 @@ impl CacheState {
         engine: &QueryEngine,
         scratch: &mut GetPlanScratch,
     ) -> Option<(PlanFingerprint, f64)> {
-        let search = CandidateSearch {
-            log_form: false,
-            order: CandidateOrder::GlAscending,
-            k: self.config.max_recost_candidates,
-        };
-        let hit = self.find_candidates(sv, search, scratch);
+        let hit = self.find_candidates(sv, scratch);
         let GetPlanScratch { stream, recost, .. } = scratch;
         let mut recost = |fp: PlanFingerprint| -> f64 {
             let cached = self.cache.cached(fp).expect("live plan");
@@ -1368,76 +1280,60 @@ mod tests {
     }
 
     #[test]
-    fn log_and_product_forms_agree_on_decisions() {
-        // The nearest-first log form must make the same optimize-or-reuse
-        // decisions as the list-order product form on this grid (same
-        // candidate set, another arithmetic): same numOpt, same guarantee.
-        let points: Vec<[f64; 2]> = (0..12)
-            .flat_map(|i| (0..12).map(move |j| [0.004 + 0.08 * i as f64, 0.004 + 0.08 * j as f64]))
-            .collect();
-
-        let run = |threshold: usize| {
-            let engine = QueryEngine::new(fixture());
-            let mut cfg = ScrConfig::new(2.0).unwrap();
-            cfg.spatial_index_threshold = threshold;
-            let mut scr = Scr::with_config(cfg).unwrap();
-            for p in &points {
-                let _ = run_point(&mut scr, &engine, p);
-            }
-            (engine.stats().optimize_calls, scr.plans_cached())
-        };
-        let product = run(usize::MAX);
-        let log = run(0);
-        assert_eq!(product.0, log.0, "optimizer-call counts must match");
-        assert_eq!(product.1, log.1, "plan-cache sizes must match");
+    fn the_nearest_passing_entry_serves_a_short_list() {
+        // Two entries both pass the selectivity check for `q` (G·L 1.4 and
+        // 1.08 against λ/S ≥ √2), the nearer one second in list order: the
+        // selectivity check serves the nearest, whatever the list's length.
+        let engine = QueryEngine::new(fixture());
+        let mut scr = Scr::new(2.0).unwrap();
+        for s in [[0.10, 0.10], [0.13, 0.10]] {
+            let sv = SVector(s.to_vec());
+            scr.manage_cache_entry(&sv, engine.optimize_untracked(&sv), &engine);
+        }
+        assert_eq!(scr.cache().num_instances(), 2);
+        let choice = scr.try_cached_plan(&SVector(vec![0.14, 0.10]), &engine);
+        assert!(choice.is_some_and(|c| !c.optimized));
+        assert_eq!(scr.stats().selectivity_hits, 1);
+        let usage: Vec<u64> = scr.cache().instances().iter().map(|e| e.usage()).collect();
+        assert_eq!(usage, [1, 2], "the nearer, later entry serves");
     }
 
     #[test]
-    fn log_form_respects_guarantee() {
+    fn guarantee_holds_as_the_list_grows_past_a_block() {
+        // λ-optimality at every decision while the instance list grows from
+        // its first entry to past one 64-row block, under static λ and under
+        // Appendix D's dynamic λ (bounded by λmax).
         let t = fixture();
-        let engine = QueryEngine::new(Arc::clone(&t));
-        let mut cfg = ScrConfig::new(2.0).unwrap();
-        cfg.spatial_index_threshold = 0; // the log form from the first instance on
-        let mut scr = Scr::with_config(cfg).unwrap();
-        let mut worst = 1.0f64;
-        for i in 0..10 {
-            for j in 0..10 {
-                let target = [0.01 + 0.09 * i as f64, 0.01 + 0.09 * j as f64];
-                let inst = instance_for_target(&t, &target);
+        let targets: Vec<[f64; 2]> = (0..24)
+            .flat_map(|i| {
+                (0..24).map(move |j| {
+                    let at = |k: usize| 10f64.powf(-3.0 + 3.0 * ((k * 7) % 24) as f64 / 23.0);
+                    [at(i), at(j)]
+                })
+            })
+            .collect();
+        let mut dynamic = ScrConfig::new(1.05).unwrap();
+        dynamic.dynamic_lambda = Some(DynamicLambda {
+            lambda_min: 1.05,
+            lambda_max: 1.5,
+        });
+        for (cfg, bound) in [(ScrConfig::new(1.05).unwrap(), 1.05), (dynamic, 1.5)] {
+            let engine = QueryEngine::new(Arc::clone(&t));
+            let mut scr = Scr::with_config(cfg).unwrap();
+            for target in &targets {
+                let inst = instance_for_target(&t, target);
                 let sv = compute_svector(&t, &inst);
                 let choice = scr.get_plan(&inst, &sv, &engine);
                 let opt = engine.optimize_untracked(&sv);
-                worst = worst.max(engine.recost_untracked(&choice.plan, &sv) / opt.cost);
+                let so = engine.recost_untracked(&choice.plan, &sv) / opt.cost;
+                assert!(
+                    so <= bound * 1.001,
+                    "sub-optimality {so} over {bound} at {} entries",
+                    scr.cache().num_instances()
+                );
             }
-        }
-        assert!(worst <= 2.0 * 1.001, "log form broke λ-optimality: {worst}");
-    }
-
-    #[test]
-    fn candidate_orders_all_preserve_guarantee() {
-        let t = fixture();
-        for order in [
-            CandidateOrder::GlAscending,
-            CandidateOrder::UsageDescending,
-            CandidateOrder::AreaDescending,
-        ] {
-            let engine = QueryEngine::new(Arc::clone(&t));
-            let mut cfg = ScrConfig::new(1.5).unwrap();
-            cfg.candidate_order = order;
-            cfg.spatial_index_threshold = usize::MAX; // ordering applies to the product form
-            let mut scr = Scr::with_config(cfg).unwrap();
-            let mut worst = 1.0f64;
-            for i in 0..8 {
-                for j in 0..8 {
-                    let target = [0.02 + 0.12 * i as f64, 0.02 + 0.12 * j as f64];
-                    let inst = instance_for_target(&t, &target);
-                    let sv = compute_svector(&t, &inst);
-                    let choice = scr.get_plan(&inst, &sv, &engine);
-                    let opt = engine.optimize_untracked(&sv);
-                    worst = worst.max(engine.recost_untracked(&choice.plan, &sv) / opt.cost);
-                }
-            }
-            assert!(worst <= 1.5 * 1.001, "{order:?} broke the bound: {worst}");
+            let n = scr.cache().num_instances();
+            assert!(n > 64, "the list stayed within one block: {n} entries");
         }
     }
 

@@ -41,10 +41,8 @@
 //! call, in `n/16` selects and one tile's compares and `min`s each (no
 //! branch on a key) — the cost check stops at its hit, which
 //! is usually its first candidate, and pays for no candidate it does not
-//! reach. The product form's keys (G·L, −usage, −area) go through the same
-//! stream, so both forms share one order: `(key, row)` under
-//! [`f64::total_cmp`], which is total over every `f64` a hostile
-//! selectivity can produce and which on distances (never NaN, never `-0.0`)
+//! reach. Its order is `(key, row)` under [`f64::total_cmp`], which is
+//! total over every `f64` and which on distances (never NaN, never `-0.0`)
 //! is plain `<`.
 //!
 //! **Bit-identity.** A row's distance is `Σi |ci − qi|` with the terms added
@@ -167,10 +165,9 @@ fn matching(tile: &[f64; TILE], bits: u64) -> u16 {
 /// handed out is a bit mask beside its minimum, so every `f64` — `+∞`, NaN,
 /// either zero — is an ordinary key.
 ///
-/// Use: [`KeyStream::clear`], one [`KeyStream::push`] per row (or one
-/// [`CoordBlocks::scan`], which writes the rows' distances and their tile
-/// minima as it computes them), [`KeyStream::open`], then [`KeyStream::next`]
-/// until it returns `None`.
+/// Use: one [`CoordBlocks::scan`], which writes the rows' distances and their
+/// tile minima as it computes them, [`KeyStream::open`], then
+/// [`KeyStream::next`] until it returns `None`.
 #[derive(Debug, Default)]
 pub struct KeyStream {
     /// One key per row, then — once a scan wrote them or the stream is
@@ -212,8 +209,10 @@ impl KeyStream {
         (self.want, self.window) = (0, 0);
     }
 
-    /// Append the key of the next row.
-    #[inline(always)]
+    /// Append the key of the next row: how the stream's oracle tests fill it
+    /// with arbitrary keys, after [`KeyStream::clear`] and in place of a
+    /// scan.
+    #[doc(hidden)]
     pub fn push(&mut self, key: f64) {
         debug_assert_eq!(self.keys.len(), self.len, "pushed onto a scan");
         self.keys.push(key);

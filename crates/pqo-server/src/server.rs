@@ -58,6 +58,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use pqo_core::persist;
 use pqo_core::service::{Cached, MissTicket, PqoService};
 use pqo_core::{PlanChoice, PqoError};
 use pqo_optimizer::template::QueryInstance;
@@ -448,24 +449,31 @@ impl Drop for PqoServer {
     }
 }
 
-/// Flush every template's published generation on graceful shutdown.
+/// Flush every template's published generation on graceful shutdown. A
+/// snapshot that cannot be written leaves the previous file in place and is
+/// reported on stderr.
 pub(crate) fn flush_snapshots(shared: &Shared) {
     let Some(dir) = &shared.config.snapshot_dir else {
         return;
     };
-    if std::fs::create_dir_all(dir).is_err() {
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("snapshot dir {}: {e}", dir.display());
         return;
     }
     for name in shared.service.templates() {
         let path = dir.join(format!("{}.pqo-cache", sanitize(&name)));
-        let Ok(mut file) = std::fs::File::create(&path) else {
-            continue;
-        };
-        if shared.service.save(&name, &mut file).is_ok() {
-            shared
-                .stats
-                .snapshots_flushed
-                .fetch_add(1, Ordering::Relaxed);
+        let flushed = shared.service.snapshot(&name).map_err(|e| e.to_string());
+        let flushed = flushed.and_then(|snapshot| {
+            persist::save_file(&snapshot, snapshot.generation(), &path).map_err(|e| e.to_string())
+        });
+        match flushed {
+            Ok(()) => {
+                shared
+                    .stats
+                    .snapshots_flushed
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            Err(e) => eprintln!("snapshot of {name} not flushed to {}: {e}", path.display()),
         }
     }
 }

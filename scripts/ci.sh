@@ -65,12 +65,16 @@ echo "==> candidate search oracle + decision, optimizer and publication goldens 
 # optimizer call allocates nothing when its winner is known, only its plan
 # when it is new, and a publication nothing that grows with the instance
 # list; one thread's scratch serves same-arity templates through dropped and
-# rebuilt services. Then the optimizer's own oracles, optimized as served:
-# the prepared search against the reference loop, and the bounded search
-# against the unbounded one at every kind of bound.
+# rebuilt services; λ holds on every stream of the guarantee, Theorem 1 and
+# fuzz suites, which carry it across every list length now that one
+# nearest-first candidate search serves them all. Then the optimizer's own
+# oracles, optimized as served: the prepared search against the reference
+# loop, and the bounded search against the unbounded one at every kind of
+# bound.
 cargo test -q --offline --release --test spatial_oracle --test decide_builds \
     --test decide_alloc --test decision_golden --test optimizer_golden --test optimize_alloc \
-    --test scratch_identity --test publication_golden --test publish_alloc
+    --test scratch_identity --test publication_golden --test publish_alloc \
+    --test guarantee --test theorem1 --test scr_fuzz
 cargo test -q --offline --release -p pqo-optimizer --lib
 
 echo "==> server suites, optimized (poller contract + loopback + replication, release)"

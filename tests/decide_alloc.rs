@@ -68,54 +68,46 @@ fn spec() -> &'static TemplateSpec {
 #[test]
 fn cached_path_allocates_nothing_with_a_warm_scratch() {
     let spec = spec();
-    // The log form from the first instance on, and the product form always.
-    for threshold in [0, usize::MAX] {
-        let engine = QueryEngine::new(Arc::clone(&spec.template));
-        let mut config = ScrConfig::new(1.2).unwrap();
-        config.spatial_index_threshold = threshold;
-        let mut scr = Scr::with_config(config).unwrap();
-        for q in spec.generate(1500, 1) {
-            let sv = engine.compute_svector(&q);
-            scr.get_plan(&q, &sv, &engine);
-        }
-        assert!(scr.cache().num_instances() > 300);
-
-        let probes: Vec<_> = spec
-            .generate(600, 2)
-            .iter()
-            .map(|q| engine.compute_svector(q))
-            .collect();
-        let mut scratch = GetPlanScratch::new();
-        let pass = |scratch: &mut GetPlanScratch| -> (u64, usize) {
-            let before = allocations();
-            let hits = probes
-                .iter()
-                .filter(|sv| scr.try_cached_plan_with(sv, &engine, scratch).is_some())
-                .count();
-            (allocations() - before, hits)
-        };
-        // The first pass grows the scratch to this cache's size...
-        let before = scr.stats();
-        let (warming, hits) = pass(&mut scratch);
-        let after = scr.stats();
-        assert!(
-            warming > 0,
-            "the scratch buffers have to come from somewhere"
-        );
-        // ...having met every outcome: selectivity hits, cost hits, and
-        // misses after Recosts.
-        assert!(after.selectivity_hits > before.selectivity_hits);
-        assert!(after.cost_hits > before.cost_hits);
-        assert!(after.getplan_recost_calls > before.getplan_recost_calls);
-        assert!(hits < probes.len(), "some probes must miss");
-        // ...and the second allocates nothing at all.
-        let (steady, hits_again) = pass(&mut scratch);
-        assert_eq!(
-            steady, 0,
-            "threshold {threshold}: allocations on the cached path"
-        );
-        assert!(hits_again > 0);
+    let engine = QueryEngine::new(Arc::clone(&spec.template));
+    let mut scr = Scr::new(1.2).unwrap();
+    for q in spec.generate(1500, 1) {
+        let sv = engine.compute_svector(&q);
+        scr.get_plan(&q, &sv, &engine);
     }
+    assert!(scr.cache().num_instances() > 300);
+
+    let probes: Vec<_> = spec
+        .generate(600, 2)
+        .iter()
+        .map(|q| engine.compute_svector(q))
+        .collect();
+    let mut scratch = GetPlanScratch::new();
+    let pass = |scratch: &mut GetPlanScratch| -> (u64, usize) {
+        let before = allocations();
+        let hits = probes
+            .iter()
+            .filter(|sv| scr.try_cached_plan_with(sv, &engine, scratch).is_some())
+            .count();
+        (allocations() - before, hits)
+    };
+    // The first pass grows the scratch to this cache's size...
+    let before = scr.stats();
+    let (warming, hits) = pass(&mut scratch);
+    let after = scr.stats();
+    assert!(
+        warming > 0,
+        "the scratch buffers have to come from somewhere"
+    );
+    // ...having met every outcome: selectivity hits, cost hits, and
+    // misses after Recosts.
+    assert!(after.selectivity_hits > before.selectivity_hits);
+    assert!(after.cost_hits > before.cost_hits);
+    assert!(after.getplan_recost_calls > before.getplan_recost_calls);
+    assert!(hits < probes.len(), "some probes must miss");
+    // ...and the second allocates nothing at all.
+    let (steady, hits_again) = pass(&mut scratch);
+    assert_eq!(steady, 0, "allocations on the cached path");
+    assert!(hits_again > 0);
 }
 
 #[test]

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use common::{bigjoin_templates, fnv1a, lambda, mix, on_two_threads, spec, FNV_OFFSET};
 use pqo::core::engine::QueryEngine;
-use pqo::core::scr::{CandidateOrder, DynamicLambda, Scr, ScrConfig};
+use pqo::core::scr::{DynamicLambda, Scr, ScrConfig};
 use pqo::core::{OnlinePqo, PqoService};
 use pqo::optimizer::template::{QueryInstance, QueryTemplate};
 use pqo::workload::corpus::{corpus, TemplateSpec};
@@ -86,28 +86,15 @@ fn jobs() -> Vec<Job> {
             });
         }
     }
-    // Configurations no benchmark workload runs, each through code the
-    // default never reaches, at λ = 1.2 on templates that mark Appendix G
-    // violations in lists long enough for the nearest-first search (at λ = 2
-    // only lists under 64 entries do): the two other candidate orders, the
-    // nearest-first search from the first instance on, Appendix F's
-    // simulated getPlan, dynamic λ, budget evictions (instance-list
+    // The default configuration at λ = 1.2, on templates that mark
+    // Appendix G violations in long lists, then configurations no benchmark
+    // workload runs, each through code the default never reaches: Appendix
+    // F's simulated getPlan, dynamic λ, budget evictions (instance-list
     // compaction), the smallest violation window, Appendix G switched off.
     type Variant = (&'static str, usize, fn(&mut ScrConfig));
-    let variants: [Variant; 8] = [
-        ("nearest-first", 2000, |c| c.spatial_index_threshold = 0),
-        ("linear-usage", 2000, |c| {
-            c.spatial_index_threshold = usize::MAX;
-            c.candidate_order = CandidateOrder::UsageDescending;
-        }),
-        ("linear-area", 2000, |c| {
-            c.spatial_index_threshold = usize::MAX;
-            c.candidate_order = CandidateOrder::AreaDescending;
-        }),
-        ("sweep", 400, |c| {
-            c.spatial_index_threshold = 0;
-            c.existing_plan_redundancy = true;
-        }),
+    let variants: [Variant; 6] = [
+        ("nearest-first", 2000, |_| {}),
+        ("sweep", 400, |c| c.existing_plan_redundancy = true),
         ("dynamic-lambda", 2000, |c| {
             c.dynamic_lambda = Some(DynamicLambda {
                 lambda_min: 1.1,

@@ -129,10 +129,7 @@ fn streams() -> Vec<Stream> {
     type Variant = (&'static str, usize, fn(&mut ScrConfig));
     let variants: [Variant; 2] = [
         ("budget-4", 2000, |c| c.plan_budget = Some(4)),
-        ("sweep", 400, |c| {
-            c.spatial_index_threshold = 0;
-            c.existing_plan_redundancy = true;
-        }),
+        ("sweep", 400, |c| c.existing_plan_redundancy = true),
     ];
     for (name, len, tweak) in variants {
         for id in ["tpch_skew_C_d2", "tpch_skew_D_d3v", "rd2_T_d7"] {

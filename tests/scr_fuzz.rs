@@ -9,7 +9,7 @@ use pqo_rand::rngs::StdRng;
 use pqo_rand::{Rng, SeedableRng};
 
 use pqo::core::engine::QueryEngine;
-use pqo::core::scr::{CandidateOrder, Scr, ScrConfig};
+use pqo::core::scr::{DynamicLambda, Scr, ScrConfig};
 use pqo::core::OnlinePqo;
 use pqo::optimizer::svector::{compute_svector, instance_for_target};
 use pqo::workload::corpus::corpus;
@@ -29,12 +29,17 @@ fn random_config(rng: &mut StdRng) -> ScrConfig {
     };
     cfg.max_recost_candidates = rng.gen_range(1..12usize);
     cfg.violation_handling = rng.gen_bool(0.5);
-    cfg.spatial_index_threshold = *[usize::MAX, 0, 16].get(rng.gen_range(0..3usize)).unwrap();
-    cfg.candidate_order = [
-        CandidateOrder::GlAscending,
-        CandidateOrder::UsageDescending,
-        CandidateOrder::AreaDescending,
-    ][rng.gen_range(0..3usize)];
+    // Appendix F's simulated getPlan and Appendix D's wider ball both run
+    // the one candidate search.
+    cfg.existing_plan_redundancy = rng.gen_bool(0.5);
+    cfg.dynamic_lambda = if rng.gen_bool(0.5) {
+        Some(DynamicLambda {
+            lambda_min: lambda,
+            lambda_max: lambda * rng.gen_range(1.0..2.0),
+        })
+    } else {
+        None
+    };
     cfg
 }
 
@@ -55,7 +60,8 @@ fn random_workloads_and_configs_uphold_invariants() {
         let ids = ["tpch_skew_B_d2", "tpcds_G_d2", "rd1_M_d2"];
         let pick = ids[rng.gen_range(0..3usize)];
         let spec = corpus().iter().find(|s| s.id == pick).expect("template");
-        let lambda = cfg.lambda;
+        // Under dynamic λ every entry's bound lies in [λmin, λmax].
+        let lambda = cfg.dynamic_lambda.map_or(cfg.lambda, |d| d.lambda_max);
         let budget = cfg.plan_budget;
         let engine = QueryEngine::new(Arc::clone(&spec.template));
         let mut scr = Scr::with_config(cfg).expect("generated config is valid");
