@@ -388,7 +388,7 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
     println!("cost-check hits     : {}", stats.cost_hits);
     println!("recost calls        : {}", stats.getplan_recost_calls);
     println!(
-        "recost time         : {:?}",
+        "recost time         : {:?} (sampled, 1 cost check in 16)",
         std::time::Duration::from_nanos(stats.recost_nanos)
     );
     println!(

@@ -21,10 +21,13 @@
 //!
 //! * The **instance list** is the row payload of one
 //!   [`CoordBlocks`] store — each `Arc`-shared block of 64 rows holds the
-//!   rows' ln-selectivity columns and their `Arc<InstanceEntry>`s. A clone
-//!   copies one pointer per block; an append copies at most the tail block
-//!   (`Arc::make_mut`); dropping a plan rebuilds the blocks behind the first
-//!   dropped row. There is no second per-instance array.
+//!   rows' ln-selectivity columns and slots for their `Arc<InstanceEntry>`s.
+//!   A clone copies one pointer per block; an append copies at most the
+//!   tail block's coordinates (`Arc::make_mut`) and fills the next entry
+//!   slot in place, in an array every generation shares and reads only up
+//!   to its own length, so no entry's reference count moves; dropping a
+//!   plan rebuilds the blocks behind the first dropped row. There is no
+//!   second per-instance array.
 //! * The **plan list** is a fingerprint-ordered `Vec` behind one `Arc`. A
 //!   clone is one pointer bump; only a change of membership
 //!   ([`PlanCache::insert_plan`] of a new plan, [`PlanCache::drop_plan`],

@@ -214,14 +214,14 @@ fn encode_delta_body(snapshot: &CacheSnapshot, base: &CacheSnapshot, out: &mut V
     for (b, block) in base_rows.block_rows().enumerate() {
         if !rows.shares_block(base_rows, b) {
             let first = (b * BLOCK_ROWS) as u32;
-            moved.extend(block.iter().zip(first..).map(|(e, i)| (Arc::as_ptr(e), i)));
+            moved.extend(block.zip(first..).map(|(e, i)| (Arc::as_ptr(e), i)));
         }
     }
     moved.sort_unstable();
     out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
     for (b, block) in rows.block_rows().enumerate() {
         let shared = rows.shares_block(base_rows, b);
-        for (e, i) in block.iter().zip((b * BLOCK_ROWS) as u32..) {
+        for (e, i) in block.zip((b * BLOCK_ROWS) as u32..) {
             let in_base = if shared {
                 Some(i)
             } else {

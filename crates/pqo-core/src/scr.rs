@@ -35,7 +35,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use pqo_optimizer::engine::{OptimizedPlan, QueryEngine};
 use pqo_optimizer::error::PqoError;
@@ -62,6 +62,11 @@ pub struct DynamicLambda {
 /// among the `max_recost_candidates × 4` nearest (never fewer than 16), so
 /// disabled entries do not starve the list.
 const RECOST_FETCH_FACTOR: usize = 4;
+
+/// The cost check reads the clock around one cost check in this many,
+/// counted per [`GetPlanScratch`], and counts what it reads this many times
+/// over; the others read no clock. Recost *counts* are exact either way.
+const RECOST_CLOCK_PERIOD: u32 = 16;
 
 /// SCR configuration.
 #[derive(Debug, Clone)]
@@ -179,7 +184,11 @@ pub struct ScrStats {
     pub violations_detected: u64,
     /// Cumulative nanoseconds spent in Recost work (cost check, redundancy
     /// check and Appendix F sweep) — one side of the paper's
-    /// Recost-vs-optimize overhead split (Section 7.3).
+    /// Recost-vs-optimize overhead split (Section 7.3). The cost check's
+    /// share is sampled: one cost check in 16 is timed, and counted 16
+    /// times over (per caller scratch, so a thread's first cost check is
+    /// one of those timed). The redundancy check and the sweep are timed
+    /// every time.
     pub recost_nanos: u64,
     /// Cumulative nanoseconds spent inside optimizer calls issued by
     /// `getPlan` — the other side of the overhead split.
@@ -195,15 +204,16 @@ pub struct ScrStats {
     /// Largest single batch served.
     pub max_batch_size: u64,
     /// Instance-list blocks the writer copied (cumulative): the tail block
-    /// of [`crate::spatial::CoordBlocks`] — coordinates and entry pointers —
-    /// copied on write while a published generation still shares it, and
-    /// blocks rebuilt when a dropped plan compacts the instance list. On a
-    /// replica, whose applied generations extend the one before, it counts
-    /// the same. (The name predates the block store and is pinned by the
-    /// wire STATS layout.)
+    /// of [`crate::spatial::CoordBlocks`] — its coordinates; its entry slots
+    /// are shared — copied on write while a published generation still
+    /// shares it, and blocks rebuilt when a dropped plan compacts the
+    /// instance list. On a replica, whose applied generations extend the one
+    /// before, it counts the same. (The name predates the block store and is
+    /// pinned by the wire STATS layout.)
     pub index_shard_rebuilds: u64,
-    /// Total rows copied with those blocks — at most 63 per append, the
-    /// rows behind the first gap per compaction.
+    /// Total coordinate rows copied with those blocks — at most 63 per
+    /// append, the rows behind the first gap per compaction. An append
+    /// copies no entry pointer.
     pub index_points_rebuilt: u64,
     /// Snapshot generations published by the writer.
     pub publishes: u64,
@@ -267,16 +277,19 @@ impl ScrStatCells {
         Self::add(&self.publish_nanos, nanos);
     }
 
-    /// The Recost work of one cost check. The maximum is read first, so the
-    /// read-modify-write (a compare-and-swap loop on x86-64) runs only for a
-    /// decision that sets a new one.
+    /// The Recost work of one cost check; `nanos` is 0 for one that was not
+    /// timed. The maximum is read first, so the read-modify-write (a
+    /// compare-and-swap loop on x86-64) runs only for a decision that sets a
+    /// new one.
     #[inline(always)]
     fn record_recosts(&self, n: u64, nanos: u64) {
         Self::add(&self.getplan_recost_calls, n);
         if n > self.max_recosts_per_getplan.load(Ordering::Relaxed) {
             self.max_recosts_per_getplan.fetch_max(n, Ordering::Relaxed);
         }
-        Self::add(&self.recost_nanos, nanos);
+        if nanos != 0 {
+            Self::add(&self.recost_nanos, nanos);
+        }
     }
 
     pub(crate) fn snapshot(&self) -> ScrStats {
@@ -334,6 +347,9 @@ pub struct GetPlanScratch {
     /// its cost at the instance. Emptied by every decision.
     recosted: Vec<(PlanFingerprint, f64)>,
     recost: RecostScratch,
+    /// Cost checks run through this scratch (wrapping): which of them read
+    /// the clock ([`RECOST_CLOCK_PERIOD`]).
+    cost_checks: u32,
 }
 
 impl GetPlanScratch {
@@ -625,9 +641,11 @@ impl CacheState {
     /// [`CachedPlan`](crate::cache::CachedPlan) prepared form — a linear
     /// arena pass whose base derivation lives in `scratch` and is shared
     /// across candidates (and delta-updated across calls), so the loop
-    /// performs no allocation and no tree walk. The clock is read twice,
-    /// around the whole loop, and not at all when there is no candidate.
-    /// The Recosts paid stay in `scratch` for a miss's optimizer call.
+    /// performs no allocation and no tree walk. One cost check in
+    /// [`RECOST_CLOCK_PERIOD`] reads the clock twice, around the whole loop,
+    /// and reports that time scaled by the period; the rest, and a decision
+    /// with no candidate, read no clock. The Recosts paid stay in `scratch`
+    /// for a miss's optimizer call.
     #[inline(always)]
     fn cost_check(
         &self,
@@ -639,10 +657,14 @@ impl CacheState {
             stream,
             recosted,
             recost,
+            cost_checks,
             ..
         } = scratch;
         let mut next = Some(self.next_candidate(stream)?);
-        let t0 = Instant::now();
+        let t0 = cost_checks
+            .is_multiple_of(RECOST_CLOCK_PERIOD)
+            .then(Instant::now);
+        *cost_checks = cost_checks.wrapping_add(1);
         let mut hit = None;
         // A violation mark set in this loop is set on the entry just pulled,
         // which the stream never returns again: the candidates of one
@@ -684,7 +706,8 @@ impl CacheState {
             next = self.next_candidate(stream);
         }
         // One Recost per memo entry.
-        let (recosts, elapsed) = (recosted.len() as u64, t0.elapsed());
+        let recosts = recosted.len() as u64;
+        let elapsed = t0.map_or(Duration::ZERO, |t0| t0.elapsed() * RECOST_CLOCK_PERIOD);
         engine.record_recosts(recosts, elapsed);
         self.stats
             .record_recosts(recosts, elapsed.as_nanos() as u64);
@@ -1044,9 +1067,8 @@ impl OnlinePqo for Scr {
         {
             return choice;
         }
-        let t0 = Instant::now();
-        let opt = engine.optimize_within(sv, self.scratch.optimize_bound());
-        self.record_optimize_nanos(t0.elapsed().as_nanos() as u64);
+        let (opt, elapsed) = engine.optimize_timed(sv, self.scratch.optimize_bound());
+        self.record_optimize_nanos(elapsed.as_nanos() as u64);
         let plan = Arc::clone(&opt.plan);
         self.manage_cache_entry(sv, opt, engine);
         PlanChoice {
@@ -1335,6 +1357,46 @@ mod tests {
             let n = scr.cache().num_instances();
             assert!(n > 64, "the list stayed within one block: {n} entries");
         }
+    }
+
+    #[test]
+    fn recost_counts_stay_exact_while_the_cost_check_samples_its_clock() {
+        // λr = 0 switches the redundancy check off, so every Recost and
+        // every nanosecond counted comes from a cost check.
+        let t = fixture();
+        let engine = QueryEngine::new(Arc::clone(&t));
+        let mut cfg = ScrConfig::new(1.01).unwrap();
+        cfg.lambda_r = 0.0;
+        let mut scr = Scr::with_config(cfg).unwrap();
+        let (mut paid, mut most, mut cost_checks) = (0u64, 0u64, 0u64);
+        for i in 0..400usize {
+            let target = [
+                0.01 + 0.0023 * ((i * 37) % 400) as f64,
+                0.01 + 0.0024 * ((i * 91) % 397) as f64,
+            ];
+            let inst = instance_for_target(&t, &target);
+            let sv = compute_svector(&t, &inst);
+            scr.get_plan(&inst, &sv, &engine);
+            // What this decision's cost check re-costed, once per plan.
+            let n = scr.scratch.recosted.len() as u64;
+            paid += n;
+            most = most.max(n);
+            cost_checks += u64::from(n > 0);
+        }
+        assert!(
+            cost_checks >= 4 * u64::from(RECOST_CLOCK_PERIOD),
+            "only {cost_checks} cost checks"
+        );
+        let stats = scr.stats();
+        assert_eq!(stats.getplan_recost_calls, paid);
+        assert_eq!(stats.max_recosts_per_getplan, most);
+        assert_eq!(engine.stats().recost_calls, paid);
+        assert!(stats.recost_nanos > 0, "no cost check was timed");
+        assert_eq!(
+            engine.stats().recost_time.as_nanos() as u64,
+            stats.recost_nanos,
+            "the engine and the technique count the same samples"
+        );
     }
 
     #[test]

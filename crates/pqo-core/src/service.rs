@@ -12,8 +12,14 @@
 //! # Snapshot-published read path
 //!
 //! * **Registry** — `RwLock<BTreeMap<name, Arc<Shard>>>`, read-mostly:
-//!   `get_plan` takes a read lock just long enough to clone the shard's
-//!   `Arc`; only `register` writes.
+//!   only `register` writes. A thread keeps the shard and the generation of
+//!   its last decision, keyed by the service's process-unique id and checked
+//!   against the shard's own template name; a decision for the same
+//!   template takes no registry lock, clones no `Arc` and checks its
+//!   generation with one atomic load ([`SnapshotCell::refresh`]). A
+//!   decision for another template (or service) takes the read lock just
+//!   long enough to clone the shard's `Arc`. A thread's kept shard outlives
+//!   a dropped service until the thread's next decision.
 //! * **Shard** — one per template: a shared [`QueryEngine`] (interior-
 //!   mutable, no lock needed), a [`SnapshotCell`] holding the published
 //!   [`CacheSnapshot`] generation, and a `Mutex<CacheWriter>`. The SCR
@@ -22,7 +28,8 @@
 //!   template never wait for `manageCache`, not even while a writer holds
 //!   the writer mutex. Only confirmed misses (after the optimizer call, which
 //!   also runs lock-free) enter the writer, which commits the mutation and
-//!   publishes the next generation with one `Arc` swap.
+//!   publishes the next generation with one `Arc` swap. Only a miss clones
+//!   the shard's `Arc`, into its [`MissTicket`].
 //! * **Counters** — engine stats, SCR stats and the global plan total are
 //!   atomics with snapshot views: observers never block servers. Instance
 //!   usage counters are `Arc`-shared across generations, so LFU signal
@@ -52,7 +59,6 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
-use std::time::Instant;
 
 use pqo_optimizer::engine::{EngineStats, QueryEngine};
 use pqo_optimizer::error::PqoError;
@@ -86,6 +92,21 @@ thread_local! {
     /// [`PqoService::serve_cached`] derives in place: a hit allocates
     /// nothing, and only a miss copies it out, into its [`MissTicket`].
     static SELECTIVITIES: RefCell<SVector> = const { RefCell::new(SVector(Vec::new())) };
+
+    /// The shard the calling thread decided for last, and the generation it
+    /// decided from: the next decision for the same template of the same
+    /// service takes neither the registry lock nor the cell lock.
+    static SLOT: RefCell<Option<Slot>> = const { RefCell::new(None) };
+}
+
+/// What a thread keeps between decisions ([`PqoService::serve_cached`]).
+struct Slot {
+    /// [`PqoService::id`] of the service the shard belongs to.
+    service: u64,
+    shard: Arc<Shard>,
+    /// The generation of `shard` the thread last decided from; refreshed
+    /// before every decision.
+    snapshot: Arc<CacheSnapshot>,
 }
 
 impl Shard {
@@ -156,6 +177,10 @@ impl Shard {
 /// # }
 /// ```
 pub struct PqoService {
+    /// A number no other service of this process has: what a thread's
+    /// [`Slot`] is keyed by. Not the service's address, which the next
+    /// service can be given as soon as this one is dropped.
+    id: u64,
     shards: RwLock<BTreeMap<String, Arc<Shard>>>,
     global_plan_budget: Option<usize>,
     /// Running total of plans cached across all shards; every structural
@@ -195,7 +220,11 @@ pub struct MissTicket {
 impl PqoService {
     /// Service without a global budget.
     pub fn new() -> Self {
+        // `Relaxed`: the counter hands out distinct values and publishes
+        // nothing else.
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         PqoService {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             shards: RwLock::new(BTreeMap::new()),
             global_plan_budget: None,
             total_plans: AtomicUsize::new(0),
@@ -383,6 +412,12 @@ impl PqoService {
     /// hands only tickets to its worker pool; a read replica answers hits
     /// locally and forwards misses to its primary.
     ///
+    /// The calling thread keeps the shard and the generation it decided
+    /// from. A decision for the same template of the same service as the
+    /// thread's last one looks up nothing, and loads the published
+    /// generation only if a newer one was stored since
+    /// ([`SnapshotCell::refresh`]).
+    ///
     /// # Errors
     /// As [`PqoService::get_plan`].
     pub fn serve_cached(
@@ -390,20 +425,40 @@ impl PqoService {
         template: &str,
         instance: &QueryInstance,
     ) -> Result<Cached, PqoError> {
-        let shard = self.shard(template)?;
-        shard.check_instance(instance)?;
-        SELECTIVITIES.with_borrow_mut(|sv| {
-            shard.engine.compute_svector_into(instance, sv);
-            let snapshot = shard.published.load();
-            let generation = snapshot.generation();
-            Ok(match shard.try_cached_plan(&snapshot, sv) {
-                Ok(choice) => Cached::Hit { choice, generation },
-                Err(bound) => Cached::Miss(MissTicket {
-                    shard,
-                    sv: sv.clone(),
-                    generation,
-                    bound,
-                }),
+        SLOT.with_borrow_mut(|slot| {
+            let slot = match slot {
+                Some(kept)
+                    if kept.service == self.id && kept.shard.engine.template().name == template =>
+                {
+                    kept.shard.published.refresh(&mut kept.snapshot);
+                    kept
+                }
+                _ => {
+                    let shard = self.shard(template)?;
+                    let snapshot = shard.published.load();
+                    slot.insert(Slot {
+                        service: self.id,
+                        shard,
+                        snapshot,
+                    })
+                }
+            };
+            let Slot {
+                shard, snapshot, ..
+            } = slot;
+            shard.check_instance(instance)?;
+            SELECTIVITIES.with_borrow_mut(|sv| {
+                shard.engine.compute_svector_into(instance, sv);
+                let generation = snapshot.generation();
+                Ok(match shard.try_cached_plan(snapshot, sv) {
+                    Ok(choice) => Cached::Hit { choice, generation },
+                    Err(bound) => Cached::Miss(MissTicket {
+                        shard: Arc::clone(shard),
+                        sv: sv.clone(),
+                        generation,
+                        bound,
+                    }),
+                })
             })
         })
     }
@@ -499,13 +554,13 @@ impl PqoService {
     /// optimizer's wall time is attributed to the technique's overhead
     /// split. Returns the choice and the generation the commit published.
     fn optimize_and_commit(&self, shard: &Shard, sv: &SVector, bound: f64) -> (PlanChoice, u64) {
-        let t0 = Instant::now();
-        let opt = shard.engine.optimize_within(sv, bound);
-        let opt_nanos = t0.elapsed().as_nanos() as u64;
+        let (opt, elapsed) = shard.engine.optimize_timed(sv, bound);
         let plan = Arc::clone(&opt.plan);
         let generation = {
             let mut writer = shard.writer();
-            writer.scr().record_optimize_nanos(opt_nanos);
+            writer
+                .scr()
+                .record_optimize_nanos(elapsed.as_nanos() as u64);
             let (before, after) =
                 writer.manage_cache_entry(sv, opt, &shard.engine, &shard.published);
             self.apply_delta(before, after);
@@ -875,6 +930,98 @@ mod tests {
         assert_eq!(generation, published);
         assert_eq!(choice.plan.fingerprint(), winner.plan.fingerprint());
         assert_eq!(decisions(&s), (1, 0, 1));
+    }
+
+    #[test]
+    fn a_generation_another_thread_publishes_serves_the_next_decision() {
+        let (s, t_orders, _) = service_two_templates();
+        let near = inst_at(&t_orders, &[0.1, 0.5]);
+        let far = inst_at(&t_orders, &[0.9, 0.01]);
+        // This thread decides from the generation the miss on `near`
+        // published, and keeps it.
+        let (_, held) = s.get_plan_with_generation("q_orders", &near).unwrap();
+        assert!(matches!(
+            s.serve_cached("q_orders", &near).unwrap(),
+            Cached::Hit { generation, .. } if generation == held
+        ));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                // Decided against the held generation, `far` misses; its
+                // commit publishes the next one.
+                let (choice, published) = s.get_plan_with_generation("q_orders", &far).unwrap();
+                assert!(choice.optimized);
+                tx.send((choice.plan.fingerprint(), published)).unwrap();
+            });
+            let (fp, published) = rx.recv().unwrap();
+            assert!(published > held);
+            match s.serve_cached("q_orders", &far).unwrap() {
+                Cached::Hit { choice, generation } => {
+                    assert_eq!(generation, published, "served from the held generation");
+                    assert_eq!(choice.plan.fingerprint(), fp);
+                }
+                Cached::Miss(_) => panic!("decided against the held generation"),
+            }
+        });
+    }
+
+    #[test]
+    fn two_services_of_one_template_name_each_decide_as_their_own_oracle() {
+        let t = crate::testutil::fixture_template("shared_name");
+        let configs = [ScrConfig::new(2.0).unwrap(), ScrConfig::new(1.1).unwrap()];
+        let services = configs.clone().map(|config| {
+            let s = PqoService::new();
+            s.register(Arc::clone(&t), config).unwrap();
+            s
+        });
+        let mut oracles = configs.map(|config| Scr::with_config(config).unwrap());
+        let engine = QueryEngine::new(Arc::clone(&t));
+        for i in 0..120usize {
+            let q = inst_at(
+                &t,
+                &[
+                    0.02 + 0.012 * (i % 73) as f64,
+                    0.03 + 0.011 * ((i * 7) % 67) as f64,
+                ],
+            );
+            let sv = engine.compute_svector(&q);
+            // Interleaved on this thread: one template name, two services.
+            for (service, oracle) in services.iter().zip(&mut oracles) {
+                let served = service.get_plan("shared_name", &q).unwrap();
+                let expected = crate::OnlinePqo::get_plan(oracle, &q, &sv, &engine);
+                assert_eq!(
+                    (served.optimized, served.plan.fingerprint()),
+                    (expected.optimized, expected.plan.fingerprint()),
+                    "instance {i}"
+                );
+            }
+        }
+        assert_ne!(
+            services[0].total_optimizer_calls(),
+            services[1].total_optimizer_calls(),
+            "the two configurations must decide differently somewhere"
+        );
+    }
+
+    #[test]
+    fn a_dropped_service_and_its_replacement_never_share_a_slot() {
+        let t = crate::testutil::fixture_template("rebuilt");
+        let q = inst_at(&t, &[0.2, 0.3]);
+        let mut ids = Vec::new();
+        for _ in 0..4 {
+            // Each service lives where the one before it lived.
+            let s = PqoService::new();
+            s.register(Arc::clone(&t), ScrConfig::new(2.0).unwrap())
+                .unwrap();
+            assert!(
+                s.get_plan("rebuilt", &q).unwrap().optimized,
+                "a fresh cache served from its predecessor's"
+            );
+            assert!(!s.get_plan("rebuilt", &q).unwrap().optimized);
+            ids.push(s.id);
+        }
+        ids.dedup();
+        assert_eq!(ids.len(), 4);
     }
 
     #[test]

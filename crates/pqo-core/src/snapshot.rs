@@ -22,19 +22,27 @@
 //!   changed), not O(instances). **Shared** with every earlier generation:
 //!   the plan list (one `Arc`, replaced only when a plan is added or
 //!   dropped), every full 64-row block of the instance list — coordinates
-//!   and entry pointers alike ([`crate::spatial::CoordBlocks`]) — and the
-//!   entries themselves. **Copied** per publication: one pointer per block,
-//!   and, when the writer next appends, the tail block it appends to
-//!   (`Arc::make_mut`, at most 63 rows); a dropped plan rebuilds the blocks
-//!   behind its first entry. Each publication is timed into the
+//!   and entry slots alike ([`crate::spatial::CoordBlocks`]) — and the
+//!   entries themselves. The tail block's entry slots are shared too: every
+//!   generation holds one array of them, which the writer fills in place
+//!   and each generation reads only up to its own length. **Copied** per
+//!   publication: one pointer per block, and, when the writer next appends,
+//!   the coordinates of the tail block it appends to (`Arc::make_mut`, at
+//!   most `64·d·8` bytes; no entry pointer, so no entry's reference count
+//!   moves, now or when the generation is dropped); a dropped plan rebuilds
+//!   the blocks behind its first entry. Each publication is timed into the
 //!   `publishes`/`publish_nanos` counters of [`crate::scr::ScrStats`].
 //! * [`SnapshotCell`] — the `ArcCell`-style publication point: a
 //!   `Mutex<Arc<CacheSnapshot>>` whose `load()` clones the `Arc` under a
-//!   lock held for a few instructions. It is lock-free in practice: the
-//!   cell lock is never held across `manageCache` or an optimizer call,
-//!   so a reader can only ever wait for another pointer
-//!   clone/swap. (Std-only; an `arc-swap` dependency would make `load()`
-//!   truly wait-free but the workspace builds offline.)
+//!   lock held for a few instructions, beside an `AtomicPtr` mirror of the
+//!   current snapshot's address. A reader that keeps the generation it
+//!   loaded checks it with [`SnapshotCell::refresh`] — one `Acquire` load
+//!   and a pointer compare, no lock and no reference count — and reloads
+//!   only when a newer generation was stored. It is lock-free in practice:
+//!   the cell lock is never held across `manageCache` or an optimizer call,
+//!   so a reader can only ever wait for another pointer clone/swap.
+//!   (Std-only; an `arc-swap` dependency would make `load()` truly
+//!   wait-free but the workspace builds offline.)
 //!
 //! # Consistency
 //!
@@ -57,12 +65,14 @@
 //!
 //! Instance entries are `Arc`-shared across generations
 //! ([`crate::cache::PlanCache`] clones are shallow; a copied tail block
-//! copies pointers, never entries), so usage counts bumped through an *old*
+//! copies coordinates and shares its entry slots), so usage counts bumped
+//! through an *old*
 //! snapshot remain visible to the writer's LFU eviction, and Appendix G
 //! violation flags set by any reader disable the entry in every generation. Technique counters ([`crate::scr::ScrStats`]) live in
 //! one shared cell set for the same reason.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -119,16 +129,22 @@ impl CacheSnapshot {
 /// The publication point: readers `load()` the current generation, the
 /// writer `store()`s the next one. The mutex is held only for an `Arc`
 /// clone or pointer swap — never across cache maintenance — so a reader
-/// never blocks behind `manageCache`.
+/// never blocks behind `manageCache`. A reader that keeps the generation it
+/// loaded checks it with [`SnapshotCell::refresh`], which takes no lock
+/// while no new generation was published.
 #[derive(Debug)]
 pub struct SnapshotCell {
     current: Mutex<Arc<CacheSnapshot>>,
+    /// The address of `current`'s snapshot: stored with `Release` under the
+    /// lock, loaded with `Acquire`. Never dereferenced; only compared.
+    latest: AtomicPtr<CacheSnapshot>,
 }
 
 impl SnapshotCell {
     /// Cell holding the given initial generation.
     pub fn new(snapshot: Arc<CacheSnapshot>) -> Self {
         SnapshotCell {
+            latest: AtomicPtr::new(Arc::as_ptr(&snapshot).cast_mut()),
             current: Mutex::new(snapshot),
         }
     }
@@ -139,9 +155,24 @@ impl SnapshotCell {
         Arc::clone(&self.current.lock().expect("snapshot cell poisoned"))
     }
 
+    /// Make `held` the current generation: one atomic load when it already
+    /// is, [`SnapshotCell::load`] when a newer one was stored since. Equal
+    /// addresses mean the same generation, because `held` is a strong
+    /// reference: its snapshot cannot be freed, and its address handed to
+    /// another, while the caller holds it.
+    #[inline(always)]
+    pub fn refresh(&self, held: &mut Arc<CacheSnapshot>) {
+        if !std::ptr::eq(self.latest.load(Ordering::Acquire), Arc::as_ptr(held)) {
+            *held = self.load();
+        }
+    }
+
     /// Publish the next generation (atomic pointer swap).
     pub fn store(&self, snapshot: Arc<CacheSnapshot>) {
-        *self.current.lock().expect("snapshot cell poisoned") = snapshot;
+        let mut current = self.current.lock().expect("snapshot cell poisoned");
+        self.latest
+            .store(Arc::as_ptr(&snapshot).cast_mut(), Ordering::Release);
+        *current = snapshot;
     }
 }
 

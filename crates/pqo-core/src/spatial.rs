@@ -54,21 +54,28 @@
 //! the kernel was compiled to.
 //!
 //! **Sharing.** Blocks sit behind `Arc`s. A full block is never written
-//! again, so every published generation of a cache shares it; appending
-//! writes the tail block through `Arc::make_mut`, which copies it (at most
-//! `64·d·8` bytes of coordinates and 63 payloads — pointer bumps, for the
-//! instance list) only while a published generation still holds it, and
-//! two clones appended to independently each copy their own tail. `Clone`
-//! is one pointer bump per block: what is *shared* is every block, what is
-//! *copied* per publication is the `Vec` of block pointers and, on the
-//! writer's next append, at most the tail.
+//! again, so every published generation of a cache shares it. Appending
+//! writes the tail block through `Arc::make_mut`, which copies it only while
+//! a published generation still holds it, and then copies only its
+//! coordinates (at most `64·d·8` bytes). The payloads are not copied: every
+//! copy of a block shares one array of [`BLOCK_ROWS`] slots, each filled
+//! once (a `OnceLock`) by the first copy to append there, and a store reads
+//! no slot at or past its own length — [`Rows`] is bounded by the length,
+//! never by which slots are filled — so the rows a later generation appends
+//! are invisible to an earlier one. Two clones appended to independently
+//! each copy their own coordinates; the second to reach a slot finds it
+//! filled and takes slots of its own, cloning the rows before it into them:
+//! the one place an append clones a payload. `Clone` is one pointer bump
+//! per block: what is *shared* is every block and every payload slot, what
+//! is *copied* per publication is the `Vec` of block pointers and, on the
+//! writer's next append, at most the tail's coordinates.
 //!
 //! Stored coordinates are clamped into `[ln MIN_POSITIVE, ln MAX]`, so a
 //! pathological selectivity (NaN, ∞, 0 from a hostile client or a histogram
 //! bug) degrades to a far-away point instead of a NaN distance, and no
 //! comparison here can panic.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Rows per block.
 pub const BLOCK_ROWS: usize = 64;
@@ -294,26 +301,50 @@ impl KeyStream {
     }
 }
 
-/// One block: [`BLOCK_ROWS`] rows of coordinates, allocated whole, and the
-/// payloads of the rows filled so far.
+/// One block: [`BLOCK_ROWS`] rows of coordinates, allocated whole, and one
+/// slot per row for its payload.
+///
+/// The coordinates are the block's own, copied with it. The slots are shared
+/// by every copy: a slot is filled once, by the first copy to append a row
+/// there, and a copy reads only the slots below its store's length. So a
+/// copy of a shared tail copies coordinates and bumps one `Arc`, and the
+/// rows stay where they are.
 #[derive(Debug)]
 struct Block<T> {
     /// `coords[dim * BLOCK_ROWS + r]` is coordinate `dim` of the block's row
-    /// `r`; rows past `rows.len()` are zero and never read as results.
+    /// `r`; rows past the store's length are zero or another copy's, and
+    /// never read as results.
     coords: Box<[f64]>,
-    rows: Vec<T>,
+    /// The payloads, filled from the front: slots below the store's length
+    /// hold its rows, the ones after may hold a later generation's.
+    rows: Arc<[OnceLock<T>; BLOCK_ROWS]>,
 }
 
-/// The copy `Arc::make_mut` takes of a shared tail: room for the rows the
-/// writer is about to append, so the copy is the append's only allocation.
-impl<T: Clone> Clone for Block<T> {
+/// The copy `Arc::make_mut` takes of a shared tail: the coordinates, and
+/// the slots by reference.
+impl<T> Clone for Block<T> {
     fn clone(&self) -> Self {
-        let mut rows = Vec::with_capacity(BLOCK_ROWS);
-        rows.extend_from_slice(&self.rows);
         Block {
             coords: self.coords.clone(),
-            rows,
+            rows: Arc::clone(&self.rows),
         }
+    }
+}
+
+impl<T> Block<T> {
+    fn new(dims: usize) -> Self {
+        Block {
+            coords: vec![0.0; dims * BLOCK_ROWS].into(),
+            rows: Arc::new(std::array::from_fn(|_| OnceLock::new())),
+        }
+    }
+
+    /// The payload in slot `r`, which the caller's store holds.
+    #[inline(always)]
+    fn row(&self, r: usize) -> &T {
+        self.rows[r]
+            .get()
+            .expect("a row within the store's length is filled")
     }
 }
 
@@ -379,10 +410,12 @@ impl<T> CoordBlocks<T> {
         Rows { store: self }
     }
 
-    /// Cumulative `(blocks copied, rows copied)`: tail blocks copied on
-    /// write because a published generation still shared them, and blocks
-    /// rebuilt by [`CoordBlocks::retain_rows`] — the writer's cost of
-    /// keeping published generations immutable, surfaced through `ScrStats`.
+    /// Cumulative `(blocks copied, rows copied)`: tail blocks whose
+    /// coordinates were copied on write because a published generation
+    /// still shared them, and blocks rebuilt by [`CoordBlocks::retain_rows`]
+    /// — the writer's cost of keeping published generations immutable,
+    /// surfaced through `ScrStats`. Rows are coordinate rows: a tail copy
+    /// clones no payload.
     pub fn copy_stats(&self) -> (u64, u64) {
         (self.blocks_copied, self.rows_copied)
     }
@@ -398,10 +431,20 @@ impl<T> CoordBlocks<T> {
             .collect()
     }
 
+    /// Rows of this store in block `b`: the block's first `rows_in(b)`
+    /// slots.
+    #[inline(always)]
+    fn rows_in(&self, b: usize) -> usize {
+        (self.len - b * BLOCK_ROWS).min(BLOCK_ROWS)
+    }
+
     /// The payloads of each block in turn; block `b` starts at row
     /// `b * BLOCK_ROWS`.
-    pub(crate) fn block_rows(&self) -> impl Iterator<Item = &[T]> {
-        self.blocks.iter().map(|b| b.rows.as_slice())
+    pub(crate) fn block_rows(&self) -> impl Iterator<Item = impl Iterator<Item = &T>> {
+        self.blocks.iter().enumerate().map(|(b, block)| {
+            let rows = self.rows_in(b);
+            (0..rows).map(|r| block.row(r))
+        })
     }
 
     /// Whether block `b` of both stores is one shared allocation — the same
@@ -434,7 +477,7 @@ impl<T> CoordBlocks<T> {
         let mut mins = [0.0f64; BLOCK_ROWS / TILE];
         for (b, block) in self.blocks.iter().enumerate() {
             let base = b * BLOCK_ROWS;
-            let rows = (self.len - base).min(BLOCK_ROWS);
+            let rows = self.rows_in(b);
             let tiles = rows.div_ceil(TILE);
             let cols = block.coords.as_chunks::<BLOCK_ROWS>().0;
             for (t, out) in dist.iter_mut().take(tiles).enumerate() {
@@ -545,10 +588,7 @@ impl<T: Clone> CoordBlocks<T> {
     fn push_row(&mut self, payload: T, coord: impl Fn(usize) -> f64) {
         let r = self.len % BLOCK_ROWS;
         if r == 0 {
-            self.blocks.push(Arc::new(Block {
-                coords: vec![0.0; self.dims * BLOCK_ROWS].into(),
-                rows: Vec::with_capacity(BLOCK_ROWS),
-            }));
+            self.blocks.push(Arc::new(Block::new(self.dims)));
         }
         let tail = self.blocks.last_mut().expect("a tail block exists");
         if Arc::get_mut(tail).is_none() {
@@ -559,7 +599,20 @@ impl<T: Clone> CoordBlocks<T> {
         for dim in 0..self.dims {
             block.coords[dim * BLOCK_ROWS + r] = coord(dim);
         }
-        block.rows.push(payload);
+        if let Err(payload) = block.rows[r].set(payload) {
+            // Another copy of this block appended here first: this store
+            // takes slots of its own, its rows cloned into them — the one
+            // place a payload is cloned on append.
+            let rows: [OnceLock<T>; BLOCK_ROWS] = std::array::from_fn(|i| {
+                if i < r {
+                    OnceLock::from(block.row(i).clone())
+                } else {
+                    OnceLock::new()
+                }
+            });
+            block.rows = Arc::new(rows);
+            assert!(block.rows[r].set(payload).is_ok(), "a fresh slot is empty");
+        }
         self.len += 1;
     }
 
@@ -579,11 +632,14 @@ impl<T: Clone> CoordBlocks<T> {
         let clean = first / BLOCK_ROWS;
         let stale = self.blocks.split_off(clean);
         let start = clean * BLOCK_ROWS;
+        let end = self.len;
         self.len = start;
         let mut dropped = Vec::new();
         for (b, from) in stale.iter().enumerate() {
-            for (r, payload) in from.rows.iter().enumerate() {
-                if keep(start + b * BLOCK_ROWS + r, payload) {
+            let first_row = start + b * BLOCK_ROWS;
+            for r in 0..(end - first_row).min(BLOCK_ROWS) {
+                let payload = from.row(r);
+                if keep(first_row + r, payload) {
                     self.push_row(payload.clone(), |dim| from.coords[dim * BLOCK_ROWS + r]);
                 } else {
                     dropped.push(payload.clone());
@@ -616,19 +672,15 @@ impl<'a, T> Rows<'a, T> {
     /// Row `i`, if there is one.
     #[inline(always)]
     pub fn get(&self, i: usize) -> Option<&'a T> {
-        self.store
-            .blocks
-            .get(i / BLOCK_ROWS)?
-            .rows
-            .get(i % BLOCK_ROWS)
+        (i < self.store.len).then(|| self.store.blocks[i / BLOCK_ROWS].row(i % BLOCK_ROWS))
     }
 
     /// The rows in index order.
     #[inline(always)]
     pub fn iter(&self) -> RowsIter<'a, T> {
         RowsIter {
-            blocks: self.store.blocks.iter(),
-            rows: [].iter(),
+            rows: Rows { store: self.store },
+            next: 0,
         }
     }
 }
@@ -638,7 +690,8 @@ impl<T> std::ops::Index<usize> for Rows<'_, T> {
 
     #[inline(always)]
     fn index(&self, i: usize) -> &T {
-        &self.store.blocks[i / BLOCK_ROWS].rows[i % BLOCK_ROWS]
+        assert!(i < self.store.len, "row {i} of {}", self.store.len);
+        self.store.blocks[i / BLOCK_ROWS].row(i % BLOCK_ROWS)
     }
 }
 
@@ -654,8 +707,8 @@ impl<'a, T> IntoIterator for Rows<'a, T> {
 /// Iterator over [`Rows`].
 #[derive(Debug)]
 pub struct RowsIter<'a, T> {
-    blocks: std::slice::Iter<'a, Arc<Block<T>>>,
-    rows: std::slice::Iter<'a, T>,
+    rows: Rows<'a, T>,
+    next: usize,
 }
 
 impl<'a, T> Iterator for RowsIter<'a, T> {
@@ -663,12 +716,9 @@ impl<'a, T> Iterator for RowsIter<'a, T> {
 
     #[inline(always)]
     fn next(&mut self) -> Option<&'a T> {
-        loop {
-            if let Some(row) = self.rows.next() {
-                return Some(row);
-            }
-            self.rows = self.blocks.next()?.rows.iter();
-        }
+        let row = self.rows.get(self.next)?;
+        self.next += 1;
+        Some(row)
     }
 }
 
@@ -823,30 +873,59 @@ mod tests {
 
     #[test]
     fn payloads_ride_with_their_rows_through_forks_and_compaction() {
-        let mut origin: CoordBlocks<usize> = CoordBlocks::default();
+        let mut origin: CoordBlocks<Arc<usize>> = CoordBlocks::default();
         for i in 0..70 {
-            origin.push_with(&[0.01 * (i + 1) as f64], i);
+            origin.push_with(&[0.01 * (i + 1) as f64], Arc::new(i));
         }
-        // Two forks of a shared tail each copy it; the origin sees neither.
+        let refcounts = |s: &CoordBlocks<Arc<usize>>| -> Vec<usize> {
+            s.rows().iter().map(Arc::strong_count).collect()
+        };
+        // Two forks of a shared tail each copy its coordinates and append
+        // into the same slot, row 70. The first fills the shared slot and
+        // clones no payload; the second finds it filled and takes slots of
+        // its own, cloning the block's six earlier rows into them. Each
+        // reads back its own row, and the origin sees neither.
         let (mut left, mut right) = (origin.clone(), origin.clone());
-        left.push_with(&[0.9], 700);
-        right.push_with(&[0.8], 800);
+        left.push_with(&[0.9], Arc::new(700));
+        assert_eq!(refcounts(&origin), vec![1; 70]);
+        right.push_with(&[0.8], Arc::new(800));
+        let counts = refcounts(&origin);
+        assert_eq!(
+            counts[..64],
+            [1; 64],
+            "a full block's payloads are never cloned"
+        );
+        assert_eq!(counts[64..], [2; 6], "the second fork's own slots");
         assert_eq!((origin.len(), left.len(), right.len()), (70, 71, 71));
-        assert_eq!(left.rows()[70], 700);
-        assert_eq!(right.rows().get(70), Some(&800));
+        assert_eq!(*left.rows()[70], 700);
+        assert_eq!(right.rows().get(70).map(|p| **p), Some(800));
         assert_eq!(origin.rows().get(70), None);
+        assert_eq!(origin.rows().iter().count(), 70);
+        assert_eq!((left.copy_stats(), right.copy_stats()), ((1, 6), (1, 6)));
         assert_eq!(left.block_tokens()[0], right.block_tokens()[0]);
         assert_ne!(left.block_tokens()[1], right.block_tokens()[1]);
+        for fork in [&left, &right] {
+            let rows: Vec<usize> = fork.rows().iter().map(|p| **p).collect();
+            assert_eq!(rows[..70], (0..70).collect::<Vec<_>>()[..]);
+        }
+        // A third fork appends behind both, into a slot of the origin's
+        // that is filled too.
+        let mut third = origin.clone();
+        third.push_with(&[0.7], Arc::new(900));
+        assert_eq!(*third.rows()[70], 900);
+        assert_eq!(*left.rows()[70], 700);
         // Compaction hands the dropped payloads back in row order and keeps
         // payload and coordinates together.
-        let dropped = left.retain_rows(|i, &p| p % 10 != 3 || i >= 65);
+        let dropped = left.retain_rows(|i, p| **p % 10 != 3 || i >= 65);
+        let dropped: Vec<usize> = dropped.iter().map(|p| **p).collect();
         assert_eq!(dropped, vec![3, 13, 23, 33, 43, 53, 63]);
         assert_eq!(left.len(), 64);
-        let kept: Vec<usize> = left.rows().iter().copied().collect();
+        let kept: Vec<usize> = left.rows().iter().map(|p| **p).collect();
         assert_eq!(kept.len(), 64);
         assert!(kept.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(left.nearest(&[0.9], 1), vec![(0.0, 63)]);
-        assert_eq!(left.rows()[63], 700);
+        assert_eq!(*left.rows()[63], 700);
         assert_eq!(right.rows().len(), 71, "the other fork is untouched");
+        assert_eq!(*right.rows()[70], 800);
     }
 }

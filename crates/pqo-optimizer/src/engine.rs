@@ -91,11 +91,14 @@ impl ApiCounter {
         self.record_calls(1, elapsed);
     }
 
-    /// `calls` calls that took `elapsed` together.
+    /// `calls` calls that took `elapsed` together; a zero `elapsed` (calls
+    /// the caller did not time) leaves the time alone.
     fn record_calls(&self, calls: u64, elapsed: Duration) {
         self.calls.fetch_add(calls, Ordering::Relaxed);
-        self.nanos
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+        if !elapsed.is_zero() {
+            self.nanos
+                .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+        }
     }
 
     fn reset(&self) {
@@ -237,10 +240,18 @@ impl QueryEngine {
     /// second search, and NaN prunes nothing. Counted and timed as
     /// [`QueryEngine::optimize`].
     pub fn optimize_within(&self, sv: &SVector, bound: f64) -> OptimizedPlan {
+        self.optimize_timed(sv, bound).0
+    }
+
+    /// [`QueryEngine::optimize_within`], and the time it took, which it
+    /// also counts in [`EngineStats::optimize_time`]: a caller that
+    /// accounts optimizer time of its own reads no clock for it.
+    pub fn optimize_timed(&self, sv: &SVector, bound: f64) -> (OptimizedPlan, Duration) {
         let start = Instant::now();
         let opt = self.run_optimizer(sv, bound);
-        self.optimize_stat.record(start.elapsed());
-        opt
+        let elapsed = start.elapsed();
+        self.optimize_stat.record(elapsed);
+        (opt, elapsed)
     }
 
     /// The one way into the optimizer: lay the search space out if this is

@@ -49,7 +49,7 @@ cargo build --release --offline --workspace --all-targets
 echo "==> cargo test"
 cargo test -q --offline --workspace
 
-echo "==> candidate search oracle + decision, optimizer and publication goldens + per-thread scratch"
+echo "==> candidate search oracle + decision, optimizer and publication goldens + per-thread scratch + snapshot and service storms"
 # The serving path's invariants, run (optimized, as served) as their own
 # stage so a divergence is named in CI output: every answer of the
 # coordinate block store is bitwise identical to a brute-force scan, and its
@@ -67,14 +67,19 @@ echo "==> candidate search oracle + decision, optimizer and publication goldens 
 # list; one thread's scratch serves same-arity templates through dropped and
 # rebuilt services; λ holds on every stream of the guarantee, Theorem 1 and
 # fuzz suites, which carry it across every list length now that one
-# nearest-first candidate search serves them all. Then the optimizer's own
-# oracles, optimized as served: the prepared search against the reference
-# loop, and the bounded search against the unbounded one at every kind of
-# bound.
+# nearest-first candidate search serves them all. The snapshot and service
+# storms and pqo-core's own tests run here too: a thread decides from the
+# shard and generation it kept, checked by one atomic pointer compare, and
+# generations share append-only row slots, so the interleavings that matter
+# are the optimized build's. Then the optimizer's own oracles, optimized as
+# served: the prepared search against the reference loop, and the bounded
+# search against the unbounded one at every kind of bound.
 cargo test -q --offline --release --test spatial_oracle --test decide_builds \
     --test decide_alloc --test decision_golden --test optimizer_golden --test optimize_alloc \
     --test scratch_identity --test publication_golden --test publish_alloc \
-    --test guarantee --test theorem1 --test scr_fuzz
+    --test guarantee --test theorem1 --test scr_fuzz \
+    --test snapshot_stress --test service_stress
+cargo test -q --offline --release -p pqo-core --lib
 cargo test -q --offline --release -p pqo-optimizer --lib
 
 echo "==> server suites, optimized (poller contract + loopback + replication, release)"

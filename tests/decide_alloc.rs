@@ -1,8 +1,9 @@
 //! `getPlan`'s cached path — candidate search, selectivity check, cost check,
 //! serving the hit — allocates nothing once its `GetPlanScratch` is warm, in
 //! either arithmetic, and neither does a `PqoService` hit, selectivity
-//! vector included. Counted with an allocator that tallies per thread, in a
-//! test binary of its own so no other test shares the allocator.
+//! vector included, nor one right after the thread switched templates.
+//! Counted with an allocator that tallies per thread, in a test binary of
+//! its own so no other test shares the allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -137,5 +138,50 @@ fn a_service_hit_allocates_nothing_once_the_thread_is_warm() {
         let choice = service.get_plan(&name, q).unwrap();
         assert_eq!(allocations() - before, 0, "allocations on a service hit");
         assert!(matches!(cached, Cached::Hit { .. }) && !choice.optimized);
+    }
+}
+
+#[test]
+fn a_hit_right_after_a_template_switch_allocates_nothing() {
+    // Two templates of different arity and relation count: a switch re-binds
+    // the thread's scratch to the other engine and refills its slot.
+    let specs = ["tpch_skew_U_d4", "tpcds_V_d2"].map(|id| {
+        corpus()
+            .iter()
+            .find(|s| s.id == id)
+            .expect("corpus template")
+    });
+    let service = PqoService::new();
+    for spec in specs {
+        service
+            .register(Arc::clone(&spec.template), ScrConfig::new(1.2).unwrap())
+            .unwrap();
+        for q in spec.generate(1500, 1) {
+            service.get_plan(&spec.template.name, &q).unwrap();
+        }
+    }
+    // Each template's hits among fresh probes (a miss is not resumed, so
+    // the caches stay as they are).
+    let [a, b] = specs.map(|spec| {
+        let name = spec.template.name.as_str();
+        let hits: Vec<_> = spec
+            .generate(400, 2)
+            .into_iter()
+            .filter(|q| matches!(service.serve_cached(name, q), Ok(Cached::Hit { .. })))
+            .collect();
+        assert!(!hits.is_empty(), "{name} has hits");
+        (name, hits)
+    });
+    for (qa, qb) in a.1.iter().zip(b.1.iter().cycle()) {
+        for (name, q) in [(a.0, qa), (b.0, qb)] {
+            let before = allocations();
+            let cached = service.serve_cached(name, q).unwrap();
+            assert_eq!(
+                allocations() - before,
+                0,
+                "allocations on the first hit for {name} after a switch"
+            );
+            assert!(matches!(cached, Cached::Hit { .. }));
+        }
     }
 }

@@ -196,6 +196,44 @@ fn consecutive_generations_share_the_plan_list_and_every_full_block() {
 }
 
 #[test]
+fn appending_to_a_published_tail_leaves_every_earlier_entry_s_refcount_alone() {
+    let (mut writer, cell, engine) = writer(ScrConfig::new(1.2).unwrap());
+    let stream = svectors(&engine, 2 * BLOCK_ROWS + 30, 6);
+    let (warm, later) = stream.split_at(BLOCK_ROWS + 10);
+    // Every generation is held, so none leaves the log and lets go of
+    // what it shares while the counts are read.
+    let mut generations = Vec::new();
+    for sv in warm {
+        commit(&mut writer, &cell, &engine, sv);
+        generations.push(cell.load());
+    }
+    let counts = |writer: &CacheWriter| -> Vec<usize> {
+        let entries = writer.scr().cache().instances();
+        entries.iter().map(Arc::strong_count).collect()
+    };
+    let mut tail_appends = 0;
+    for sv in later {
+        let before = counts(&writer);
+        tail_appends += usize::from(before.len() % BLOCK_ROWS != 0);
+        // The writer's tail block is the published generation's: the append
+        // copies its coordinates, and no entry pointer.
+        commit(&mut writer, &cell, &engine, sv);
+        generations.push(cell.load());
+        let after = counts(&writer);
+        assert_eq!(
+            after[..before.len()],
+            before[..],
+            "appending entry {} changed the refcount of an earlier one",
+            before.len()
+        );
+    }
+    assert!(
+        tail_appends > BLOCK_ROWS,
+        "{tail_appends} appends to a tail"
+    );
+}
+
+#[test]
 fn a_usage_bump_through_an_old_generation_reaches_a_row_that_was_in_its_tail() {
     let (mut writer, cell, engine) = writer(ScrConfig::new(1.2).unwrap());
     let stream = svectors(&engine, BLOCK_ROWS + 40, 3);
