@@ -18,7 +18,7 @@ pub trait Rng {
 
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     fn gen_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u64())
     }
 
     /// Uniform sample of `T` over its natural unit domain (`f64` ∈ [0, 1)).
@@ -65,6 +65,45 @@ impl Sample01 for bool {
     }
 }
 
+/// `[0, 1)` from one raw draw: its 53 high bits scaled by 2⁻⁵³, what
+/// [`Rng::gen_f64`] returns. Non-decreasing in `draw >> 11`.
+#[inline]
+fn unit_f64(draw: u64) -> f64 {
+    (draw >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// What `gen_range(range)` returns for the raw draw `draw`. For a fixed
+/// range it is non-decreasing in `draw >> 11`: a scale and a shift, each
+/// rounded, and a clamp below `range.end`.
+///
+/// # Panics
+/// Panics if the range is empty.
+#[inline]
+pub fn f64_in(range: std::ops::Range<f64>, draw: u64) -> f64 {
+    assert!(range.start < range.end, "empty range");
+    let v = range.start + unit_f64(draw) * (range.end - range.start);
+    // Guard the half-open contract against f64 rounding.
+    if v >= range.end {
+        range.end.next_down()
+    } else {
+        v
+    }
+}
+
+/// What `gen_range(range)` returns for the raw draw `draw` over a closed
+/// range: the 53 high bits scaled by 1/(2⁵³ − 1) span it. Non-decreasing
+/// in `draw >> 11`, as [`f64_in`].
+///
+/// # Panics
+/// Panics if the range is empty.
+#[inline]
+pub fn f64_in_closed(range: std::ops::RangeInclusive<f64>, draw: u64) -> f64 {
+    let (lo, hi) = (*range.start(), *range.end());
+    assert!(lo <= hi, "empty range");
+    let u = (draw >> 11) as f64 * (1.0 / ((1u64 << 53) - 1) as f64);
+    lo + u * (hi - lo)
+}
+
 /// Ranges a [`Rng`] can sample from uniformly.
 pub trait SampleRange {
     /// The sampled value type.
@@ -76,25 +115,14 @@ pub trait SampleRange {
 impl SampleRange for std::ops::Range<f64> {
     type Output = f64;
     fn sample_from<R: Rng>(self, rng: &mut R) -> f64 {
-        assert!(self.start < self.end, "empty range");
-        let v = self.start + rng.gen_f64() * (self.end - self.start);
-        // Guard the half-open contract against f64 rounding.
-        if v >= self.end {
-            self.end.next_down()
-        } else {
-            v
-        }
+        f64_in(self, rng.next_u64())
     }
 }
 
 impl SampleRange for std::ops::RangeInclusive<f64> {
     type Output = f64;
     fn sample_from<R: Rng>(self, rng: &mut R) -> f64 {
-        let (lo, hi) = (*self.start(), *self.end());
-        assert!(lo <= hi, "empty range");
-        // 53-bit fraction over the closed interval.
-        let u = (rng.next_u64() >> 11) as f64 * (1.0 / ((1u64 << 53) - 1) as f64);
-        lo + u * (hi - lo)
+        f64_in_closed(self, rng.next_u64())
     }
 }
 
@@ -290,6 +318,27 @@ mod tests {
             let j = rng.gen_range(-5i64..=5);
             assert!((-5..=5).contains(&j));
         }
+    }
+
+    #[test]
+    fn draw_maps_are_what_gen_range_returns() {
+        let mut a = StdRng::seed_from_u64(17);
+        let mut b = StdRng::seed_from_u64(17);
+        for _ in 0..5_000 {
+            let v = a.gen_range(-4.0f64..9.0);
+            assert_eq!(
+                v.to_bits(),
+                super::f64_in(-4.0..9.0, b.next_u64()).to_bits()
+            );
+            let w = a.gen_range(0.25f64..=0.75);
+            let x = super::f64_in_closed(0.25..=0.75, b.next_u64());
+            assert_eq!(w.to_bits(), x.to_bits());
+        }
+        // Both ends of the draw's range, and monotone in the high bits.
+        assert_eq!(super::f64_in_closed(2.0..=3.0, 0), 2.0);
+        assert_eq!(super::f64_in_closed(2.0..=3.0, u64::MAX), 3.0);
+        assert_eq!(super::f64_in(2.0..3.0, u64::MAX), 3.0f64.next_down());
+        assert!(super::f64_in(0.0..1.0, 1 << 40) <= super::f64_in(0.0..1.0, 1 << 41));
     }
 
     #[test]
