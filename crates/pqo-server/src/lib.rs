@@ -57,5 +57,5 @@ pub mod server;
 pub mod wire;
 
 pub use client::{ClientError, PqoClient, PushedGeneration, RemoteChoice, RemoteExplain};
-pub use server::{PqoServer, ServerConfig, ServerHandle, ServerStats};
+pub use server::{snapshot_file_name, PqoServer, ServerConfig, ServerHandle, ServerStats};
 pub use wire::{WireChoice, WireStats, PROTOCOL_VERSION};

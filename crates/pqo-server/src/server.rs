@@ -51,6 +51,7 @@
 //! [`pqo_core::PqoService::save`] so a restart resumes warm.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -87,8 +88,8 @@ pub struct ServerConfig {
     pub poll_interval: Duration,
     /// Grace period for work already decoded when shutdown begins.
     pub shutdown_grace: Duration,
-    /// Flush every template's published snapshot here on graceful shutdown
-    /// (`<dir>/<template>.pqo-cache`).
+    /// Flush every template's published snapshot here on graceful shutdown,
+    /// to `<dir>/` + [`snapshot_file_name`].
     pub snapshot_dir: Option<PathBuf>,
     /// Fixed worker pool size: the threads that serve what the event loop
     /// does not answer itself (misses, batches, everything but cache hits).
@@ -461,7 +462,7 @@ pub(crate) fn flush_snapshots(shared: &Shared) {
         return;
     }
     for name in shared.service.templates() {
-        let path = dir.join(format!("{}.pqo-cache", sanitize(&name)));
+        let path = dir.join(snapshot_file_name(&name));
         let flushed = shared.service.snapshot(&name).map_err(|e| e.to_string());
         let flushed = flushed.and_then(|snapshot| {
             persist::save_file(&snapshot, snapshot.generation(), &path).map_err(|e| e.to_string())
@@ -478,18 +479,24 @@ pub(crate) fn flush_snapshots(shared: &Shared) {
     }
 }
 
-/// Template names come from the corpus (`[a-zA-Z0-9_]`), but never trust a
-/// name as a path component.
-fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == '-' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
+/// The file a template's snapshot is flushed to and restored from, inside
+/// a snapshot directory. A name made only of `[A-Za-z0-9_-]` (every corpus
+/// id) keeps itself: `<name>.pqo-cache`. Any other name — a
+/// `--templates-dir` stem such as `orders.v2`, or one with a path separator
+/// in it — is `~` and its bytes in lowercase hex. No plain name contains
+/// `~` and hex decodes to one name, so no two templates share a file.
+pub fn snapshot_file_name(name: &str) -> String {
+    let plain = name
+        .bytes()
+        .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-');
+    if plain {
+        return format!("{name}.pqo-cache");
+    }
+    let mut file = String::from("~");
+    for b in name.bytes() {
+        let _ = write!(file, "{b:02x}");
+    }
+    file + ".pqo-cache"
 }
 
 pub(crate) fn dispatch(req: Request, shared: &Shared) -> Response {
@@ -824,4 +831,25 @@ fn gather_stats(shared: &Shared, template: &str) -> Result<WireStats, PqoError> 
         replication_bytes_out: srv.replication_bytes_out.load(Ordering::Relaxed),
         replication_bytes_in: srv.replication_bytes_in.load(Ordering::Relaxed),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::snapshot_file_name;
+
+    #[test]
+    fn snapshot_file_names_are_injective_and_keep_plain_names() {
+        assert_eq!(
+            snapshot_file_name("tpch_skew_A_d2"),
+            "tpch_skew_A_d2.pqo-cache"
+        );
+        assert_eq!(snapshot_file_name("a-b_C9"), "a-b_C9.pqo-cache");
+        assert_eq!(snapshot_file_name("a.b"), "~612e62.pqo-cache");
+        assert_eq!(snapshot_file_name("../x"), "~2e2e2f78.pqo-cache");
+        let names = ["a_b", "a.b", "a b", "a/b", "~612e62", "612e62", "é", ""];
+        let files: std::collections::HashSet<String> =
+            names.iter().map(|n| snapshot_file_name(n)).collect();
+        assert_eq!(files.len(), names.len(), "{files:?}");
+        assert!(files.iter().all(|f| !f.contains('/')));
+    }
 }
