@@ -22,9 +22,9 @@ trap cleanup EXIT
 
 # start_server <logfile> <pqo serve args...>
 # Starts `pqo serve --listen 127.0.0.1:0 <args>` in the background with its
-# output in <logfile>, waits (up to 60 s — compiling a templates dir samples
-# whole catalogs) for the `listening on ADDR` line, and sets `addr` to ADDR
-# and `server_pid` to the registered pid.
+# output in <logfile>, waits (up to 60 s — a loaded host can be slow to
+# build the catalogs and compile a templates dir) for the `listening on ADDR`
+# line, and sets `addr` to ADDR and `server_pid` to the registered pid.
 start_server() {
     local log="$1"
     shift
@@ -49,7 +49,7 @@ cargo build --release --offline --workspace --all-targets
 echo "==> cargo test"
 cargo test -q --offline --workspace
 
-echo "==> candidate search oracle + decision, optimizer and publication goldens + per-thread scratch + snapshot and service storms"
+echo "==> column statistics golden + candidate search oracle + decision, optimizer and publication goldens + per-thread scratch + snapshot and service storms"
 # The serving path's invariants, run (optimized, as served) as their own
 # stage so a divergence is named in CI output: every answer of the
 # coordinate block store is bitwise identical to a brute-force scan, and its
@@ -73,8 +73,12 @@ echo "==> candidate search oracle + decision, optimizer and publication goldens 
 # generations share append-only row slots, so the interleavings that matter
 # are the optimized build's. Then the optimizer's own oracles, optimized as
 # served: the prepared search against the reference loop, and the bounded
-# search against the unbounded one at every kind of bound.
-cargo test -q --offline --release --test spatial_oracle --test decide_builds \
+# search against the unbounded one at every kind of bound. The column
+# statistics come first: every selectivity a decision uses comes from these
+# bytes, so the shipped catalogs' histograms hash to
+# tests/fixtures/catalog_stats.golden, and the rank selection that builds
+# them equals the full stable sort on every kind of column.
+cargo test -q --offline --release --test catalog_stats --test spatial_oracle --test decide_builds \
     --test decide_alloc --test decision_golden --test optimizer_golden --test optimize_alloc \
     --test scratch_identity --test publication_golden --test publish_alloc \
     --test guarantee --test theorem1 --test scr_fuzz \
@@ -204,9 +208,12 @@ echo "==> sql-frontend smoke (templates-dir serving across three dialects)"
 # oracle-checked workload against one template per dialect (the client
 # compiles the same .sql file into its in-process oracle), and round-trip
 # one --op explain, verifying the reply carries dialect-tagged hinted SQL.
+# The server flushes a snapshot per template on shutdown, and a second start
+# on the same --snapshot-dir must restore every one of them: warm restart of
+# --templates-dir templates is tested nowhere else end to end.
 sf_tmp="$tmp/sql"
 mkdir "$sf_tmp"
-start_server "$sf_tmp/server.log" --templates-dir templates
+start_server "$sf_tmp/server.log" --templates-dir templates --snapshot-dir "$sf_tmp"
 sf_compiled="$(grep -c '^compiled ' "$sf_tmp/server.log")"
 [ "$sf_compiled" -ge 10 ] \
     || { echo "expected >=10 compiled templates, got ${sf_compiled}"; cat "$sf_tmp/server.log"; exit 1; }
@@ -233,6 +240,13 @@ grep -q "SELECT" "$sf_tmp/explain.txt" \
     || { echo "explain reply missing rendered SQL"; cat "$sf_tmp/explain.txt"; exit 1; }
 ./target/release/pqo client --connect "$addr" --op shutdown
 wait "$server_pid"
+start_server "$sf_tmp/restart.log" --templates-dir templates --snapshot-dir "$sf_tmp"
+./target/release/pqo client --connect "$addr" --op shutdown
+wait "$server_pid"
+# One `restored <stem>` line per `compiled <stem>` line, stem for stem.
+diff <(sed -n 's/^compiled \([^ ]*\) .*/\1/p' "$sf_tmp/server.log" | sort) \
+    <(sed -n 's/^restored \([^ ]*\) .*/\1/p' "$sf_tmp/restart.log" | sort) \
+    || { echo "templates-dir restart did not restore every compiled template"; cat "$sf_tmp/restart.log"; exit 1; }
 
 echo "==> stack benchmark builds (bench/)"
 # bench/ is a package of its own that compiles against the crates' public
